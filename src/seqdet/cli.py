@@ -70,8 +70,8 @@ def _log_config(out_dir, args):
 def _train_config_from_args(args):
     file_cfg = TR.parse_config_file(args.config) if args.config else {}
     merged = {"seed": args.seed, **file_cfg}
-    for key in ("stage", "seq_len", "lr", "epochs", "theta", "k", "dropout",
-                "clip", "asso_form", "profile"):
+    for key in ("seq_len", "lr", "epochs", "theta", "k", "dropout", "clip",
+                "asso_form", "profile"):
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
@@ -230,8 +230,9 @@ def cmd_sweep(args, guard):
             summary = TR.run_stage(3, args.data, run_dir, cfg, init_ckpt=args.init)
             last = summary["loss_csv"].read_text().strip().splitlines()[-1]
             final_total = float(last.split(",")[-1])
-            mean_ap = _map_of_checkpoint(summary["checkpoint"],
-                                         args.val_data or args.data, args)
+            mean_ap = map_of_checkpoint(summary["checkpoint"],
+                                        args.val_data or args.data, args.eval_conf,
+                                        args.profile)
             rows.append((theta, final_total, mean_ap))
         header = "theta,final_total_loss,mAP"
         body = [f"{t},{ft:.6f},{m:.6f}" for t, ft, m in rows]
@@ -260,15 +261,16 @@ def cmd_sweep(args, guard):
     return 0
 
 
-def _map_of_checkpoint(ckpt, data, args):
+def map_of_checkpoint(ckpt, data, conf, profile):
+    """Held-out mAP of a checkpoint over every video under data, with the
+    frames of all videos pooled into one evaluation."""
     params, model_cfg = _load_model(ckpt)
-    videos = load_dataset_root(data)
     total_dets = {}
     total_gts = {}
     offset = 0
-    for video in videos:
-        frames = TR.detect_video(params, model_cfg, video, args.eval_conf,
-                                 args.profile, attach_av=False)
+    for video in load_dataset_root(data):
+        frames = TR.detect_video(params, model_cfg, video, conf, profile,
+                                 attach_av=False)
         for t, dets in frames:
             total_dets[offset + t] = dets
             total_gts[offset + t] = (video.boxes_norm[t - 1], video.classes[t - 1])
@@ -305,6 +307,15 @@ def build_parser():
     p.add_argument("--profile", choices=("vid", "mot"), default="vid")
     sub = p.add_subparsers(dest="command", required=True)
 
+    tracker_flags = argparse.ArgumentParser(add_help=False)
+    tracker_flags.add_argument("--T", type=float, default=1.0)
+    tracker_flags.add_argument("--G", type=float, default=0.3)
+    tracker_flags.add_argument("--tub-len", dest="tub_len", type=int, default=10)
+    tracker_flags.add_argument("--max-miss", dest="max_miss", type=int, default=10)
+    tracker_flags.add_argument("--similarity", default="attention_iou",
+                               choices=("attention_iou", "iou_only"))
+    tracker_flags.add_argument("--canvas", type=int, default=96)
+
     g = sub.add_parser("gen", help="generate synthetic video datasets")
     g.add_argument("--scenario", default="random",
                    choices=("random", "crossing-pair", "scale-change"))
@@ -337,18 +348,12 @@ def build_parser():
     d.add_argument("--conf", type=float, default=0.3)
     d.set_defaults(func=cmd_detect)
 
-    k = sub.add_parser("track", help="assign identities to detections")
+    k = sub.add_parser("track", parents=[tracker_flags],
+                       help="assign identities to detections")
     k.add_argument("--dets", default=None, help="detections JSONL")
     k.add_argument("--mot", default=None, help="MOT CSV input (ingestion path)")
     k.add_argument("--embeddings", default=None, help="TNSR sidecar, one row per line")
     k.add_argument("--out", required=True)
-    k.add_argument("--T", type=float, default=1.0)
-    k.add_argument("--G", type=float, default=0.3)
-    k.add_argument("--tub-len", dest="tub_len", type=int, default=10)
-    k.add_argument("--max-miss", dest="max_miss", type=int, default=10)
-    k.add_argument("--similarity", default="attention_iou",
-                   choices=("attention_iou", "iou_only"))
-    k.add_argument("--canvas", type=int, default=96)
     k.set_defaults(func=cmd_track)
 
     em = sub.add_parser("eval-map", help="detection AP against dataset gt")
@@ -372,7 +377,7 @@ def build_parser():
     gc.add_argument("--out", default=None)
     gc.set_defaults(func=cmd_grad_check)
 
-    sw = sub.add_parser("sweep", help="metric vs parameter CSV")
+    sw = sub.add_parser("sweep", parents=[tracker_flags], help="metric vs parameter CSV")
     sw.add_argument("--param", required=True, choices=("theta", "T", "tub_len"))
     sw.add_argument("--values", required=True, help="comma-separated values")
     sw.add_argument("--out", required=True)
@@ -383,13 +388,6 @@ def build_parser():
     sw.add_argument("--eval-conf", dest="eval_conf", type=float, default=0.02)
     sw.add_argument("--dets", default=None)
     sw.add_argument("--gt-csv", dest="gt_csv", default=None)
-    sw.add_argument("--T", type=float, default=1.0)
-    sw.add_argument("--G", type=float, default=0.3)
-    sw.add_argument("--tub-len", dest="tub_len", type=int, default=10)
-    sw.add_argument("--max-miss", dest="max_miss", type=int, default=10)
-    sw.add_argument("--similarity", default="attention_iou",
-                    choices=("attention_iou", "iou_only"))
-    sw.add_argument("--canvas", type=int, default=96)
     sw.set_defaults(func=cmd_sweep)
 
     da = sub.add_parser("dump-attention", help="write per-frame attention maps")

@@ -15,7 +15,7 @@ contradicts its last known correspondence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -84,19 +84,32 @@ def voc_map(dets_by_frame, gts_by_frame, iou_thresh=0.5, num_classes=4):
 
 @dataclass
 class MotReport:
-    mota: float
-    motp: float
-    mt: float                 # fraction of trajectories mostly tracked
-    ml: float                 # fraction mostly lost
+    """CLEAR-MOT counts of one sequence or a pool; the rates derive from them."""
     fp: int
     fn: int
     ids: int
     num_gt: int
     num_tracks: int
-    mt_count: int
-    ml_count: int
+    mt_count: int             # trajectories mostly tracked
+    ml_count: int             # trajectories mostly lost
     num_matches: int
     motp_sum: float
+
+    @property
+    def mota(self):
+        return 1.0 - (self.fp + self.fn + self.ids) / self.num_gt if self.num_gt else 0.0
+
+    @property
+    def motp(self):
+        return self.motp_sum / self.num_matches if self.num_matches else 0.0
+
+    @property
+    def mt(self):
+        return self.mt_count / self.num_tracks if self.num_tracks else 0.0
+
+    @property
+    def ml(self):
+        return self.ml_count / self.num_tracks if self.num_tracks else 0.0
 
     def row(self):
         return {"MOTA": self.mota, "MOTP": self.motp, "MT": self.mt, "ML": self.ml,
@@ -176,33 +189,14 @@ def mot_metrics(result_rows, gt_rows, iou_gate=0.5):
             mt_count += 1
         elif ratio < 0.2:
             ml_count += 1
-    mota = 1.0 - (fp + fn + ids) / num_gt if num_gt else 0.0
-    motp = motp_sum / num_matches if num_matches else 0.0
-    return MotReport(mota, motp,
-                     mt_count / num_tracks if num_tracks else 0.0,
-                     ml_count / num_tracks if num_tracks else 0.0,
-                     fp, fn, ids, num_gt, num_tracks, mt_count, ml_count,
+    return MotReport(fp, fn, ids, num_gt, num_tracks, mt_count, ml_count,
                      num_matches, motp_sum)
 
 
 def aggregate_reports(reports):
     """Pool per-video reports: counts add, rates recompute over the pool."""
-    fp = sum(r.fp for r in reports)
-    fn = sum(r.fn for r in reports)
-    ids = sum(r.ids for r in reports)
-    num_gt = sum(r.num_gt for r in reports)
-    num_matches = sum(r.num_matches for r in reports)
-    motp_sum = sum(r.motp_sum for r in reports)
-    num_tracks = sum(r.num_tracks for r in reports)
-    mt_count = sum(r.mt_count for r in reports)
-    ml_count = sum(r.ml_count for r in reports)
-    return MotReport(
-        1.0 - (fp + fn + ids) / num_gt if num_gt else 0.0,
-        motp_sum / num_matches if num_matches else 0.0,
-        mt_count / num_tracks if num_tracks else 0.0,
-        ml_count / num_tracks if num_tracks else 0.0,
-        fp, fn, ids, num_gt, num_tracks, mt_count, ml_count,
-        num_matches, motp_sum)
+    return MotReport(*(sum(getattr(r, f.name) for r in reports)
+                       for f in fields(MotReport)))
 
 
 MOT_COLUMNS = ("MOTA", "MOTP", "MT", "ML", "FP", "FN", "IDS")

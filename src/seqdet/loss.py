@@ -19,9 +19,10 @@ from .errors import ConfigError
 from .postproc import center_to_corner, encode, iou_matrix
 
 BCE_EPS = 1e-7
+NEG_POS_RATIO = 3           # mined background priors per matched prior
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     alpha: float = 1.0
     beta: float = 1.0
@@ -87,19 +88,19 @@ def _ce_rows(logits, targets):
     return lse - logits[np.arange(len(logits)), targets]
 
 
-def hard_negative_indices(logits, labels, num_matched, neg_pos_ratio=3):
-    """Highest-loss background priors at neg_pos_ratio per matched prior."""
+def hard_negative_indices(logits, labels, num_matched):
+    """Highest-loss background priors, NEG_POS_RATIO per matched prior."""
     neg_mask = labels == 0
     candidates = np.nonzero(neg_mask)[0]
     if len(candidates) == 0 or num_matched == 0:
         return np.empty(0, dtype=int)
     ce = _ce_rows(logits[candidates], np.zeros(len(candidates), dtype=int))
-    want = min(neg_pos_ratio * num_matched, len(candidates))
+    want = min(NEG_POS_RATIO * num_matched, len(candidates))
     order = np.argsort(-ce, kind="stable")[:want]
     return candidates[order]
 
 
-def loc_conf_loss(head_out, match: MatchResult, neg_pos_ratio=3):
+def loc_conf_loss(head_out, match: MatchResult):
     """Summed smooth-L1 over matched priors and summed cross entropy over
     matched priors plus the mined negatives. Both zero when M == 0."""
     if match.num_matched == 0:
@@ -108,7 +109,7 @@ def loc_conf_loss(head_out, match: MatchResult, neg_pos_ratio=3):
     l_loc = T.smooth_l1_sum(loc_pred, match.deltas[match.matched].reshape(-1))
 
     negatives = hard_negative_indices(head_out.logits(), match.labels,
-                                      match.num_matched, neg_pos_ratio)
+                                      match.num_matched)
     terms = [T.softmax_ce(head_out.logits_node(p), match.labels[p])
              for p in match.matched]
     terms += [T.softmax_ce(head_out.logits_node(p), 0) for p in negatives]
@@ -138,38 +139,10 @@ def attention_loss(att_maps, gt_boxes, input_size=96):
     return T.add_n(terms)
 
 
-def score_list(dets, k=75, theta=0.1, num_classes=4):
-    """Per-class sum of the top-k post-NMS scores strictly above theta."""
-    out = np.zeros(num_classes)
-    for c in range(1, num_classes + 1):
-        scores = sorted((d.score for d in dets if d.class_id == c and d.score > theta),
-                        reverse=True)
-        out[c - 1] = float(sum(scores[:k]))
-    return out
-
-
-def association_loss(score_lists, seq_len, form="running"):
-    """L1 deviation of each frame's score list from the mean of its
-    predecessors (or from the whole-sequence mean), divided by seq_len."""
-    lists = [np.asarray(sl, dtype=np.float64) for sl in score_lists]
-    if len(lists) < 2 or seq_len < 2:
-        return 0.0
-    total = 0.0
-    if form == "running":
-        for t in range(1, len(lists)):
-            mean_prev = np.mean(lists[:t], axis=0)
-            total += float(np.abs(lists[t] - mean_prev).sum())
-    elif form == "global":
-        mean_all = np.mean(lists, axis=0)
-        for sl in lists:
-            total += float(np.abs(sl - mean_all).sum())
-    else:
-        raise ConfigError(f"unknown association form {form!r}")
-    return total / seq_len
-
-
 def association_loss_node(sl_nodes, seq_len, form="running"):
-    """Graph version of the association term.
+    """Association term: L1 deviation of each frame's score list from the
+    mean of its predecessors ("running") or from the whole-sequence mean
+    ("global"), divided by seq_len; 0 for fewer than two frames.
 
     sl_nodes: per frame, a list of per-class scalar nodes (None for an
     empty class). Returns a scalar node.
@@ -194,28 +167,6 @@ def association_loss_node(sl_nodes, seq_len, form="running"):
     else:
         raise ConfigError(f"unknown association form {form!r}")
     return T.scale(T.add_n(terms), 1.0 / seq_len)
-
-
-@dataclass
-class LossBundle:
-    l_loc: float
-    l_conf: float
-    l_att: float
-    l_asso: float
-    l_total: float
-    num_matched: int
-    weights: LossWeights
-
-
-def total_loss(l_loc, l_conf, l_att, l_asso, num_matched, weights=None):
-    """Compose the full objective from plain float parts."""
-    w = (weights or LossWeights()).validate()
-    parts = [l_loc, l_conf, l_att, l_asso]
-    if not all(np.isfinite(parts)):
-        raise ValueError(f"non-finite loss parts: {parts}")
-    det = (w.alpha * l_loc + w.beta * l_conf) / num_matched if num_matched > 0 else 0.0
-    total = det + w.gamma * l_att + w.xi * l_asso
-    return LossBundle(l_loc, l_conf, l_att, l_asso, total, num_matched, w)
 
 
 def frame_loss_node(l_loc, l_conf, l_att, num_matched, weights):

@@ -29,8 +29,7 @@ INPUT_SIZE = 96
 TOY_CHANNELS = (32, 64, 32, 16, 16, 16)
 C_LOW = 64
 C_HIGH = 16
-LOW_LEVELS = (0, 1, 2)
-HIGH_LEVELS = (3, 4, 5)
+LOW_LEVELS = (0, 1, 2)           # the other three levels share the high unit
 
 # Each stage resizes to its target extent, then applies a same-size 3x3 conv.
 # Exact-division strided convs cannot reach odd extents from a 96px input,
@@ -51,29 +50,27 @@ class ModelConfig:
     num_classes: int = 4
     priors_per_cell: int = 2
     attention_enabled: bool = True
-    dropout_rate: float = 0.2
     temporal: bool = True
 
     def to_meta(self):
         return {"num_classes": str(self.num_classes),
                 "priors_per_cell": str(self.priors_per_cell),
                 "attention_enabled": str(int(self.attention_enabled)),
-                "dropout_rate": repr(self.dropout_rate),
                 "temporal": str(int(self.temporal))}
 
     @classmethod
     def from_meta(cls, meta):
+        """Keys other than the four fields (such as the dropout_rate line of
+        older checkpoints) are ignored."""
         return cls(num_classes=int(meta["num_classes"]),
                    priors_per_cell=int(meta["priors_per_cell"]),
                    attention_enabled=bool(int(meta["attention_enabled"])),
-                   dropout_rate=float(meta["dropout_rate"]),
                    temporal=bool(int(meta["temporal"])))
 
 
 @dataclass
 class NetMode:
-    """Per-call forward settings."""
-    training: bool = False
+    """Per-call forward settings; dropout_rate > 0 only while training."""
     dropout_rate: float = 0.0
     rng: object = None
     attention_enabled: bool = True
@@ -144,7 +141,6 @@ def init_params(seed, cfg: ModelConfig, with_lstm=True):
 
 FROZEN_PREFIXES = ("backbone.", "unify.")
 LSTM_PREFIX = "lstm."
-HEAD_PREFIX = "head."
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +277,8 @@ def temporal_pyramid_forward(pyramid, state: TemporalState, params, mode: NetMod
                              f"vs state {h_prev.data.shape}")
         h, s, a = attention_convlstm_step(
             fmap, h_prev, s_prev, weights[unit_of_level(lvl)],
-            dropout_rate=mode.dropout_rate if mode.training else 0.0,
-            rng=mode.rng, attention_enabled=mode.attention_enabled)
+            dropout_rate=mode.dropout_rate, rng=mode.rng,
+            attention_enabled=mode.attention_enabled)
         hidden.append(h)
         new_levels.append((h, s))
         att_maps.append(a)
@@ -391,20 +387,28 @@ def load_checkpoint(ckpt_dir):
     if not manifest.exists():
         raise ConfigError(f"{ckpt_dir}: not a checkpoint (missing manifest.txt)")
     params = {}
-    for line in manifest.read_text().splitlines():
+    for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
         if not line.strip():
             continue
-        name, fname, dims = line.split("\t")
+        try:
+            name, fname, dims = line.split("\t")
+            want = tuple(int(d) for d in dims.split("x"))
+        except ValueError:
+            raise ConfigError(f"{manifest}:{lineno}: expected name<TAB>file<TAB>dims, "
+                              f"got {line!r}") from None
         arr = T.load_tnsr(ckpt_dir / fname)
-        want = tuple(int(d) for d in dims.split("x"))
         if arr.shape != want:
             raise ConfigError(f"{ckpt_dir}: {name} has shape {arr.shape}, manifest says {want}")
         params[name] = T.parameter(arr, name)
-    meta = {}
     meta_path = ckpt_dir / "meta.txt"
-    if meta_path.exists():
-        for line in meta_path.read_text().splitlines():
-            if " = " in line:
-                k, v = line.split(" = ", 1)
-                meta[k] = v
+    if not meta_path.exists():
+        raise ConfigError(f"{ckpt_dir}: not a checkpoint (missing meta.txt)")
+    meta = {}
+    for line in meta_path.read_text().splitlines():
+        if " = " in line:
+            k, v = line.split(" = ", 1)
+            meta[k] = v
+    for key in ModelConfig().to_meta():
+        if key not in meta:
+            raise ConfigError(f"{meta_path}: missing key {key!r}")
     return params, meta

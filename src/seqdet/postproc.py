@@ -1,4 +1,5 @@
-"""Prior boxes, box coding, NMS, and assembly of per-frame detections.
+"""Prior boxes, box coding, per-class thresholding and NMS, and the
+detections JSONL format.
 
 Boxes are corner-form (x1, y1, x2, y2) normalized to [0, 1]; priors are
 kept in center form (cx, cy, w, h). Offsets use the usual center/size
@@ -63,10 +64,6 @@ def level_offsets(sizes=TOY_SIZES, priors_per_cell=PRIORS_PER_CELL):
     for s in sizes:
         offs.append(offs[-1] + priors_per_cell * s * s)
     return offs
-
-
-def num_priors(sizes=TOY_SIZES, priors_per_cell=PRIORS_PER_CELL):
-    return level_offsets(sizes, priors_per_cell)[-1]
 
 
 def make_priors(sizes=TOY_SIZES, priors_per_cell=PRIORS_PER_CELL,
@@ -196,43 +193,12 @@ def softmax_rows(logits):
     return z / z.sum(axis=1, keepdims=True)
 
 
-def select_class_candidates(scores, boxes, class_id, conf_thresh, profile,
-                            prior_ids=None):
+def select_class_candidates(scores, boxes, class_id, conf_thresh, profile):
     """Threshold + NMS for one class; returns surviving Detections."""
-    mask = scores > conf_thresh
-    idx = np.nonzero(mask)[0]
-    cand = [Detection(class_id, float(scores[i]), boxes[i],
-                      prior_index=int(i if prior_ids is None else prior_ids[i]))
+    idx = np.nonzero(scores > conf_thresh)[0]
+    cand = [Detection(class_id, float(scores[i]), boxes[i], prior_index=int(i))
             for i in idx]
     return nms(cand, profile.nms_iou, profile.keep_top)
-
-
-def detect(head_out, att_maps, conf_thresh, dataset_profile, priors=None,
-           canvas=None):
-    """Full per-frame pipeline: softmax, threshold, per-class NMS, and
-    appearance-vector attachment from the low-level attention maps.
-
-    head_out is anything exposing deltas() [P,4] and logits() [P,K+1], or
-    a plain (deltas, logits) array pair.
-    """
-    profile = get_profile(dataset_profile)
-    if isinstance(head_out, tuple):
-        deltas, logits = head_out
-    else:
-        deltas, logits = head_out.deltas(), head_out.logits()
-    if priors is None:
-        priors = make_priors()
-    boxes = decode(priors, deltas)
-    probs = softmax_rows(np.asarray(logits, dtype=np.float64))
-    num_classes = probs.shape[1] - 1
-    out = []
-    for c in range(1, num_classes + 1):
-        out.extend(select_class_candidates(probs[:, c], boxes, c, conf_thresh, profile))
-    if att_maps is not None:
-        from .tracker import attention_vector_for_box
-        for det in out:
-            det.av = attention_vector_for_box(att_maps, det.box)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +228,10 @@ def read_detections_jsonl(path):
                 continue
             try:
                 rec = json.loads(line)
-                det = Detection(int(rec["class"]), float(rec["score"]),
-                                np.asarray(rec["box"], dtype=np.float64),
+                box = np.asarray(rec["box"], dtype=np.float64)
+                if box.shape != (4,):
+                    raise ValueError(f"box must hold 4 numbers, got {rec['box']!r}")
+                det = Detection(int(rec["class"]), float(rec["score"]), box,
                                 av=None if "av" not in rec
                                 else np.asarray(rec["av"], dtype=np.float64),
                                 id=int(rec.get("id", -1)))

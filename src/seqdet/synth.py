@@ -33,7 +33,6 @@ class ObjectSpec:
     vy: float
     size: float
     size_end: float | None = None     # linear size ramp when set
-    texture: float = 0.0              # seeds the stripe pattern and colors
 
 
 @dataclass
@@ -195,8 +194,10 @@ def random_scene(seed, num_objects=2, length=16, canvas=CANVAS, flicker=0.0,
             vx=float(rng.uniform(1.0, 3.0) * rng.choice([-1, 1])),
             vy=float(rng.uniform(1.0, 3.0) * rng.choice([-1, 1])),
             size=size,
-            texture=float(rng.random()),
         ))
+        # A draw nothing reads: it fixes the stream positions the next
+        # objects read from, so each seed keeps giving the same scene.
+        rng.random()
     return SceneSpec(length=length, canvas=canvas, seed=seed, objects=objs,
                      scenario="random", flicker=flicker, occluder=bar, blink=blink)
 

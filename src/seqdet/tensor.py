@@ -203,15 +203,6 @@ def concat_channels(a, b):
     return Tensor(np.concatenate([a.data, b.data], axis=0), (a, b), bwd)
 
 
-def elementwise(kind, a, b):
-    """Dispatch for the named binary forms."""
-    ops = {"add": add, "mul": mul, "chanwise_mul": chanwise_mul,
-           "concat_channels": concat_channels}
-    if kind not in ops:
-        raise ValueError(f"elementwise: unknown kind {kind!r}")
-    return ops[kind](a, b)
-
-
 def scale(x, c):
     """Multiply by a python scalar."""
     c = float(c)
@@ -303,13 +294,6 @@ def relu(x):
             x._accumulate(g * (x.data > 0))
 
     return Tensor(np.maximum(x.data, 0.0), (x,), bwd)
-
-
-def activation(kind, x):
-    ops = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-    if kind not in ops:
-        raise ValueError(f"activation: unknown kind {kind!r}")
-    return ops[kind](x)
 
 
 def dropout(x, rate, rng):
@@ -681,11 +665,15 @@ def load_tnsr(path):
         raw = fh.read()
     if raw[:4] != _MAGIC:
         raise ParseError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 5:
+        raise ParseError(f"{path}: truncated header, no rank byte")
     rank = raw[4]
     if not 1 <= rank <= 4:
         raise ParseError(f"{path}: bad rank {rank}")
-    dims = struct.unpack_from(f"<{rank}I", raw, 5)
     off = 5 + 4 * rank
+    if len(raw) < off:
+        raise ParseError(f"{path}: truncated header, {len(raw)} bytes for rank {rank}")
+    dims = struct.unpack_from(f"<{rank}I", raw, 5)
     n = int(np.prod(dims))
     if len(raw) - off != 4 * n:
         raise ParseError(f"{path}: payload size {len(raw) - off} != {4 * n}")

@@ -18,11 +18,10 @@ import numpy as np
 
 from .errors import ConfigError, ParseError
 from .postproc import Detection, iou
-from .tensor import Tensor, bilinear_resize_array, load_tnsr
+from .tensor import Tensor, load_tnsr
 
 AV_GRID = 7          # each low-level attention map resamples to 7x7
-AV_LEVELS = 3        # number of low-level maps feeding the descriptor
-AV_DIM = AV_LEVELS * AV_GRID * AV_GRID   # 147
+AV_LEVELS = 3        # number of low-level maps feeding the descriptor (147 values)
 
 
 @dataclass
@@ -65,19 +64,11 @@ def _as_map(m):
     return m[None] if m.ndim == 2 else m
 
 
-def attention_vector(att_maps):
-    """Whole-map descriptor: the three low-level attention maps resampled
-    to 7x7 each, flattened and concatenated (length 147)."""
-    if len(att_maps) < AV_LEVELS:
-        raise ConfigError(f"need {AV_LEVELS} low-level maps, got {len(att_maps)}")
-    parts = [bilinear_resize_array(_as_map(m), AV_GRID, AV_GRID).reshape(-1)
-             for m in att_maps[:AV_LEVELS]]
-    return np.concatenate(parts)
-
-
 def attention_vector_for_box(att_maps, box):
-    """Descriptor sampled over one box: a 7x7 bilinear grid inside the
-    box region of each low-level map (same half-pixel convention)."""
+    """Appearance descriptor of one box: each low-level attention map
+    sampled on a 7x7 bilinear grid over the box (half-pixel centers, edge
+    clamp), flattened and concatenated (length 147). The unit box
+    [0, 0, 1, 1] resamples each whole map."""
     if len(att_maps) < AV_LEVELS:
         raise ConfigError(f"need {AV_LEVELS} low-level maps, got {len(att_maps)}")
     x1, y1, x2, y2 = (float(v) for v in box)
@@ -181,22 +172,15 @@ def update_tracks(dets, state: TrackState, params: TrackerParams, frame_idx):
     return dets, state
 
 
-class TubeletTracker:
-    """Stateful wrapper for one stream."""
-
-    def __init__(self, params: TrackerParams | None = None):
-        self.params = (params or TrackerParams()).validate()
-        self.state = TrackState()
-
-    def update(self, dets, frame_idx):
-        dets, self.state = update_tracks(dets, self.state, self.params, frame_idx)
-        return dets
-
-
 def track_frames(frames, params: TrackerParams | None = None):
-    """Run the tracker over [(frame_idx, dets), ...] in order."""
-    tracker = TubeletTracker(params)
-    return [(fidx, tracker.update(dets, fidx)) for fidx, dets in frames]
+    """Run one tracker stream over [(frame_idx, dets), ...] in order."""
+    params = params or TrackerParams()
+    state = TrackState()
+    out = []
+    for fidx, dets in frames:
+        dets, state = update_tracks(dets, state, params, fidx)
+        out.append((fidx, dets))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ driver, and the key=value config-file parser.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +21,9 @@ from .synth import load_dataset_root
 
 STAGE_LR = {1: 1e-3, 2: 1e-4, 3: 1e-5}
 STAGE_EPOCHS = {1: 15, 2: 40, 3: 10}
+LR_DECAY = 0.1               # stage-2 learning-rate factor after DECAY_EPOCH
+DECAY_EPOCH = 30
+LOSS_WEIGHTS = LS.LossWeights()
 
 
 @dataclass
@@ -91,15 +93,6 @@ def clip_gradients(grads, max_norm):
     return grads
 
 
-def param_checksums(params, prefixes=()):
-    out = {}
-    for name in sorted(params):
-        if not prefixes or name.startswith(tuple(prefixes)):
-            out[name] = hashlib.sha256(
-                np.ascontiguousarray(params[name].data).tobytes()).hexdigest()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # training configuration
 
@@ -110,18 +103,14 @@ class TrainConfig:
     seq_len: int = 8
     lr: float | None = None            # stage default when None
     epochs: int | None = None          # stage default when None
-    lr_decay: float = 0.1
-    decay_epoch: int = 30              # stage 2: decayed after this epoch
     theta: float = 0.1
     k: int = 75
     dropout: float = 0.2
-    neg_pos_ratio: int = 3
     clip: float = 0.0                  # global grad-norm clip, 0 = off
     asso_form: str = "running"
     attention: bool = True
     profile: str = "vid"
     seed: int = 0
-    weights: LS.LossWeights = field(default_factory=LS.LossWeights)
 
     def resolved(self):
         if self.stage not in (1, 2, 3):
@@ -131,13 +120,12 @@ class TrainConfig:
             out.lr = STAGE_LR[self.stage]
         if out.epochs is None:
             out.epochs = STAGE_EPOCHS[self.stage]
-        out.weights.validate()
         return out
 
 
 CONFIG_KEYS = {
     "seq_len": int, "lr": float, "epochs": int, "theta": float, "k": int,
-    "dropout": float, "stage": int, "seed": int, "clip": float,
+    "dropout": float, "seed": int, "clip": float,
     "asso_form": str, "profile": str,
 }
 
@@ -201,8 +189,7 @@ def detect_video(params, model_cfg, video, conf_thresh, profile_name,
     out = []
     if model_cfg.temporal:
         state = net.TemporalState.zeros()
-        mode = net.NetMode(training=False,
-                           attention_enabled=model_cfg.attention_enabled)
+        mode = net.NetMode(attention_enabled=model_cfg.attention_enabled)
         for t, frame in enumerate(video.frames, start=1):
             head, state, att = net.forward_temporal(
                 T.constant(frame), state, params, model_cfg, mode)
@@ -226,7 +213,7 @@ def detect_video(params, model_cfg, video, conf_thresh, profile_name,
 def dump_attention_maps(params, model_cfg, video):
     """Per-frame, per-level attention maps (plain arrays)."""
     state = net.TemporalState.zeros()
-    mode = net.NetMode(training=False, attention_enabled=model_cfg.attention_enabled)
+    mode = net.NetMode(attention_enabled=model_cfg.attention_enabled)
     out = []
     for frame in video.frames:
         _head, state, att = net.forward_temporal(
@@ -244,6 +231,13 @@ def _loss_csv_header():
     return "epoch,step,L_loc,L_conf,L_att,L_asso,L_total\n"
 
 
+def _check_finite(parts, stage, epoch, step):
+    """Stop before a non-finite loss reaches the optimizer."""
+    if not all(np.isfinite(v) for v in parts.values()):
+        raise FloatingPointError(f"stage {stage} epoch {epoch} step {step}: "
+                                 f"non-finite loss parts {parts}")
+
+
 def _train_static_epoch(params, videos, cfg, model_cfg, priors, rng, epoch, rows,
                         lr):
     items = [(vi, t) for vi, v in enumerate(videos)
@@ -254,13 +248,14 @@ def _train_static_epoch(params, videos, cfg, model_cfg, priors, rng, epoch, rows
         head = net.forward_static(T.constant(video.frames[t - 1]), params, model_cfg)
         boxes, classes = frame_ground_truth(video, t)
         m = LS.match_priors(boxes, classes, priors)
-        l_loc, l_conf = LS.loc_conf_loss(head, m, cfg.neg_pos_ratio)
-        node = LS.frame_loss_node(l_loc, l_conf, None, m.num_matched, cfg.weights)
+        l_loc, l_conf = LS.loc_conf_loss(head, m)
+        node = LS.frame_loss_node(l_loc, l_conf, None, m.num_matched, LOSS_WEIGHTS)
+        parts = {"L_loc": l_loc.item(), "L_conf": l_conf.item(), "L_total": node.item()}
+        _check_finite(parts, 1, epoch, step)
         grads = clip_gradients(T.backward(node), cfg.clip)
         sgd_step(params, grads, lr)
-        det = (l_loc.item() + l_conf.item()) / max(m.num_matched, 1)
-        rows.append(f"{epoch},{step},{l_loc.item():.6f},{l_conf.item():.6f},"
-                    f"0,0,{det:.6f}\n")
+        rows.append(f"{epoch},{step},{parts['L_loc']:.6f},{parts['L_conf']:.6f},"
+                    f"0,0,{parts['L_total']:.6f}\n")
 
 
 def _train_sequence(params, video, cfg, model_cfg, priors, rng, with_asso):
@@ -268,7 +263,7 @@ def _train_sequence(params, video, cfg, model_cfg, priors, rng, with_asso):
     v = len(video.frames)
     sample = random_skip_sample(v, cfg.seq_len, rng, sp=1 if cfg.stage == 3 else None)
     state = net.TemporalState.zeros()
-    mode = net.NetMode(training=True, dropout_rate=cfg.dropout, rng=rng,
+    mode = net.NetMode(dropout_rate=cfg.dropout, rng=rng,
                        attention_enabled=cfg.attention)
     frame_nodes = []
     sl_nodes = []
@@ -278,10 +273,10 @@ def _train_sequence(params, video, cfg, model_cfg, priors, rng, with_asso):
             T.constant(video.frames[t - 1]), state, params, model_cfg, mode)
         boxes, classes = frame_ground_truth(video, t)
         m = LS.match_priors(boxes, classes, priors)
-        l_loc, l_conf = LS.loc_conf_loss(head, m, cfg.neg_pos_ratio)
+        l_loc, l_conf = LS.loc_conf_loss(head, m)
         l_att = LS.attention_loss(att, boxes, net.INPUT_SIZE) if cfg.attention else None
         frame_nodes.append(LS.frame_loss_node(l_loc, l_conf, l_att,
-                                              m.num_matched, cfg.weights))
+                                              m.num_matched, LOSS_WEIGHTS))
         sums["L_loc"] += l_loc.item()
         sums["L_conf"] += l_conf.item()
         sums["L_att"] += l_att.item() if l_att is not None else 0.0
@@ -294,7 +289,7 @@ def _train_sequence(params, video, cfg, model_cfg, priors, rng, with_asso):
     l_asso = 0.0
     if with_asso:
         asso_node = LS.association_loss_node(sl_nodes, cfg.seq_len, cfg.asso_form)
-        total = T.add(total, T.scale(asso_node, cfg.weights.xi))
+        total = T.add(total, T.scale(asso_node, LOSS_WEIGHTS.xi))
         l_asso = asso_node.item()
     parts = {k: s / cfg.seq_len for k, s in sums.items()}
     parts["L_asso"] = l_asso
@@ -319,8 +314,7 @@ def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
     priors = make_priors()
 
     if stage == 1:
-        model_cfg = net.ModelConfig(attention_enabled=cfg.attention,
-                                    dropout_rate=cfg.dropout, temporal=False)
+        model_cfg = net.ModelConfig(attention_enabled=cfg.attention, temporal=False)
         params = net.init_params(cfg.seed, model_cfg, with_lstm=False)
     else:
         if init_ckpt is None:
@@ -329,7 +323,6 @@ def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
         model_cfg = net.ModelConfig.from_meta(meta)
         model_cfg.temporal = True
         model_cfg.attention_enabled = cfg.attention
-        model_cfg.dropout_rate = cfg.dropout
         if not any(name.startswith(net.LSTM_PREFIX) for name in params):
             net.init_lstm_params(np.random.default_rng((cfg.seed, 0x15)), params)
 
@@ -343,7 +336,7 @@ def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
 
     rows = [_loss_csv_header()]
     for epoch in range(1, cfg.epochs + 1):
-        lr = cfg.lr * (cfg.lr_decay if stage == 2 and epoch > cfg.decay_epoch else 1.0)
+        lr = cfg.lr * (LR_DECAY if stage == 2 and epoch > DECAY_EPOCH else 1.0)
         if stage == 1:
             _train_static_epoch(params, videos, cfg, model_cfg, priors, rng,
                                 epoch, rows, lr)
@@ -351,6 +344,7 @@ def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
         for step, video in enumerate(videos, start=1):
             total, parts = _train_sequence(params, video, cfg, model_cfg, priors,
                                            rng, with_asso=(stage == 3))
+            _check_finite(parts, stage, epoch, step)
             grads = clip_gradients(T.backward(total), cfg.clip)
             sgd_step(sgd_params, grads, lr)
             rmsprop_step(rms_params, grads, lr, rms_state)
@@ -433,22 +427,15 @@ def build_aclstm_case(seed=0, frames=3, channels=4, size=5):
     rng = np.random.default_rng((seed, 0x62))
     params = {}
     pr = np.random.default_rng((seed, 0x63))
-    for unit, c in (("u", channels),):
-        net._conv_param(pr, params, f"lstm.{unit}.att1", c // 2, 2 * c, 3, bias=False)
-        net._conv_param(pr, params, f"lstm.{unit}.att2", c // 4, c // 2, 3, bias=False)
-        net._conv_param(pr, params, f"lstm.{unit}.att3", 1, max(c // 4, 1), 3,
-                        bias=False, gain="linear")
-        for gate in ("i", "f", "o", "c"):
-            net._conv_param(pr, params, f"lstm.{unit}.gate_{gate}", c, 2 * c, 3,
-                            gain="linear")
+    c = channels
+    net._conv_param(pr, params, "lstm.u.att1", c // 2, 2 * c, 3, bias=False)
+    net._conv_param(pr, params, "lstm.u.att2", c // 4, c // 2, 3, bias=False)
+    net._conv_param(pr, params, "lstm.u.att3", 1, max(c // 4, 1), 3, bias=False,
+                    gain="linear")
+    for gate in ("i", "f", "o", "c"):
+        net._conv_param(pr, params, f"lstm.u.gate_{gate}", c, 2 * c, 3, gain="linear")
     net._conv_param(pr, params, "head.loc", 3, channels, 3, gain="linear")
-    w = net.ACLSTMWeights(
-        params["lstm.u.att1.kernel"], params["lstm.u.att2.kernel"],
-        params["lstm.u.att3.kernel"],
-        params["lstm.u.gate_i.kernel"], params["lstm.u.gate_i.bias"],
-        params["lstm.u.gate_f.kernel"], params["lstm.u.gate_f.bias"],
-        params["lstm.u.gate_o.kernel"], params["lstm.u.gate_o.bias"],
-        params["lstm.u.gate_c.kernel"], params["lstm.u.gate_c.bias"])
+    w = net.ACLSTMWeights.from_params(params, "u")
     xs = [T.constant(rng.standard_normal((channels, size, size)) * 0.8)
           for _ in range(frames)]
     att_target = (rng.random((1, 8, 8)) > 0.6).astype(float)

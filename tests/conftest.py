@@ -48,24 +48,6 @@ def build_acceptance_dataset(root, cfg=TRAINED_RUN):
     return root
 
 
-def eval_checkpoint_map(ckpt, val_root, conf=0.02):
-    from seqdet import evaluation as EV
-    from seqdet import net
-    from seqdet import train as TR
-    from seqdet.synth import load_dataset_root
-
-    params, meta = net.load_checkpoint(ckpt)
-    model_cfg = net.ModelConfig.from_meta(meta)
-    dets, gts, off = {}, {}, 0
-    for video in load_dataset_root(val_root):
-        for t, ds in TR.detect_video(params, model_cfg, video, conf, "vid",
-                                     attach_av=False):
-            dets[off + t] = ds
-            gts[off + t] = (video.boxes_norm[t - 1], video.classes[t - 1])
-        off += len(video.frames)
-    return EV.voc_map(dets, gts, num_classes=model_cfg.num_classes)[1]
-
-
 @pytest.fixture(scope="session")
 def trained_pipeline(tmp_path_factory):
     """Full staged training used by the training-order acceptance checks.
@@ -75,6 +57,7 @@ def trained_pipeline(tmp_path_factory):
     held-out mAP for each checkpoint.
     """
     from seqdet import train as TR
+    from seqdet.cli import map_of_checkpoint
 
     cfg = TRAINED_RUN
     root = build_acceptance_dataset(tmp_path_factory.mktemp("acc_data"), cfg)
@@ -95,8 +78,8 @@ def trained_pipeline(tmp_path_factory):
                                      lr=cfg["s3_lr"]),
                       init_ckpt=s2["checkpoint"])
     elapsed = time.time() - t0
-    maps = {name: eval_checkpoint_map(run["checkpoint"], root / "val",
-                                      cfg["eval_conf"])
+    maps = {name: map_of_checkpoint(run["checkpoint"], root / "val",
+                                    cfg["eval_conf"], "vid")
             for name, run in (("static", s1), ("stage2", s2),
                               ("convlstm", cv), ("stage3", s3))}
     return {"root": root, "runs": {"static": s1, "stage2": s2,

@@ -99,3 +99,33 @@ def naive_match(gt_boxes, priors_corner, iou_thresh=0.5):
         best = int(np.argmax(iou[:, j]))
         assign[best] = j
     return assign
+
+
+def score_list(dets, k=75, theta=0.1, num_classes=4):
+    """Per-class sum of the top-k scores strictly above theta."""
+    out = np.zeros(num_classes)
+    for c in range(1, num_classes + 1):
+        scores = sorted((d.score for d in dets if d.class_id == c and d.score > theta),
+                        reverse=True)
+        out[c - 1] = float(sum(scores[:k]))
+    return out
+
+
+def association_loss(score_lists, seq_len, form="running"):
+    """L1 deviation of each frame's score list from the mean of its
+    predecessors (or from the whole-sequence mean), divided by seq_len."""
+    lists = [np.asarray(sl, dtype=np.float64) for sl in score_lists]
+    if len(lists) < 2 or seq_len < 2:
+        return 0.0
+    total = 0.0
+    if form == "running":
+        for t in range(1, len(lists)):
+            mean_prev = np.mean(lists[:t], axis=0)
+            total += float(np.abs(lists[t] - mean_prev).sum())
+    elif form == "global":
+        mean_all = np.mean(lists, axis=0)
+        for sl in lists:
+            total += float(np.abs(sl - mean_all).sum())
+    else:
+        raise ValueError(f"unknown association form {form!r}")
+    return total / seq_len

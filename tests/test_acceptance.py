@@ -164,9 +164,9 @@ def test_c05_tracker_update_matches_exhaustive_reference_500_cases():
     for seed in range(6):
         seq = gen_sequence(crossing_pair(seed) if seed % 2
                            else random_scene(seed, num_objects=3, length=20))
-        tracker = TK.TubeletTracker()
-        for fidx, dets in oracle_detections(seq):
-            out = tracker.update([d.copy() for d in dets], fidx)
+        frames = [(fidx, [d.copy() for d in dets])
+                  for fidx, dets in oracle_detections(seq)]
+        for _fidx, out in TK.track_frames(frames):
             for cls in set(d.class_id for d in out):
                 ids = [d.id for d in out if d.class_id == cls and d.id >= 0]
                 assert len(ids) == len(set(ids))
@@ -225,6 +225,7 @@ def test_c06_crossing_pair_identity_switches_drop_with_appearance():
            f"wins {wins}/{len(seeds)})")
 
 
+@pytest.mark.slow
 def test_c07_staged_training_improves_ordering(trained_pipeline):
     maps = trained_pipeline["maps"]
     assert trained_pipeline["train_seconds"] < 1800
@@ -244,6 +245,7 @@ def test_c07_staged_training_improves_ordering(trained_pipeline):
            + f", trained in {trained_pipeline['train_seconds']:.0f}s)")
 
 
+@pytest.mark.slow
 def test_c08_theta_sweep_produces_wellformed_csv(trained_pipeline, tmp_path):
     root = trained_pipeline["root"]
     s2 = trained_pipeline["runs"]["stage2"]["checkpoint"]
@@ -317,9 +319,10 @@ def test_c11_default_parameters_verbatim():
     assert cfg.theta == 0.1
     assert cfg.k == 75
     assert cfg.seq_len == 8
-    assert cfg.neg_pos_ratio == 3
+    assert LS.NEG_POS_RATIO == 3
     assert TR.STAGE_LR[2] == 1e-4 and TR.STAGE_LR[3] == 1e-5
-    assert cfg.lr_decay == 0.1 and cfg.decay_epoch == 30
+    assert TR.LR_DECAY == 0.1 and TR.DECAY_EPOCH == 30
+    assert TR.LOSS_WEIGHTS == w
     assert TR.STAGE_EPOCHS[2] == 40 and TR.STAGE_EPOCHS[3] == 10
     tp = TK.TrackerParams()
     assert tp.match_threshold == 1.0

@@ -6,6 +6,7 @@ import pytest
 from seqdet import cli
 from seqdet import tracker as TK
 from seqdet.postproc import read_detections_jsonl
+from seqdet.tensor import load_tnsr, save_tnsr
 
 
 def run(*argv):
@@ -52,7 +53,6 @@ def test_track_from_jsonl_deterministic(dataset, tmp_path):
 
 def test_track_ingestion_path_with_embeddings(dataset, tmp_path):
     # re-route: convert oracle JSONL to MOT csv + embedding sidecar, re-track
-    from seqdet.tensor import save_tnsr
     by_frame = read_detections_jsonl(dataset / "video_000" / "detections.jsonl")
     frames = [(f, by_frame[f]) for f in sorted(by_frame)]
     rows = []
@@ -139,7 +139,6 @@ def test_zero_epoch_checkpoint_then_detect_and_dump(dataset, tmp_path, capsys):
                dataset / "video_000", "--out", dump) == 0
     maps = sorted(dump.glob("att_*_l0.tnsr"))
     assert len(maps) == 10
-    from seqdet.tensor import load_tnsr
     m = load_tnsr(maps[0])
     assert m.shape == (1, 24, 24)
     assert np.all((m > 0) & (m < 1))
@@ -155,6 +154,30 @@ def test_error_exit_code_and_cleanup(tmp_path, capsys):
                "--out", tmp_path / "t1")
     assert code == 1
     assert not (tmp_path / "t1").exists()
+
+
+def test_track_rejects_three_number_box(tmp_path, capsys):
+    dets = tmp_path / "short.jsonl"
+    dets.write_text('{"frame": 1, "class": 1, "score": 0.5, "box": [0.1, 0.1, 0.5]}\n')
+    out = tmp_path / "r.csv"
+    assert run("track", "--dets", dets, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "short.jsonl:1:" in err
+    assert not out.exists()
+
+
+def test_train_on_nan_frame_exits_1_and_leaves_nothing(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run("--seed", 2, "gen", "--videos", 1, "--frames", 4, "--out", data) == 0
+    frame = data / "video_000" / "frames" / "000002.tnsr"
+    save_tnsr(frame, np.full(load_tnsr(frame).shape, np.nan))
+    out = tmp_path / "s1"
+    assert run("train", "--stage", 1, "--data", data, "--out", out, "--epochs", 1) == 1
+    err = capsys.readouterr().err
+    assert "stage 1 epoch 1" in err and "non-finite" in err
+    assert not (out / "loss.csv").exists()
+    assert not (out / "checkpoint").exists()
 
 
 def test_bad_config_file_rejected(tmp_path, capsys):

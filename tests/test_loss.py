@@ -5,9 +5,10 @@ from seqdet import loss as L
 from seqdet import net
 from seqdet import tensor as T
 from seqdet.errors import ConfigError
-from seqdet.postproc import Detection, center_to_corner, corner_to_center, make_priors
+from seqdet.postproc import center_to_corner, corner_to_center, make_priors
+from seqdet.train import detections_for_frame, score_list_nodes
 
-from refimpl import naive_match
+from refimpl import association_loss, naive_match, score_list
 
 
 def small_priors():
@@ -115,7 +116,7 @@ def test_loc_conf_matches_straight_line_reference():
     head = random_head(rng)
     gt = np.array([[0.05, 0.05, 0.48, 0.49], [0.5, 0.52, 0.95, 0.9]])
     m = L.match_priors(gt, [1, 4], priors)
-    l_loc, l_conf = L.loc_conf_loss(head, m, neg_pos_ratio=3)
+    l_loc, l_conf = L.loc_conf_loss(head, m)
 
     deltas = head.deltas()
     logits = head.logits()
@@ -199,75 +200,104 @@ def test_attention_loss_empty_gt_still_valid():
 # score lists and association
 
 
-def det(cls, score):
-    return Detection(cls, score, np.array([0.1, 0.1, 0.2, 0.2]))
+def score_list_of(class_scores, k=75, theta=0.1, num_classes=4):
+    """Score list through the training path: one prior per (class, score)
+    pair, placed apart from the others, whose softmax gives that class that
+    score; detections_for_frame then score_list_nodes."""
+    n = max(len(class_scores), 1)
+    probs = np.full((n, num_classes + 1), 1e-9)
+    for i, (c, score) in enumerate(class_scores):
+        probs[i, c] = score
+    probs[:, 0] = 1.0 - probs[:, 1:].sum(axis=1)
+    loc = [np.zeros((4, 1, 1)) for _ in range(n)]
+    conf = [np.log(row).reshape(-1, 1, 1) for row in probs]
+    head = head_from_arrays(loc, conf, (1,) * n, num_classes, ppc=1)
+    priors = np.array([[(i + 0.5) / n, 0.5, 0.5 / n, 0.5] for i in range(n)])
+    dets = detections_for_frame(head, priors, theta, "vid", num_classes)
+    nodes = score_list_nodes(head, dets, k, num_classes)
+    return np.array([0.0 if s is None else s.item() for s in nodes])
 
 
 def test_score_list_hand_trace():
-    dets = [det(1, 0.9), det(1, 0.5), det(1, 0.05)]
-    sl = L.score_list(dets, k=2, theta=0.1, num_classes=4)
+    sl = score_list_of([(1, 0.9), (1, 0.5), (1, 0.05)], k=2, theta=0.1)
     np.testing.assert_allclose(sl, [1.4, 0, 0, 0])
 
 
 def test_score_list_empty_and_k1():
-    assert np.all(L.score_list([], num_classes=4) == 0)
-    dets = [det(2, 0.4), det(2, 0.7), det(3, 0.05)]
-    sl = L.score_list(dets, k=1, theta=0.1, num_classes=4)
+    assert np.all(score_list_of([]) == 0)
+    sl = score_list_of([(2, 0.4), (2, 0.7), (3, 0.05)], k=1, theta=0.1)
     np.testing.assert_allclose(sl, [0, 0.7, 0, 0])
 
 
 def test_score_list_monotone_in_retained_scores():
     rng = np.random.default_rng(4)
-    dets = [det(1, float(s)) for s in rng.uniform(0.2, 0.8, 10)]
-    base = L.score_list(dets, k=5, theta=0.1, num_classes=2)[0]
-    dets[3].score += 0.1
-    assert L.score_list(dets, k=5, theta=0.1, num_classes=2)[0] >= base
+    scores = [float(s) for s in rng.uniform(0.2, 0.8, 10)]
+    base = score_list_of([(1, s) for s in scores], k=5, theta=0.1, num_classes=2)[0]
+    scores[3] += 0.1
+    assert score_list_of([(1, s) for s in scores], k=5, theta=0.1,
+                         num_classes=2)[0] >= base
+
+
+def test_score_list_nodes_match_reference_on_detections():
+    priors = small_priors()
+    for seed in range(5):
+        head = random_head(np.random.default_rng(seed), scale=2.0)
+        for k in (1, 2, 75):
+            dets = detections_for_frame(head, priors, 0.1, "vid", 4)
+            nodes = score_list_nodes(head, dets, k, 4)
+            got = [0.0 if s is None else s.item() for s in nodes]
+            np.testing.assert_allclose(got, score_list(dets, k, 0.1, 4), rtol=1e-12)
+
+
+def association(lists, seq_len, form="running"):
+    nodes = [[T.constant([v]) for v in sl] for sl in lists]
+    return L.association_loss_node(nodes, seq_len, form).item()
 
 
 def test_association_identical_lists_zero():
     sl = [np.array([1.0, 2.0])] * 4
-    assert L.association_loss(sl, 4) == 0.0
+    assert association(sl, 4) == 0.0
 
 
 def test_association_running_mean_hand_trace():
     sl = [np.array([1.0]), np.array([1.0]), np.array([4.0])]
-    assert L.association_loss(sl, 3) == pytest.approx(1.0)
+    assert association(sl, 3) == pytest.approx(1.0)
 
 
 def test_association_homogeneous_in_scale():
     rng = np.random.default_rng(5)
     sl = [rng.random(3) for _ in range(5)]
-    base = L.association_loss(sl, 5)
-    scaled = L.association_loss([2.5 * x for x in sl], 5)
+    base = association(sl, 5)
+    scaled = association([2.5 * x for x in sl], 5)
     assert scaled == pytest.approx(2.5 * base, rel=1e-12)
 
 
 def test_association_zero_iff_equal_lists():
     rng = np.random.default_rng(6)
     sl = [rng.random(3) for _ in range(4)]
-    assert L.association_loss(sl, 4) > 0
-    assert L.association_loss([sl[0]] * 4, 4) == 0.0
+    assert association(sl, 4) > 0
+    assert association([sl[0]] * 4, 4) == 0.0
 
 
 def test_association_invariant_to_uniform_class_permutation():
     rng = np.random.default_rng(7)
     sl = [rng.random(4) for _ in range(5)]
     perm = np.array([2, 0, 3, 1])
-    a = L.association_loss(sl, 5)
-    b = L.association_loss([x[perm] for x in sl], 5)
+    a = association(sl, 5)
+    b = association([x[perm] for x in sl], 5)
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_association_fewer_than_two_frames_zero():
-    assert L.association_loss([np.array([1.0])], 1) == 0.0
+    assert association([np.array([1.0])], 1) == 0.0
 
 
 def test_association_global_form():
     sl = [np.array([0.0]), np.array([2.0])]
     # global mean 1.0 -> |0-1| + |2-1| = 2, / seq_len
-    assert L.association_loss(sl, 2, form="global") == pytest.approx(1.0)
+    assert association(sl, 2, form="global") == pytest.approx(1.0)
     with pytest.raises(ConfigError):
-        L.association_loss(sl, 2, form="median")
+        association(sl, 2, form="median")
 
 
 def test_association_node_matches_numeric():
@@ -276,32 +306,49 @@ def test_association_node_matches_numeric():
     for form in ("running", "global"):
         node = L.association_loss_node(
             [[T.constant([v]) for v in sl] for sl in frames], 4, form)
-        assert node.item() == pytest.approx(L.association_loss(frames, 4, form),
+        assert node.item() == pytest.approx(association_loss(frames, 4, form),
                                             rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# total loss
+# loss composition
+
+
+def frame_total(l_loc, l_conf, l_att, num_matched, weights=None):
+    parts = [T.constant([float(v)]) for v in (l_loc, l_conf, l_att)]
+    return L.frame_loss_node(*parts, num_matched, weights or L.LossWeights()).item()
 
 
 def test_total_loss_zero_parts():
-    assert L.total_loss(0, 0, 0, 0, 0).l_total == 0.0
+    assert frame_total(0, 0, 0, 0) == 0.0
 
 
 def test_total_loss_weighted_arithmetic():
-    b = L.total_loss(2.0, 4.0, 1.0, 0.5, 2)
-    assert b.l_total == pytest.approx(4.5)
+    # (alpha * 2 + beta * 4) / 2 + gamma * 1; xi * L_asso is added per sequence
+    assert frame_total(2.0, 4.0, 1.0, 2) == pytest.approx(3.5)
 
 
-def test_total_loss_xi_zero_drops_association():
-    w = L.LossWeights(xi=0.0)
-    b = L.total_loss(2.0, 4.0, 1.0, 123.0, 2, w)
-    assert b.l_total == pytest.approx(3.5)
+def test_total_loss_xi_zero_drops_association(tmp_path, monkeypatch):
+    from seqdet import train as TR
+    from seqdet.synth import gen_sequence, load_video_dir, random_scene, write_dataset
+
+    write_dataset(gen_sequence(random_scene(41, num_objects=2, length=4)), tmp_path / "v")
+    video = load_video_dir(tmp_path / "v")
+    model_cfg = net.ModelConfig()
+    params = net.init_params(41, model_cfg)
+    cfg = TR.TrainConfig(stage=3, seq_len=2, dropout=0.0).resolved()
+    monkeypatch.setattr(TR, "LOSS_WEIGHTS", L.LossWeights(xi=0.0))
+    (plain, _), (total, parts) = [
+        TR._train_sequence(params, video, cfg, model_cfg, make_priors(),
+                           np.random.default_rng(0), with_asso)
+        for with_asso in (False, True)]
+    assert parts["L_asso"] > 0
+    assert total.item() == plain.item()
 
 
 def test_total_loss_rejects_negative_weights():
     with pytest.raises(ConfigError):
-        L.total_loss(1, 1, 1, 1, 1, L.LossWeights(gamma=-0.5))
+        frame_total(1, 1, 1, 1, L.LossWeights(gamma=-0.5))
 
 
 def test_default_weights():
@@ -326,7 +373,7 @@ def test_full_network_two_frame_gradients_match_finite_diff():
 
     def build():
         state = net.TemporalState.zeros()
-        mode = net.NetMode(training=False)
+        mode = net.NetMode()
         terms = []
         for t in range(2):
             head, state, att = net.forward_temporal(frames[t], state, params, cfg, mode)

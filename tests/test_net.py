@@ -3,7 +3,7 @@ import pytest
 
 from seqdet import net
 from seqdet import tensor as T
-from seqdet.errors import ShapeError
+from seqdet.errors import ConfigError, ShapeError
 
 from refimpl import naive_conv2d
 
@@ -423,3 +423,40 @@ def test_checkpoint_manifest_format(tmp_path):
     name, fname, dims = lines[0].split("\t")
     assert fname == f"{name}.tnsr"
     assert tuple(int(d) for d in dims.split("x")) == params[name].data.shape
+
+
+def _saved_checkpoint(ck, seed=23):
+    cfg = net.ModelConfig()
+    net.save_checkpoint(ck, net.init_params(seed, cfg), cfg.to_meta())
+    return cfg
+
+
+def test_checkpoint_short_manifest_line_is_config_error(tmp_path):
+    _saved_checkpoint(tmp_path / "ck")
+    manifest = tmp_path / "ck" / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    lines[2] = "\t".join(lines[2].split("\t")[:2])
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"ck/manifest\.txt:3:"):
+        net.load_checkpoint(tmp_path / "ck")
+
+
+def test_checkpoint_without_meta_is_config_error(tmp_path):
+    _saved_checkpoint(tmp_path / "ck")
+    meta = tmp_path / "ck" / "meta.txt"
+    meta.write_text("num_classes = 4\n")
+    with pytest.raises(ConfigError, match=r"ck/meta\.txt: missing key 'priors_per_cell'"):
+        net.load_checkpoint(tmp_path / "ck")
+    meta.unlink()
+    with pytest.raises(ConfigError, match=r"ck: .*missing meta\.txt"):
+        net.load_checkpoint(tmp_path / "ck")
+
+
+def test_legacy_meta_with_dropout_rate_still_loads(tmp_path):
+    cfg = _saved_checkpoint(tmp_path / "ck")
+    meta = tmp_path / "ck" / "meta.txt"
+    assert "dropout_rate" not in meta.read_text()
+    meta.write_text(meta.read_text() + "dropout_rate = 0.2\n")
+    _params, loaded = net.load_checkpoint(tmp_path / "ck")
+    assert loaded["dropout_rate"] == "0.2"
+    assert net.ModelConfig.from_meta(loaded) == cfg

@@ -3,6 +3,7 @@ import pytest
 
 from seqdet import postproc as pp
 from seqdet.errors import ConfigError, ParseError
+from seqdet.train import detections_for_frame
 
 from refimpl import naive_iou, naive_nms
 
@@ -10,7 +11,7 @@ from refimpl import naive_iou, naive_nms
 def test_prior_count_matches_grid():
     priors = pp.make_priors()
     assert priors.shape == (1540, 4)
-    assert pp.num_priors() == 1540
+    assert pp.level_offsets()[-1] == 1540
 
 
 def test_prior_corners_inside_unit_square():
@@ -154,11 +155,25 @@ def test_profiles_and_unknown_profile():
         pp.get_profile("coco")
 
 
+class ArrayHead:
+    """Stand-in for net.HeadOut: fixed per-prior offset and logit arrays."""
+
+    def __init__(self, deltas, logits):
+        self._deltas = deltas
+        self._logits = logits
+
+    def deltas(self):
+        return self._deltas
+
+    def logits(self):
+        return self._logits
+
+
 def test_detect_uniform_zero_logits_yields_nothing():
     priors = pp.make_priors()
     deltas = np.zeros((len(priors), 4))
     logits = np.zeros((len(priors), 5))   # 4 classes + background -> scores 0.2
-    out = pp.detect((deltas, logits), None, 0.3, "vid", priors)
+    out = detections_for_frame(ArrayHead(deltas, logits), priors, 0.3, "vid", 4)
     assert out == []
 
 
@@ -167,7 +182,7 @@ def test_detect_single_dominant_prior():
     deltas = np.zeros((len(priors), 4))
     logits = np.zeros((len(priors), 5))
     logits[37, 2] = 12.0
-    out = pp.detect((deltas, logits), None, 0.3, "vid", priors)
+    out = detections_for_frame(ArrayHead(deltas, logits), priors, 0.3, "vid", 4)
     assert len(out) == 1
     assert out[0].class_id == 2
     assert out[0].prior_index == 37
@@ -179,7 +194,7 @@ def test_detect_equals_manual_composition():
     priors = pp.make_priors()
     deltas = rng.standard_normal((len(priors), 4)) * 0.3
     logits = rng.standard_normal((len(priors), 5)) * 2
-    out = pp.detect((deltas, logits), None, 0.25, "mot", priors)
+    out = detections_for_frame(ArrayHead(deltas, logits), priors, 0.25, "mot", 4)
 
     boxes = pp.decode(priors, deltas)
     probs = pp.softmax_rows(logits)
@@ -219,4 +234,11 @@ def test_detections_jsonl_parse_error_carries_line(tmp_path):
     path.write_text('{"frame": 1, "class": 1, "score": 0.5, "box": [0,0,1,1], "id": -1}\n'
                     '{"frame": 2, "class": "x"}\n')
     with pytest.raises(ParseError, match=":2:"):
+        pp.read_detections_jsonl(path)
+
+
+def test_detections_jsonl_box_needs_four_numbers(tmp_path):
+    path = tmp_path / "short.jsonl"
+    path.write_text('{"frame": 1, "class": 1, "score": 0.5, "box": [0.1, 0.1, 0.5]}\n')
+    with pytest.raises(ParseError, match=r"short\.jsonl:1:.*4 numbers"):
         pp.read_detections_jsonl(path)

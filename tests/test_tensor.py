@@ -106,11 +106,9 @@ def test_activation_ranges_strict():
     assert np.all((t > -1) & (t < 1))
 
 
-def test_activation_dispatch_and_unknown():
+def test_relu_zeroes_negatives():
     x = T.constant([1.0, -1.0])
-    assert np.array_equal(T.activation("relu", x).data, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        T.activation("gelu", x)
+    assert np.array_equal(T.relu(x).data, [1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +173,14 @@ def test_mul_equals_loop_product():
                 assert out[c, i, j] == a[c, i, j] * b[c, i, j]
 
 
-def test_elementwise_dispatch_and_shape_errors():
+def test_elementwise_shape_errors():
     a = T.constant(np.zeros((2, 3, 3)))
     b = T.constant(np.zeros((2, 3, 3)))
-    assert T.elementwise("add", a, b).data.shape == (2, 3, 3)
+    assert T.add(a, b).data.shape == (2, 3, 3)
     with pytest.raises(ShapeError):
         T.add(a, T.constant(np.zeros((2, 3, 4))))
     with pytest.raises(ShapeError):
         T.chanwise_mul(a, b)  # first operand not single-channel
-    with pytest.raises(ValueError):
-        T.elementwise("pow", a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -464,3 +460,14 @@ def test_tnsr_bad_magic(tmp_path):
     p.write_bytes(b"NOPE" + bytes(10))
     with pytest.raises(ParseError):
         T.load_tnsr(p)
+
+
+def test_tnsr_every_truncation_is_a_parse_error(tmp_path):
+    good = tmp_path / "good.tnsr"
+    T.save_tnsr(good, np.arange(6.0).reshape(2, 3))
+    raw = good.read_bytes()
+    cut = tmp_path / "cut.tnsr"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(ParseError, match="cut.tnsr"):
+            T.load_tnsr(cut)

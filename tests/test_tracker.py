@@ -33,7 +33,7 @@ UNIT = np.array([0.0, 0.0, 1.0, 1.0])
 
 def test_attention_vector_constant_maps():
     maps = [np.full((1, s, s), 0.5) for s in (24, 12, 6)]
-    av = TK.attention_vector(maps)
+    av = TK.attention_vector_for_box(maps, UNIT)
     assert av.shape == (147,)
     assert np.all(av == 0.5)
     assert np.linalg.norm(av) == pytest.approx(0.5 * math.sqrt(147), rel=1e-12)
@@ -41,15 +41,15 @@ def test_attention_vector_constant_maps():
 
 def test_attention_vector_length_and_missing_map():
     maps = [np.random.default_rng(0).random((1, s, s)) for s in (24, 12, 6)]
-    assert TK.attention_vector(maps).shape == (147,)
+    assert TK.attention_vector_for_box(maps, UNIT).shape == (147,)
     with pytest.raises(ConfigError):
-        TK.attention_vector(maps[:2])
+        TK.attention_vector_for_box(maps[:2], UNIT)
 
 
 def test_attention_vector_matches_per_pixel_resampling():
     rng = np.random.default_rng(1)
     maps = [rng.random((1, s, s)) for s in (9, 5, 3)]
-    av = TK.attention_vector(maps)
+    av = TK.attention_vector_for_box(maps, UNIT)
     expect = np.concatenate([naive_bilinear_resize(m, 7, 7).reshape(-1) for m in maps])
     np.testing.assert_allclose(av, expect, rtol=1e-12, atol=1e-12)
 
@@ -57,7 +57,7 @@ def test_attention_vector_matches_per_pixel_resampling():
 def test_attention_vector_for_box_full_box_equals_whole_map():
     rng = np.random.default_rng(2)
     maps = [rng.random((1, s, s)) for s in (8, 4, 2)]
-    a = TK.attention_vector(maps)
+    a = np.concatenate([naive_bilinear_resize(m, 7, 7).reshape(-1) for m in maps])
     b = TK.attention_vector_for_box(maps, [0.0, 0.0, 1.0, 1.0])
     np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -204,16 +204,12 @@ def test_ids_unique_within_frame_and_class():
 def test_tracker_deterministic():
     def run():
         rng = np.random.default_rng(7)
-        tracker = TK.TubeletTracker()
-        trace = []
-        for frame in range(1, 15):
-            dets = [det(float(rng.uniform(0.3, 1.0)),
-                        np.sort(rng.random(4)).tolist(),
-                        rng.random(147) + 0.01)
-                    for _ in range(int(rng.integers(0, 5)))]
-            out = tracker.update(dets, frame)
-            trace.append([d.id for d in out])
-        return trace
+        frames = [(frame, [det(float(rng.uniform(0.3, 1.0)),
+                               np.sort(rng.random(4)).tolist(),
+                               rng.random(147) + 0.01)
+                           for _ in range(int(rng.integers(0, 5)))])
+                  for frame in range(1, 15)]
+        return [[d.id for d in out] for _f, out in TK.track_frames(frames)]
 
     assert run() == run()
 

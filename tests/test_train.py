@@ -129,9 +129,9 @@ def test_config_defaults_resolution():
 
 def test_config_file_parsing(tmp_path):
     p = tmp_path / "run.cfg"
-    p.write_text("seq_len = 8\nlr = 0.0001   # stage 2\ntheta = 0.1\nstage=2\n")
+    p.write_text("seq_len = 8\nlr = 0.0001   # stage 2\ntheta = 0.1\n")
     out = TR.parse_config_file(p)
-    assert out == {"seq_len": 8, "lr": 1e-4, "theta": 0.1, "stage": 2}
+    assert out == {"seq_len": 8, "lr": 1e-4, "theta": 0.1}
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -141,6 +141,10 @@ def test_config_file_rejects_unknown_key(tmp_path):
         TR.parse_config_file(p)
     p.write_text("lr = fast\n")
     with pytest.raises(ConfigError, match="lr"):
+        TR.parse_config_file(p)
+    # the stage comes from train --stage (sweep forces 3), never from a file
+    p.write_text("stage = 2\n")
+    with pytest.raises(ConfigError, match="unknown config key 'stage'"):
         TR.parse_config_file(p)
 
 
@@ -158,18 +162,34 @@ def test_stage1_then_stage2_freezing_and_split(tiny_root, tmp_path):
     s1 = TR.run_stage(1, tiny_root, tmp_path / "s1", cfg)
     assert s1["loss_csv"].read_text().startswith("epoch,step,L_loc,L_conf,L_att")
 
+    def frozen_bytes(params):
+        return {n: p.data.tobytes() for n, p in params.items()
+                if n.startswith(net.FROZEN_PREFIXES)}
+
     params1, _ = net.load_checkpoint(s1["checkpoint"])
-    before = TR.param_checksums(params1, net.FROZEN_PREFIXES)
     s2 = TR.run_stage(2, tiny_root, tmp_path / "s2", cfg, init_ckpt=s1["checkpoint"])
     params2, meta2 = net.load_checkpoint(s2["checkpoint"])
-    after = TR.param_checksums(params2, net.FROZEN_PREFIXES)
-    assert before == after
+    assert frozen_bytes(params1) == frozen_bytes(params2) != {}
     assert any(n.startswith("lstm.") for n in params2)
     assert net.ModelConfig.from_meta(meta2).temporal
     # heads and temporal units actually moved
     moved_head = any(not np.array_equal(params1[n].data, params2[n].data)
                      for n in params1 if n.startswith("head."))
     assert moved_head
+
+
+def test_stage2_stops_on_non_finite_loss(tmp_path):
+    root = tmp_path / "data"
+    write_dataset(gen_sequence(random_scene(60, num_objects=1, length=4)),
+                  root / "video_000")
+    for f in (root / "video_000" / "frames").glob("*.tnsr"):
+        T.save_tnsr(f, np.full(T.load_tnsr(f).shape, np.nan))
+    s1 = TR.run_stage(1, root, tmp_path / "s1", TR.TrainConfig(epochs=0))
+    with pytest.raises(FloatingPointError, match="stage 2 epoch 1 step 1: non-finite"):
+        TR.run_stage(2, root, tmp_path / "s2", TR.TrainConfig(epochs=1, seq_len=2),
+                     init_ckpt=s1["checkpoint"])
+    assert not (tmp_path / "s2" / "loss.csv").exists()
+    assert not (tmp_path / "s2" / "checkpoint").exists()
 
 
 def test_stage2_zero_epochs_round_trips_checkpoint(tiny_root, tmp_path):
