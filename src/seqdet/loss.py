@@ -81,20 +81,14 @@ def match_priors(gt_boxes, gt_classes, priors_cf, iou_match=0.5):
     return MatchResult(labels, deltas, matched)
 
 
-def _ce_rows(logits, targets):
-    """Row-wise softmax cross entropy, plain numpy (used for mining only)."""
-    m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    return lse - logits[np.arange(len(logits)), targets]
-
-
 def hard_negative_indices(logits, labels, num_matched):
     """Highest-loss background priors, NEG_POS_RATIO per matched prior."""
     neg_mask = labels == 0
     candidates = np.nonzero(neg_mask)[0]
     if len(candidates) == 0 or num_matched == 0:
         return np.empty(0, dtype=int)
-    ce = _ce_rows(logits[candidates], np.zeros(len(candidates), dtype=int))
+    ce = T.softmax_ce_rows(T.constant(logits[candidates]),
+                           np.zeros(len(candidates), dtype=int)).data
     want = min(NEG_POS_RATIO * num_matched, len(candidates))
     order = np.argsort(-ce, kind="stable")[:want]
     return candidates[order]
@@ -105,15 +99,14 @@ def loc_conf_loss(head_out, match: MatchResult):
     matched priors plus the mined negatives. Both zero when M == 0."""
     if match.num_matched == 0:
         return T.constant(np.zeros(1)), T.constant(np.zeros(1))
-    loc_pred = head_out.loc_node(match.matched)
-    l_loc = T.smooth_l1_sum(loc_pred, match.deltas[match.matched].reshape(-1))
-
+    l_loc = T.smooth_l1_sum(T.gather_rows(head_out.loc, match.matched),
+                            match.deltas[match.matched])
     negatives = hard_negative_indices(head_out.logits(), match.labels,
                                       match.num_matched)
-    terms = [T.softmax_ce(head_out.logits_node(p), match.labels[p])
-             for p in match.matched]
-    terms += [T.softmax_ce(head_out.logits_node(p), 0) for p in negatives]
-    return l_loc, T.add_n(terms)
+    rows = np.concatenate([match.matched, negatives])
+    l_conf = T.sum_all(T.softmax_ce_rows(T.gather_rows(head_out.conf, rows),
+                                         match.labels[rows]))
+    return l_loc, l_conf
 
 
 def box_indicator_map(gt_boxes, size):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .postproc import TOY_SIZES, level_offsets
+from .postproc import PRIORS_PER_CELL, TOY_SIZES
 from .tensor import Tensor
 
 INPUT_SIZE = 96
@@ -48,22 +48,21 @@ _BACKBONE_LAYERS = (
 @dataclass
 class ModelConfig:
     num_classes: int = 4
-    priors_per_cell: int = 2
     attention_enabled: bool = True
     temporal: bool = True
 
     def to_meta(self):
         return {"num_classes": str(self.num_classes),
-                "priors_per_cell": str(self.priors_per_cell),
+                "priors_per_cell": str(PRIORS_PER_CELL),
                 "attention_enabled": str(int(self.attention_enabled)),
                 "temporal": str(int(self.temporal))}
 
     @classmethod
     def from_meta(cls, meta):
-        """Keys other than the four fields (such as the dropout_rate line of
-        older checkpoints) are ignored."""
+        """Keys other than the three fields (priors_per_cell, which
+        load_checkpoint checks, and the dropout_rate line of older
+        checkpoints) are ignored."""
         return cls(num_classes=int(meta["num_classes"]),
-                   priors_per_cell=int(meta["priors_per_cell"]),
                    attention_enabled=bool(int(meta["attention_enabled"])),
                    temporal=bool(int(meta["temporal"])))
 
@@ -73,7 +72,6 @@ class NetMode:
     """Per-call forward settings; dropout_rate > 0 only while training."""
     dropout_rate: float = 0.0
     rng: object = None
-    attention_enabled: bool = True
 
 
 def unit_channels(level):
@@ -123,10 +121,10 @@ def init_head_params(rng, cfg: ModelConfig, params=None):
     params = {} if params is None else params
     for lvl in range(6):
         c = unit_channels(lvl)
-        _conv_param(rng, params, f"head.loc{lvl}", cfg.priors_per_cell * 4, c, 3,
+        _conv_param(rng, params, f"head.loc{lvl}", PRIORS_PER_CELL * 4, c, 3,
                     gain="linear")
         _conv_param(rng, params, f"head.conf{lvl}",
-                    cfg.priors_per_cell * (cfg.num_classes + 1), c, 3, gain="linear")
+                    PRIORS_PER_CELL * (cfg.num_classes + 1), c, 3, gain="linear")
     return params
 
 
@@ -215,7 +213,7 @@ def attention_convlstm_step(x, h_prev, s_prev, w: ACLSTMWeights,
         raise ShapeError(f"state mismatch: x {x.data.shape}, h {h_prev.data.shape}, "
                          f"s {s_prev.data.shape}")
     if attention_enabled:
-        xh = T.concat_channels(x, h_prev)
+        xh = T.concat([x, h_prev])
         a = T.sigmoid(T.conv2d(
             T.relu(T.conv2d(T.relu(T.conv2d(xh, w.att1, None, 1, 1)),
                             w.att2, None, 1, 1)),
@@ -226,7 +224,7 @@ def attention_convlstm_step(x, h_prev, s_prev, w: ACLSTMWeights,
         ax = x
     if dropout_rate > 0.0:
         ax = T.dropout(ax, dropout_rate, rng)
-    gate_in = T.concat_channels(ax, h_prev)
+    gate_in = T.concat([ax, h_prev])
     cu = x.data.shape[0]
     fused = T.conv2d_multi(gate_in, [w.w_i, w.w_f, w.w_o, w.w_c],
                            [w.b_i, w.b_f, w.b_o, w.b_c], 1, 1)
@@ -245,9 +243,9 @@ class TemporalState:
     levels: list    # list of (h, s) Tensor pairs
 
     @classmethod
-    def zeros(cls, sizes=TOY_SIZES):
+    def zeros(cls):
         levels = []
-        for lvl, s in enumerate(sizes):
+        for lvl, s in enumerate(TOY_SIZES):
             c = unit_channels(lvl)
             levels.append((T.constant(np.zeros((c, s, s))),
                            T.constant(np.zeros((c, s, s)))))
@@ -259,7 +257,8 @@ class TemporalState:
                               for h, s in self.levels])
 
 
-def temporal_pyramid_forward(pyramid, state: TemporalState, params, mode: NetMode):
+def temporal_pyramid_forward(pyramid, state: TemporalState, params, cfg: ModelConfig,
+                             mode: NetMode):
     """Run the two shared recurrent units over all six (unified) levels.
 
     Levels 0-2 go through the low unit's single weight set, levels 3-5
@@ -278,89 +277,65 @@ def temporal_pyramid_forward(pyramid, state: TemporalState, params, mode: NetMod
         h, s, a = attention_convlstm_step(
             fmap, h_prev, s_prev, weights[unit_of_level(lvl)],
             dropout_rate=mode.dropout_rate, rng=mode.rng,
-            attention_enabled=mode.attention_enabled)
+            attention_enabled=cfg.attention_enabled)
         hidden.append(h)
         new_levels.append((h, s))
         att_maps.append(a)
     return hidden, TemporalState(new_levels), att_maps
 
 
+def prior_major(maps):
+    """One [P,W] node from per-level head maps: one row per prior, levels in
+    order, cells row-major, the priors of a cell innermost (the order of
+    make_priors). A level map [PRIORS_PER_CELL*W, s, s] packs channel
+    prior*W + column."""
+    parts = []
+    for m in maps:
+        c, s, _ = m.data.shape
+        w = c // PRIORS_PER_CELL
+        cell = np.arange(s * s)[:, None, None]
+        prior = np.arange(PRIORS_PER_CELL)[None, :, None]
+        column = np.arange(w)[None, None, :]
+        parts.append(T.gather(m, ((prior * w + column) * s * s + cell).reshape(-1, w)))
+    return T.concat(parts)
+
+
 @dataclass
 class HeadOut:
-    """Per-level box-offset and class-logit maps plus flat-prior views.
-
-    Priors are enumerated level by level, cells row-major, priors within a
-    cell innermost. Channel layout per level: offset map packs
-    (prior*4 + coord), logit map packs (prior*(K+1) + class).
-    """
-    loc_maps: list
-    conf_maps: list
-    num_classes: int
-    priors_per_cell: int
-    sizes: tuple = TOY_SIZES
-
-    def _flat(self, maps, width):
-        rows = []
-        for m, s in zip(maps, self.sizes):
-            rows.append(m.data.reshape(self.priors_per_cell, width, s * s)
-                        .transpose(2, 0, 1).reshape(-1, width))
-        return np.concatenate(rows, axis=0)
+    """Box offsets loc [P,4] and class logits conf [P,K+1] as graph nodes,
+    one row per prior (see prior_major)."""
+    loc: Tensor
+    conf: Tensor
 
     def deltas(self):
-        return self._flat(self.loc_maps, 4)
+        return self.loc.data
 
     def logits(self):
-        return self._flat(self.conf_maps, self.num_classes + 1)
-
-    def _locate(self, prior_index):
-        offs = level_offsets(self.sizes, self.priors_per_cell)
-        for lvl in range(len(self.sizes)):
-            if prior_index < offs[lvl + 1]:
-                local = prior_index - offs[lvl]
-                cell, j = divmod(local, self.priors_per_cell)
-                return lvl, cell, j
-        raise ShapeError(f"prior index {prior_index} out of range")
-
-    def loc_node(self, prior_ids):
-        """Gather offsets for the given priors as one (4n,) graph node."""
-        parts = []
-        for p in prior_ids:
-            lvl, cell, j = self._locate(int(p))
-            s = self.sizes[lvl]
-            flat = (j * 4 + np.arange(4)) * s * s + cell
-            parts.append(T.gather(self.loc_maps[lvl], flat))
-        return T.concat_vec(parts)
-
-    def logits_node(self, prior_index):
-        """Class-logit vector of one prior as a (K+1,) graph node."""
-        lvl, cell, j = self._locate(int(prior_index))
-        s = self.sizes[lvl]
-        k1 = self.num_classes + 1
-        flat = (j * k1 + np.arange(k1)) * s * s + cell
-        return T.gather(self.conf_maps[lvl], flat)
+        return self.conf.data
 
 
-def head_forward(hidden_pyramid, params, cfg: ModelConfig):
+def head_forward(hidden_pyramid, params):
     loc_maps, conf_maps = [], []
     for lvl, fmap in enumerate(hidden_pyramid):
         loc_maps.append(T.conv2d(fmap, params[f"head.loc{lvl}.kernel"],
                                  params[f"head.loc{lvl}.bias"], 1, 1))
         conf_maps.append(T.conv2d(fmap, params[f"head.conf{lvl}.kernel"],
                                   params[f"head.conf{lvl}.bias"], 1, 1))
-    return HeadOut(loc_maps, conf_maps, cfg.num_classes, cfg.priors_per_cell)
+    return HeadOut(prior_major(loc_maps), prior_major(conf_maps))
 
 
-def forward_static(image, params, cfg: ModelConfig):
+def forward_static(image, params):
     """Single-frame path: backbone -> unify -> heads (no recurrence)."""
     pyramid = unify_low_channels(backbone_forward(image, params), params)
-    return head_forward(pyramid, params, cfg)
+    return head_forward(pyramid, params)
 
 
 def forward_temporal(image, state, params, cfg: ModelConfig, mode: NetMode):
     """One temporal frame: backbone -> unify -> recurrent units -> heads."""
     pyramid = unify_low_channels(backbone_forward(image, params), params)
-    hidden, new_state, att_maps = temporal_pyramid_forward(pyramid, state, params, mode)
-    return head_forward(hidden, params, cfg), new_state, att_maps
+    hidden, new_state, att_maps = temporal_pyramid_forward(pyramid, state, params, cfg,
+                                                           mode)
+    return head_forward(hidden, params), new_state, att_maps
 
 
 # ---------------------------------------------------------------------------
@@ -411,4 +386,7 @@ def load_checkpoint(ckpt_dir):
     for key in ModelConfig().to_meta():
         if key not in meta:
             raise ConfigError(f"{meta_path}: missing key {key!r}")
+    if meta["priors_per_cell"] != str(PRIORS_PER_CELL):
+        raise ConfigError(f"{meta_path}: priors_per_cell = {meta['priors_per_cell']}, "
+                          f"but the prior grid has {PRIORS_PER_CELL} per cell")
     return params, meta

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ParseError
+from .tensor import softmax_rows  # noqa: F401 (re-exported for train)
 
 VARIANCES = (0.1, 0.2)
 
@@ -58,37 +59,26 @@ class Detection:
                          self.id, self.prior_index)
 
 
-def level_offsets(sizes=TOY_SIZES, priors_per_cell=PRIORS_PER_CELL):
-    """First global prior index of each pyramid level."""
-    offs = [0]
-    for s in sizes:
-        offs.append(offs[-1] + priors_per_cell * s * s)
-    return offs
+def make_priors():
+    """Center-form priors for every cell of every TOY_SIZES level.
 
-
-def make_priors(sizes=TOY_SIZES, priors_per_cell=PRIORS_PER_CELL,
-                scale_min=SCALE_MIN, scale_max=SCALE_MAX):
-    """Center-form priors for every cell of every level.
-
-    Two square priors per cell: one at the level's scale, one at the
-    geometric mean with the next level's scale. Scales are spaced linearly
-    from scale_min to scale_max across levels. Corners are clamped to the
-    unit square before conversion back to center form, so decoding a zero
-    offset reproduces the stored prior exactly.
+    PRIORS_PER_CELL (two) square priors per cell: one at the level's
+    scale, one at the geometric mean with the next level's scale. Scales
+    are spaced linearly from SCALE_MIN to SCALE_MAX across levels. Corners
+    are clamped to the unit square before conversion back to center form,
+    so decoding a zero offset reproduces the stored prior exactly.
     """
-    if priors_per_cell != 2:
-        raise ConfigError(f"prior grid is defined for 2 priors per cell, got {priors_per_cell}")
-    n = len(sizes)
-    step = (scale_max - scale_min) / (n - 1)
-    scales = [scale_min + step * i for i in range(n)] + [scale_max + step]
+    n = len(TOY_SIZES)
+    step = (SCALE_MAX - SCALE_MIN) / (n - 1)
+    scales = [SCALE_MIN + step * i for i in range(n)] + [SCALE_MAX + step]
     rows = []
-    for lvl, s in enumerate(sizes):
+    for lvl, s in enumerate(TOY_SIZES):
         sc = (scales[lvl], np.sqrt(scales[lvl] * scales[lvl + 1]))
         for y in range(s):
             for x in range(s):
                 cx = (x + 0.5) / s
                 cy = (y + 0.5) / s
-                for j in range(priors_per_cell):
+                for j in range(PRIORS_PER_CELL):
                     rows.append((cx, cy, sc[j], sc[j]))
     cf = np.asarray(rows, dtype=np.float64)
     corners = np.clip(center_to_corner(cf), 0.0, 1.0)
@@ -186,11 +176,6 @@ def nms(dets, iou_thresh, keep_top):
         alive &= iou_matrix(boxes[i:i + 1], boxes)[0] <= iou_thresh
         alive[i] = False
     return [dets[i] for i in kept]
-
-
-def softmax_rows(logits):
-    z = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
 
 
 def select_class_candidates(scores, boxes, class_id, conf_thresh, profile):

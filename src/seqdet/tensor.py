@@ -187,20 +187,21 @@ def chanwise_mul(a, b):
     return Tensor(a.data * b.data, (a, b), bwd)
 
 
-def concat_channels(a, b):
-    """Stack two [C,H,W] maps along the channel axis."""
-    if a.data.ndim != 3 or b.data.ndim != 3 or a.data.shape[1:] != b.data.shape[1:]:
-        raise ShapeError(
-            f"concat_channels: spatial mismatch {a.data.shape} vs {b.data.shape}")
-    ca = a.data.shape[0]
+def concat(tensors):
+    """Join tensors along axis 0 (channels of [C,H,W] maps, rows of [N,W]
+    tables); the other dimensions must agree."""
+    tail = tensors[0].data.shape[1:]
+    for t in tensors:
+        if t.data.shape[1:] != tail:
+            raise ShapeError(f"concat: shape {t.data.shape} does not extend {tail}")
+    offsets = np.cumsum([0] + [t.data.shape[0] for t in tensors])
 
     def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g[:ca])
-        if b.requires_grad:
-            b._accumulate(g[ca:])
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                t._accumulate(g[lo:hi])
 
-    return Tensor(np.concatenate([a.data, b.data], axis=0), (a, b), bwd)
+    return Tensor(np.concatenate([t.data for t in tensors]), tuple(tensors), bwd)
 
 
 def scale(x, c):
@@ -240,22 +241,6 @@ def add_n(tensors):
     for t in tensors[1:]:
         out = add(out, t)
     return out
-
-
-def concat_vec(tensors):
-    """Concatenate rank-1 tensors into one vector."""
-    for t in tensors:
-        if t.data.ndim != 1:
-            raise ShapeError(f"concat_vec: rank-1 tensors only, got {t.data.shape}")
-    sizes = [t.data.size for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(g[lo:hi])
-
-    return Tensor(np.concatenate([t.data for t in tensors]), tuple(tensors), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -520,21 +505,27 @@ def bilinear_resize(x, h2, w2):
 
 
 def gather(x, indices):
-    """Pick entries of the flattened tensor; gradient scatter-adds back."""
+    """Pick entries of the flattened tensor; the result has the shape of
+    the index array and the gradient scatter-adds back."""
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather: indices must be rank 1, got {idx.shape}")
     flat = x.data.reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= flat.size):
         raise ShapeError(f"gather: index out of range for size {flat.size}")
 
     def bwd(g):
         if x.requires_grad:
-            ga = np.zeros(flat.size)
-            np.add.at(ga, idx, g)
-            x._accumulate(ga.reshape(x.data.shape))
+            x._accumulate(np.bincount(idx.reshape(-1), weights=g.reshape(-1),
+                                      minlength=flat.size).reshape(x.data.shape))
 
     return Tensor(flat[idx], (x,), bwd)
+
+
+def gather_rows(x, rows):
+    """Rows of an [N,W] tensor as an [len(rows),W] tensor; rows may repeat."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"gather_rows: input must be [N,W], got {x.data.shape}")
+    w = x.data.shape[1]
+    return gather(x, np.asarray(rows, dtype=np.intp).reshape(-1, 1) * w + np.arange(w))
 
 
 def smooth_l1_sum(pred, target):
@@ -553,47 +544,55 @@ def smooth_l1_sum(pred, target):
     return Tensor(np.array([val]), (pred,), bwd)
 
 
-def _softmax(v):
-    z = np.exp(v - v.max())
-    return z / z.sum()
+def softmax_rows(logits):
+    """Row-wise softmax of an [N,K] array (plain numpy)."""
+    z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return z / z.sum(axis=1, keepdims=True)
 
 
-def softmax_ce(logits, target_index):
-    """Cross entropy of a rank-1 logit vector against one target class."""
-    if logits.data.ndim != 1:
-        raise ShapeError(f"softmax_ce: logits must be rank 1, got {logits.data.shape}")
-    t = int(target_index)
-    if not 0 <= t < logits.data.size:
-        raise ShapeError(f"softmax_ce: target {t} out of range")
+def _check_rows(logits, columns, op):
+    if logits.data.ndim != 2:
+        raise ShapeError(f"{op}: logits must be [N,K], got {logits.data.shape}")
+    cols = np.asarray(columns, dtype=np.intp)
+    if cols.size and (cols.min() < 0 or cols.max() >= logits.data.shape[1]):
+        raise ShapeError(f"{op}: class index out of range for {logits.data.shape[1]}")
+    return cols
+
+
+def softmax_ce_rows(logits, targets):
+    """Per-row softmax cross entropy of [N,K] logits against one target
+    class per row, as an [N] tensor."""
+    t = _check_rows(logits, targets, "softmax_ce_rows")
     v = logits.data
-    m = v.max()
-    lse = m + np.log(np.exp(v - m).sum())
-    val = lse - v[t]
-    p = _softmax(v)
+    if t.shape != (v.shape[0],):
+        raise ShapeError(f"softmax_ce_rows: {t.shape} targets for {v.shape[0]} rows")
+    rows = np.arange(v.shape[0])
+    m = v.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(v - m).sum(axis=1))
 
     def bwd(g):
         if logits.requires_grad:
-            gl = p.copy()
-            gl[t] -= 1.0
-            logits._accumulate(g[0] * gl)
+            gl = softmax_rows(v)
+            gl[rows, t] -= 1.0
+            logits._accumulate(g[:, None] * gl)
 
-    return Tensor(np.array([val]), (logits,), bwd)
+    return Tensor(lse - v[rows, t], (logits,), bwd)
 
 
-def softmax_prob(logits, class_index):
-    """Softmax probability of one class, as a differentiable scalar."""
-    if logits.data.ndim != 1:
-        raise ShapeError(f"softmax_prob: logits must be rank 1, got {logits.data.shape}")
-    c = int(class_index)
-    p = _softmax(logits.data)
+def softmax_prob_rows(logits, class_index):
+    """Softmax probability of one class in each row of [N,K] logits, as an
+    [N] tensor."""
+    c = int(_check_rows(logits, class_index, "softmax_prob_rows"))
+    p = softmax_rows(logits.data)
+    pc = p[:, c]
 
     def bwd(g):
         if logits.requires_grad:
-            e = np.zeros_like(p)
-            e[c] = 1.0
-            logits._accumulate(g[0] * p[c] * (e - p))
+            gl = -p * pc[:, None]
+            gl[:, c] += pc
+            logits._accumulate(g[:, None] * gl)
 
-    return Tensor(np.array([p[c]]), (logits,), bwd)
+    return Tensor(pc.copy(), (logits,), bwd)
 
 
 def bce_mean(pred, target, eps=1e-7):

@@ -6,6 +6,7 @@ driver, and the key=value config-file parser.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -113,6 +114,7 @@ class TrainConfig:
     seed: int = 0
 
     def resolved(self):
+        """Fill in the stage defaults and reject out-of-range settings."""
         if self.stage not in (1, 2, 3):
             raise ConfigError(f"stage must be 1, 2 or 3, got {self.stage}")
         out = replace(self)
@@ -120,6 +122,19 @@ class TrainConfig:
             out.lr = STAGE_LR[self.stage]
         if out.epochs is None:
             out.epochs = STAGE_EPOCHS[self.stage]
+        for key, ok, rule in (
+                ("seq_len", out.seq_len >= 1, ">= 1"),
+                ("k", out.k >= 1, ">= 1"),
+                ("lr", math.isfinite(out.lr) and out.lr > 0, "finite and > 0"),
+                ("theta", 0 <= out.theta < 1, "in [0, 1)"),
+                ("dropout", 0 <= out.dropout < 1, "in [0, 1)"),
+                ("clip", math.isfinite(out.clip) and out.clip >= 0, "finite and >= 0"),
+                ("epochs", out.epochs >= 0, ">= 0"),
+                ("asso_form", out.asso_form in ("running", "global"),
+                 "running or global")):
+            if not ok:
+                raise ConfigError(f"{key} = {getattr(out, key)!r}: must be {rule}")
+        get_profile(out.profile)
         return out
 
 
@@ -173,12 +188,9 @@ def score_list_nodes(head, dets, k, num_classes):
     """Per-class top-k score sums as graph nodes, from kept detections."""
     nodes = []
     for c in range(1, num_classes + 1):
-        cls_dets = [d for d in dets if d.class_id == c][:k]
-        if cls_dets:
-            nodes.append(T.add_n([T.softmax_prob(head.logits_node(d.prior_index), c)
-                                  for d in cls_dets]))
-        else:
-            nodes.append(None)
+        rows = [d.prior_index for d in dets if d.class_id == c][:k]
+        nodes.append(T.sum_all(T.softmax_prob_rows(T.gather_rows(head.conf, rows), c))
+                     if rows else None)
     return nodes
 
 
@@ -189,7 +201,7 @@ def detect_video(params, model_cfg, video, conf_thresh, profile_name,
     out = []
     if model_cfg.temporal:
         state = net.TemporalState.zeros()
-        mode = net.NetMode(attention_enabled=model_cfg.attention_enabled)
+        mode = net.NetMode()
         for t, frame in enumerate(video.frames, start=1):
             head, state, att = net.forward_temporal(
                 T.constant(frame), state, params, model_cfg, mode)
@@ -204,7 +216,7 @@ def detect_video(params, model_cfg, video, conf_thresh, profile_name,
             state = state.detached()
     else:
         for t, frame in enumerate(video.frames, start=1):
-            head = net.forward_static(T.constant(frame), params, model_cfg)
+            head = net.forward_static(T.constant(frame), params)
             out.append((t, detections_for_frame(head, priors, conf_thresh,
                                                 profile_name, model_cfg.num_classes)))
     return out
@@ -213,7 +225,7 @@ def detect_video(params, model_cfg, video, conf_thresh, profile_name,
 def dump_attention_maps(params, model_cfg, video):
     """Per-frame, per-level attention maps (plain arrays)."""
     state = net.TemporalState.zeros()
-    mode = net.NetMode(attention_enabled=model_cfg.attention_enabled)
+    mode = net.NetMode()
     out = []
     for frame in video.frames:
         _head, state, att = net.forward_temporal(
@@ -238,14 +250,13 @@ def _check_finite(parts, stage, epoch, step):
                                  f"non-finite loss parts {parts}")
 
 
-def _train_static_epoch(params, videos, cfg, model_cfg, priors, rng, epoch, rows,
-                        lr):
+def _train_static_epoch(params, videos, cfg, priors, rng, epoch, rows, lr):
     items = [(vi, t) for vi, v in enumerate(videos)
              for t in range(1, len(v.frames) + 1)]
     rng.shuffle(items)
     for step, (vi, t) in enumerate(items, start=1):
         video = videos[vi]
-        head = net.forward_static(T.constant(video.frames[t - 1]), params, model_cfg)
+        head = net.forward_static(T.constant(video.frames[t - 1]), params)
         boxes, classes = frame_ground_truth(video, t)
         m = LS.match_priors(boxes, classes, priors)
         l_loc, l_conf = LS.loc_conf_loss(head, m)
@@ -263,8 +274,7 @@ def _train_sequence(params, video, cfg, model_cfg, priors, rng, with_asso):
     v = len(video.frames)
     sample = random_skip_sample(v, cfg.seq_len, rng, sp=1 if cfg.stage == 3 else None)
     state = net.TemporalState.zeros()
-    mode = net.NetMode(dropout_rate=cfg.dropout, rng=rng,
-                       attention_enabled=cfg.attention)
+    mode = net.NetMode(dropout_rate=cfg.dropout, rng=rng)
     frame_nodes = []
     sl_nodes = []
     sums = {"L_loc": 0.0, "L_conf": 0.0, "L_att": 0.0}
@@ -274,7 +284,8 @@ def _train_sequence(params, video, cfg, model_cfg, priors, rng, with_asso):
         boxes, classes = frame_ground_truth(video, t)
         m = LS.match_priors(boxes, classes, priors)
         l_loc, l_conf = LS.loc_conf_loss(head, m)
-        l_att = LS.attention_loss(att, boxes, net.INPUT_SIZE) if cfg.attention else None
+        l_att = (LS.attention_loss(att, boxes, net.INPUT_SIZE)
+                 if model_cfg.attention_enabled else None)
         frame_nodes.append(LS.frame_loss_node(l_loc, l_conf, l_att,
                                               m.num_matched, LOSS_WEIGHTS))
         sums["L_loc"] += l_loc.item()
@@ -338,8 +349,7 @@ def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
     for epoch in range(1, cfg.epochs + 1):
         lr = cfg.lr * (LR_DECAY if stage == 2 and epoch > DECAY_EPOCH else 1.0)
         if stage == 1:
-            _train_static_epoch(params, videos, cfg, model_cfg, priors, rng,
-                                epoch, rows, lr)
+            _train_static_epoch(params, videos, cfg, priors, rng, epoch, rows, lr)
             continue
         for step, video in enumerate(videos, start=1):
             total, parts = _train_sequence(params, video, cfg, model_cfg, priors,
@@ -452,7 +462,7 @@ def build_aclstm_case(seed=0, frames=3, channels=4, size=5):
             vec = T.gather(head, pick)
             terms.append(T.smooth_l1_sum(vec, loc_target))
             terms.append(T.bce_mean(T.bilinear_resize(a, 8, 8), att_target))
-            terms.append(T.softmax_ce(T.gather(head, pick[:4]), 1))
+            terms.append(T.softmax_ce_rows(T.gather(head, pick[None, :4]), [1]))
         return T.scale(T.add_n(terms), 1.0 / frames)
 
     return GradCheckCase(params, build)

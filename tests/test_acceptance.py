@@ -79,17 +79,17 @@ def test_c02_zero_weight_recurrent_step_closed_form():
 
 def test_c03_attention_toggle_reproduces_plain_convlstm_bitwise():
     rng = np.random.default_rng(1)
-    cfg = net.ModelConfig()
-    params = net.init_params(5, cfg)
+    params = net.init_params(5, net.ModelConfig())
     for name in params:
         if ".att" in name:
             params[name].data[...] = np.nan   # must never be touched
     pyramid = [T.constant(rng.random((net.unit_channels(l), s, s)))
                for l, s in enumerate(net.TOY_SIZES)]
-    mode = net.NetMode(attention_enabled=False)
+    cfg = net.ModelConfig(attention_enabled=False)
     state = net.TemporalState.zeros()
     for _frame in range(3):
-        hidden, state, att = net.temporal_pyramid_forward(pyramid, state, params, mode)
+        hidden, state, att = net.temporal_pyramid_forward(pyramid, state, params, cfg,
+                                                          net.NetMode())
         for a in att:
             assert np.all(a.data == 1.0)
     # independent plain-ConvLSTM unroll over the same gate primitive
@@ -99,7 +99,7 @@ def test_c03_attention_toggle_reproduces_plain_convlstm_bitwise():
         h = T.constant(np.zeros((cu,) + pyramid[lvl].data.shape[1:]))
         s = T.constant(np.zeros_like(h.data))
         for _frame in range(3):
-            gate_in = T.concat_channels(pyramid[lvl], h)
+            gate_in = T.concat([pyramid[lvl], h])
             fused = T.conv2d_multi(gate_in, [w.w_i, w.w_f, w.w_o, w.w_c],
                                    [w.b_i, w.b_f, w.b_o, w.b_c], 1, 1)
             i = T.sigmoid(T.slice_channels(fused, 0, cu))

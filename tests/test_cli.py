@@ -189,6 +189,24 @@ def test_bad_config_file_rejected(tmp_path, capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage,setting,flags,message", [
+    (2, "seq_len = 0", (), "seq_len = 0: must be >= 1"),
+    (3, "k = -1", (), "k = -1: must be >= 1"),
+    (1, None, ("--lr", "nan"), "lr = nan: must be finite and > 0"),
+], ids=["seq_len_0", "k_minus_1", "lr_nan"])
+def test_bad_training_setting_fails_before_data_loads(tmp_path, capsys, stage, setting,
+                                                      flags, message):
+    config = ()
+    if setting is not None:
+        (tmp_path / "run.cfg").write_text(setting + "\n")
+        config = ("--config", tmp_path / "run.cfg")
+    code = run(*config, "train", "--stage", stage, "--data", tmp_path / "missing",
+               "--out", tmp_path / "o", *flags)
+    assert code == 1
+    assert capsys.readouterr().err == f"seqdet: error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_outdir_env_override(dataset, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "routed"))
     assert run("track", "--dets", dataset / "video_000" / "detections.jsonl",

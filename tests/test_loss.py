@@ -23,16 +23,18 @@ def small_priors():
     return np.array(rows)
 
 
-def head_from_arrays(loc, conf, sizes, num_classes=4, ppc=2):
-    loc_maps = [T.constant(m) for m in loc]
-    conf_maps = [T.constant(m) for m in conf]
-    return net.HeadOut(loc_maps, conf_maps, num_classes, ppc, sizes=tuple(sizes))
+def head_from_maps(loc_maps, conf_maps):
+    return net.HeadOut(net.prior_major(loc_maps), net.prior_major(conf_maps))
 
 
-def random_head(rng, sizes=(2, 1), num_classes=4, ppc=2, scale=1.0):
-    loc = [rng.standard_normal((ppc * 4, s, s)) * scale for s in sizes]
-    conf = [rng.standard_normal((ppc * (num_classes + 1), s, s)) * scale for s in sizes]
-    return head_from_arrays(loc, conf, sizes, num_classes, ppc)
+def head_from_arrays(loc, conf):
+    return head_from_maps([T.constant(m) for m in loc], [T.constant(m) for m in conf])
+
+
+def random_head(rng, sizes=(2, 1), num_classes=4, scale=1.0):
+    loc = [rng.standard_normal((2 * 4, s, s)) * scale for s in sizes]
+    conf = [rng.standard_normal((2 * (num_classes + 1), s, s)) * scale for s in sizes]
+    return head_from_arrays(loc, conf)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +99,7 @@ def test_perfect_predictions_drive_both_terms_to_zero():
                 conf[lvl][j * 5 + 0, y, x] = 60.0   # background by default
     conf[0][0 * 5 + 0, 0, 0] = 0.0
     conf[0][0 * 5 + 3, 0, 0] = 60.0                 # matched prior 0 -> class 3
-    head = head_from_arrays(loc, conf, sizes)
+    head = head_from_arrays(loc, conf)
     l_loc, l_conf = L.loc_conf_loss(head, m)
     assert l_loc.item() < 1e-20   # encode<->corner round trip leaves ~1e-15 deltas
     assert l_conf.item() < 1e-9
@@ -209,9 +211,7 @@ def score_list_of(class_scores, k=75, theta=0.1, num_classes=4):
     for i, (c, score) in enumerate(class_scores):
         probs[i, c] = score
     probs[:, 0] = 1.0 - probs[:, 1:].sum(axis=1)
-    loc = [np.zeros((4, 1, 1)) for _ in range(n)]
-    conf = [np.log(row).reshape(-1, 1, 1) for row in probs]
-    head = head_from_arrays(loc, conf, (1,) * n, num_classes, ppc=1)
+    head = net.HeadOut(T.constant(np.zeros((n, 4))), T.constant(np.log(probs)))
     priors = np.array([[(i + 0.5) / n, 0.5, 0.5 / n, 0.5] for i in range(n)])
     dets = detections_for_frame(head, priors, theta, "vid", num_classes)
     nodes = score_list_nodes(head, dets, k, num_classes)
@@ -407,3 +407,59 @@ def test_full_network_two_frame_gradients_match_finite_diff():
         ga = grads[name].reshape(-1)[idx]
         denom = max(abs(ga), abs(gn), 1e-4)
         assert abs(ga - gn) / denom < 1e-4, (name, idx, ga, gn)
+
+
+# ---------------------------------------------------------------------------
+# stage-3 gradient spot check (loc + conf + att + xi * L_asso over three frames)
+
+
+@pytest.mark.parametrize("form", ["running", "global"])
+def test_stage3_objective_gradients_match_finite_diff(form):
+    """The association term reaches the head parameters through the
+    thresholded, NMS-kept detections of each frame: detections_for_frame ->
+    score_list_nodes -> association_loss_node. The kept (class, prior) ids
+    must not change between the +h and -h evaluations, so no threshold or
+    NMS decision flips inside the finite difference."""
+    from seqdet import train as TR
+
+    rng = np.random.default_rng(12)
+    priors = small_priors()
+    sizes, frames, k, theta = (2, 1), 3, 2, 0.1
+    params = {}
+    for t in range(frames):
+        for lvl, s in enumerate(sizes):
+            for kind, ch, sc in (("loc", 8, 0.5), ("conf", 10, 1.5), ("att", 1, 1.0)):
+                name = f"f{t}.{kind}{lvl}"
+                params[name] = T.parameter(rng.standard_normal((ch, s, s)) * sc, name)
+    base = np.array([[0.05, 0.05, 0.48, 0.49], [0.5, 0.52, 0.95, 0.9]])
+    gts = [np.clip(base + rng.uniform(-0.03, 0.03, base.shape), 0, 1)
+           for _ in range(frames)]
+    kept = []
+
+    def build():
+        frame_nodes, sl_nodes, ids = [], [], []
+        for t in range(frames):
+            head = head_from_maps([params[f"f{t}.loc{l}"] for l in range(len(sizes))],
+                                  [params[f"f{t}.conf{l}"] for l in range(len(sizes))])
+            m = L.match_priors(gts[t], [1, 4], priors)
+            l_loc, l_conf = L.loc_conf_loss(head, m)
+            att = [T.sigmoid(params[f"f{t}.att{l}"]) for l in range(len(sizes))]
+            l_att = L.attention_loss(att, gts[t], 8)
+            frame_nodes.append(L.frame_loss_node(l_loc, l_conf, l_att, m.num_matched,
+                                                 TR.LOSS_WEIGHTS))
+            dets = detections_for_frame(head, priors, theta, "vid", 4)
+            ids.append(tuple((d.class_id, d.prior_index) for d in dets))
+            sl_nodes.append(score_list_nodes(head, dets, k, 4))
+        kept.append(tuple(ids))
+        asso = L.association_loss_node(sl_nodes, frames, form)
+        total = T.scale(T.add_n(frame_nodes), 1.0 / frames)
+        return T.add(total, T.scale(asso, TR.LOSS_WEIGHTS.xi)), asso
+
+    _, asso = build()
+    assert asso.item() > 0
+    # some class keeps more than k detections, so the top-k cut is exercised
+    assert any(sum(c == cls for c, _ in frame) > k
+               for frame in kept[0] for cls in range(1, 5))
+    rows = TR.grad_check(TR.GradCheckCase(params, lambda: build()[0]), h=1e-5)
+    assert len(set(kept)) == 1, "a threshold or NMS decision flipped under +-h"
+    assert max(r.max_rel_err for r in rows) < 1e-4, rows[:3]

@@ -170,7 +170,7 @@ def test_attention_disabled_matches_plain_convlstm_bitwise():
     h, s, a = net.attention_convlstm_step(x, h0, s0, w, attention_enabled=False)
     assert np.all(a.data == 1.0)
     # plain ConvLSTM step written out directly over the same gate primitive
-    gate_in = T.concat_channels(x, h0)
+    gate_in = T.concat([x, h0])
     fused = T.conv2d_multi(gate_in, [w.w_i, w.w_f, w.w_o, w.w_c],
                            [w.b_i, w.b_f, w.b_o, w.b_c], 1, 1)
     i = T.sigmoid(T.slice_channels(fused, 0, c))
@@ -264,9 +264,9 @@ def test_low_unit_perturbation_only_touches_low_levels():
     pyramid = unified_pyramid(rng)
     mode = net.NetMode()
     state = net.TemporalState.zeros()
-    hidden_a, _, _ = net.temporal_pyramid_forward(pyramid, state, params, mode)
+    hidden_a, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, mode)
     params["lstm.low.gate_o.kernel"].data += 0.1
-    hidden_b, _, _ = net.temporal_pyramid_forward(pyramid, state, params, mode)
+    hidden_b, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, mode)
     for lvl in (0, 1, 2):
         assert not np.array_equal(hidden_a[lvl].data, hidden_b[lvl].data)
     for lvl in (3, 4, 5):
@@ -278,7 +278,7 @@ def test_output_dims_match_inputs_with_unit_channels():
     params = net.init_params(12, cfg)
     rng = np.random.default_rng(12)
     hidden, state, att = net.temporal_pyramid_forward(
-        unified_pyramid(rng), net.TemporalState.zeros(), params, net.NetMode())
+        unified_pyramid(rng), net.TemporalState.zeros(), params, cfg, net.NetMode())
     for lvl, (h, a) in enumerate(zip(hidden, att)):
         s = net.TOY_SIZES[lvl]
         assert h.data.shape == (net.unit_channels(lvl), s, s)
@@ -292,8 +292,8 @@ def test_static_image_memory_accumulates_across_frames():
     rng = np.random.default_rng(13)
     pyramid = unified_pyramid(rng)
     state = net.TemporalState.zeros()
-    h1, state, _ = net.temporal_pyramid_forward(pyramid, state, params, net.NetMode())
-    h2, state, _ = net.temporal_pyramid_forward(pyramid, state, params, net.NetMode())
+    h1, state, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, net.NetMode())
+    h2, state, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, net.NetMode())
     assert not np.array_equal(h1[0].data, h2[0].data)
 
 
@@ -303,9 +303,9 @@ def test_state_reset_reproduces_first_frame():
     rng = np.random.default_rng(14)
     pyramid = unified_pyramid(rng)
     h1, _, _ = net.temporal_pyramid_forward(
-        pyramid, net.TemporalState.zeros(), params, net.NetMode())
+        pyramid, net.TemporalState.zeros(), params, cfg, net.NetMode())
     h1again, _, _ = net.temporal_pyramid_forward(
-        pyramid, net.TemporalState.zeros(), params, net.NetMode())
+        pyramid, net.TemporalState.zeros(), params, cfg, net.NetMode())
     for a, b in zip(h1, h1again):
         assert np.array_equal(a.data, b.data)
 
@@ -319,7 +319,7 @@ def test_state_pyramid_mismatch_raises():
     state.levels[0] = (T.constant(np.zeros((64, 12, 12))),
                        T.constant(np.zeros((64, 12, 12))))
     with pytest.raises(ShapeError):
-        net.temporal_pyramid_forward(pyramid, state, params, net.NetMode())
+        net.temporal_pyramid_forward(pyramid, state, params, cfg, net.NetMode())
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +333,7 @@ def test_heads_zero_weights_give_zero_outputs():
         if name.startswith("head."):
             t.data[...] = 0.0
     rng = np.random.default_rng(16)
-    out = net.head_forward(unified_pyramid(rng), params, cfg)
+    out = net.head_forward(unified_pyramid(rng), params)
     assert np.all(out.deltas() == 0.0)
     assert np.all(out.logits() == 0.0)
 
@@ -341,7 +341,7 @@ def test_heads_zero_weights_give_zero_outputs():
 def test_head_output_counts():
     cfg = net.ModelConfig()
     params = net.init_params(17, cfg)
-    out = net.head_forward(unified_pyramid(np.random.default_rng(17)), params, cfg)
+    out = net.head_forward(unified_pyramid(np.random.default_rng(17)), params)
     assert out.deltas().shape == (1540, 4)
     assert out.logits().shape == (1540, 5)
 
@@ -351,45 +351,49 @@ def test_head_matches_naive_reference_and_layout():
     params = net.init_params(18, cfg)
     rng = np.random.default_rng(18)
     pyramid = unified_pyramid(rng)
-    out = net.head_forward(pyramid, params, cfg)
+    out = net.head_forward(pyramid, params)
     lvl = 1
     ref = naive_conv2d(pyramid[lvl].data, params[f"head.loc{lvl}.kernel"].data,
                        params[f"head.loc{lvl}.bias"].data, 1, 1)
-    np.testing.assert_allclose(out.loc_maps[lvl].data, ref, rtol=1e-12, atol=1e-12)
-    # flat view agrees with the (level, cell, prior) channel packing
-    base = net.level_offsets()[lvl]
+    # prior rows follow the (level, cell row-major, prior) channel packing
+    base = 2 * net.TOY_SIZES[0] ** 2
     s = net.TOY_SIZES[lvl]
-    own = out.loc_maps[lvl].data
     for cell, j in [(0, 0), (5, 1), (s * s - 1, 0)]:
         p = base + cell * 2 + j
         y, x = divmod(cell, s)
-        np.testing.assert_array_equal(out.deltas()[p],
-                                      own[j * 4:(j + 1) * 4, y, x])
+        np.testing.assert_allclose(out.deltas()[p], ref[j * 4:(j + 1) * 4, y, x],
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_head_graph_nodes_agree_with_flat_views():
     cfg = net.ModelConfig()
     params = net.init_params(19, cfg)
-    out = net.head_forward(unified_pyramid(np.random.default_rng(19)), params, cfg)
+    out = net.head_forward(unified_pyramid(np.random.default_rng(19)), params)
+    assert out.deltas() is out.loc.data and out.logits() is out.conf.data
+    # one gradient per prior row lands on that prior's channels and cell only
     ids = [0, 3, 1200, 1539]
-    node = out.loc_node(ids)
-    np.testing.assert_allclose(node.data.reshape(-1, 4), out.deltas()[ids],
-                               atol=1e-15)
-    for p in ids:
-        np.testing.assert_allclose(out.logits_node(p).data, out.logits()[p],
-                                   atol=1e-15)
+    weights = np.zeros((1540, 5))
+    weights[ids, 2] = 1.0
+    grads = T.backward(T.sum_all(T.mul(out.conf, T.constant(weights))))
+    # prior 1539 is the second prior of the single level-5 cell: channel 5 + 2
+    assert net.TOY_SIZES[5] == 1
+    expect = np.zeros(params["head.conf5.bias"].data.shape)
+    expect[5 + 2] = 1.0
+    np.testing.assert_array_equal(grads["head.conf5.bias"], expect)
+    assert "head.loc0.kernel" not in grads
 
 
 def test_weight_sharing_one_parameter_set_serves_three_levels():
-    params = net.init_params(20, net.ModelConfig())
+    cfg = net.ModelConfig()
+    params = net.init_params(20, cfg)
     low_names = [n for n in params if n.startswith("lstm.low.")]
     assert len(low_names) == 11  # 3 attention kernels + 4 gate kernels + 4 biases
     rng = np.random.default_rng(20)
     pyramid = unified_pyramid(rng)
     state = net.TemporalState.zeros()
-    before, _, _ = net.temporal_pyramid_forward(pyramid, state, params, net.NetMode())
+    before, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, net.NetMode())
     params["lstm.low.gate_i.kernel"].data *= 1.5
-    after, _, _ = net.temporal_pyramid_forward(pyramid, state, params, net.NetMode())
+    after, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, net.NetMode())
     assert all(not np.array_equal(before[l].data, after[l].data) for l in (0, 1, 2))
 
 
@@ -449,6 +453,15 @@ def test_checkpoint_without_meta_is_config_error(tmp_path):
         net.load_checkpoint(tmp_path / "ck")
     meta.unlink()
     with pytest.raises(ConfigError, match=r"ck: .*missing meta\.txt"):
+        net.load_checkpoint(tmp_path / "ck")
+
+
+def test_checkpoint_with_other_priors_per_cell_is_config_error(tmp_path):
+    _saved_checkpoint(tmp_path / "ck")
+    meta = tmp_path / "ck" / "meta.txt"
+    assert "priors_per_cell = 2\n" in meta.read_text()
+    meta.write_text(meta.read_text().replace("priors_per_cell = 2", "priors_per_cell = 3"))
+    with pytest.raises(ConfigError, match=r"ck/meta\.txt: priors_per_cell = 3"):
         net.load_checkpoint(tmp_path / "ck")
 
 

@@ -11,7 +11,7 @@ from refimpl import naive_iou, naive_nms
 def test_prior_count_matches_grid():
     priors = pp.make_priors()
     assert priors.shape == (1540, 4)
-    assert pp.level_offsets()[-1] == 1540
+    assert sum(pp.PRIORS_PER_CELL * s * s for s in pp.TOY_SIZES) == 1540
 
 
 def test_prior_corners_inside_unit_square():

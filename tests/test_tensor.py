@@ -159,7 +159,11 @@ def test_chanwise_mul_ones_is_identity():
 def test_concat_channel_counts():
     a = T.constant(np.zeros((3, 4, 4)))
     b = T.constant(np.ones((2, 4, 4)))
-    assert T.concat_channels(a, b).data.shape == (5, 4, 4)
+    assert T.concat([a, b]).data.shape == (5, 4, 4)
+    assert T.concat([T.constant(np.zeros((2, 5))), T.constant(np.ones((1, 5)))]
+                    ).data.shape == (3, 5)
+    with pytest.raises(ShapeError):
+        T.concat([a, T.constant(np.zeros((2, 4, 3)))])
 
 
 def test_mul_equals_loop_product():
@@ -244,10 +248,10 @@ OPS = [
     ("absolute", lambda rng: _unary_case(rng, T.absolute)),
     ("dropout", lambda rng: _dropout_case(rng)),
     ("smooth_l1", lambda rng: _smooth_l1_case(rng)),
-    ("softmax_ce", lambda rng: _softmax_ce_case(rng)),
-    ("softmax_prob", lambda rng: _softmax_prob_case(rng)),
+    ("softmax_ce_rows", lambda rng: _softmax_ce_rows_case(rng)),
+    ("softmax_prob_rows", lambda rng: _softmax_prob_rows_case(rng)),
     ("bce_mean", lambda rng: _bce_case(rng)),
-    ("concat_vec", lambda rng: _concat_vec_case(rng)),
+    ("gather_rows", lambda rng: _gather_rows_case(rng)),
     ("conv2d_multi", lambda rng: _conv_multi_case(rng)),
     ("slice_channels", lambda rng: _slice_case(rng)),
 ]
@@ -273,7 +277,7 @@ def _chanwise_case(rng):
 def _concat_case(rng):
     x0 = rng.standard_normal((2, 3, 3))
     other = T.constant(rng.standard_normal((1, 3, 3)))
-    return x0, lambda x: T.sum_all(T.tanh(T.concat_channels(x, other)))
+    return x0, lambda x: T.sum_all(T.tanh(T.concat([x, other])))
 
 
 def _conv_case(rng):
@@ -289,7 +293,7 @@ def _resize_case(rng):
 
 def _gather_case(rng):
     x0 = rng.standard_normal((3, 4))
-    idx = np.array([0, 5, 5, 11, 3])
+    idx = np.array([[0, 5, 5], [11, 3, 0]])
     return x0, lambda x: T.sum_all(T.tanh(T.gather(x, idx)))
 
 
@@ -305,14 +309,22 @@ def _smooth_l1_case(rng):
     return x0, lambda x: T.smooth_l1_sum(x, tgt)
 
 
-def _softmax_ce_case(rng):
-    x0 = rng.standard_normal(5)
-    return x0, lambda x: T.softmax_ce(x, 2)
+# row ops: several rows, a row id repeated, uneven weights per output row
+ROW_IDS = np.array([3, 0, 3, 2])
+ROW_WEIGHTS = T.constant([1.0, -0.5, 2.0, 0.7])
 
 
-def _softmax_prob_case(rng):
-    x0 = rng.standard_normal(5)
-    return x0, lambda x: T.scale(T.softmax_prob(x, 1), 3.0)
+def _softmax_ce_rows_case(rng):
+    x0 = rng.standard_normal((4, 5))
+    targets = np.array([2, 0, 4, 2])
+    return x0, lambda x: T.sum_all(T.mul(
+        T.softmax_ce_rows(T.gather_rows(x, ROW_IDS), targets), ROW_WEIGHTS))
+
+
+def _softmax_prob_rows_case(rng):
+    x0 = rng.standard_normal((4, 5))
+    return x0, lambda x: T.sum_all(T.mul(
+        T.softmax_prob_rows(T.gather_rows(x, ROW_IDS), 1), ROW_WEIGHTS))
 
 
 def _bce_case(rng):
@@ -321,10 +333,10 @@ def _bce_case(rng):
     return x0, lambda x: T.bce_mean(x, tgt)
 
 
-def _concat_vec_case(rng):
-    x0 = rng.standard_normal(4)
-    other = T.constant(rng.standard_normal(3))
-    return x0, lambda x: T.sum_all(T.tanh(T.concat_vec([x, other])))
+def _gather_rows_case(rng):
+    x0 = rng.standard_normal((4, 3))
+    other = T.constant(rng.standard_normal((2, 3)))
+    return x0, lambda x: T.sum_all(T.tanh(T.concat([T.gather_rows(x, ROW_IDS), other])))
 
 
 def _conv_multi_case(rng):
@@ -374,8 +386,8 @@ def test_backward_matches_finite_diff_on_random_composites():
             y = T.add(T.tanh(y), T.chanwise_mul(att, T.sigmoid(y)))
             z = T.bilinear_resize(y, 2, 2)
             loss = T.bce_mean(T.sigmoid(z), tgt)
-            vec = T.gather(y, np.array([1, 7, 12]))
-            return T.add(loss, T.scale(T.softmax_ce(vec, 0), 0.3))
+            vec = T.gather(y, np.array([[1, 7, 12]]))
+            return T.add(loss, T.scale(T.softmax_ce_rows(vec, [0]), 0.3))
 
         leaf = T.Tensor(x0.copy(), name="x", requires_grad=True)
         ga = T.backward(build(leaf))["x"]
@@ -400,6 +412,11 @@ def test_gather_values_and_scatter_grad():
     expect[0] = 1
     expect[5] = 2
     np.testing.assert_array_equal(x.grad.reshape(-1), expect)
+    assert T.gather(x, np.array([[0, 5], [5, 11]])).data.tolist() == [[0, 5], [5, 11]]
+    rows = T.gather_rows(x, [2, 0, 2])
+    np.testing.assert_array_equal(rows.data, x.data[[2, 0, 2]])
+    with pytest.raises(ShapeError):
+        T.gather_rows(x, [3])
 
 
 def test_dropout_zero_rate_is_identity():
@@ -421,8 +438,11 @@ def test_smooth_l1_values():
 
 
 def test_softmax_ce_perfect_prediction_near_zero():
-    logits = T.constant([50.0, 0.0, 0.0])
-    assert T.softmax_ce(logits, 0).item() < 1e-9
+    logits = T.constant([[50.0, 0.0, 0.0], [0.0, 0.0, 50.0]])
+    assert np.all(T.softmax_ce_rows(logits, [0, 2]).data < 1e-9)
+    assert np.all(T.softmax_ce_rows(logits, [1, 1]).data > 49)
+    with pytest.raises(ShapeError):
+        T.softmax_ce_rows(logits, [0, 3])
 
 
 def test_bce_mean_at_half_is_ln2():

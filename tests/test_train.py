@@ -7,7 +7,7 @@ from seqdet import tensor as T
 from seqdet import train as TR
 from seqdet.errors import ConfigError
 from seqdet.postproc import make_priors
-from seqdet.synth import gen_sequence, random_scene, write_dataset
+from seqdet.synth import gen_sequence, load_video_dir, random_scene, write_dataset
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +127,25 @@ def test_config_defaults_resolution():
         TR.TrainConfig(stage=4).resolved()
 
 
+@pytest.mark.parametrize("setting,message", [
+    ({"seq_len": 0}, "seq_len = 0: must be >= 1"),
+    ({"k": 0}, "k = 0: must be >= 1"),
+    ({"lr": 0.0}, "lr = 0.0: must be finite and > 0"),
+    ({"lr": float("inf")}, "lr = inf: must be finite and > 0"),
+    ({"theta": 1.0}, "theta = 1.0: must be in [0, 1)"),
+    ({"dropout": -0.1}, "dropout = -0.1: must be in [0, 1)"),
+    ({"clip": float("nan")}, "clip = nan: must be finite and >= 0"),
+    ({"epochs": -1}, "epochs = -1: must be >= 0"),
+    ({"asso_form": "median"}, "asso_form = 'median': must be running or global"),
+    ({"profile": "coco"}, "unknown dataset profile 'coco'"),
+], ids=["seq_len", "k", "lr_zero", "lr_inf", "theta", "dropout", "clip", "epochs",
+        "asso_form", "profile"])
+def test_config_rejects_out_of_range_settings(setting, message):
+    with pytest.raises(ConfigError) as err:
+        TR.TrainConfig(stage=2, **setting).resolved()
+    assert str(err.value).startswith(message)
+
+
 def test_config_file_parsing(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("seq_len = 8\nlr = 0.0001   # stage 2\ntheta = 0.1\n")
@@ -150,6 +169,32 @@ def test_config_file_rejects_unknown_key(tmp_path):
 
 # ---------------------------------------------------------------------------
 # stage runner
+
+
+def graph_size(root):
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for p in stack.pop().parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+def test_stage3_graph_stays_close_to_stage2(tiny_root):
+    """The association term adds a few nodes per class and frame, not one
+    per kept detection: at init params nearly every prior passes theta."""
+    video = load_video_dir(tiny_root / "video_000")
+    model_cfg = net.ModelConfig()
+    params = net.init_params(7, model_cfg)
+    sizes = {}
+    for stage in (2, 3):
+        cfg = TR.TrainConfig(stage=stage, seq_len=4).resolved()
+        total, _parts = TR._train_sequence(params, video, cfg, model_cfg, make_priors(),
+                                           np.random.default_rng(0), stage == 3)
+        sizes[stage] = graph_size(total)
+    assert sizes[3] <= 1.5 * sizes[2], sizes
 
 
 def test_stage2_requires_checkpoint(tiny_root, tmp_path):
