@@ -15,6 +15,7 @@ single-channel map in (0,1) produced by a three-layer conv stack over
 
 from __future__ import annotations
 
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,46 +96,62 @@ def _conv_param(rng, params, name, c_out, c_in, k, bias=True, gain="relu"):
         params[f"{name}.bias"] = T.parameter(np.zeros(c_out), f"{name}.bias")
 
 
-def init_backbone_params(rng, params=None):
-    params = {} if params is None else params
-    for name, c_in, c_out, _size, _src in _BACKBONE_LAYERS:
-        _conv_param(rng, params, f"backbone.{name}", c_out, c_in, 3)
-    for lvl in LOW_LEVELS:
-        _conv_param(rng, params, f"unify.l{lvl}", C_LOW, TOY_CHANNELS[lvl], 1)
+# Every conv of the model as (name, c_out, c_in, k, bias, gain), in the
+# order init_params draws their kernels.
+def _backbone_convs():
+    return ([(f"backbone.{name}", c_out, c_in, 3, True, "relu")
+             for name, c_in, c_out, _size, _src in _BACKBONE_LAYERS]
+            + [(f"unify.l{lvl}", C_LOW, TOY_CHANNELS[lvl], 1, True, "relu")
+               for lvl in LOW_LEVELS])
+
+
+def _lstm_convs():
+    convs = []
+    for unit, c in (("low", C_LOW), ("high", C_HIGH)):
+        convs += [(f"lstm.{unit}.att1", c // 2, 2 * c, 3, False, "relu"),
+                  (f"lstm.{unit}.att2", c // 4, c // 2, 3, False, "relu"),
+                  (f"lstm.{unit}.att3", 1, c // 4, 3, False, "linear")]
+        convs += [(f"lstm.{unit}.gate_{gate}", c, 2 * c, 3, True, "linear")
+                  for gate in ("i", "f", "o", "c")]
+    return convs
+
+
+def _head_convs(cfg: ModelConfig):
+    convs = []
+    for lvl in range(6):
+        c = unit_channels(lvl)
+        convs += [(f"head.loc{lvl}", PRIORS_PER_CELL * 4, c, 3, True, "linear"),
+                  (f"head.conf{lvl}", PRIORS_PER_CELL * (cfg.num_classes + 1), c, 3, True,
+                   "linear")]
+    return convs
+
+
+def _model_convs(cfg: ModelConfig, with_lstm):
+    return _backbone_convs() + (_lstm_convs() if with_lstm else []) + _head_convs(cfg)
+
+
+def _init_convs(rng, convs, params):
+    for name, c_out, c_in, k, bias, gain in convs:
+        _conv_param(rng, params, name, c_out, c_in, k, bias, gain)
     return params
 
 
 def init_lstm_params(rng, params=None):
-    params = {} if params is None else params
-    for unit, c in (("low", C_LOW), ("high", C_HIGH)):
-        _conv_param(rng, params, f"lstm.{unit}.att1", c // 2, 2 * c, 3, bias=False)
-        _conv_param(rng, params, f"lstm.{unit}.att2", c // 4, c // 2, 3, bias=False)
-        _conv_param(rng, params, f"lstm.{unit}.att3", 1, c // 4, 3, bias=False,
-                    gain="linear")
-        for gate in ("i", "f", "o", "c"):
-            _conv_param(rng, params, f"lstm.{unit}.gate_{gate}", c, 2 * c, 3,
-                        gain="linear")
-    return params
-
-
-def init_head_params(rng, cfg: ModelConfig, params=None):
-    params = {} if params is None else params
-    for lvl in range(6):
-        c = unit_channels(lvl)
-        _conv_param(rng, params, f"head.loc{lvl}", PRIORS_PER_CELL * 4, c, 3,
-                    gain="linear")
-        _conv_param(rng, params, f"head.conf{lvl}",
-                    PRIORS_PER_CELL * (cfg.num_classes + 1), c, 3, gain="linear")
-    return params
+    return _init_convs(rng, _lstm_convs(), {} if params is None else params)
 
 
 def init_params(seed, cfg: ModelConfig, with_lstm=True):
-    rng = np.random.default_rng((seed, 0x11))
-    params = init_backbone_params(rng)
-    if with_lstm:
-        init_lstm_params(rng, params)
-    init_head_params(rng, cfg, params)
-    return params
+    return _init_convs(np.random.default_rng((seed, 0x11)), _model_convs(cfg, with_lstm), {})
+
+
+def param_shapes(cfg: ModelConfig, with_lstm):
+    """Name -> shape of every tensor init_params creates, without drawing it."""
+    shapes = {}
+    for name, c_out, c_in, k, bias, _gain in _model_convs(cfg, with_lstm):
+        shapes[f"{name}.kernel"] = (c_out, c_in, k, k)
+        if bias:
+            shapes[f"{name}.bias"] = (c_out,)
+    return shapes
 
 
 FROZEN_PREFIXES = ("backbone.", "unify.")
@@ -237,40 +254,27 @@ def attention_convlstm_step(x, h_prev, s_prev, w: ACLSTMWeights,
     return h, s, a
 
 
-@dataclass
-class TemporalState:
-    """Per-level hidden and memory maps; reset to zeros at sequence start."""
-    levels: list    # list of (h, s) Tensor pairs
-
-    @classmethod
-    def zeros(cls):
-        levels = []
-        for lvl, s in enumerate(TOY_SIZES):
-            c = unit_channels(lvl)
-            levels.append((T.constant(np.zeros((c, s, s))),
-                           T.constant(np.zeros((c, s, s)))))
-        return cls(levels)
-
-    def detached(self):
-        """Copy with values preserved but graph history dropped."""
-        return TemporalState([(T.constant(h.data.copy()), T.constant(s.data.copy()))
-                              for h, s in self.levels])
+def zero_state():
+    """Per-level (h, s) pairs of zero maps: the state at sequence start."""
+    return [(T.constant(np.zeros((unit_channels(lvl), s, s))),
+             T.constant(np.zeros((unit_channels(lvl), s, s))))
+            for lvl, s in enumerate(TOY_SIZES)]
 
 
-def temporal_pyramid_forward(pyramid, state: TemporalState, params, cfg: ModelConfig,
-                             mode: NetMode):
+def temporal_pyramid_forward(pyramid, state, params, cfg: ModelConfig, mode: NetMode):
     """Run the two shared recurrent units over all six (unified) levels.
 
     Levels 0-2 go through the low unit's single weight set, levels 3-5
     through the high unit's. Returns the six hidden maps, the new state,
-    and the six attention maps.
+    and the six attention maps. The state is a list of per-level (h, s)
+    pairs (see zero_state).
     """
-    if len(pyramid) != len(state.levels):
-        raise ShapeError(f"state has {len(state.levels)} levels, pyramid {len(pyramid)}")
+    if len(pyramid) != len(state):
+        raise ShapeError(f"state has {len(state)} levels, pyramid {len(pyramid)}")
     weights = {u: ACLSTMWeights.from_params(params, u) for u in ("low", "high")}
-    hidden, new_levels, att_maps = [], [], []
+    hidden, new_state, att_maps = [], [], []
     for lvl, fmap in enumerate(pyramid):
-        h_prev, s_prev = state.levels[lvl]
+        h_prev, s_prev = state[lvl]
         if fmap.data.shape != h_prev.data.shape:
             raise ShapeError(f"level {lvl}: pyramid {fmap.data.shape} "
                              f"vs state {h_prev.data.shape}")
@@ -279,9 +283,9 @@ def temporal_pyramid_forward(pyramid, state: TemporalState, params, cfg: ModelCo
             dropout_rate=mode.dropout_rate, rng=mode.rng,
             attention_enabled=cfg.attention_enabled)
         hidden.append(h)
-        new_levels.append((h, s))
+        new_state.append((h, s))
         att_maps.append(a)
-    return hidden, TemporalState(new_levels), att_maps
+    return hidden, new_state, att_maps
 
 
 def prior_major(maps):
@@ -343,38 +347,43 @@ def forward_temporal(image, state, params, cfg: ModelConfig, mode: NetMode):
 
 
 def save_checkpoint(ckpt_dir, params, meta):
+    """Write the checkpoint into a sibling temporary directory and rename it
+    into place, so a failed write leaves neither a partial checkpoint nor a
+    changed one at ckpt_dir."""
     ckpt_dir = Path(ckpt_dir)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for name in sorted(params):
-        fname = f"{name}.tnsr"
-        T.save_tnsr(ckpt_dir / fname, params[name].data)
-        dims = "x".join(str(d) for d in params[name].data.shape)
-        lines.append(f"{name}\t{fname}\t{dims}")
-    (ckpt_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
-    (ckpt_dir / "meta.txt").write_text(
-        "".join(f"{k} = {v}\n" for k, v in sorted(meta.items())))
+    ckpt_dir.parent.mkdir(parents=True, exist_ok=True)
+    tmp = ckpt_dir.with_name(f".{ckpt_dir.name}.partial")
+    old = ckpt_dir.with_name(f".{ckpt_dir.name}.old")
+    for stale in (tmp, old):
+        shutil.rmtree(stale, ignore_errors=True)
+    tmp.mkdir()
+    try:
+        lines = []
+        for name in sorted(params):
+            fname = f"{name}.tnsr"
+            T.save_tnsr(tmp / fname, params[name].data)
+            dims = "x".join(str(d) for d in params[name].data.shape)
+            lines.append(f"{name}\t{fname}\t{dims}")
+        (tmp / "manifest.txt").write_text("\n".join(lines) + "\n")
+        (tmp / "meta.txt").write_text(
+            "".join(f"{k} = {v}\n" for k, v in sorted(meta.items())))
+        if ckpt_dir.exists():
+            ckpt_dir.rename(old)
+        tmp.rename(ckpt_dir)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_checkpoint(ckpt_dir):
+    """(params, meta) of a checkpoint. The tensors load as constants: a
+    checkpoint is data, and a training stage promotes what it trains. The
+    tensor names and shapes must be those of the model the meta describes
+    (the temporal units only when it says temporal = 1)."""
     ckpt_dir = Path(ckpt_dir)
     manifest = ckpt_dir / "manifest.txt"
     if not manifest.exists():
         raise ConfigError(f"{ckpt_dir}: not a checkpoint (missing manifest.txt)")
-    params = {}
-    for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            name, fname, dims = line.split("\t")
-            want = tuple(int(d) for d in dims.split("x"))
-        except ValueError:
-            raise ConfigError(f"{manifest}:{lineno}: expected name<TAB>file<TAB>dims, "
-                              f"got {line!r}") from None
-        arr = T.load_tnsr(ckpt_dir / fname)
-        if arr.shape != want:
-            raise ConfigError(f"{ckpt_dir}: {name} has shape {arr.shape}, manifest says {want}")
-        params[name] = T.parameter(arr, name)
     meta_path = ckpt_dir / "meta.txt"
     if not meta_path.exists():
         raise ConfigError(f"{ckpt_dir}: not a checkpoint (missing meta.txt)")
@@ -386,7 +395,35 @@ def load_checkpoint(ckpt_dir):
     for key in ModelConfig().to_meta():
         if key not in meta:
             raise ConfigError(f"{meta_path}: missing key {key!r}")
+        try:
+            int(meta[key])
+        except ValueError:
+            raise ConfigError(f"{meta_path}: {key} = {meta[key]!r} is not an integer") from None
     if meta["priors_per_cell"] != str(PRIORS_PER_CELL):
         raise ConfigError(f"{meta_path}: priors_per_cell = {meta['priors_per_cell']}, "
                           f"but the prior grid has {PRIORS_PER_CELL} per cell")
+    cfg = ModelConfig.from_meta(meta)
+    expected = param_shapes(cfg, with_lstm=cfg.temporal)
+    params = {}
+    for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            name, fname, dims = line.split("\t")
+            want = tuple(int(d) for d in dims.split("x"))
+        except ValueError:
+            raise ConfigError(f"{manifest}:{lineno}: expected name<TAB>file<TAB>dims, "
+                              f"got {line!r}") from None
+        if name not in expected:
+            raise ConfigError(f"{manifest}:{lineno}: tensor {name} is not part of the model")
+        if want != expected[name]:
+            raise ConfigError(f"{manifest}:{lineno}: tensor {name} has shape {want}, "
+                              f"the model expects {expected[name]}")
+        arr = T.load_tnsr(ckpt_dir / fname)
+        if arr.shape != want:
+            raise ConfigError(f"{ckpt_dir}: {name} has shape {arr.shape}, manifest says {want}")
+        params[name] = T.constant(arr)
+    for name in expected:
+        if name not in params:
+            raise ConfigError(f"{manifest}: tensor {name} is missing")
     return params, meta

@@ -23,11 +23,12 @@ from .errors import ParseError, ShapeError
 class Tensor:
     """One node of the computation graph.
 
-    Wraps a float64 ndarray. A tensor produced by an op remembers its
-    parent nodes and a closure that scatters the output adjoint back onto
-    them, which is all reverse mode needs. Leaf tensors created with
-    ``requires_grad=True`` collect their gradient in ``.grad`` after
-    :func:`backward` runs.
+    Wraps a float64 ndarray. A tensor produced by an op that a trainable
+    leaf feeds remembers its parent nodes and a closure that scatters the
+    output adjoint back onto them, which is all reverse mode needs; a node
+    built only from constants keeps neither, so inference records no tape.
+    Leaf tensors created with ``requires_grad=True`` collect their gradient
+    in ``.grad`` after :func:`backward` runs.
     """
 
     __slots__ = ("data", "parents", "name", "requires_grad", "grad", "_backward")
@@ -39,11 +40,11 @@ class Tensor:
         if not 1 <= arr.ndim <= 4:
             raise ShapeError(f"tensor rank must be 1..4, got {arr.ndim}")
         self.data = arr
-        self.parents = tuple(parents)
         self.name = name
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in self.parents)
+        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
+        self.parents = tuple(parents) if self.requires_grad else ()
         self.grad = None
-        self._backward = backward
+        self._backward = backward if self.requires_grad else None
 
     @property
     def shape(self):

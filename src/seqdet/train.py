@@ -83,13 +83,15 @@ def rmsprop_step(params, grads, lr, state, rho=0.9, eps=1e-8):
     return params, state
 
 
-def clip_gradients(grads, max_norm):
-    """Global-norm clipping; no-op when max_norm <= 0."""
-    if max_norm <= 0:
-        return grads
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total > max_norm:
-        factor = max_norm / total
+def global_norm(grads):
+    return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+
+
+def clip_gradients(grads, max_norm, norm):
+    """Scale grads, whose global norm is norm, down to max_norm; no-op when
+    max_norm <= 0."""
+    if 0 < max_norm < norm:
+        factor = max_norm / norm
         grads = {k: g * factor for k, g in grads.items()}
     return grads
 
@@ -200,7 +202,7 @@ def detect_video(params, model_cfg, video, conf_thresh, profile_name,
     priors = make_priors()
     out = []
     if model_cfg.temporal:
-        state = net.TemporalState.zeros()
+        state = net.zero_state()
         mode = net.NetMode()
         for t, frame in enumerate(video.frames, start=1):
             head, state, att = net.forward_temporal(
@@ -213,7 +215,6 @@ def detect_video(params, model_cfg, video, conf_thresh, profile_name,
                 for d in dets:
                     d.av = attention_vector_for_box(maps, d.box)
             out.append((t, dets))
-            state = state.detached()
     else:
         for t, frame in enumerate(video.frames, start=1):
             head = net.forward_static(T.constant(frame), params)
@@ -224,14 +225,13 @@ def detect_video(params, model_cfg, video, conf_thresh, profile_name,
 
 def dump_attention_maps(params, model_cfg, video):
     """Per-frame, per-level attention maps (plain arrays)."""
-    state = net.TemporalState.zeros()
+    state = net.zero_state()
     mode = net.NetMode()
     out = []
     for frame in video.frames:
         _head, state, att = net.forward_temporal(
             T.constant(frame), state, params, model_cfg, mode)
         out.append([a.data.copy() for a in att])
-        state = state.detached()
     return out
 
 
@@ -250,6 +250,17 @@ def _check_finite(parts, stage, epoch, step):
                                  f"non-finite loss parts {parts}")
 
 
+def _gradients(loss, clip, stage, epoch, step):
+    """Gradients of the trained parameters, clipped to the global norm clip;
+    stops before a non-finite gradient reaches the optimizer."""
+    grads = T.backward(loss)
+    norm = global_norm(grads)
+    if not math.isfinite(norm):
+        raise FloatingPointError(f"stage {stage} epoch {epoch} step {step}: "
+                                 f"non-finite gradient norm {norm}")
+    return clip_gradients(grads, clip, norm)
+
+
 def _train_static_epoch(params, videos, cfg, priors, rng, epoch, rows, lr):
     items = [(vi, t) for vi, v in enumerate(videos)
              for t in range(1, len(v.frames) + 1)]
@@ -263,8 +274,7 @@ def _train_static_epoch(params, videos, cfg, priors, rng, epoch, rows, lr):
         node = LS.frame_loss_node(l_loc, l_conf, None, m.num_matched, LOSS_WEIGHTS)
         parts = {"L_loc": l_loc.item(), "L_conf": l_conf.item(), "L_total": node.item()}
         _check_finite(parts, 1, epoch, step)
-        grads = clip_gradients(T.backward(node), cfg.clip)
-        sgd_step(params, grads, lr)
+        sgd_step(params, _gradients(node, cfg.clip, 1, epoch, step), lr)
         rows.append(f"{epoch},{step},{parts['L_loc']:.6f},{parts['L_conf']:.6f},"
                     f"0,0,{parts['L_total']:.6f}\n")
 
@@ -273,7 +283,7 @@ def _train_sequence(params, video, cfg, model_cfg, priors, rng, with_asso):
     """Build the whole-sequence graph and return (loss_node, parts dict)."""
     v = len(video.frames)
     sample = random_skip_sample(v, cfg.seq_len, rng, sp=1 if cfg.stage == 3 else None)
-    state = net.TemporalState.zeros()
+    state = net.zero_state()
     mode = net.NetMode(dropout_rate=cfg.dropout, rng=rng)
     frame_nodes = []
     sl_nodes = []
@@ -312,10 +322,10 @@ def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
     """Train one stage and write checkpoint + loss CSV into out_dir.
 
     Stage 1 trains the static model on shuffled single frames with SGD.
-    Stages 2 and 3 load the previous checkpoint, freeze everything except
-    the temporal units and heads, and train on skip-sampled sequences;
-    temporal-unit parameters update with RMSProp, heads with SGD. Stage 3
-    adds the association term and forces sp = 1.
+    Stages 2 and 3 load the previous checkpoint, train only the temporal
+    units and heads (backbone and unify stay constants) on skip-sampled
+    sequences; temporal-unit parameters update with RMSProp, heads with
+    SGD. Stage 3 adds the association term and forces sp = 1.
     """
     cfg = replace(config, stage=stage).resolved()
     out_dir = Path(out_dir)
@@ -331,18 +341,17 @@ def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
         if init_ckpt is None:
             raise ConfigError(f"stage {stage} requires the previous stage's checkpoint")
         params, meta = net.load_checkpoint(init_ckpt)
+        params = {n: p if n.startswith(net.FROZEN_PREFIXES) else T.parameter(p.data, n)
+                  for n, p in params.items()}
         model_cfg = net.ModelConfig.from_meta(meta)
         model_cfg.temporal = True
         model_cfg.attention_enabled = cfg.attention
         if not any(name.startswith(net.LSTM_PREFIX) for name in params):
             net.init_lstm_params(np.random.default_rng((cfg.seed, 0x15)), params)
 
-    frozen = () if stage == 1 else tuple(
-        n for n in params if n.startswith(net.FROZEN_PREFIXES))
-    rms_names = {n for n in params if n.startswith(net.LSTM_PREFIX)}
+    rms_params = {n: p for n, p in params.items() if n.startswith(net.LSTM_PREFIX)}
     sgd_params = {n: p for n, p in params.items()
-                  if n not in rms_names and n not in frozen}
-    rms_params = {n: p for n, p in params.items() if n in rms_names}
+                  if p.requires_grad and n not in rms_params}
     rms_state = {}
 
     rows = [_loss_csv_header()]
@@ -355,7 +364,7 @@ def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
             total, parts = _train_sequence(params, video, cfg, model_cfg, priors,
                                            rng, with_asso=(stage == 3))
             _check_finite(parts, stage, epoch, step)
-            grads = clip_gradients(T.backward(total), cfg.clip)
+            grads = _gradients(total, cfg.clip, stage, epoch, step)
             sgd_step(sgd_params, grads, lr)
             rmsprop_step(rms_params, grads, lr, rms_state)
             rows.append(f"{epoch},{step},{parts['L_loc']:.6f},{parts['L_conf']:.6f},"
@@ -366,8 +375,7 @@ def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
     ckpt_dir = out_dir / "checkpoint"
     net.save_checkpoint(ckpt_dir, params, model_cfg.to_meta())
     return {"checkpoint": ckpt_dir, "loss_csv": out_dir / "loss.csv",
-            "params": params, "model_cfg": model_cfg, "frozen": frozen,
-            "epochs": cfg.epochs}
+            "params": params, "model_cfg": model_cfg, "epochs": cfg.epochs}
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def test_c03_attention_toggle_reproduces_plain_convlstm_bitwise():
     pyramid = [T.constant(rng.random((net.unit_channels(l), s, s)))
                for l, s in enumerate(net.TOY_SIZES)]
     cfg = net.ModelConfig(attention_enabled=False)
-    state = net.TemporalState.zeros()
+    state = net.zero_state()
     for _frame in range(3):
         hidden, state, att = net.temporal_pyramid_forward(pyramid, state, params, cfg,
                                                           net.NetMode())
@@ -108,8 +108,8 @@ def test_c03_attention_toggle_reproduces_plain_convlstm_bitwise():
             cc = T.tanh(T.slice_channels(fused, 3 * cu, 4 * cu))
             s = T.add(T.mul(f, s), T.mul(i, cc))
             h = T.mul(o, T.tanh(s))
-        assert np.array_equal(h.data, state.levels[lvl][0].data)
-        assert np.array_equal(s.data, state.levels[lvl][1].data)
+        assert np.array_equal(h.data, state[lvl][0].data)
+        assert np.array_equal(s.data, state[lvl][1].data)
     report("C3 attention-off equals plain ConvLSTM", "(bitwise, 3 frames unrolled)")
 
 

@@ -372,7 +372,7 @@ def test_full_network_two_frame_gradients_match_finite_diff():
     classes = [[g.class_id for g in fb] for fb in seq.gt]
 
     def build():
-        state = net.TemporalState.zeros()
+        state = net.zero_state()
         mode = net.NetMode()
         terms = []
         for t in range(2):

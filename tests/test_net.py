@@ -263,7 +263,7 @@ def test_low_unit_perturbation_only_touches_low_levels():
     rng = np.random.default_rng(11)
     pyramid = unified_pyramid(rng)
     mode = net.NetMode()
-    state = net.TemporalState.zeros()
+    state = net.zero_state()
     hidden_a, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, mode)
     params["lstm.low.gate_o.kernel"].data += 0.1
     hidden_b, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, mode)
@@ -278,7 +278,7 @@ def test_output_dims_match_inputs_with_unit_channels():
     params = net.init_params(12, cfg)
     rng = np.random.default_rng(12)
     hidden, state, att = net.temporal_pyramid_forward(
-        unified_pyramid(rng), net.TemporalState.zeros(), params, cfg, net.NetMode())
+        unified_pyramid(rng), net.zero_state(), params, cfg, net.NetMode())
     for lvl, (h, a) in enumerate(zip(hidden, att)):
         s = net.TOY_SIZES[lvl]
         assert h.data.shape == (net.unit_channels(lvl), s, s)
@@ -291,7 +291,7 @@ def test_static_image_memory_accumulates_across_frames():
     params = net.init_params(13, cfg)
     rng = np.random.default_rng(13)
     pyramid = unified_pyramid(rng)
-    state = net.TemporalState.zeros()
+    state = net.zero_state()
     h1, state, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, net.NetMode())
     h2, state, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, net.NetMode())
     assert not np.array_equal(h1[0].data, h2[0].data)
@@ -303,9 +303,9 @@ def test_state_reset_reproduces_first_frame():
     rng = np.random.default_rng(14)
     pyramid = unified_pyramid(rng)
     h1, _, _ = net.temporal_pyramid_forward(
-        pyramid, net.TemporalState.zeros(), params, cfg, net.NetMode())
+        pyramid, net.zero_state(), params, cfg, net.NetMode())
     h1again, _, _ = net.temporal_pyramid_forward(
-        pyramid, net.TemporalState.zeros(), params, cfg, net.NetMode())
+        pyramid, net.zero_state(), params, cfg, net.NetMode())
     for a, b in zip(h1, h1again):
         assert np.array_equal(a.data, b.data)
 
@@ -315,9 +315,9 @@ def test_state_pyramid_mismatch_raises():
     params = net.init_params(15, cfg)
     rng = np.random.default_rng(15)
     pyramid = unified_pyramid(rng)
-    state = net.TemporalState.zeros()
-    state.levels[0] = (T.constant(np.zeros((64, 12, 12))),
-                       T.constant(np.zeros((64, 12, 12))))
+    state = net.zero_state()
+    state[0] = (T.constant(np.zeros((64, 12, 12))),
+                T.constant(np.zeros((64, 12, 12))))
     with pytest.raises(ShapeError):
         net.temporal_pyramid_forward(pyramid, state, params, cfg, net.NetMode())
 
@@ -390,7 +390,7 @@ def test_weight_sharing_one_parameter_set_serves_three_levels():
     assert len(low_names) == 11  # 3 attention kernels + 4 gate kernels + 4 biases
     rng = np.random.default_rng(20)
     pyramid = unified_pyramid(rng)
-    state = net.TemporalState.zeros()
+    state = net.zero_state()
     before, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, net.NetMode())
     params["lstm.low.gate_i.kernel"].data *= 1.5
     after, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, net.NetMode())
@@ -473,3 +473,108 @@ def test_legacy_meta_with_dropout_rate_still_loads(tmp_path):
     _params, loaded = net.load_checkpoint(tmp_path / "ck")
     assert loaded["dropout_rate"] == "0.2"
     assert net.ModelConfig.from_meta(loaded) == cfg
+
+
+def test_forward_on_loaded_params_records_no_tape(tmp_path):
+    cfg = _saved_checkpoint(tmp_path / "ck")
+    params, _meta = net.load_checkpoint(tmp_path / "ck")
+    assert not any(p.requires_grad for p in params.values())
+    frame = T.constant(np.random.default_rng(24).random((3, net.INPUT_SIZE, net.INPUT_SIZE)))
+    head, state, att = net.forward_temporal(frame, net.zero_state(), params, cfg,
+                                            net.NetMode())
+    head, state, att = net.forward_temporal(frame, state, params, cfg, net.NetMode())
+    nodes = [head.loc, head.conf, *att, *(t for pair in state for t in pair)]
+    assert all(n.parents == () and not n.requires_grad for n in nodes)
+
+
+def _drop_manifest_line(ck, name):
+    manifest = ck / "manifest.txt"
+    manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                if not line.startswith(f"{name}\t")))
+    (ck / f"{name}.tnsr").unlink()
+
+
+def _add_tensor(ck, name, shape):
+    T.save_tnsr(ck / f"{name}.tnsr", np.zeros(shape))
+    dims = "x".join(str(d) for d in shape)
+    with open(ck / "manifest.txt", "a") as fh:
+        fh.write(f"{name}\t{name}.tnsr\t{dims}\n")
+
+
+CHECKPOINT_MISMATCHES = {
+    "missing": r"ck/manifest\.txt: tensor head\.conf3\.bias is missing",
+    "extra": r"ck/manifest\.txt:\d+: tensor head\.conf6\.bias is not part of the model",
+    "misshaped": r"ck/manifest\.txt:\d+: tensor head\.conf3\.bias has shape \(7,\), "
+                 r"the model expects \(10,\)",
+    "temporal_without_lstm": r"ck/manifest\.txt: tensor lstm\.low\.att1\.kernel is missing",
+    "static_with_lstm": r"ck/manifest\.txt:\d+: tensor lstm\.high\.att1\.kernel is not part",
+}
+
+
+@pytest.mark.parametrize("case", list(CHECKPOINT_MISMATCHES))
+def test_checkpoint_tensors_must_match_the_model_of_its_meta(tmp_path, case):
+    ck = tmp_path / "ck"
+    if case == "temporal_without_lstm":
+        cfg = net.ModelConfig()
+        net.save_checkpoint(ck, net.init_params(25, cfg, with_lstm=False), cfg.to_meta())
+    elif case == "static_with_lstm":
+        cfg = net.ModelConfig(temporal=False)
+        net.save_checkpoint(ck, net.init_params(25, cfg), cfg.to_meta())
+    else:
+        _saved_checkpoint(ck)
+    if case == "missing":
+        _drop_manifest_line(ck, "head.conf3.bias")
+    elif case == "extra":
+        _add_tensor(ck, "head.conf6.bias", (10,))
+    elif case == "misshaped":
+        _drop_manifest_line(ck, "head.conf3.bias")
+        _add_tensor(ck, "head.conf3.bias", (7,))
+    with pytest.raises(ConfigError, match=CHECKPOINT_MISMATCHES[case]):
+        net.load_checkpoint(ck)
+
+
+def test_checkpoint_meta_value_that_is_not_an_integer_is_config_error(tmp_path):
+    _saved_checkpoint(tmp_path / "ck")
+    meta = tmp_path / "ck" / "meta.txt"
+    meta.write_text(meta.read_text().replace("num_classes = 4", "num_classes = four"))
+    with pytest.raises(ConfigError,
+                       match=r"ck/meta\.txt: num_classes = 'four' is not an integer"):
+        net.load_checkpoint(tmp_path / "ck")
+
+
+def test_failed_checkpoint_write_leaves_nothing_behind(tmp_path, monkeypatch):
+    save_tnsr = T.save_tnsr
+    written = []
+
+    def fail_on_fifth(path, array):
+        written.append(path)
+        if len(written) == 5:
+            raise OSError("disk full")
+        save_tnsr(path, array)
+
+    cfg = net.ModelConfig()
+    params = net.init_params(26, cfg)
+    monkeypatch.setattr(T, "save_tnsr", fail_on_fifth)
+    with pytest.raises(OSError, match="disk full"):
+        net.save_checkpoint(tmp_path / "ck", params, cfg.to_meta())
+    assert len(written) == 5
+    assert list(tmp_path.iterdir()) == []
+
+    monkeypatch.setattr(T, "save_tnsr", save_tnsr)
+    _saved_checkpoint(tmp_path / "ck")
+    before = {f.name: f.read_bytes() for f in (tmp_path / "ck").iterdir()}
+    written.clear()
+    monkeypatch.setattr(T, "save_tnsr", fail_on_fifth)
+    with pytest.raises(OSError, match="disk full"):
+        net.save_checkpoint(tmp_path / "ck", params, cfg.to_meta())
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+    assert {f.name: f.read_bytes() for f in (tmp_path / "ck").iterdir()} == before
+
+    monkeypatch.setattr(T, "save_tnsr", save_tnsr)
+    net.save_checkpoint(tmp_path / "ck", params, cfg.to_meta())
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+    loaded, _meta = net.load_checkpoint(tmp_path / "ck")
+    np.testing.assert_allclose(loaded["backbone.stem.kernel"].data,
+                               params["backbone.stem.kernel"].data, atol=1e-6)
+    assert ((tmp_path / "ck" / "backbone.stem.kernel.tnsr").read_bytes()
+            != before["backbone.stem.kernel.tnsr"])

@@ -7,7 +7,8 @@ from seqdet import tensor as T
 from seqdet import train as TR
 from seqdet.errors import ConfigError
 from seqdet.postproc import make_priors
-from seqdet.synth import gen_sequence, load_video_dir, random_scene, write_dataset
+from seqdet.synth import (gen_sequence, load_dataset_root, load_video_dir, random_scene,
+                          write_dataset)
 
 
 @pytest.fixture(scope="module")
@@ -107,11 +108,11 @@ def test_rmsprop_accumulator_evolves():
 
 def test_clip_gradients_global_norm():
     grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    out = TR.clip_gradients(grads, 1.0)
-    norm = np.sqrt(sum(float((g * g).sum()) for g in out.values()))
-    assert norm == pytest.approx(1.0)
-    same = TR.clip_gradients(grads, 0.0)
-    assert same is grads
+    assert TR.global_norm(grads) == 5.0
+    out = TR.clip_gradients(grads, 1.0, 5.0)
+    assert TR.global_norm(out) == pytest.approx(1.0)
+    assert TR.clip_gradients(grads, 0.0, 5.0) is grads
+    assert TR.clip_gradients(grads, 6.0, 5.0) is grads
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +265,22 @@ def test_same_seed_same_checkpoint_bytes(tiny_root, tmp_path):
 
 
 def test_optimizer_split_update_rules(tiny_root, tmp_path):
-    cfg = TR.TrainConfig(seed=6, epochs=1).resolved()
     s1 = TR.run_stage(1, tiny_root, tmp_path / "s1", TR.TrainConfig(seed=6, epochs=1))
+    cfg2 = TR.TrainConfig(seed=6, epochs=1, stage=2).resolved()
     params, meta = net.load_checkpoint(s1["checkpoint"])
+    # promoted as run_stage does: every tensor outside FROZEN_PREFIXES trains
+    params = {n: p if n.startswith(net.FROZEN_PREFIXES) else T.parameter(p.data, n)
+              for n, p in params.items()}
     net.init_lstm_params(np.random.default_rng(0), params)
     model_cfg = net.ModelConfig.from_meta(meta)
     model_cfg.temporal = True
-    videos = sorted(__import__("seqdet.synth", fromlist=["load_dataset_root"])
-                    .load_dataset_root(tiny_root), key=lambda v: v.name)
-    priors = make_priors()
-    rng = np.random.default_rng(7)
-    cfg2 = TR.TrainConfig(seed=6, epochs=1, stage=2).resolved()
-    total, _ = TR._train_sequence(params, videos[0], cfg2, model_cfg, priors, rng,
-                                  with_asso=False)
+    videos = sorted(load_dataset_root(tiny_root), key=lambda v: v.name)
+    total, _ = TR._train_sequence(params, videos[0], cfg2, model_cfg, make_priors(),
+                                  np.random.default_rng(7), with_asso=False)
     grads = T.backward(total)
+    assert any(n.startswith("head.") for n in grads)
+    assert any(n.startswith("lstm.") for n in grads)
+    assert not any(n.startswith(net.FROZEN_PREFIXES) for n in grads)
     snapshot = {n: p.data.copy() for n, p in params.items()}
     lr = 1e-4
     sgd_params = {n: p for n, p in params.items()
@@ -289,9 +292,45 @@ def test_optimizer_split_update_rules(tiny_root, tmp_path):
         if n.startswith("head."):
             np.testing.assert_allclose(params[n].data, snapshot[n] - lr * g,
                                        rtol=0, atol=1e-15)
-        elif n.startswith("lstm."):
+        else:
             expect = snapshot[n] - lr * g / (np.sqrt(0.1 * g * g) + 1e-8)
             np.testing.assert_allclose(params[n].data, expect, rtol=1e-12, atol=1e-15)
+
+
+def test_stage2_clips_only_the_trained_gradients(tiny_root, tmp_path, monkeypatch):
+    seen = []
+    clip = TR.clip_gradients
+
+    def record(grads, *args):
+        seen.append(sorted(grads))
+        return clip(grads, *args)
+
+    monkeypatch.setattr(TR, "clip_gradients", record)
+    s1 = TR.run_stage(1, tiny_root, tmp_path / "s1", TR.TrainConfig(seed=8, epochs=0))
+    TR.run_stage(2, tiny_root, tmp_path / "s2", TR.TrainConfig(seed=8, epochs=1, clip=0.5),
+                 init_ckpt=s1["checkpoint"])
+    assert len(seen) == 2
+    for names in seen:
+        assert any(n.startswith("head.") for n in names)
+        assert any(n.startswith("lstm.") for n in names)
+        assert not any(n.startswith(net.FROZEN_PREFIXES) for n in names)
+
+
+def test_stage2_stops_on_non_finite_gradient(tiny_root, tmp_path, monkeypatch):
+    s1 = TR.run_stage(1, tiny_root, tmp_path / "s1", TR.TrainConfig(seed=9, epochs=0))
+    backward = T.backward
+
+    def nan_lstm_gradient(loss):
+        grads = backward(loss)
+        grads["lstm.low.gate_i.bias"] = np.full_like(grads["lstm.low.gate_i.bias"], np.nan)
+        return grads
+
+    monkeypatch.setattr(T, "backward", nan_lstm_gradient)
+    with pytest.raises(FloatingPointError,
+                       match="stage 2 epoch 1 step 1: non-finite gradient norm nan"):
+        TR.run_stage(2, tiny_root, tmp_path / "s2", TR.TrainConfig(seed=9, epochs=1),
+                     init_ckpt=s1["checkpoint"])
+    assert not (tmp_path / "s2" / "checkpoint").exists()
 
 
 # ---------------------------------------------------------------------------
