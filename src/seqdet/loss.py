@@ -101,7 +101,7 @@ def loc_conf_loss(head_out, match: MatchResult):
         return T.constant(np.zeros(1)), T.constant(np.zeros(1))
     l_loc = T.smooth_l1_sum(T.gather_rows(head_out.loc, match.matched),
                             match.deltas[match.matched])
-    negatives = hard_negative_indices(head_out.logits(), match.labels,
+    negatives = hard_negative_indices(head_out.conf.data, match.labels,
                                       match.num_matched)
     rows = np.concatenate([match.matched, negatives])
     l_conf = T.sum_all(T.softmax_ce_rows(T.gather_rows(head_out.conf, rows),

@@ -111,19 +111,15 @@ def _lstm_convs():
         convs += [(f"lstm.{unit}.att1", c // 2, 2 * c, 3, False, "relu"),
                   (f"lstm.{unit}.att2", c // 4, c // 2, 3, False, "relu"),
                   (f"lstm.{unit}.att3", 1, c // 4, 3, False, "linear")]
-        convs += [(f"lstm.{unit}.gate_{gate}", c, 2 * c, 3, True, "linear")
-                  for gate in ("i", "f", "o", "c")]
+        # one kernel for all four gates: row blocks i, f, o, c
+        convs.append((f"lstm.{unit}.gates", 4 * c, 2 * c, 3, True, "linear"))
     return convs
 
 
 def _head_convs(cfg: ModelConfig):
-    convs = []
-    for lvl in range(6):
-        c = unit_channels(lvl)
-        convs += [(f"head.loc{lvl}", PRIORS_PER_CELL * 4, c, 3, True, "linear"),
-                  (f"head.conf{lvl}", PRIORS_PER_CELL * (cfg.num_classes + 1), c, 3, True,
-                   "linear")]
-    return convs
+    # one kernel per level: the loc block, then the conf block (see head_forward)
+    return [(f"head.l{lvl}", PRIORS_PER_CELL * (4 + cfg.num_classes + 1),
+             unit_channels(lvl), 3, True, "linear") for lvl in range(6)]
 
 
 def _model_convs(cfg: ModelConfig, with_lstm):
@@ -193,24 +189,15 @@ class ACLSTMWeights:
     att1: Tensor
     att2: Tensor
     att3: Tensor
-    w_i: Tensor
-    b_i: Tensor
-    w_f: Tensor
-    b_f: Tensor
-    w_o: Tensor
-    b_o: Tensor
-    w_c: Tensor
-    b_c: Tensor
+    gates: Tensor                # [4c, 2c, 3, 3], row blocks i, f, o, c
+    gates_bias: Tensor           # [4c]
 
     @classmethod
     def from_params(cls, params, unit):
         p = f"lstm.{unit}"
         return cls(params[f"{p}.att1.kernel"], params[f"{p}.att2.kernel"],
-                   params[f"{p}.att3.kernel"],
-                   params[f"{p}.gate_i.kernel"], params[f"{p}.gate_i.bias"],
-                   params[f"{p}.gate_f.kernel"], params[f"{p}.gate_f.bias"],
-                   params[f"{p}.gate_o.kernel"], params[f"{p}.gate_o.bias"],
-                   params[f"{p}.gate_c.kernel"], params[f"{p}.gate_c.bias"])
+                   params[f"{p}.att3.kernel"], params[f"{p}.gates.kernel"],
+                   params[f"{p}.gates.bias"])
 
 
 def attention_convlstm_step(x, h_prev, s_prev, w: ACLSTMWeights,
@@ -243,8 +230,7 @@ def attention_convlstm_step(x, h_prev, s_prev, w: ACLSTMWeights,
         ax = T.dropout(ax, dropout_rate, rng)
     gate_in = T.concat([ax, h_prev])
     cu = x.data.shape[0]
-    fused = T.conv2d_multi(gate_in, [w.w_i, w.w_f, w.w_o, w.w_c],
-                           [w.b_i, w.b_f, w.b_o, w.b_c], 1, 1)
+    fused = T.conv2d(gate_in, w.gates, w.gates_bias, 1, 1)
     i = T.sigmoid(T.slice_channels(fused, 0, cu))
     f = T.sigmoid(T.slice_channels(fused, cu, 2 * cu))
     o = T.sigmoid(T.slice_channels(fused, 2 * cu, 3 * cu))
@@ -288,19 +274,19 @@ def temporal_pyramid_forward(pyramid, state, params, cfg: ModelConfig, mode: Net
     return hidden, new_state, att_maps
 
 
-def prior_major(maps):
-    """One [P,W] node from per-level head maps: one row per prior, levels in
-    order, cells row-major, the priors of a cell innermost (the order of
-    make_priors). A level map [PRIORS_PER_CELL*W, s, s] packs channel
-    prior*W + column."""
+def prior_major(maps, lo, width):
+    """One [P,width] node from per-level head maps: one row per prior,
+    levels in order, cells row-major, the priors of a cell innermost (the
+    order of make_priors). Column j of a prior's row is channel
+    lo + prior*width + j of its level map."""
     parts = []
     for m in maps:
-        c, s, _ = m.data.shape
-        w = c // PRIORS_PER_CELL
+        s = m.data.shape[1]
         cell = np.arange(s * s)[:, None, None]
         prior = np.arange(PRIORS_PER_CELL)[None, :, None]
-        column = np.arange(w)[None, None, :]
-        parts.append(T.gather(m, ((prior * w + column) * s * s + cell).reshape(-1, w)))
+        column = np.arange(width)[None, None, :]
+        channel = lo + prior * width + column
+        parts.append(T.gather(m, (channel * s * s + cell).reshape(-1, width)))
     return T.concat(parts)
 
 
@@ -311,21 +297,14 @@ class HeadOut:
     loc: Tensor
     conf: Tensor
 
-    def deltas(self):
-        return self.loc.data
-
-    def logits(self):
-        return self.conf.data
-
 
 def head_forward(hidden_pyramid, params):
-    loc_maps, conf_maps = [], []
-    for lvl, fmap in enumerate(hidden_pyramid):
-        loc_maps.append(T.conv2d(fmap, params[f"head.loc{lvl}.kernel"],
-                                 params[f"head.loc{lvl}.bias"], 1, 1))
-        conf_maps.append(T.conv2d(fmap, params[f"head.conf{lvl}.kernel"],
-                                  params[f"head.conf{lvl}.bias"], 1, 1))
-    return HeadOut(prior_major(loc_maps), prior_major(conf_maps))
+    """One conv per level. Its map packs the loc block (PRIORS_PER_CELL*4
+    channels) and then the conf block (PRIORS_PER_CELL*(K+1) channels)."""
+    maps = [T.conv2d(fmap, params[f"head.l{lvl}.kernel"], params[f"head.l{lvl}.bias"], 1, 1)
+            for lvl, fmap in enumerate(hidden_pyramid)]
+    conf_width = maps[0].data.shape[0] // PRIORS_PER_CELL - 4
+    return HeadOut(prior_major(maps, 0, 4), prior_major(maps, PRIORS_PER_CELL * 4, conf_width))
 
 
 def forward_static(image, params):
@@ -399,6 +378,9 @@ def load_checkpoint(ckpt_dir):
             int(meta[key])
         except ValueError:
             raise ConfigError(f"{meta_path}: {key} = {meta[key]!r} is not an integer") from None
+    for key in ("attention_enabled", "temporal"):
+        if int(meta[key]) not in (0, 1):
+            raise ConfigError(f"{meta_path}: {key} = {meta[key]!r} must be 0 or 1")
     if meta["priors_per_cell"] != str(PRIORS_PER_CELL):
         raise ConfigError(f"{meta_path}: priors_per_cell = {meta['priors_per_cell']}, "
                           f"but the prior grid has {PRIORS_PER_CELL} per cell")

@@ -206,7 +206,7 @@ def write_detections_jsonl(path, frames):
 def read_detections_jsonl(path):
     """Returns {frame_index: [Detection, ...]} preserving line order."""
     frames = {}
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -221,6 +221,6 @@ def read_detections_jsonl(path):
                                 else np.asarray(rec["av"], dtype=np.float64),
                                 id=int(rec.get("id", -1)))
                 frames.setdefault(int(rec["frame"]), []).append(det)
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, OverflowError) as exc:
                 raise ParseError(f"{path}:{lineno}: bad detection record ({exc})") from exc
     return frames

@@ -309,7 +309,7 @@ def load_video_dir(path) -> Video:
     per = {i: ([], [], [], []) for i in range(1, len(frames) + 1)}
     gt_path = path / "gt.csv"
     if gt_path.exists():
-        with open(gt_path) as fh:
+        with open(gt_path, errors="replace") as fh:
             for lineno, row in enumerate(csv.reader(fh), 1):
                 if not row:
                     continue

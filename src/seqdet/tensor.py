@@ -13,6 +13,7 @@ only inside TNSR files.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -384,45 +385,6 @@ def conv2d(x, kernel, bias=None, stride=1, pad=0):
     return Tensor(out.reshape(c_out, h2, w2), parents, bwd)
 
 
-def conv2d_multi(x, kernels, biases, stride=1, pad=0):
-    """Several same-geometry convolutions of one input, fused into a
-    single im2col + GEMM. Returns the stacked [sum(C_out),H',W'] tensor;
-    use slice_channels to split. Gradients land on each kernel/bias."""
-    c_outs = []
-    k0 = kernels[0].data.shape[2]
-    for kern, b in zip(kernels, biases):
-        c_out, k = _check_conv_args(x, kern, b, stride, pad)
-        if k != k0:
-            raise ShapeError("conv2d_multi: all kernels must share one size")
-        c_outs.append(c_out)
-    cols, h2, w2 = _im2col(x.data, k0, stride, pad)
-    km = np.concatenate([kern.data.reshape(c, -1)
-                         for kern, c in zip(kernels, c_outs)], axis=0)
-    out = km @ cols
-    bvec = np.concatenate([np.zeros(c) if b is None else b.data
-                           for b, c in zip(biases, c_outs)])
-    out += bvec[:, None]
-    offs = np.cumsum([0] + c_outs)
-    parents = (x,) + tuple(kernels) + tuple(b for b in biases if b is not None)
-
-    def bwd(g):
-        gm = g.reshape(sum(c_outs), -1)
-        cols_b, _, _ = _im2col(x.data, k0, stride, pad)
-        gk = gm @ cols_b.T
-        for kern, b, lo, hi in zip(kernels, biases, offs[:-1], offs[1:]):
-            if kern.requires_grad:
-                kern._accumulate(gk[lo:hi].reshape(kern.data.shape))
-            if b is not None and b.requires_grad:
-                b._accumulate(gm[lo:hi].sum(axis=1))
-        if x.requires_grad:
-            km_b = np.concatenate([kern.data.reshape(hi - lo, -1)
-                                   for kern, lo, hi in zip(kernels, offs[:-1], offs[1:])],
-                                  axis=0)
-            x._accumulate(_col2im(km_b.T @ gm, x.data.shape, k0, stride, pad))
-
-    return Tensor(out.reshape(sum(c_outs), h2, w2), parents, bwd)
-
-
 def slice_channels(x, lo, hi):
     """Contiguous channel slice of a [C,H,W] tensor."""
     if x.data.ndim != 3:
@@ -674,7 +636,7 @@ def load_tnsr(path):
     if len(raw) < off:
         raise ParseError(f"{path}: truncated header, {len(raw)} bytes for rank {rank}")
     dims = struct.unpack_from(f"<{rank}I", raw, 5)
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     if len(raw) - off != 4 * n:
         raise ParseError(f"{path}: payload size {len(raw) - off} != {4 * n}")
     return np.frombuffer(raw, dtype="<f4", count=n, offset=off).astype(np.float64).reshape(dims)

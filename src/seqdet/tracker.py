@@ -40,6 +40,8 @@ class TrackerParams:
                 f"generation_score must be in (0,1], got {self.generation_score}")
         if self.tub_len_max < 1:
             raise ConfigError(f"tub_len_max must be >= 1, got {self.tub_len_max}")
+        if self.max_miss < 0:
+            raise ConfigError(f"max_miss must be >= 0, got {self.max_miss}")
         if self.similarity not in ("attention_iou", "iou_only"):
             raise ConfigError(f"unknown similarity mode {self.similarity!r}")
         return self
@@ -202,7 +204,7 @@ def write_mot_csv(path, frames, canvas=96):
 def read_mot_csv(path):
     """Rows as (frame, id, left, top, width, height, conf, extras...)."""
     rows = []
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -216,7 +218,7 @@ def read_mot_csv(path):
                 tid = int(float(parts[1]))
                 vals = [float(v) for v in parts[2:7]]
                 extras = [float(v) for v in parts[7:]]
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ParseError(f"{path}:{lineno}: bad number ({exc})") from exc
             rows.append((frame, tid, *vals, *extras))
     return rows

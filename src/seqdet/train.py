@@ -150,7 +150,7 @@ CONFIG_KEYS = {
 def parse_config_file(path):
     """key = value lines; # starts a comment; unknown keys are rejected."""
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(errors="replace").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -178,8 +178,8 @@ def frame_ground_truth(video, t):
 def detections_for_frame(head, priors, conf_thresh, profile_name, num_classes):
     """Numeric detection pipeline keeping prior indices (training + eval)."""
     profile = get_profile(profile_name)
-    boxes = decode(priors, head.deltas())
-    probs = softmax_rows(head.logits())
+    boxes = decode(priors, head.loc.data)
+    probs = softmax_rows(head.conf.data)
     out = []
     for c in range(1, num_classes + 1):
         out.extend(select_class_candidates(probs[:, c], boxes, c, conf_thresh, profile))
@@ -450,9 +450,8 @@ def build_aclstm_case(seed=0, frames=3, channels=4, size=5):
     net._conv_param(pr, params, "lstm.u.att2", c // 4, c // 2, 3, bias=False)
     net._conv_param(pr, params, "lstm.u.att3", 1, max(c // 4, 1), 3, bias=False,
                     gain="linear")
-    for gate in ("i", "f", "o", "c"):
-        net._conv_param(pr, params, f"lstm.u.gate_{gate}", c, 2 * c, 3, gain="linear")
-    net._conv_param(pr, params, "head.loc", 3, channels, 3, gain="linear")
+    net._conv_param(pr, params, "lstm.u.gates", 4 * c, 2 * c, 3, gain="linear")
+    net._conv_param(pr, params, "head", 3, channels, 3, gain="linear")
     w = net.ACLSTMWeights.from_params(params, "u")
     xs = [T.constant(rng.standard_normal((channels, size, size)) * 0.8)
           for _ in range(frames)]
@@ -466,7 +465,7 @@ def build_aclstm_case(seed=0, frames=3, channels=4, size=5):
         terms = []
         for x in xs:
             h, s, a = net.attention_convlstm_step(x, h, s, w)
-            head = T.conv2d(h, params["head.loc.kernel"], params["head.loc.bias"], 1, 1)
+            head = T.conv2d(h, params["head.kernel"], params["head.bias"], 1, 1)
             vec = T.gather(head, pick)
             terms.append(T.smooth_l1_sum(vec, loc_target))
             terms.append(T.bce_mean(T.bilinear_resize(a, 8, 8), att_target))

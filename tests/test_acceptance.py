@@ -64,9 +64,7 @@ def test_c02_zero_weight_recurrent_step_closed_form():
     z = lambda shape: T.constant(np.zeros(shape))
     w = net.ACLSTMWeights(
         att1=z((c // 2, 2 * c, 3, 3)), att2=z((c // 4, c // 2, 3, 3)),
-        att3=z((1, c // 4, 3, 3)),
-        w_i=z((c, 2 * c, 3, 3)), b_i=z(c), w_f=z((c, 2 * c, 3, 3)), b_f=z(c),
-        w_o=z((c, 2 * c, 3, 3)), b_o=z(c), w_c=z((c, 2 * c, 3, 3)), b_c=z(c))
+        att3=z((1, c // 4, 3, 3)), gates=z((4 * c, 2 * c, 3, 3)), gates_bias=z(4 * c))
     x = T.constant(rng.standard_normal((c, sz, sz)))
     h_prev = T.constant(np.zeros((c, sz, sz)))
     s_prev = T.constant(rng.standard_normal((c, sz, sz)))
@@ -100,8 +98,7 @@ def test_c03_attention_toggle_reproduces_plain_convlstm_bitwise():
         s = T.constant(np.zeros_like(h.data))
         for _frame in range(3):
             gate_in = T.concat([pyramid[lvl], h])
-            fused = T.conv2d_multi(gate_in, [w.w_i, w.w_f, w.w_o, w.w_c],
-                                   [w.b_i, w.b_f, w.b_o, w.b_c], 1, 1)
+            fused = T.conv2d(gate_in, w.gates, w.gates_bias, 1, 1)
             i = T.sigmoid(T.slice_channels(fused, 0, cu))
             f = T.sigmoid(T.slice_channels(fused, cu, 2 * cu))
             o = T.sigmoid(T.slice_channels(fused, 2 * cu, 3 * cu))

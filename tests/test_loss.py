@@ -24,7 +24,12 @@ def small_priors():
 
 
 def head_from_maps(loc_maps, conf_maps):
-    return net.HeadOut(net.prior_major(loc_maps), net.prior_major(conf_maps))
+    """HeadOut of per-level loc and conf maps, packed the way head_forward's
+    one conv per level packs them: the loc channels, then the conf channels."""
+    ppc = net.PRIORS_PER_CELL
+    maps = [T.concat([loc, conf]) for loc, conf in zip(loc_maps, conf_maps)]
+    conf_width = conf_maps[0].data.shape[0] // ppc
+    return net.HeadOut(net.prior_major(maps, 0, 4), net.prior_major(maps, ppc * 4, conf_width))
 
 
 def head_from_arrays(loc, conf):
@@ -120,8 +125,8 @@ def test_loc_conf_matches_straight_line_reference():
     m = L.match_priors(gt, [1, 4], priors)
     l_loc, l_conf = L.loc_conf_loss(head, m)
 
-    deltas = head.deltas()
-    logits = head.logits()
+    deltas = head.loc.data
+    logits = head.conf.data
 
     def smooth_l1(d):
         ad = abs(d)
@@ -386,13 +391,21 @@ def test_full_network_two_frame_gradients_match_finite_diff():
 
     grads = T.backward(build())
     rng = np.random.default_rng(9)
-    # heads of levels with no matched or mined prior legitimately get no grad
-    wanted = ["backbone.c0.kernel", "unify.l0.kernel", "lstm.low.gate_f.kernel",
-              "lstm.low.att1.kernel", "lstm.high.gate_i.bias", "head.loc0.kernel",
-              "head.conf1.kernel", "lstm.low.gate_c.bias"]
-    names = [n for n in wanted if n in grads]
-    assert len(names) >= 6
-    picks = [(n, int(rng.integers(params[n].data.size))) for n in names]
+    # (name, first row, end row): the fused tensors are probed inside one
+    # block, e.g. rows [64, 128) of the low gates are the f gate and rows
+    # [8, 18) of a head are its conf block; heads of levels with no matched
+    # or mined prior legitimately get no grad
+    c_low, c_high = net.C_LOW, net.C_HIGH
+    wanted = [("backbone.c0.kernel", 0, 32), ("unify.l0.kernel", 0, 64),
+              ("lstm.low.gates.kernel", c_low, 2 * c_low), ("lstm.low.att1.kernel", 0, 32),
+              ("lstm.high.gates.bias", 0, c_high), ("head.l0.kernel", 0, 8),
+              ("head.l1.kernel", 8, 18), ("lstm.low.gates.bias", 3 * c_low, 4 * c_low)]
+    wanted = [w for w in wanted if w[0] in grads]
+    assert len(wanted) >= 6
+    picks = []
+    for name, lo, hi in wanted:
+        row = params[name].data[0].size
+        picks.append((name, int(rng.integers(lo * row, hi * row))))
 
     h = 1e-5
     for name, idx in picks:

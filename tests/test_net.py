@@ -13,19 +13,23 @@ def zero_lstm_weights(c):
         return T.constant(np.zeros(shape))
     return net.ACLSTMWeights(
         att1=z((c // 2, 2 * c, 3, 3)), att2=z((c // 4, c // 2, 3, 3)),
-        att3=z((1, c // 4, 3, 3)),
-        w_i=z((c, 2 * c, 3, 3)), b_i=z(c), w_f=z((c, 2 * c, 3, 3)), b_f=z(c),
-        w_o=z((c, 2 * c, 3, 3)), b_o=z(c), w_c=z((c, 2 * c, 3, 3)), b_c=z(c))
+        att3=z((1, c // 4, 3, 3)), gates=z((4 * c, 2 * c, 3, 3)), gates_bias=z(4 * c))
 
 
 def random_lstm_weights(rng, c, scale=0.3):
     def r(shape):
-        return T.constant(rng.standard_normal(shape) * scale)
-    return net.ACLSTMWeights(
-        att1=r((c // 2, 2 * c, 3, 3)), att2=r((c // 4, c // 2, 3, 3)),
-        att3=r((1, c // 4, 3, 3)),
-        w_i=r((c, 2 * c, 3, 3)), b_i=r(c), w_f=r((c, 2 * c, 3, 3)), b_f=r(c),
-        w_o=r((c, 2 * c, 3, 3)), b_o=r(c), w_c=r((c, 2 * c, 3, 3)), b_c=r(c))
+        return rng.standard_normal(shape) * scale
+    att = [r((c // 2, 2 * c, 3, 3)), r((c // 4, c // 2, 3, 3)), r((1, c // 4, 3, 3))]
+    # kernel then bias of gates i, f, o, c, stacked into the fused blocks
+    gates = [(r((c, 2 * c, 3, 3)), r(c)) for _gate in "ifoc"]
+    return net.ACLSTMWeights(*map(T.constant, att),
+                             gates=T.constant(np.concatenate([k for k, _b in gates])),
+                             gates_bias=T.constant(np.concatenate([b for _k, b in gates])))
+
+
+def gate_block(w, g, c):
+    """(kernel, bias) arrays of gate block g (0..3 = i, f, o, c) of w."""
+    return w.gates.data[g * c:(g + 1) * c], w.gates_bias.data[g * c:(g + 1) * c]
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +147,6 @@ def test_zero_weight_step_zero_memory_gives_zero_hidden():
     assert np.all(h.data == 0.0)
 
 
-def plain_convlstm_reference(x, h_prev, s_prev, w):
-    """Straight-line ConvLSTM step on the raw input via naive convs."""
-    cat = np.concatenate([x, h_prev], axis=0)
-
-    def sig(v):
-        return 1 / (1 + np.exp(-v))
-
-    i = sig(naive_conv2d(cat, w.w_i.data, w.b_i.data, 1, 1))
-    f = sig(naive_conv2d(cat, w.w_f.data, w.b_f.data, 1, 1))
-    o = sig(naive_conv2d(cat, w.w_o.data, w.b_o.data, 1, 1))
-    c = np.tanh(naive_conv2d(cat, w.w_c.data, w.b_c.data, 1, 1))
-    s = f * s_prev + i * c
-    return o * np.tanh(s), s
-
-
 def test_attention_disabled_matches_plain_convlstm_bitwise():
     rng = np.random.default_rng(7)
     c, sz = 4, 5
@@ -171,8 +160,7 @@ def test_attention_disabled_matches_plain_convlstm_bitwise():
     assert np.all(a.data == 1.0)
     # plain ConvLSTM step written out directly over the same gate primitive
     gate_in = T.concat([x, h0])
-    fused = T.conv2d_multi(gate_in, [w.w_i, w.w_f, w.w_o, w.w_c],
-                           [w.b_i, w.b_f, w.b_o, w.b_c], 1, 1)
+    fused = T.conv2d(gate_in, w.gates, w.gates_bias, 1, 1)
     i = T.sigmoid(T.slice_channels(fused, 0, c))
     f = T.sigmoid(T.slice_channels(fused, c, 2 * c))
     o = T.sigmoid(T.slice_channels(fused, 2 * c, 3 * c))
@@ -206,10 +194,10 @@ def test_three_step_unroll_matches_straight_line_reference():
         a = sig(naive_conv2d(a2, w.att3.data, None, 1, 1))
         ax = a * x
         cat2 = np.concatenate([ax, hr], axis=0)
-        i = sig(naive_conv2d(cat2, w.w_i.data, w.b_i.data, 1, 1))
-        f = sig(naive_conv2d(cat2, w.w_f.data, w.b_f.data, 1, 1))
-        o = sig(naive_conv2d(cat2, w.w_o.data, w.b_o.data, 1, 1))
-        cc = np.tanh(naive_conv2d(cat2, w.w_c.data, w.b_c.data, 1, 1))
+        i = sig(naive_conv2d(cat2, *gate_block(w, 0, c), 1, 1))
+        f = sig(naive_conv2d(cat2, *gate_block(w, 1, c), 1, 1))
+        o = sig(naive_conv2d(cat2, *gate_block(w, 2, c), 1, 1))
+        cc = np.tanh(naive_conv2d(cat2, *gate_block(w, 3, c), 1, 1))
         sr = f * sr + i * cc
         hr = o * np.tanh(sr)
 
@@ -265,7 +253,7 @@ def test_low_unit_perturbation_only_touches_low_levels():
     mode = net.NetMode()
     state = net.zero_state()
     hidden_a, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, mode)
-    params["lstm.low.gate_o.kernel"].data += 0.1
+    params["lstm.low.gates.kernel"].data[2 * net.C_LOW:3 * net.C_LOW] += 0.1  # o block
     hidden_b, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, mode)
     for lvl in (0, 1, 2):
         assert not np.array_equal(hidden_a[lvl].data, hidden_b[lvl].data)
@@ -334,16 +322,16 @@ def test_heads_zero_weights_give_zero_outputs():
             t.data[...] = 0.0
     rng = np.random.default_rng(16)
     out = net.head_forward(unified_pyramid(rng), params)
-    assert np.all(out.deltas() == 0.0)
-    assert np.all(out.logits() == 0.0)
+    assert np.all(out.loc.data == 0.0)
+    assert np.all(out.conf.data == 0.0)
 
 
 def test_head_output_counts():
     cfg = net.ModelConfig()
     params = net.init_params(17, cfg)
     out = net.head_forward(unified_pyramid(np.random.default_rng(17)), params)
-    assert out.deltas().shape == (1540, 4)
-    assert out.logits().shape == (1540, 5)
+    assert out.loc.data.shape == (1540, 4)
+    assert out.conf.data.shape == (1540, 5)
 
 
 def test_head_matches_naive_reference_and_layout():
@@ -353,15 +341,18 @@ def test_head_matches_naive_reference_and_layout():
     pyramid = unified_pyramid(rng)
     out = net.head_forward(pyramid, params)
     lvl = 1
-    ref = naive_conv2d(pyramid[lvl].data, params[f"head.loc{lvl}.kernel"].data,
-                       params[f"head.loc{lvl}.bias"].data, 1, 1)
-    # prior rows follow the (level, cell row-major, prior) channel packing
+    ref = naive_conv2d(pyramid[lvl].data, params[f"head.l{lvl}.kernel"].data,
+                       params[f"head.l{lvl}.bias"].data, 1, 1)
+    # prior rows follow the (level, cell row-major, prior) channel packing;
+    # the level map holds the 2*4 loc channels, then the 2*5 conf channels
     base = 2 * net.TOY_SIZES[0] ** 2
     s = net.TOY_SIZES[lvl]
     for cell, j in [(0, 0), (5, 1), (s * s - 1, 0)]:
         p = base + cell * 2 + j
         y, x = divmod(cell, s)
-        np.testing.assert_allclose(out.deltas()[p], ref[j * 4:(j + 1) * 4, y, x],
+        np.testing.assert_allclose(out.loc.data[p], ref[j * 4:(j + 1) * 4, y, x],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.conf.data[p], ref[8 + j * 5:8 + (j + 1) * 5, y, x],
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -369,30 +360,35 @@ def test_head_graph_nodes_agree_with_flat_views():
     cfg = net.ModelConfig()
     params = net.init_params(19, cfg)
     out = net.head_forward(unified_pyramid(np.random.default_rng(19)), params)
-    assert out.deltas() is out.loc.data and out.logits() is out.conf.data
     # one gradient per prior row lands on that prior's channels and cell only
     ids = [0, 3, 1200, 1539]
     weights = np.zeros((1540, 5))
     weights[ids, 2] = 1.0
-    grads = T.backward(T.sum_all(T.mul(out.conf, T.constant(weights))))
-    # prior 1539 is the second prior of the single level-5 cell: channel 5 + 2
+    loc_weights = np.zeros((1540, 4))
+    loc_weights[1539, 1] = 1.0
+    grads = T.backward(T.add(T.sum_all(T.mul(out.conf, T.constant(weights))),
+                             T.sum_all(T.mul(out.loc, T.constant(loc_weights)))))
+    # prior 1539 is the second prior of the single level-5 cell: loc channel
+    # 4 + 1, conf channel 8 (after the loc block) + 5 + 2
     assert net.TOY_SIZES[5] == 1
-    expect = np.zeros(params["head.conf5.bias"].data.shape)
-    expect[5 + 2] = 1.0
-    np.testing.assert_array_equal(grads["head.conf5.bias"], expect)
-    assert "head.loc0.kernel" not in grads
+    expect = np.zeros(params["head.l5.bias"].data.shape)
+    expect[4 + 1] = 1.0
+    expect[8 + 5 + 2] = 1.0
+    np.testing.assert_array_equal(grads["head.l5.bias"], expect)
+    # level 0 gets conf gradients only: its loc block stays zero
+    assert np.all(grads["head.l0.kernel"][:8] == 0.0) and np.any(grads["head.l0.kernel"][8:])
 
 
 def test_weight_sharing_one_parameter_set_serves_three_levels():
     cfg = net.ModelConfig()
     params = net.init_params(20, cfg)
     low_names = [n for n in params if n.startswith("lstm.low.")]
-    assert len(low_names) == 11  # 3 attention kernels + 4 gate kernels + 4 biases
+    assert len(low_names) == 5  # 3 attention kernels + the fused gate kernel and bias
     rng = np.random.default_rng(20)
     pyramid = unified_pyramid(rng)
     state = net.zero_state()
     before, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, net.NetMode())
-    params["lstm.low.gate_i.kernel"].data *= 1.5
+    params["lstm.low.gates.kernel"].data[:net.C_LOW] *= 1.5  # i block
     after, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, net.NetMode())
     assert all(not np.array_equal(before[l].data, after[l].data) for l in (0, 1, 2))
 
@@ -501,13 +497,34 @@ def _add_tensor(ck, name, shape):
         fh.write(f"{name}\t{name}.tnsr\t{dims}\n")
 
 
+def test_init_params_tensor_counts():
+    cfg = net.ModelConfig()
+    temporal = net.init_params(0, cfg)
+    static = net.init_params(0, cfg, with_lstm=False)
+    assert (len(temporal), len(static)) == (42, 32)
+    assert {n: t.data.shape for n, t in temporal.items()} == net.param_shapes(cfg, True)
+    assert temporal["lstm.low.gates.kernel"].data.shape == (4 * 64, 2 * 64, 3, 3)
+    assert temporal["head.l3.bias"].data.shape == (2 * (4 + 4 + 1),)
+
+
+@pytest.mark.parametrize("key,value", [("attention_enabled", "7"), ("temporal", "2"),
+                                       ("temporal", "-1")])
+def test_checkpoint_meta_flag_other_than_0_or_1_is_config_error(tmp_path, key, value):
+    _saved_checkpoint(tmp_path / "ck")
+    meta = tmp_path / "ck" / "meta.txt"
+    meta.write_text(meta.read_text().replace(f"{key} = 1", f"{key} = {value}"))
+    with pytest.raises(ConfigError, match=rf"ck/meta\.txt: {key} = '{value}' must be 0 or 1"):
+        net.load_checkpoint(tmp_path / "ck")
+
+
 CHECKPOINT_MISMATCHES = {
-    "missing": r"ck/manifest\.txt: tensor head\.conf3\.bias is missing",
-    "extra": r"ck/manifest\.txt:\d+: tensor head\.conf6\.bias is not part of the model",
-    "misshaped": r"ck/manifest\.txt:\d+: tensor head\.conf3\.bias has shape \(7,\), "
-                 r"the model expects \(10,\)",
+    "missing": r"ck/manifest\.txt: tensor head\.l3\.bias is missing",
+    "extra": r"ck/manifest\.txt:\d+: tensor head\.l6\.bias is not part of the model",
+    "misshaped": r"ck/manifest\.txt:\d+: tensor head\.l3\.bias has shape \(7,\), "
+                 r"the model expects \(18,\)",
     "temporal_without_lstm": r"ck/manifest\.txt: tensor lstm\.low\.att1\.kernel is missing",
     "static_with_lstm": r"ck/manifest\.txt:\d+: tensor lstm\.high\.att1\.kernel is not part",
+    "per_gate_layout": r"ck/manifest\.txt:\d+: tensor lstm\.low\.gate_i\.kernel is not part",
 }
 
 
@@ -523,12 +540,15 @@ def test_checkpoint_tensors_must_match_the_model_of_its_meta(tmp_path, case):
     else:
         _saved_checkpoint(ck)
     if case == "missing":
-        _drop_manifest_line(ck, "head.conf3.bias")
+        _drop_manifest_line(ck, "head.l3.bias")
     elif case == "extra":
-        _add_tensor(ck, "head.conf6.bias", (10,))
+        _add_tensor(ck, "head.l6.bias", (18,))
     elif case == "misshaped":
-        _drop_manifest_line(ck, "head.conf3.bias")
-        _add_tensor(ck, "head.conf3.bias", (7,))
+        _drop_manifest_line(ck, "head.l3.bias")
+        _add_tensor(ck, "head.l3.bias", (7,))
+    elif case == "per_gate_layout":
+        _drop_manifest_line(ck, "lstm.low.gates.kernel")
+        _add_tensor(ck, "lstm.low.gate_i.kernel", (64, 128, 3, 3))
     with pytest.raises(ConfigError, match=CHECKPOINT_MISMATCHES[case]):
         net.load_checkpoint(ck)
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from seqdet import postproc as pp
+from seqdet import tensor as T
 from seqdet.errors import ConfigError, ParseError
+from seqdet.net import HeadOut
 from seqdet.train import detections_for_frame
 
 from refimpl import naive_iou, naive_nms
@@ -155,25 +157,16 @@ def test_profiles_and_unknown_profile():
         pp.get_profile("coco")
 
 
-class ArrayHead:
-    """Stand-in for net.HeadOut: fixed per-prior offset and logit arrays."""
-
-    def __init__(self, deltas, logits):
-        self._deltas = deltas
-        self._logits = logits
-
-    def deltas(self):
-        return self._deltas
-
-    def logits(self):
-        return self._logits
+def array_head(deltas, logits):
+    """A net.HeadOut of fixed per-prior offset and logit arrays."""
+    return HeadOut(T.constant(deltas), T.constant(logits))
 
 
 def test_detect_uniform_zero_logits_yields_nothing():
     priors = pp.make_priors()
     deltas = np.zeros((len(priors), 4))
     logits = np.zeros((len(priors), 5))   # 4 classes + background -> scores 0.2
-    out = detections_for_frame(ArrayHead(deltas, logits), priors, 0.3, "vid", 4)
+    out = detections_for_frame(array_head(deltas, logits), priors, 0.3, "vid", 4)
     assert out == []
 
 
@@ -182,7 +175,7 @@ def test_detect_single_dominant_prior():
     deltas = np.zeros((len(priors), 4))
     logits = np.zeros((len(priors), 5))
     logits[37, 2] = 12.0
-    out = detections_for_frame(ArrayHead(deltas, logits), priors, 0.3, "vid", 4)
+    out = detections_for_frame(array_head(deltas, logits), priors, 0.3, "vid", 4)
     assert len(out) == 1
     assert out[0].class_id == 2
     assert out[0].prior_index == 37
@@ -194,7 +187,7 @@ def test_detect_equals_manual_composition():
     priors = pp.make_priors()
     deltas = rng.standard_normal((len(priors), 4)) * 0.3
     logits = rng.standard_normal((len(priors), 5)) * 2
-    out = detections_for_frame(ArrayHead(deltas, logits), priors, 0.25, "mot", 4)
+    out = detections_for_frame(array_head(deltas, logits), priors, 0.25, "mot", 4)
 
     boxes = pp.decode(priors, deltas)
     probs = pp.softmax_rows(logits)
@@ -234,6 +227,17 @@ def test_detections_jsonl_parse_error_carries_line(tmp_path):
     path.write_text('{"frame": 1, "class": 1, "score": 0.5, "box": [0,0,1,1], "id": -1}\n'
                     '{"frame": 2, "class": "x"}\n')
     with pytest.raises(ParseError, match=":2:"):
+        pp.read_detections_jsonl(path)
+
+
+@pytest.mark.parametrize("key,value", [("frame", "1e400"), ("frame", "-Infinity"),
+                                       ("id", "1e400"), ("class", "Infinity")])
+def test_detections_jsonl_frame_id_or_class_beyond_int_is_parse_error(tmp_path, key, value):
+    path = tmp_path / "big.jsonl"
+    rec = {"frame": "1", "class": "1", "score": "0.5", "box": "[0, 0, 1, 1]", "id": "2",
+           key: value}
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in rec.items()) + "}\n")
+    with pytest.raises(ParseError, match=r"big\.jsonl:1: bad detection record"):
         pp.read_detections_jsonl(path)
 
 

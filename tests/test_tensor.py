@@ -252,7 +252,7 @@ OPS = [
     ("softmax_prob_rows", lambda rng: _softmax_prob_rows_case(rng)),
     ("bce_mean", lambda rng: _bce_case(rng)),
     ("gather_rows", lambda rng: _gather_rows_case(rng)),
-    ("conv2d_multi", lambda rng: _conv_multi_case(rng)),
+    ("conv2d_split", lambda rng: _conv_split_case(rng)),
     ("slice_channels", lambda rng: _slice_case(rng)),
 ]
 
@@ -339,14 +339,18 @@ def _gather_rows_case(rng):
     return x0, lambda x: T.sum_all(T.tanh(T.concat([T.gather_rows(x, ROW_IDS), other])))
 
 
-def _conv_multi_case(rng):
-    x0 = rng.standard_normal((2, 2, 3, 3))
+def _conv_split_case(rng):
+    # one stacked kernel whose output blocks feed different ops, as the
+    # ConvLSTM gates do
+    x0 = rng.standard_normal((5, 2, 3, 3))
     inp = T.constant(rng.standard_normal((2, 5, 5)))
-    k2 = T.constant(rng.standard_normal((3, 2, 3, 3)))
-    b1 = T.constant(rng.standard_normal(2))
-    b2 = T.constant(rng.standard_normal(3))
-    return x0, lambda k: T.sum_all(T.tanh(
-        T.conv2d_multi(inp, [k, k2], [b1, b2], 1, 1)))
+    bias = T.constant(rng.standard_normal(5))
+
+    def build(k):
+        out = T.conv2d(inp, k, bias, 1, 1)
+        return T.add(T.sum_all(T.sigmoid(T.slice_channels(out, 0, 2))),
+                     T.sum_all(T.tanh(T.slice_channels(out, 2, 5))))
+    return x0, build
 
 
 def _slice_case(rng):
@@ -479,6 +483,14 @@ def test_tnsr_bad_magic(tmp_path):
     p = tmp_path / "bad.tnsr"
     p.write_bytes(b"NOPE" + bytes(10))
     with pytest.raises(ParseError):
+        T.load_tnsr(p)
+
+
+def test_tnsr_dims_whose_product_overflows_int64_are_a_parse_error(tmp_path):
+    # 65536**4 == 2**64 wraps to 0 in int64, which matched the empty payload
+    p = tmp_path / "huge.tnsr"
+    p.write_bytes(b"TNSR" + bytes([4]) + (65536).to_bytes(4, "little") * 4)
+    with pytest.raises(ParseError, match=r"huge\.tnsr: payload size 0 != 73786976294838206464"):
         T.load_tnsr(p)
 
 

@@ -361,6 +361,14 @@ def test_mot_csv_parse_error_line_number(tmp_path):
         TK.read_mot_csv(p)
 
 
+@pytest.mark.parametrize("frame,tid", [("inf", "1"), ("1", "1e400"), ("-inf", "2")])
+def test_mot_csv_frame_or_id_beyond_int_is_parse_error(tmp_path, frame, tid):
+    p = tmp_path / "big.csv"
+    p.write_text(f"1,1,0,0,5,5,0.9\n{frame},{tid},0,0,5,5,0.9\n")
+    with pytest.raises(ParseError, match=r"big\.csv:2: bad number"):
+        TK.read_mot_csv(p)
+
+
 def test_tracker_params_validation():
     with pytest.raises(ConfigError):
         TK.TrackerParams(match_threshold=0.0).validate()
@@ -370,3 +378,5 @@ def test_tracker_params_validation():
         TK.TrackerParams(tub_len_max=0).validate()
     with pytest.raises(ConfigError):
         TK.TrackerParams(similarity="l2").validate()
+    with pytest.raises(ConfigError, match="max_miss must be >= 0, got -1"):
+        TK.TrackerParams(max_miss=-1).validate()

@@ -322,7 +322,7 @@ def test_stage2_stops_on_non_finite_gradient(tiny_root, tmp_path, monkeypatch):
 
     def nan_lstm_gradient(loss):
         grads = backward(loss)
-        grads["lstm.low.gate_i.bias"] = np.full_like(grads["lstm.low.gate_i.bias"], np.nan)
+        grads["lstm.low.gates.bias"] = np.full_like(grads["lstm.low.gates.bias"], np.nan)
         return grads
 
     monkeypatch.setattr(T, "backward", nan_lstm_gradient)
