@@ -10,6 +10,7 @@ ground truth, bit for bit.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -299,13 +300,33 @@ class Video:
     canvas: int = CANVAS
 
 
+def _gt_row_problem(frame, l, t, w, h, cls, num_frames):
+    """What makes a parsed gt row unusable, or None."""
+    if not all(map(math.isfinite, (l, t, w, h))):
+        return f"box values must be finite, got {[l, t, w, h]}"
+    if w <= 0 or h <= 0:
+        return f"box width and height must be > 0, got {w} x {h}"
+    if not 1 <= frame <= num_frames:
+        return f"frame {frame} outside 1..{num_frames}"
+    if cls < 1:
+        return f"class {cls} must be >= 1"
+    return None
+
+
 def load_video_dir(path) -> Video:
     path = Path(path)
     frame_files = sorted((path / "frames").glob("*.tnsr"))
     if not frame_files:
         raise ConfigError(f"{path}: no frames/*.tnsr found")
     frames = [load_tnsr(f) for f in frame_files]
-    canvas = frames[0].shape[-1]
+    shape = frames[0].shape
+    if len(shape) != 3 or shape[0] != 3 or shape[1] != shape[2]:
+        raise ConfigError(f"{frame_files[0]}: a frame must be [3,S,S], got {list(shape)}")
+    for f, frame in zip(frame_files, frames):
+        if frame.shape != shape:
+            raise ConfigError(f"{f}: frame shape {list(frame.shape)} differs from "
+                              f"the first frame's {list(shape)}")
+    canvas = shape[-1]
     per = {i: ([], [], [], []) for i in range(1, len(frames) + 1)}
     gt_path = path / "gt.csv"
     if gt_path.exists():
@@ -320,12 +341,14 @@ def load_video_dir(path) -> Video:
                     cls = int(row[10]) if len(row) > 10 else 1
                 except (ValueError, IndexError) as exc:
                     raise ParseError(f"{gt_path}:{lineno}: bad gt row ({exc})") from exc
-                if fidx in per:
-                    ids, clss, bn, bp = per[fidx]
-                    ids.append(oid)
-                    clss.append(cls)
-                    bn.append([l / canvas, t / canvas, (l + w) / canvas, (t + h) / canvas])
-                    bp.append([l, t, w, h])
+                problem = _gt_row_problem(fidx, l, t, w, h, cls, len(frames))
+                if problem:
+                    raise ParseError(f"{gt_path}:{lineno}: {problem}")
+                ids, clss, bn, bp = per[fidx]
+                ids.append(oid)
+                clss.append(cls)
+                bn.append([l / canvas, t / canvas, (l + w) / canvas, (t + h) / canvas])
+                bp.append([l, t, w, h])
     return Video(
         name=path.name,
         frames=frames,

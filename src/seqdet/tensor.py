@@ -13,6 +13,7 @@ only inside TNSR files.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 
@@ -403,64 +404,47 @@ def slice_channels(x, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# bilinear resize
-
-_RESIZE_PLANS = {}
+# bilinear sampling
 
 
-def _resize_plan(n, n2):
-    key = (n, n2)
-    plan = _RESIZE_PLANS.get(key)
-    if plan is None:
-        # Sample centers at (i + 0.5) * n/n2 - 0.5, clamped to the map.
-        src = np.clip((np.arange(n2) + 0.5) * (n / n2) - 0.5, 0.0, n - 1.0)
-        lo = np.floor(src).astype(np.intp)
-        frac = src - lo
-        hi = np.minimum(lo + 1, n - 1)
-        plan = (lo, hi, frac)
-        _RESIZE_PLANS[key] = plan
-    return plan
+def bilinear_weights(coords, n):
+    """[len(coords), n] matrix of bilinear weights for samples at `coords`
+    (pixel units, pixel i centred at i) along an axis of length n. Samples
+    clamp to [0, n-1], so the edge pixels extend outward. Every bilinear
+    sample in the package is this matrix applied along each axis."""
+    src = np.clip(np.asarray(coords, dtype=np.float64), 0.0, n - 1.0)
+    lo = np.floor(src).astype(np.intp)
+    frac = src - lo
+    rows = np.arange(len(src))
+    w = np.zeros((len(src), n))
+    w[rows, lo] = 1.0 - frac
+    w[rows, np.minimum(lo + 1, n - 1)] += frac
+    return w
 
 
-def bilinear_resize_array(a, h2, w2):
-    """Resize [C,H,W] (or [H,W]) ndarray with half-pixel centers and edge clamp."""
-    squeeze = a.ndim == 2
-    if squeeze:
-        a = a[None]
-    c, h, w = a.shape
-    y0, y1, wy = _resize_plan(h, h2)
-    x0, x1, wx = _resize_plan(w, w2)
-    top = a[:, y0][:, :, x0] * (1 - wx) + a[:, y0][:, :, x1] * wx
-    bot = a[:, y1][:, :, x0] * (1 - wx) + a[:, y1][:, :, x1] * wx
-    out = top * (1 - wy)[:, None] + bot * wy[:, None]
-    return out[0] if squeeze else out
+@functools.cache
+def _resize_matrix(n, n2):
+    """Weights resizing an axis of length n to n2, sample i at
+    (i + 0.5) * n/n2 - 0.5 (half-pixel centres)."""
+    return bilinear_weights((np.arange(n2) + 0.5) * (n / n2) - 0.5, n)
 
 
 def bilinear_resize(x, h2, w2):
-    """Differentiable bilinear resize of a [C,H,W] tensor to [C,h2,w2]."""
+    """Differentiable bilinear resize of a [C,H,W] tensor to [C,h2,w2]:
+    Ry @ x @ Rx^T per channel, so the backward is Ry^T @ g @ Rx."""
     if x.data.ndim != 3:
         raise ShapeError(f"bilinear_resize: input must be [C,H,W], got {x.data.shape}")
     if h2 < 1 or w2 < 1:
         raise ShapeError(f"bilinear_resize: target {h2}x{w2} invalid")
-    c, h, w = x.data.shape
-    y0, y1, wy = _resize_plan(h, h2)
-    x0, x1, wx = _resize_plan(w, w2)
-    out = bilinear_resize_array(x.data, h2, w2)
+    _, h, w = x.data.shape
+    ry = _resize_matrix(h, h2)
+    rx = _resize_matrix(w, w2)
 
     def bwd(g):
-        if not x.requires_grad:
-            return
-        ga = np.zeros_like(x.data)
-        cc = np.arange(c)[:, None, None]
-        wy2 = wy[None, :, None]
-        wx2 = wx[None, None, :]
-        np.add.at(ga, (cc, y0[None, :, None], x0[None, None, :]), g * (1 - wy2) * (1 - wx2))
-        np.add.at(ga, (cc, y0[None, :, None], x1[None, None, :]), g * (1 - wy2) * wx2)
-        np.add.at(ga, (cc, y1[None, :, None], x0[None, None, :]), g * wy2 * (1 - wx2))
-        np.add.at(ga, (cc, y1[None, :, None], x1[None, None, :]), g * wy2 * wx2)
-        x._accumulate(ga)
+        if x.requires_grad:
+            x._accumulate(ry.T @ g @ rx)
 
-    return Tensor(out, (x,), bwd)
+    return Tensor(ry @ x.data @ rx.T, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,14 @@ reused.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ParseError
 from .postproc import Detection, iou
-from .tensor import Tensor, load_tnsr
+from .tensor import bilinear_weights, load_tnsr
 
 AV_GRID = 7          # each low-level attention map resamples to 7x7
 AV_LEVELS = 3        # number of low-level maps feeding the descriptor (147 values)
@@ -61,36 +62,21 @@ class TrackState:
     next_id: int = 0
 
 
-def _as_map(m):
-    m = m.data if isinstance(m, Tensor) else np.asarray(m, dtype=np.float64)
-    return m[None] if m.ndim == 2 else m
-
-
 def attention_vector_for_box(att_maps, box):
-    """Appearance descriptor of one box: each low-level attention map
-    sampled on a 7x7 bilinear grid over the box (half-pixel centers, edge
-    clamp), flattened and concatenated (length 147). The unit box
+    """Appearance descriptor of one box: each low-level [1,S,S] attention
+    map sampled on a 7x7 bilinear grid over the box (half-pixel centers,
+    edge clamp), flattened and concatenated (length 147). The unit box
     [0, 0, 1, 1] resamples each whole map."""
     if len(att_maps) < AV_LEVELS:
         raise ConfigError(f"need {AV_LEVELS} low-level maps, got {len(att_maps)}")
     x1, y1, x2, y2 = (float(v) for v in box)
+    grid = (np.arange(AV_GRID) + 0.5) / AV_GRID
     parts = []
     for m in att_maps[:AV_LEVELS]:
-        m = _as_map(m)[0]
-        s = m.shape[0]
-        gx = np.clip((x1 + (np.arange(AV_GRID) + 0.5) / AV_GRID * (x2 - x1)) * s - 0.5,
-                     0, s - 1)
-        gy = np.clip((y1 + (np.arange(AV_GRID) + 0.5) / AV_GRID * (y2 - y1)) * s - 0.5,
-                     0, s - 1)
-        x0 = np.floor(gx).astype(int)
-        y0 = np.floor(gy).astype(int)
-        x1i = np.minimum(x0 + 1, s - 1)
-        y1i = np.minimum(y0 + 1, s - 1)
-        fx = gx - x0
-        fy = gy - y0
-        top = m[y0][:, x0] * (1 - fx) + m[y0][:, x1i] * fx
-        bot = m[y1i][:, x0] * (1 - fx) + m[y1i][:, x1i] * fx
-        parts.append((top * (1 - fy)[:, None] + bot * fy[:, None]).reshape(-1))
+        s = m.shape[-1]
+        ry = bilinear_weights((y1 + grid * (y2 - y1)) * s - 0.5, s)
+        rx = bilinear_weights((x1 + grid * (x2 - x1)) * s - 0.5, s)
+        parts.append((ry @ m[0] @ rx.T).reshape(-1))
     return np.concatenate(parts)
 
 
@@ -220,6 +206,8 @@ def read_mot_csv(path):
                 extras = [float(v) for v in parts[7:]]
             except (ValueError, OverflowError) as exc:
                 raise ParseError(f"{path}:{lineno}: bad number ({exc})") from exc
+            if not all(map(math.isfinite, vals)):
+                raise ParseError(f"{path}:{lineno}: box and conf must be finite, got {vals}")
             rows.append((frame, tid, *vals, *extras))
     return rows
 

@@ -349,6 +349,12 @@ def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
         if not any(name.startswith(net.LSTM_PREFIX) for name in params):
             net.init_lstm_params(np.random.default_rng((cfg.seed, 0x15)), params)
 
+    for video in videos:
+        top = max((int(c.max()) for c in video.classes if len(c)), default=0)
+        if top > model_cfg.num_classes:
+            raise ConfigError(f"{video.name}: gt class {top} exceeds the model's "
+                              f"num_classes = {model_cfg.num_classes}")
+
     rms_params = {n: p for n, p in params.items() if n.startswith(net.LSTM_PREFIX)}
     sgd_params = {n: p for n, p in params.items()
                   if p.requires_grad and n not in rms_params}

@@ -49,6 +49,32 @@ def naive_bilinear_resize(a, h2, w2):
     return out
 
 
+def naive_box_descriptor(maps, box, grid=7):
+    """Per-sample evaluation of the box descriptor: each [1,S,S] map read at
+    grid x grid points spread evenly over the box (half-pixel centres inside
+    the box, edge clamp on the map), row-major, maps concatenated."""
+    bx1, by1, bx2, by2 = (float(v) for v in box)
+    out = []
+    for m in maps:
+        a = m[0]
+        s = a.shape[0]
+        for i in range(grid):
+            sy = (by1 + (i + 0.5) / grid * (by2 - by1)) * s - 0.5
+            sy = min(max(sy, 0.0), s - 1.0)
+            y0 = int(np.floor(sy))
+            y1 = min(y0 + 1, s - 1)
+            fy = sy - y0
+            for j in range(grid):
+                sx = (bx1 + (j + 0.5) / grid * (bx2 - bx1)) * s - 0.5
+                sx = min(max(sx, 0.0), s - 1.0)
+                x0 = int(np.floor(sx))
+                x1 = min(x0 + 1, s - 1)
+                fx = sx - x0
+                out.append((1 - fy) * (1 - fx) * a[y0, x0] + (1 - fy) * fx * a[y0, x1]
+                           + fy * (1 - fx) * a[y1, x0] + fy * fx * a[y1, x1])
+    return np.array(out)
+
+
 def naive_iou(a, b):
     ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
     iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))

@@ -1,9 +1,10 @@
 """Seeded fuzz sweeps over the file parsers.
 
 Each sweep mutates a valid file a fixed number of times (field swaps,
-truncations, byte flips and insertions) and parses the result. Whatever
-the bytes, the parser either returns or raises a ParseError/ConfigError
-that names the file, plus the line for line formats.
+truncations, byte flips and insertions, or for the MOT/gt row layout
+numbers that break a row's meaning) and parses the result. Whatever the
+bytes, the parser either returns or raises a ParseError/ConfigError that
+names the file, plus the line for line formats.
 """
 
 import re
@@ -49,12 +50,32 @@ def _mutate(rng, raw: bytes, sep: bytes) -> bytes:
     return raw[:pos] + noise + raw[pos:]
 
 
-def _sweep(seed, path, raw, sep, parse):
+# value-level mutations of the MOT/gt row layout: column -> values that parse
+# as numbers but break a row's meaning (frame outside 1..V in a 2-frame
+# video, non-finite or non-positive box sizes, non-finite conf, class < 1)
+BAD_VALUES = {0: ["0", "-1", "3", "1000000"],
+              2: ["nan", "inf", "-inf"], 3: ["nan", "inf", "-inf"],
+              4: ["nan", "inf", "0", "-4", "-0.5"], 5: ["nan", "-inf", "0", "-4"],
+              6: ["nan", "inf", "-inf"], 10: ["0", "-2", "nan"]}
+
+
+def _mutate_value(rng, raw: bytes, sep: bytes) -> bytes:
+    lines = raw.rstrip(b"\n").split(b"\n")
+    i = int(rng.integers(len(lines)))
+    fields = lines[i].split(sep)
+    cols = [c for c in BAD_VALUES if c < len(fields)]
+    col = cols[int(rng.integers(len(cols)))]
+    fields[col] = BAD_VALUES[col][int(rng.integers(len(BAD_VALUES[col])))].encode()
+    lines[i] = sep.join(fields)
+    return b"\n".join(lines) + b"\n"
+
+
+def _sweep(seed, path, raw, sep, parse, mutate=_mutate):
     rng = np.random.default_rng(seed)
     where = re.escape(str(path)) + r":\d+: "
     raised = 0
     for case in range(CASES):
-        path.write_bytes(_mutate(rng, raw, sep))
+        path.write_bytes(mutate(rng, raw, sep))
         try:
             parse(path)
         except (ParseError, ConfigError) as exc:
@@ -110,6 +131,7 @@ def test_fuzz_mot_csv(tmp_path):
     raw = b"1,1,10.0,12.0,20.0,30.0,0.9,-1,-1,-1\n1,2,40,42,8,9,0.5,-1,-1,-1,2\n" \
           b"2,1,11.5,12.5,20,30,0.8,-1,-1,-1\n"
     _sweep(52, tmp_path / "fuzz.csv", raw, b",", TK.read_mot_csv)
+    _sweep(55, tmp_path / "fuzz.csv", raw, b",", TK.read_mot_csv, _mutate_value)
 
 
 def test_fuzz_gt_csv(tmp_path):
@@ -119,6 +141,8 @@ def test_fuzz_gt_csv(tmp_path):
         T.save_tnsr(video / "frames" / f"{i:06d}.tnsr", np.zeros((3, 8, 8)))
     raw = b"1,1,1.000,2.000,3.000,4.000,1,-1,-1,-1,2\n2,1,1.500,2.000,3.000,4.000,1,-1,-1,-1,2\n"
     _sweep(53, video / "gt.csv", raw, b",", lambda _p: synth.load_video_dir(video))
+    _sweep(56, video / "gt.csv", raw, b",", lambda _p: synth.load_video_dir(video),
+           _mutate_value)
 
 
 def test_fuzz_config_file(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from seqdet import synth
-from seqdet.errors import ConfigError
+from seqdet import tensor as T
+from seqdet.errors import ConfigError, ParseError
 from seqdet.postproc import iou
 
 
@@ -100,6 +101,42 @@ def test_dataset_round_trip(tmp_path):
         np.stack([g.corners_norm() for g in seq.gt[2]]), atol=1e-3)
     roots = synth.load_dataset_root(tmp_path)
     assert len(roots) == 1 and roots[0].name == "v0"
+
+
+def _two_frame_video(tmp_path, gt_row, shapes=((3, 8, 8), (3, 8, 8))):
+    video = tmp_path / "vid"
+    (video / "frames").mkdir(parents=True)
+    for i, shape in enumerate(shapes, start=1):
+        T.save_tnsr(video / "frames" / f"{i:06d}.tnsr", np.zeros(shape))
+    (video / "gt.csv").write_text("1,1,1,2,3,4,1,-1,-1,-1,2\n" + gt_row + "\n")
+    return video
+
+
+@pytest.mark.parametrize("row,message", [
+    ("1,1,nan,2,inf,-4,1,-1,-1,-1,2", "finite"),
+    ("2,1,1,2,3,inf,1,-1,-1,-1,2", "finite"),
+    ("2,1,1,2,0,4,1,-1,-1,-1,2", "width and height"),
+    ("2,1,1,2,3,-4,1,-1,-1,-1,2", "width and height"),
+    ("3,1,1,2,3,4,1,-1,-1,-1,2", "frame 3 outside 1..2"),
+    ("0,1,1,2,3,4,1,-1,-1,-1,2", "frame 0 outside 1..2"),
+    ("2,1,1,2,3,4,1,-1,-1,-1,0", "class 0"),
+], ids=["nan_box", "inf_height", "zero_width", "negative_height", "frame_past_end",
+        "frame_0", "class_0"])
+def test_gt_row_with_unusable_values_is_parse_error(tmp_path, row, message):
+    video = _two_frame_video(tmp_path, row)
+    with pytest.raises(ParseError, match=rf"gt\.csv:2: .*{message}"):
+        synth.load_video_dir(video)
+
+
+@pytest.mark.parametrize("shapes", [((3, 8, 8), (3, 6, 6)), ((3, 8, 8), (1, 8, 8)),
+                                    ((3, 8, 6), (3, 8, 6)), ((8, 8), (8, 8))],
+                         ids=["smaller_second", "one_channel_second", "not_square",
+                              "rank_2"])
+def test_frames_of_another_shape_are_config_error(tmp_path, shapes):
+    video = _two_frame_video(tmp_path, "2,1,1,2,3,4,1,-1,-1,-1,2", shapes)
+    with pytest.raises(ConfigError, match=r"frames/00000[12]\.tnsr: ") as err:
+        synth.load_video_dir(video)
+    assert "\n" not in str(err.value)
 
 
 def test_identity_embeddings_separate_and_stable():

@@ -134,6 +134,11 @@ def test_resize_2x2_to_1x4_hand_values():
     np.testing.assert_allclose(out.data[0, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-15)
 
 
+# fixed upsamples: one pixel spread over every output sample, and a 4x
+# upsample whose outer samples clamp at both edges
+UPSAMPLES = [((1, 1), (9, 7)), ((3, 3), (12, 12))]
+
+
 def test_resize_matches_per_pixel_reference():
     rng = np.random.default_rng(8)
     for _ in range(12):
@@ -142,6 +147,11 @@ def test_resize_matches_per_pixel_reference():
         a = rng.random((2, h, w))
         out = T.bilinear_resize(T.constant(a), int(h2), int(w2))
         np.testing.assert_allclose(out.data, naive_bilinear_resize(a, int(h2), int(w2)),
+                                   rtol=1e-12, atol=1e-12)
+    for (h, w), (h2, w2) in UPSAMPLES:
+        a = rng.random((2, h, w))
+        out = T.bilinear_resize(T.constant(a), h2, w2)
+        np.testing.assert_allclose(out.data, naive_bilinear_resize(a, h2, w2),
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -239,6 +249,8 @@ OPS = [
     ("tanh", lambda rng: _unary_case(rng, T.tanh)),
     ("relu", lambda rng: _unary_case(rng, T.relu)),
     ("resize", lambda rng: _resize_case(rng)),
+    ("resize_1x1_to_9x7", lambda rng: _resize_case(rng, (2, 1, 1), 9, 7)),
+    ("resize_3x3_to_12x12", lambda rng: _resize_case(rng, (2, 3, 3), 12, 12)),
     ("add", lambda rng: _binary_case(rng, T.add)),
     ("sub", lambda rng: _binary_case(rng, T.sub)),
     ("mul", lambda rng: _binary_case(rng, T.mul)),
@@ -286,9 +298,9 @@ def _conv_case(rng):
     return x0, lambda k: T.sum_all(T.tanh(T.conv2d(inp, k, None, 2, 1)))
 
 
-def _resize_case(rng):
-    x0 = rng.standard_normal((2, 3, 4))
-    return x0, lambda x: T.sum_all(T.sigmoid(T.bilinear_resize(x, 7, 5)))
+def _resize_case(rng, shape=(2, 3, 4), h2=7, w2=5):
+    x0 = rng.standard_normal(shape)
+    return x0, lambda x: T.sum_all(T.sigmoid(T.bilinear_resize(x, h2, w2)))
 
 
 def _gather_case(rng):

@@ -7,7 +7,7 @@ from seqdet import tracker as TK
 from seqdet.errors import ConfigError, ParseError
 from seqdet.postproc import Detection
 
-from refimpl import naive_bilinear_resize, naive_iou
+from refimpl import naive_bilinear_resize, naive_box_descriptor, naive_iou
 
 
 def det(score, box, av=None, cls=1):
@@ -67,6 +67,18 @@ def test_attention_vector_for_box_constant_region():
     m[0, 4:12, 4:12] = 0.7
     av = TK.attention_vector_for_box([m, m, m], [0.3, 0.3, 0.7, 0.7])
     np.testing.assert_allclose(av, 0.7, atol=1e-12)
+
+
+def test_attention_vector_for_box_matches_per_sample_oracle():
+    """Random boxes, partly outside the frame so the edge clamp is hit."""
+    rng = np.random.default_rng(4)
+    maps = [rng.random((1, s, s)) for s in (24, 12, 6)]
+    for _ in range(200):
+        x1, x2 = np.sort(rng.uniform(-0.2, 1.2, 2))
+        y1, y2 = np.sort(rng.uniform(-0.2, 1.2, 2))
+        box = [x1, y1, x2, y2]
+        np.testing.assert_allclose(TK.attention_vector_for_box(maps, box),
+                                   naive_box_descriptor(maps, box), rtol=1e-12, atol=1e-12)
 
 
 def test_attention_similarity_basic():
@@ -366,6 +378,17 @@ def test_mot_csv_frame_or_id_beyond_int_is_parse_error(tmp_path, frame, tid):
     p = tmp_path / "big.csv"
     p.write_text(f"1,1,0,0,5,5,0.9\n{frame},{tid},0,0,5,5,0.9\n")
     with pytest.raises(ParseError, match=r"big\.csv:2: bad number"):
+        TK.read_mot_csv(p)
+
+
+@pytest.mark.parametrize("fields", ["nan,0,5,5,0.9", "0,inf,5,5,0.9", "0,0,-inf,5,0.9",
+                                    "0,0,5,nan,0.9", "0,0,5,5,nan", "0,0,5,5,inf"],
+                         ids=["left_nan", "top_inf", "width_minus_inf", "height_nan",
+                              "conf_nan", "conf_inf"])
+def test_mot_csv_non_finite_box_or_conf_is_parse_error(tmp_path, fields):
+    p = tmp_path / "vals.csv"
+    p.write_text(f"1,1,0,0,5,5,0.9\n2,1,{fields},-1,-1,-1\n")
+    with pytest.raises(ParseError, match=r"vals\.csv:2: box and conf must be finite"):
         TK.read_mot_csv(p)
 
 

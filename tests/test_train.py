@@ -238,6 +238,31 @@ def test_stage2_stops_on_non_finite_loss(tmp_path):
     assert not (tmp_path / "s2" / "checkpoint").exists()
 
 
+@pytest.mark.parametrize("stage", [1, 2])
+def test_gt_class_above_num_classes_fails_before_first_step(tmp_path, stage, monkeypatch):
+    root = tmp_path / "data"
+    write_dataset(gen_sequence(random_scene(61, num_objects=1, length=4)),
+                  root / "video_000")
+    gt = root / "video_000" / "gt.csv"
+    gt.write_text(gt.read_text() + "3,9,10,10,20,20,1,-1,-1,-1,7\n")
+    init = None
+    if stage == 2:
+        model = net.ModelConfig(temporal=False)
+        init = tmp_path / "s1"
+        net.save_checkpoint(init, net.init_params(0, model, with_lstm=False), model.to_meta())
+
+    def no_step(*_a, **_k):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(TR, "_train_static_epoch", no_step)
+    monkeypatch.setattr(TR, "_train_sequence", no_step)
+    with pytest.raises(ConfigError, match="^video_000: gt class 7 exceeds the model's "
+                                          "num_classes = 4$"):
+        TR.run_stage(stage, root, tmp_path / "out", TR.TrainConfig(epochs=1, seq_len=2),
+                     init_ckpt=init)
+    assert not (tmp_path / "out" / "loss.csv").exists()
+
+
 def test_stage2_zero_epochs_round_trips_checkpoint(tiny_root, tmp_path):
     cfg = TR.TrainConfig(seed=4, epochs=1)
     s1 = TR.run_stage(1, tiny_root, tmp_path / "s1", cfg)
