@@ -146,9 +146,6 @@ def cmd_track(args, guard):
         frames = TK.ingest_detections(args.mot, args.embeddings, canvas=args.canvas)
     else:
         raise ConfigError("track needs --dets JSONL or --mot CSV input")
-    for _f, dets in frames:
-        for d in dets:
-            d.id = -1
     tracked = TK.track_frames(frames, _tracker_params(args))
     TK.write_mot_csv(out, tracked, canvas=args.canvas)
     _log_config(out.parent, args)
@@ -239,19 +236,19 @@ def cmd_sweep(args, guard):
     else:
         if not (args.dets and args.gt_csv):
             raise ConfigError(f"sweep --param {args.param} needs --dets and --gt-csv")
+        by_frame = read_detections_jsonl(args.dets)
+        frames = [(f, by_frame[f]) for f in sorted(by_frame)]
+        gt_rows = TK.read_mot_csv(args.gt_csv)
         for v in values:
             params = _tracker_params(args)
             if args.param == "T":
                 params = replace(params, match_threshold=v)
             else:
                 params = replace(params, tub_len_max=max(int(v), 1))
-            by_frame = read_detections_jsonl(args.dets)
-            frames = [(f, [d.copy() for d in by_frame[f]]) for f in sorted(by_frame)]
             tracked = TK.track_frames(frames, params)
             res_path = guard.register(out.parent / f"{out.stem}_{args.param}{v}.csv")
             TK.write_mot_csv(res_path, tracked, canvas=args.canvas)
-            rep = EV.mot_metrics(TK.read_mot_csv(res_path),
-                                 TK.read_mot_csv(args.gt_csv))
+            rep = EV.mot_metrics(TK.read_mot_csv(res_path), gt_rows)
             rows.append((v, rep.mota, rep.ids))
         header = f"{args.param},MOTA,IDS"
         body = [f"{v},{mota:.6f},{ids}" for v, mota, ids in rows]

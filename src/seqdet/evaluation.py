@@ -19,7 +19,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .postproc import iou
+from .errors import ConfigError
+from .postproc import iou_matrix
+from .postproc import iou  # noqa: F401 (a lookup site perfbench's tracer tests wrap)
 
 
 def _ap_all_points(recalls, precisions):
@@ -31,46 +33,44 @@ def _ap_all_points(recalls, precisions):
     return float(np.sum((mrec[idx + 1] - mrec[idx]) * mpre[idx + 1]))
 
 
+def _check_iou_threshold(value):
+    if not 0 < value <= 1:
+        raise ConfigError(f"IoU threshold must be in (0, 1], got {value}")
+
+
 def voc_map(dets_by_frame, gts_by_frame, iou_thresh=0.5, num_classes=4):
     """dets_by_frame: {frame: [Detection]}; gts_by_frame: {frame: (boxes, classes)}.
 
     Returns (per-class AP dict, mAP). A detection is a true positive when
-    its best-IoU unmatched ground-truth box of the same class reaches
-    iou_thresh; each box is creditable once.
+    its best-IoU ground-truth box of the same class and frame reaches
+    iou_thresh and is not yet matched; each box is creditable once.
     """
+    _check_iou_threshold(iou_thresh)
     aps = {}
     for c in range(1, num_classes + 1):
-        gt_count = 0
-        gt_used = {}
-        for f, (boxes, classes) in gts_by_frame.items():
-            mask = np.asarray(classes, dtype=int) == c
-            gt_used[f] = (np.asarray(boxes, dtype=np.float64).reshape(-1, 4)[mask],
-                          np.zeros(int(mask.sum()), dtype=bool))
-            gt_count += int(mask.sum())
+        gt = {f: np.asarray(boxes, dtype=np.float64).reshape(-1, 4)[
+                  np.asarray(classes, dtype=int) == c]
+              for f, (boxes, classes) in gts_by_frame.items()}
+        gt_count = sum(len(b) for b in gt.values())
         if gt_count == 0:
             continue
-        cand = []
+        used = {f: np.zeros(len(b), dtype=bool) for f, b in gt.items()}
+        cand = []           # (-score, frame, index within the frame, IoU row)
         for f in sorted(dets_by_frame):
-            for i, d in enumerate(dets_by_frame[f]):
-                if d.class_id == c:
-                    cand.append((-d.score, f, i, d))
-        cand.sort(key=lambda r: (r[0], r[1], r[2]))
+            dets = [d for d in dets_by_frame[f] if d.class_id == c]
+            if dets:
+                ious = iou_matrix([d.box for d in dets], gt.get(f, np.empty((0, 4))))
+                cand += [(-d.score, f, i, row) for i, (d, row) in enumerate(zip(dets, ious))]
+        cand.sort(key=lambda r: r[:3])
         tp = np.zeros(len(cand))
-        fp = np.zeros(len(cand))
-        for rank, (_s, f, _i, d) in enumerate(cand):
-            boxes, used = gt_used.get(f, (np.empty((0, 4)), np.empty(0, dtype=bool)))
-            best, best_iou = -1, 0.0
-            for g in range(len(boxes)):
-                v = iou(d.box, boxes[g])
-                if v > best_iou:
-                    best, best_iou = g, v
-            if best >= 0 and best_iou >= iou_thresh and not used[best]:
-                used[best] = True
-                tp[rank] = 1
-            else:
-                fp[rank] = 1
+        for rank, (_s, f, _i, row) in enumerate(cand):
+            if row.size:
+                best = row.argmax()
+                if row[best] >= iou_thresh and not used[f][best]:
+                    used[f][best] = True
+                    tp[rank] = 1
         ctp = np.cumsum(tp)
-        cfp = np.cumsum(fp)
+        cfp = np.cumsum(1 - tp)
         recalls = ctp / gt_count
         precisions = ctp / np.maximum(ctp + cfp, 1e-12)
         aps[c] = _ap_all_points(recalls, precisions) if len(cand) else 0.0
@@ -127,6 +127,7 @@ def _rows_by_frame(rows):
 
 def mot_metrics(result_rows, gt_rows, iou_gate=0.5):
     """CLEAR-MOT over one sequence of MOT-format rows."""
+    _check_iou_threshold(iou_gate)
     gt_frames = _rows_by_frame(gt_rows)
     hyp_frames = _rows_by_frame(result_rows)
     corr = {}                       # gt id -> last matched hypothesis id
@@ -141,42 +142,32 @@ def mot_metrics(result_rows, gt_rows, iou_gate=0.5):
         hyps = hyp_frames.get(frame, [])
         for gid, _ in gts:
             track_total[gid] = track_total.get(gid, 0) + 1
+        ov = iou_matrix([b for _g, b in gts], [b for _h, b in hyps])
+        gated = ov >= iou_gate
         hyp_by_id = {hid: i for i, (hid, _b) in enumerate(hyps)}
-        gt_free = list(range(len(gts)))
-        hyp_free = set(range(len(hyps)))
         matches = []
         # persistence: keep an existing correspondence while still gated
-        for gi in list(gt_free):
-            gid, gbox = gts[gi]
-            hid = corr.get(gid)
-            if hid is not None and hid in hyp_by_id and hyp_by_id[hid] in hyp_free:
-                hi = hyp_by_id[hid]
-                v = iou(gbox, hyps[hi][1])
-                if v >= iou_gate:
-                    matches.append((gi, hi, v))
-                    gt_free.remove(gi)
-                    hyp_free.discard(hi)
-        # remaining pairs matched greedily by descending IoU
-        pairs = []
-        for gi in gt_free:
-            for hi in hyp_free:
-                v = iou(gts[gi][1], hyps[hi][1])
-                if v >= iou_gate:
-                    pairs.append((-v, gi, hi))
-        pairs.sort()
-        taken_g, taken_h = set(), set()
-        for nv, gi, hi in pairs:
-            if gi not in taken_g and hi not in taken_h:
-                taken_g.add(gi)
-                taken_h.add(hi)
-                matches.append((gi, hi, -nv))
-        for gi, hi, v in matches:
-            gid = gts[gi][0]
-            hid = hyps[hi][0]
+        for gi, (gid, _b) in enumerate(gts):
+            hi = hyp_by_id.get(corr.get(gid))
+            if hi is not None and gated[gi, hi]:
+                matches.append((gi, hi))
+                gated[gi, :] = False
+                gated[:, hi] = False
+        # remaining pairs matched greedily by (-IoU, gt index, hyp index)
+        rows, cols = np.nonzero(gated)
+        for k in np.argsort(-ov[rows, cols], kind="stable"):
+            g, h = rows[k], cols[k]
+            if gated[g, h]:
+                matches.append((g, h))
+                gated[g, :] = False
+                gated[:, h] = False
+        for g, h in matches:
+            gid = gts[g][0]
+            hid = hyps[h][0]
             if gid in corr and corr[gid] != hid:
                 ids += 1
             corr[gid] = hid
-            motp_sum += v
+            motp_sum += float(ov[g, h])
             num_matches += 1
             track_matched[gid] = track_matched.get(gid, 0) + 1
         fp += len(hyps) - len(matches)

@@ -105,11 +105,7 @@ def corner_to_center(corners):
 
 def iou(a, b):
     """Jaccard overlap of two corner-form boxes; 0 when the union is empty."""
-    ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
-    iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
-    inter = ix * iy
-    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
-    return inter / union if union > 0 else 0.0
+    return float(iou_matrix(a, b)[0, 0])
 
 
 def iou_matrix(a, b):
@@ -213,12 +209,16 @@ def read_detections_jsonl(path):
                 continue
             try:
                 rec = json.loads(line)
-                box = np.asarray(rec["box"], dtype=np.float64)
-                if box.shape != (4,):
-                    raise ValueError(f"box must hold 4 numbers, got {rec['box']!r}")
-                det = Detection(int(rec["class"]), float(rec["score"]), box,
-                                av=None if "av" not in rec
-                                else np.asarray(rec["av"], dtype=np.float64),
+                box, av = rec["box"], rec.get("av", [])
+                if not (isinstance(box, list) and len(box) == 4):
+                    raise ValueError(f"box must hold 4 numbers, got {box!r}")
+                if not isinstance(av, list):
+                    raise ValueError(f"av must be a list of numbers, got {av!r}")
+                vals = np.asarray([rec["score"], *box, *av], dtype=np.float64)
+                if not np.isfinite(vals).all():
+                    raise ValueError("score, box and av must be finite")
+                det = Detection(int(rec["class"]), float(vals[0]), vals[1:5],
+                                av=vals[5:] if "av" in rec else None,
                                 id=int(rec.get("id", -1)))
                 frames.setdefault(int(rec["frame"]), []).append(det)
             except (KeyError, ValueError, TypeError, OverflowError) as exc:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .postproc import Detection, iou
+from .postproc import Detection, iou_matrix
+from .postproc import iou  # noqa: F401 (a lookup site perfbench's tracer tests wrap)
 from .tensor import bilinear_weights, load_tnsr
 
 AV_GRID = 7          # each low-level attention map resamples to 7x7
@@ -80,32 +81,35 @@ def attention_vector_for_box(att_maps, box):
     return np.concatenate(parts)
 
 
-def attention_similarity(av_i, av_j):
-    """Cosine similarity; defined as 0 for a zero vector (cannot arise
-    from sigmoid outputs, guarded anyway)."""
-    ni = np.linalg.norm(av_i)
-    nj = np.linalg.norm(av_j)
-    if ni == 0.0 or nj == 0.0:
-        return 0.0
-    return float(np.dot(av_i, av_j) / (ni * nj))
+def _unit_rows(vectors):
+    """Rows scaled to unit length; a zero row stays zero."""
+    a = np.asarray(vectors, dtype=np.float64)
+    norm = np.linalg.norm(a, axis=1, keepdims=True)
+    return np.divide(a, norm, out=np.zeros_like(a), where=norm > 0)
 
 
-def tubelet_similarity(det: Detection, tub: Tubelet, mode="attention_iou"):
-    """exp(IoU with the tubelet's newest box) times the mean appearance
-    similarity over all tubelet members (1 in iou_only mode)."""
-    o = iou(det.box, tub.objs[0].box)
+def tubelet_similarity(dets, tubs, mode="attention_iou"):
+    """[len(dets), len(tubs)] matrix: exp(IoU of each detection with each
+    tubelet's newest box) times the mean cosine similarity of the
+    detection's av with the av of every tubelet member (that factor is 1
+    in iou_only mode; a zero vector has cosine 0 with anything)."""
+    sim = np.exp(iou_matrix([d.box for d in dets], [t.objs[0].box for t in tubs]))
     if mode == "iou_only":
-        return float(np.exp(o))
-    sims = [attention_similarity(det.av, member.av) for member in tub.objs]
-    return float(np.exp(o) * (sum(sims) / len(sims)))
+        return sim
+    sizes = [len(t.objs) for t in tubs]
+    cos = _unit_rows([d.av for d in dets]) @ _unit_rows(
+        [m.av for t in tubs for m in t.objs]).T
+    starts = np.cumsum([0] + sizes[:-1])
+    return sim * (np.add.reduceat(cos, starts, axis=1) / sizes)
 
 
 def update_tracks(dets, state: TrackState, params: TrackerParams, frame_idx):
     """One frame of identity assignment; mutates dets' ids and the state.
 
     Per class (ascending), detections in descending score order:
-      1. each detection takes the id of its highest-similarity tubelet if
-         that similarity strictly exceeds the match threshold;
+      1. each detection takes the id of its highest-similarity tubelet
+         (the first of equal maxima) if that similarity strictly exceeds
+         the match threshold;
       2. a tubelet claimed by several detections keeps only the best one,
          the rest fall back to -1;
       3. any unassigned detection whose confidence strictly exceeds the
@@ -121,16 +125,12 @@ def update_tracks(dets, state: TrackState, params: TrackerParams, frame_idx):
         objs = sorted([d for d in dets if d.class_id == cls],
                       key=lambda d: -d.score)
         claims = {}          # tubelet id -> list of (similarity, claimant)
-        if tubs:
-            for obj in objs:
-                s_max, candidate = 0.0, None
-                for tub in tubs:
-                    s = tubelet_similarity(obj, tub, params.similarity)
-                    if s > s_max:
-                        s_max, candidate = s, tub
-                if candidate is not None and s_max > params.match_threshold:
-                    obj.id = candidate.id
-                    claims.setdefault(candidate.id, []).append((s_max, obj))
+        if tubs and objs:
+            sim = tubelet_similarity(objs, tubs, params.similarity)
+            for obj, row, best in zip(objs, sim, sim.argmax(axis=1)):
+                if row[best] > params.match_threshold:
+                    obj.id = tubs[best].id
+                    claims.setdefault(obj.id, []).append((row[best], obj))
             for tub in tubs:
                 contest = claims.get(tub.id, [])
                 if len(contest) > 1:
@@ -160,12 +160,34 @@ def update_tracks(dets, state: TrackState, params: TrackerParams, frame_idx):
     return dets, state
 
 
+def _check_appearance(frames):
+    """attention_iou compares avs: every detection needs one, all of one length."""
+    length = None
+    for fidx, dets in frames:
+        for d in dets:
+            if d.av is None:
+                problem = "has no appearance vector"
+            elif length is not None and len(d.av) != length:
+                problem = f"has an appearance vector of length {len(d.av)}, not {length}"
+            else:
+                length = len(d.av)
+                continue
+            raise ConfigError(f"frame {fidx}: a class {d.class_id} detection {problem}; "
+                              f"track it with --similarity iou_only, or give --mot "
+                              f"input its --embeddings")
+
+
 def track_frames(frames, params: TrackerParams | None = None):
-    """Run one tracker stream over [(frame_idx, dets), ...] in order."""
+    """Run one tracker stream over [(frame_idx, dets), ...] in order. The
+    ids the detections carry in are discarded."""
     params = params or TrackerParams()
+    if params.similarity == "attention_iou":
+        _check_appearance(frames)
     state = TrackState()
     out = []
     for fidx, dets in frames:
+        for d in dets:
+            d.id = -1
         dets, state = update_tracks(dets, state, params, fidx)
         out.append((fidx, dets))
     return out
@@ -188,7 +210,8 @@ def write_mot_csv(path, frames, canvas=96):
 
 
 def read_mot_csv(path):
-    """Rows as (frame, id, left, top, width, height, conf, extras...)."""
+    """Rows as (frame, id, left, top, width, height, conf, extras...); the
+    11th column, when present, is the class id and must be an integer."""
     rows = []
     with open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -208,6 +231,9 @@ def read_mot_csv(path):
                 raise ParseError(f"{path}:{lineno}: bad number ({exc})") from exc
             if not all(map(math.isfinite, vals)):
                 raise ParseError(f"{path}:{lineno}: box and conf must be finite, got {vals}")
+            if len(extras) > 3 and not extras[3].is_integer():
+                raise ParseError(f"{path}:{lineno}: class must be an integer, "
+                                 f"got {parts[10]!r}")
             rows.append((frame, tid, *vals, *extras))
     return rows
 
@@ -226,6 +252,10 @@ def ingest_detections(csv_path, embeddings_path=None, canvas=96):
         if emb.ndim != 2 or len(emb) != len(rows):
             raise ParseError(f"{embeddings_path}: need one embedding row per "
                              f"detection ({len(rows)}), got shape {emb.shape}")
+        bad = np.nonzero(~np.isfinite(emb).all(axis=1))[0]
+        if len(bad):
+            raise ParseError(f"{embeddings_path}: embedding row {bad[0] + 1} of "
+                             f"{len(emb)} is not finite")
     frames = {}
     for i, row in enumerate(rows):
         frame, tid, left, top, w, h, conf = row[:7]

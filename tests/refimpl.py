@@ -155,3 +155,49 @@ def association_loss(score_lists, seq_len, form="running"):
     else:
         raise ValueError(f"unknown association form {form!r}")
     return total / seq_len
+
+
+def naive_voc_map(dets_by_frame, gts_by_frame, iou_thresh=0.5, num_classes=4):
+    """Greedy VOC matching one candidate at a time, and all-points AP.
+
+    Per class, candidates go by descending score (ties: earlier frame, then
+    earlier position in the frame's list). Each one scans every gt box of
+    its class and frame with naive_iou; it is a true positive when the
+    best-overlap box (the first of equal maxima) reaches iou_thresh and no
+    earlier candidate claimed it. AP sums each recall step times the best
+    precision at that recall or beyond. Classes without gt are skipped.
+    """
+    aps = {}
+    for c in range(1, num_classes + 1):
+        gt = {}
+        for f, (boxes, classes) in gts_by_frame.items():
+            boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+            gt[f] = [boxes[k] for k in range(len(boxes)) if int(classes[k]) == c]
+        n_gt = sum(len(v) for v in gt.values())
+        if n_gt == 0:
+            continue
+        cand = [(d.score, f, i, d.box) for f in dets_by_frame
+                for i, d in enumerate(dets_by_frame[f]) if d.class_id == c]
+        cand.sort(key=lambda r: (-r[0], r[1], r[2]))
+        claimed = set()
+        points = []                 # (recall, precision) after each candidate
+        tp = 0
+        for rank, (_score, f, _i, box) in enumerate(cand, 1):
+            best, best_v = None, 0.0
+            for k, g in enumerate(gt.get(f, [])):
+                v = naive_iou(box, g)
+                if best is None or v > best_v:
+                    best, best_v = k, v
+            if best is not None and best_v >= iou_thresh and (f, best) not in claimed:
+                claimed.add((f, best))
+                tp += 1
+            points.append((tp / n_gt, tp / rank))
+        ap = 0.0
+        reached = 0.0
+        for j, (recall, _p) in enumerate(points):
+            if recall > reached:
+                ap += (recall - reached) * max(p for _r, p in points[j:])
+                reached = recall
+        aps[c] = ap
+    mean = sum(aps.values()) / len(aps) if aps else 0.0
+    return aps, mean

@@ -212,3 +212,70 @@ def test_outdir_env_override(dataset, tmp_path, monkeypatch):
     assert run("track", "--dets", dataset / "video_000" / "detections.jsonl",
                "--out", "rel.csv") == 0
     assert (tmp_path / "routed" / "rel.csv").exists()
+
+
+def test_sweep_and_track_write_the_same_rows(tmp_path):
+    """Incoming ids are discarded on both paths: two frame-1 records that
+    carry "id": 7 are tracked as identities 1 and 2 by track and sweep."""
+    dets = tmp_path / "d.jsonl"
+    dets.write_text("".join(
+        f'{{"frame": {f}, "class": 1, "score": 0.9, "box": [{x}, 0.1, {x + 0.2}, 0.3], '
+        f'"id": 7}}\n' for f in (1, 2) for x in (0.1, 0.6)))
+    gt = tmp_path / "gt.csv"
+    gt.write_text("1,1,9.6,9.6,19.2,19.2,1,-1,-1,-1,1\n")
+    assert run("track", "--dets", dets, "--similarity", "iou_only",
+               "--out", tmp_path / "track.csv") == 0
+    assert run("sweep", "--param", "T", "--values", "1.0", "--similarity", "iou_only",
+               "--dets", dets, "--gt-csv", gt, "--out", tmp_path / "sweep.csv") == 0
+    tracked = (tmp_path / "track.csv").read_text()
+    assert [row.split(",")[:2] for row in tracked.splitlines()] == \
+        [["1", "1"], ["1", "2"], ["2", "1"], ["2", "2"]]
+    assert (tmp_path / "sweep_T1.0.csv").read_text() == tracked
+
+
+@pytest.mark.parametrize("records,message", [
+    ('{"frame": 1, "class": 1, "score": 0.9, "box": [0.1, 0.1, 0.3, 0.3], "av": [1, 2]}\n'
+     '{"frame": 3, "class": 2, "score": 0.9, "box": [0.1, 0.1, 0.3, 0.3], "av": [1, 2, 3]}\n',
+     "frame 3: a class 2 detection has an appearance vector of length 3, not 2"),
+    ('{"frame": 1, "class": 1, "score": 0.9, "box": [0.1, 0.1, 0.3, 0.3], "av": [1, 2]}\n'
+     '{"frame": 2, "class": 1, "score": 0.9, "box": [0.1, 0.1, 0.3, 0.3]}\n',
+     "frame 2: a class 1 detection has no appearance vector"),
+], ids=["lengths_2_and_3", "missing"])
+def test_track_needs_one_av_length_under_attention_iou(tmp_path, capsys, records, message):
+    dets = tmp_path / "d.jsonl"
+    dets.write_text(records)
+    out = tmp_path / "r.csv"
+    assert run("track", "--dets", dets, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert message in err and "--similarity iou_only" in err
+    assert not out.exists()
+    assert run("track", "--dets", dets, "--similarity", "iou_only", "--out", out) == 0
+
+
+def test_track_mot_input_without_embeddings(tmp_path, capsys):
+    mot = tmp_path / "m.csv"
+    mot.write_text("1,-1,10,10,20,20,0.9,-1,-1,-1\n2,-1,11,10,20,20,0.9,-1,-1,-1\n")
+    out = tmp_path / "o.csv"
+    assert run("track", "--mot", mot, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == ("seqdet: error: frame 1: a class 1 detection has no appearance "
+                   "vector; track it with --similarity iou_only, or give --mot input "
+                   "its --embeddings\n")
+    assert not out.exists()
+    assert run("track", "--mot", mot, "--similarity", "iou_only", "--out", out) == 0
+    assert [r[:2] for r in TK.read_mot_csv(out)] == [(1, 1), (2, 1)]
+
+
+@pytest.mark.parametrize("iou", ["nan", "0", "-0.5", "1.5", "inf"])
+def test_eval_iou_outside_unit_interval_is_config_error(dataset, tmp_path, capsys, iou):
+    video = dataset / "video_000"
+    assert run("eval-map", "--dets", video / "detections.jsonl", "--data", video,
+               "--iou", iou) == 1
+    assert capsys.readouterr().err == \
+        f"seqdet: error: IoU threshold must be in (0, 1], got {float(iou)}\n"
+    assert run("eval-mot", "--res", video / "gt.csv", "--gt", video / "gt.csv",
+               "--iou", iou, "--out", tmp_path / "rep") == 1
+    assert capsys.readouterr().err == \
+        f"seqdet: error: IoU threshold must be in (0, 1], got {float(iou)}\n"
+    assert not (tmp_path / "rep.csv").exists()

@@ -6,7 +6,7 @@ import pytest
 from seqdet import evaluation as EV
 from seqdet.postproc import Detection
 
-from refimpl import naive_iou
+from refimpl import naive_iou, naive_voc_map
 
 
 def det(score, box, cls=1):
@@ -56,6 +56,54 @@ def test_class_without_gt_excluded_from_mean():
     aps, mean = EV.voc_map(dets, gts, num_classes=4)
     assert set(aps) == {2}
     assert mean == pytest.approx(1.0)
+
+
+def _random_map_case(rng, num_classes=3):
+    """Frames with 0-3 gt boxes (some frames absent from the gt), detections
+    that copy or jitter a gt box of any class or land anywhere, and scores
+    from a three-value set so that ties are common. Copies of one gt box
+    make a best box that an earlier candidate already claimed."""
+    gts, dets = {}, {}
+    pool = []
+    for f in range(1, int(rng.integers(1, 6)) + 1):
+        n = int(rng.integers(0, 4))
+        xy = rng.random((n, 2)) * 0.7
+        boxes = np.hstack([xy, xy + rng.uniform(0.05, 0.3, (n, 2))])
+        classes = rng.integers(1, num_classes + 1, n)
+        if rng.random() < 0.8:
+            gts[f] = (boxes, classes)
+        pool += [(f, b, int(c)) for b, c in zip(boxes, classes)]
+    frames = range(1, max([*gts, 1]) + 2)
+    for _ in range(int(rng.integers(0, 12))):
+        kind = rng.random()
+        if pool and kind < 0.7:
+            f, box, cls = pool[int(rng.integers(len(pool)))]
+            if kind < 0.25:
+                box = box.copy()
+            else:
+                box = box + rng.normal(0, 0.03, 4)
+            if rng.random() < 0.2:
+                cls = int(rng.integers(1, num_classes + 1))
+        else:
+            f = int(rng.choice(frames))
+            xy = rng.random(2) * 0.7
+            box = np.concatenate([xy, xy + rng.uniform(0.05, 0.3, 2)])
+            cls = int(rng.integers(1, num_classes + 1))
+        dets.setdefault(f, []).append(det(float(rng.choice([0.3, 0.6, 0.9])), box, cls))
+    return dets, gts
+
+
+def test_voc_map_matches_per_candidate_oracle():
+    rng = np.random.default_rng(12)
+    for case in range(300):
+        dets, gts = _random_map_case(rng)
+        thresh = float(rng.choice([0.1, 0.5, 0.75, 1.0]))
+        aps, mean = EV.voc_map(dets, gts, iou_thresh=thresh, num_classes=3)
+        want_aps, want_mean = naive_voc_map(dets, gts, iou_thresh=thresh, num_classes=3)
+        assert aps.keys() == want_aps.keys(), case
+        for c in aps:
+            assert aps[c] == pytest.approx(want_aps[c], rel=1e-12, abs=1e-15), (case, c)
+        assert mean == pytest.approx(want_mean, rel=1e-12, abs=1e-15), case
 
 
 # ---------------------------------------------------------------------------

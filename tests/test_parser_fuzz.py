@@ -1,12 +1,14 @@
 """Seeded fuzz sweeps over the file parsers.
 
 Each sweep mutates a valid file a fixed number of times (field swaps,
-truncations, byte flips and insertions, or for the MOT/gt row layout
-numbers that break a row's meaning) and parses the result. Whatever the
+truncations, byte flips and insertions, or for the MOT/gt row layout and
+the detections JSONL numbers that break a row's meaning) and parses the
+result. Whatever the
 bytes, the parser either returns or raises a ParseError/ConfigError that
 names the file, plus the line for line formats.
 """
 
+import json
 import re
 
 import numpy as np
@@ -70,6 +72,25 @@ def _mutate_value(rng, raw: bytes, sep: bytes) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
+# value-level mutations of a detections JSONL record: one number of its
+# score, box or av becomes a value that JSON spells but that is not finite
+BAD_JSON_NUMBERS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"]
+
+
+def _mutate_json_value(rng, raw: bytes, _sep: bytes) -> bytes:
+    lines = raw.rstrip(b"\n").split(b"\n")
+    i = int(rng.integers(len(lines)))
+    rec = json.loads(lines[i])
+    key = ["score", "box", "av"][int(rng.integers(3 if "av" in rec else 2))]
+    if key == "score":
+        rec[key] = "BAD"
+    else:
+        rec[key][int(rng.integers(len(rec[key])))] = "BAD"
+    bad = BAD_JSON_NUMBERS[int(rng.integers(len(BAD_JSON_NUMBERS)))]
+    lines[i] = json.dumps(rec).replace('"BAD"', bad).encode()
+    return b"\n".join(lines) + b"\n"
+
+
 def _sweep(seed, path, raw, sep, parse, mutate=_mutate):
     rng = np.random.default_rng(seed)
     where = re.escape(str(path)) + r":\d+: "
@@ -125,6 +146,8 @@ def test_fuzz_detections_jsonl(tmp_path):
     pp.write_detections_jsonl(good, [(1, dets), (2, dets[:1])])
     _sweep(51, tmp_path / "fuzz.jsonl", good.read_bytes(), b",",
            pp.read_detections_jsonl)
+    _sweep(57, tmp_path / "fuzz.jsonl", good.read_bytes(), b",",
+           pp.read_detections_jsonl, _mutate_json_value)
 
 
 def test_fuzz_mot_csv(tmp_path):

@@ -246,3 +246,29 @@ def test_detections_jsonl_box_needs_four_numbers(tmp_path):
     path.write_text('{"frame": 1, "class": 1, "score": 0.5, "box": [0.1, 0.1, 0.5]}\n')
     with pytest.raises(ParseError, match=r"short\.jsonl:1:.*4 numbers"):
         pp.read_detections_jsonl(path)
+
+
+@pytest.mark.parametrize("score,box,av", [
+    ("Infinity", "[0, 0, 1, 1]", None), ("1e400", "[0, 0, 1, 1]", None),
+    ("NaN", "[0, 0, 1, 1]", "[1, 2]"), ("0.5", "[NaN, 0, 0.5, 0.5]", None),
+    ("0.5", "[0, 0, -Infinity, 0.5]", "[1, 2]"), ("0.5", "[0, 0, 1, 1]", "[0.5, NaN]"),
+    ("0.5", "[0, 0, 1, 1]", "[1e400, 1]"),
+], ids=["score_inf", "score_1e400", "score_nan", "box_nan", "box_minus_inf", "av_nan",
+        "av_1e400"])
+def test_detections_jsonl_non_finite_value_is_parse_error(tmp_path, score, box, av):
+    path = tmp_path / "vals.jsonl"
+    last = f'{{"frame": 2, "class": 1, "score": {score}, "box": {box}' \
+        + ("}" if av is None else f', "av": {av}}}')
+    path.write_text('{"frame": 1, "class": 1, "score": 0.5, "box": [0, 0, 1, 1]}\n'
+                    + last + "\n")
+    with pytest.raises(ParseError, match=r"vals\.jsonl:2: .*must be finite"):
+        pp.read_detections_jsonl(path)
+
+
+@pytest.mark.parametrize("av", ["5", '"ab"', "{}", "[[1, 2]]"])
+def test_detections_jsonl_av_must_be_a_list_of_numbers(tmp_path, av):
+    path = tmp_path / "av.jsonl"
+    path.write_text(f'{{"frame": 1, "class": 1, "score": 0.5, "box": [0, 0, 1, 1], '
+                    f'"av": {av}}}\n')
+    with pytest.raises(ParseError, match=r"av\.jsonl:1: bad detection record"):
+        pp.read_detections_jsonl(path)

@@ -82,45 +82,63 @@ def test_attention_vector_for_box_matches_per_sample_oracle():
 
 
 def test_attention_similarity_basic():
+    """With disjoint boxes (exp(IoU) = 1) the matrix is the cosine: 1 for a
+    parallel vector at any scale, 0 for a zero vector."""
     rng = np.random.default_rng(3)
     a = rng.random(147) + 0.01
-    assert TK.attention_similarity(a, a) == pytest.approx(1.0, rel=1e-12)
-    assert TK.attention_similarity(a, 3.5 * a) == pytest.approx(1.0, rel=1e-12)
-    assert TK.attention_similarity(np.zeros(147), a) == 0.0
     b = rng.random(147) + 0.01
+    far = [0.6, 0.6, 0.9, 0.9]
+    dets = [det(0.5, [0.0, 0.0, 0.4, 0.4], v) for v in (a, 3.5 * a, np.zeros(147), b)]
+    sim = TK.tubelet_similarity(dets, [tub(0, [det(0.9, far, a)], 1)])
+    assert sim.shape == (4, 1)
+    assert sim[0, 0] == pytest.approx(1.0, rel=1e-12)
+    assert sim[1, 0] == pytest.approx(1.0, rel=1e-12)
+    assert sim[2, 0] == 0.0
     expect = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-    assert TK.attention_similarity(a, b) == pytest.approx(expect, abs=1e-12)
+    assert sim[3, 0] == pytest.approx(expect, abs=1e-12)
+    zero_member = tub(0, [det(0.9, far, np.zeros(147))], 1)
+    assert TK.tubelet_similarity(dets[:1], [zero_member])[0, 0] == 0.0
 
 
 def test_tubelet_similarity_hand_values():
     rng = np.random.default_rng(4)
     av = rng.random(147) + 0.01
-    t = tub(0, [det(0.9, box_with_iou(1e-9), av)], 1)
-    # disjoint boxes: o = 0, as = 0.8 achieved by a scaled blend
-    other = det(0.5, [0.5, 0.5, 0.9, 0.9], av)
     t0 = tub(0, [det(0.9, [0.0, 0.0, 0.4, 0.4], av)], 1)
-    assert TK.tubelet_similarity(other, t0) == pytest.approx(1.0)  # as=1, o=0
+    t1 = tub(1, [det(0.9, UNIT, av)], 1)
+    other = det(0.5, [0.5, 0.5, 0.9, 0.9], av)
     same = det(0.5, UNIT, av)
-    t1 = tub(0, [det(0.9, UNIT, av)], 1)
-    assert TK.tubelet_similarity(same, t1) == pytest.approx(math.e, rel=1e-12)
+    sim = TK.tubelet_similarity([other, same], [t0, t1])
+    assert sim[0, 0] == pytest.approx(1.0)                   # as = 1, o = 0
+    assert sim[1, 1] == pytest.approx(math.e, rel=1e-12)     # as = 1, o = 1
+    assert sim[1, 0] == pytest.approx(math.exp(0.16), rel=1e-12)
 
 
 def test_tubelet_similarity_averages_members():
+    """Each entry is exp(IoU with the newest member) times the mean cosine
+    over every member, for tubelets of different lengths."""
     rng = np.random.default_rng(5)
-    avs = [rng.random(147) + 0.01 for _ in range(3)]
-    q = rng.random(147) + 0.01
-    members = [det(0.9, box_with_iou(0.25), av) for av in avs]
-    t = tub(0, members, 1)
-    obj = det(0.5, UNIT, q)
-    got = TK.tubelet_similarity(obj, t)
-    cos = [float(q @ a / (np.linalg.norm(q) * np.linalg.norm(a))) for a in avs]
-    assert got == pytest.approx(math.exp(0.25) * sum(cos) / 3, rel=1e-12)
+    tubs = [tub(i, [det(0.9, box_with_iou(r), rng.random(147) + 0.01)
+                    for _ in range(n)] + [det(0.9, UNIT, rng.random(147) + 0.01)], 1)
+            for i, (r, n) in enumerate([(0.25, 2), (0.5, 0), (0.75, 4)])]
+    dets = [det(0.5, UNIT, rng.random(147) + 0.01),
+            det(0.5, box_with_iou(0.5), rng.random(147) + 0.01)]
+    got = TK.tubelet_similarity(dets, tubs)
+    assert got.shape == (2, 3)
+    for i, d in enumerate(dets):
+        for j, t in enumerate(tubs):
+            cos = [float(d.av @ m.av / (np.linalg.norm(d.av) * np.linalg.norm(m.av)))
+                   for m in t.objs]
+            o = naive_iou(d.box, t.objs[0].box)
+            assert got[i, j] == pytest.approx(math.exp(o) * sum(cos) / len(cos),
+                                              rel=1e-12), (i, j)
 
 
 def test_tubelet_similarity_iou_only():
-    obj = det(0.5, box_with_iou(0.5), np.ones(147))
-    t = tub(0, [det(0.9, UNIT, np.zeros(147))], 1)
-    assert TK.tubelet_similarity(obj, t, "iou_only") == pytest.approx(math.exp(0.5))
+    """iou_only is exp(IoU) and reads no appearance vector."""
+    dets = [det(0.5, box_with_iou(0.5)), det(0.5, box_with_iou(0.25))]
+    tubs = [tub(0, [det(0.9, UNIT)], 1), tub(1, [det(0.9, box_with_iou(0.5))], 1)]
+    got = TK.tubelet_similarity(dets, tubs, "iou_only")
+    np.testing.assert_allclose(got, np.exp([[0.5, 1.0], [0.25, 0.5]]), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +408,39 @@ def test_mot_csv_non_finite_box_or_conf_is_parse_error(tmp_path, fields):
     p.write_text(f"1,1,0,0,5,5,0.9\n2,1,{fields},-1,-1,-1\n")
     with pytest.raises(ParseError, match=r"vals\.csv:2: box and conf must be finite"):
         TK.read_mot_csv(p)
+
+
+@pytest.mark.parametrize("cls", ["inf", "nan", "2.5", "-inf"])
+def test_ingest_class_column_must_be_an_integer(tmp_path, cls):
+    p = tmp_path / "cls.csv"
+    p.write_text(f"1,1,0,0,5,5,0.9,-1,-1,-1,2\n1,2,0,0,5,5,0.9,-1,-1,-1,{cls}\n")
+    with pytest.raises(ParseError, match=r"cls\.csv:2: class must be an integer"):
+        TK.ingest_detections(p)
+
+
+def test_ingest_rejects_a_non_finite_embedding_row(tmp_path):
+    from seqdet.tensor import save_tnsr
+    p = tmp_path / "r.csv"
+    p.write_text("1,1,0,0,5,5,0.9\n2,1,0,0,5,5,0.9\n3,1,0,0,5,5,0.9\n")
+    emb = np.ones((3, 4))
+    emb[1, 2] = np.inf
+    save_tnsr(tmp_path / "emb.tnsr", emb)
+    with pytest.raises(ParseError, match=r"emb\.tnsr: embedding row 2 of 3 is not finite"):
+        TK.ingest_detections(p, tmp_path / "emb.tnsr")
+
+
+def test_track_frames_checks_appearance_before_the_first_frame(monkeypatch):
+    def no_update(*_args):
+        raise AssertionError("a frame was tracked")
+
+    monkeypatch.setattr(TK, "update_tracks", no_update)
+    frames = [(1, [det(0.9, UNIT, np.ones(3))]), (2, [det(0.9, UNIT)])]
+    with pytest.raises(ConfigError, match="frame 2: a class 1 detection has no "
+                                          "appearance vector"):
+        TK.track_frames(frames)
+    frames[1][1][0].av = np.ones(2)
+    with pytest.raises(ConfigError, match="length 2, not 3"):
+        TK.track_frames(frames)
 
 
 def test_tracker_params_validation():
