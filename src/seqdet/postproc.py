@@ -109,16 +109,21 @@ def iou(a, b):
 
 
 def iou_matrix(a, b):
-    """Pairwise IoU of [N,4] x [M,4] corner-form boxes."""
+    """Pairwise IoU of [N,4] x [M,4] corner-form boxes.
+
+    Works on the coordinate columns ([N,1] against [M]), so every
+    temporary is one [N,M] plane.
+    """
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    lt = np.maximum(a[:, None, :2], b[None, :, :2])
-    rb = np.minimum(a[:, None, 2:], b[None, :, 2:])
-    wh = np.clip(rb - lt, 0.0, None)
-    inter = wh[..., 0] * wh[..., 1]
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    ax1, ay1, ax2, ay2 = a[:, 0, None], a[:, 1, None], a[:, 2, None], a[:, 3, None]
+    bx1, by1, bx2, by2 = b.T
+    w = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    h = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = np.maximum(w, 0.0, out=w)
+    inter *= np.maximum(h, 0.0, out=h)
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1)
+    union -= inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0)
     return out
@@ -199,6 +204,17 @@ def write_detections_jsonl(path, frames):
                 fh.write(json.dumps(rec) + "\n")
 
 
+def _whole(rec, key, default=None):
+    """rec[key] (or default when absent) as an int; it must be a JSON
+    number with no fractional part, so 3.0 loads and 3.5, true or "3" do not."""
+    v = rec[key] if default is None else rec.get(key, default)
+    if type(v) is int:
+        return v
+    if type(v) is float and v.is_integer():
+        return int(v)
+    raise ValueError(f"{key} must be a whole number, got {v!r}")
+
+
 def read_detections_jsonl(path):
     """Returns {frame_index: [Detection, ...]} preserving line order."""
     frames = {}
@@ -217,10 +233,10 @@ def read_detections_jsonl(path):
                 vals = np.asarray([rec["score"], *box, *av], dtype=np.float64)
                 if not np.isfinite(vals).all():
                     raise ValueError("score, box and av must be finite")
-                det = Detection(int(rec["class"]), float(vals[0]), vals[1:5],
+                det = Detection(_whole(rec, "class"), float(vals[0]), vals[1:5],
                                 av=vals[5:] if "av" in rec else None,
-                                id=int(rec.get("id", -1)))
-                frames.setdefault(int(rec["frame"]), []).append(det)
+                                id=_whole(rec, "id", -1))
+                frames.setdefault(_whole(rec, "frame"), []).append(det)
             except (KeyError, ValueError, TypeError, OverflowError) as exc:
                 raise ParseError(f"{path}:{lineno}: bad detection record ({exc})") from exc
     return frames

@@ -223,18 +223,20 @@ def read_mot_csv(path):
                 raise ParseError(f"{path}:{lineno}: expected >= 7 columns, "
                                  f"got {len(parts)}")
             try:
-                frame = int(float(parts[0]))
-                tid = int(float(parts[1]))
+                frame, tid = float(parts[0]), float(parts[1])
                 vals = [float(v) for v in parts[2:7]]
                 extras = [float(v) for v in parts[7:]]
-            except (ValueError, OverflowError) as exc:
+                if not (frame.is_integer() and tid.is_integer()):
+                    raise ValueError(f"frame and id must be whole numbers, got "
+                                     f"{parts[0]!r}, {parts[1]!r}")
+            except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad number ({exc})") from exc
             if not all(map(math.isfinite, vals)):
                 raise ParseError(f"{path}:{lineno}: box and conf must be finite, got {vals}")
             if len(extras) > 3 and not extras[3].is_integer():
                 raise ParseError(f"{path}:{lineno}: class must be an integer, "
                                  f"got {parts[10]!r}")
-            rows.append((frame, tid, *vals, *extras))
+            rows.append((int(frame), int(tid), *vals, *extras))
     return rows
 
 

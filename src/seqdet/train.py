@@ -175,15 +175,24 @@ def frame_ground_truth(video, t):
     return video.boxes_norm[t - 1], video.classes[t - 1]
 
 
-def detections_for_frame(head, priors, conf_thresh, profile_name, num_classes):
-    """Numeric detection pipeline keeping prior indices (training + eval)."""
-    profile = get_profile(profile_name)
+def detections_for_frame(head, priors, conf_thresh, profile, num_classes):
+    """Numeric detection pipeline keeping prior indices (training + eval);
+    profile is a resolved postproc.Profile."""
     boxes = decode(priors, head.loc.data)
     probs = softmax_rows(head.conf.data)
     out = []
     for c in range(1, num_classes + 1):
         out.extend(select_class_candidates(probs[:, c], boxes, c, conf_thresh, profile))
     return out
+
+
+def score_list_profile(profile_name, k):
+    """The NMS settings of the stage-3 score lists: the named profile with
+    keep_top cut to k. Greedy NMS is prefix-stable (its first m kept boxes
+    do not depend on where it stops), and score_list_nodes reads only the
+    first k kept boxes of each class, so the score lists do not change."""
+    profile = get_profile(profile_name)
+    return replace(profile, keep_top=min(k, profile.keep_top))
 
 
 def score_list_nodes(head, dets, k, num_classes):
@@ -200,6 +209,7 @@ def detect_video(params, model_cfg, video, conf_thresh, profile_name,
                  attach_av=True):
     """Run the detector over one video; returns [(frame_idx, dets), ...]."""
     priors = make_priors()
+    profile = get_profile(profile_name)
     out = []
     if model_cfg.temporal:
         state = net.zero_state()
@@ -207,7 +217,7 @@ def detect_video(params, model_cfg, video, conf_thresh, profile_name,
         for t, frame in enumerate(video.frames, start=1):
             head, state, att = net.forward_temporal(
                 T.constant(frame), state, params, model_cfg, mode)
-            dets = detections_for_frame(head, priors, conf_thresh, profile_name,
+            dets = detections_for_frame(head, priors, conf_thresh, profile,
                                         model_cfg.num_classes)
             if attach_av and model_cfg.attention_enabled:
                 from .tracker import attention_vector_for_box
@@ -219,7 +229,7 @@ def detect_video(params, model_cfg, video, conf_thresh, profile_name,
         for t, frame in enumerate(video.frames, start=1):
             head = net.forward_static(T.constant(frame), params)
             out.append((t, detections_for_frame(head, priors, conf_thresh,
-                                                profile_name, model_cfg.num_classes)))
+                                                profile, model_cfg.num_classes)))
     return out
 
 
@@ -287,6 +297,7 @@ def _train_sequence(params, video, cfg, model_cfg, priors, rng, with_asso):
     mode = net.NetMode(dropout_rate=cfg.dropout, rng=rng)
     frame_nodes = []
     sl_nodes = []
+    sl_profile = score_list_profile(cfg.profile, cfg.k)
     sums = {"L_loc": 0.0, "L_conf": 0.0, "L_att": 0.0}
     for t in sample.indices:
         head, state, att = net.forward_temporal(
@@ -302,7 +313,7 @@ def _train_sequence(params, video, cfg, model_cfg, priors, rng, with_asso):
         sums["L_conf"] += l_conf.item()
         sums["L_att"] += l_att.item() if l_att is not None else 0.0
         if with_asso:
-            dets = detections_for_frame(head, priors, cfg.theta, cfg.profile,
+            dets = detections_for_frame(head, priors, cfg.theta, sl_profile,
                                         model_cfg.num_classes)
             sl_nodes.append(score_list_nodes(head, dets, cfg.k,
                                              model_cfg.num_classes))

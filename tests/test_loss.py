@@ -5,8 +5,8 @@ from seqdet import loss as L
 from seqdet import net
 from seqdet import tensor as T
 from seqdet.errors import ConfigError
-from seqdet.postproc import center_to_corner, corner_to_center, make_priors
-from seqdet.train import detections_for_frame, score_list_nodes
+from seqdet.postproc import center_to_corner, corner_to_center, get_profile, make_priors
+from seqdet.train import detections_for_frame, score_list_nodes, score_list_profile
 
 from refimpl import association_loss, naive_match, score_list
 
@@ -210,7 +210,8 @@ def test_attention_loss_empty_gt_still_valid():
 def score_list_of(class_scores, k=75, theta=0.1, num_classes=4):
     """Score list through the training path: one prior per (class, score)
     pair, placed apart from the others, whose softmax gives that class that
-    score; detections_for_frame then score_list_nodes."""
+    score; detections_for_frame at the score-list NMS settings then
+    score_list_nodes."""
     n = max(len(class_scores), 1)
     probs = np.full((n, num_classes + 1), 1e-9)
     for i, (c, score) in enumerate(class_scores):
@@ -218,7 +219,8 @@ def score_list_of(class_scores, k=75, theta=0.1, num_classes=4):
     probs[:, 0] = 1.0 - probs[:, 1:].sum(axis=1)
     head = net.HeadOut(T.constant(np.zeros((n, 4))), T.constant(np.log(probs)))
     priors = np.array([[(i + 0.5) / n, 0.5, 0.5 / n, 0.5] for i in range(n)])
-    dets = detections_for_frame(head, priors, theta, "vid", num_classes)
+    dets = detections_for_frame(head, priors, theta, score_list_profile("vid", k),
+                                num_classes)
     nodes = score_list_nodes(head, dets, k, num_classes)
     return np.array([0.0 if s is None else s.item() for s in nodes])
 
@@ -244,14 +246,17 @@ def test_score_list_monotone_in_retained_scores():
 
 
 def test_score_list_nodes_match_reference_on_detections():
+    """Score lists from NMS stopped at k equal the reference top-k sums over
+    the detections of the full profile."""
     priors = small_priors()
     for seed in range(5):
         head = random_head(np.random.default_rng(seed), scale=2.0)
+        full = detections_for_frame(head, priors, 0.1, get_profile("vid"), 4)
         for k in (1, 2, 75):
-            dets = detections_for_frame(head, priors, 0.1, "vid", 4)
+            dets = detections_for_frame(head, priors, 0.1, score_list_profile("vid", k), 4)
             nodes = score_list_nodes(head, dets, k, 4)
             got = [0.0 if s is None else s.item() for s in nodes]
-            np.testing.assert_allclose(got, score_list(dets, k, 0.1, 4), rtol=1e-12)
+            np.testing.assert_allclose(got, score_list(full, k, 0.1, 4), rtol=1e-12)
 
 
 def association(lists, seq_len, form="running"):
@@ -449,18 +454,22 @@ def test_stage3_objective_gradients_match_finite_diff(form):
            for _ in range(frames)]
     kept = []
 
+    def frame_head(t):
+        return head_from_maps([params[f"f{t}.loc{l}"] for l in range(len(sizes))],
+                              [params[f"f{t}.conf{l}"] for l in range(len(sizes))])
+
     def build():
         frame_nodes, sl_nodes, ids = [], [], []
         for t in range(frames):
-            head = head_from_maps([params[f"f{t}.loc{l}"] for l in range(len(sizes))],
-                                  [params[f"f{t}.conf{l}"] for l in range(len(sizes))])
+            head = frame_head(t)
             m = L.match_priors(gts[t], [1, 4], priors)
             l_loc, l_conf = L.loc_conf_loss(head, m)
             att = [T.sigmoid(params[f"f{t}.att{l}"]) for l in range(len(sizes))]
             l_att = L.attention_loss(att, gts[t], 8)
             frame_nodes.append(L.frame_loss_node(l_loc, l_conf, l_att, m.num_matched,
                                                  TR.LOSS_WEIGHTS))
-            dets = detections_for_frame(head, priors, theta, "vid", 4)
+            dets = detections_for_frame(head, priors, theta,
+                                        score_list_profile("vid", k), 4)
             ids.append(tuple((d.class_id, d.prior_index) for d in dets))
             sl_nodes.append(score_list_nodes(head, dets, k, 4))
         kept.append(tuple(ids))
@@ -470,9 +479,16 @@ def test_stage3_objective_gradients_match_finite_diff(form):
 
     _, asso = build()
     assert asso.item() > 0
-    # some class keeps more than k detections, so the top-k cut is exercised
-    assert any(sum(c == cls for c, _ in frame) > k
-               for frame in kept[0] for cls in range(1, 5))
+    # the capped NMS keeps each class's first k kept ids of the full profile,
+    # and some class has more than k there, so the keep_top = k cut is exercised
+    cut = False
+    for t, frame in enumerate(kept[0]):
+        full = [(d.class_id, d.prior_index) for d in
+                detections_for_frame(frame_head(t), priors, theta, get_profile("vid"), 4)]
+        per_class = [[p for p in full if p[0] == cls] for cls in range(1, 5)]
+        assert frame == tuple(p for ps in per_class for p in ps[:k])
+        cut |= any(len(ps) > k for ps in per_class)
+    assert cut
     rows = TR.grad_check(TR.GradCheckCase(params, lambda: build()[0]), h=1e-5)
     assert len(set(kept)) == 1, "a threshold or NMS decision flipped under +-h"
     assert max(r.max_rel_err for r in rows) < 1e-4, rows[:3]

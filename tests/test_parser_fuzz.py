@@ -8,6 +8,7 @@ bytes, the parser either returns or raises a ParseError/ConfigError that
 names the file, plus the line for line formats.
 """
 
+import functools
 import json
 import re
 
@@ -61,13 +62,17 @@ BAD_VALUES = {0: ["0", "-1", "3", "1000000"],
               6: ["nan", "inf", "-inf"], 10: ["0", "-2", "nan"]}
 
 
-def _mutate_value(rng, raw: bytes, sep: bytes) -> bytes:
+# the frame and id columns given as numbers with a fractional part
+FRACTIONAL_VALUES = {0: ["1.5", "0.999", "2.5e-1", "-0.5"], 1: ["2.9", "1e-3", "-1.5"]}
+
+
+def _mutate_value(rng, raw: bytes, sep: bytes, table=BAD_VALUES) -> bytes:
     lines = raw.rstrip(b"\n").split(b"\n")
     i = int(rng.integers(len(lines)))
     fields = lines[i].split(sep)
-    cols = [c for c in BAD_VALUES if c < len(fields)]
+    cols = [c for c in table if c < len(fields)]
     col = cols[int(rng.integers(len(cols)))]
-    fields[col] = BAD_VALUES[col][int(rng.integers(len(BAD_VALUES[col])))].encode()
+    fields[col] = table[col][int(rng.integers(len(table[col])))].encode()
     lines[i] = sep.join(fields)
     return b"\n".join(lines) + b"\n"
 
@@ -91,6 +96,21 @@ def _mutate_json_value(rng, raw: bytes, _sep: bytes) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
+# value-level mutations of a detections JSONL record: its frame, class or
+# id becomes a JSON value that is not a whole number
+BAD_JSON_WHOLE = ["1.5", "-0.5", "2.000001", "1e-3", "true", "false", '"3"', "[1]"]
+
+
+def _mutate_json_whole(rng, raw: bytes, _sep: bytes) -> bytes:
+    lines = raw.rstrip(b"\n").split(b"\n")
+    i = int(rng.integers(len(lines)))
+    rec = json.loads(lines[i])
+    rec[["frame", "class", "id"][int(rng.integers(3))]] = "BAD"
+    bad = BAD_JSON_WHOLE[int(rng.integers(len(BAD_JSON_WHOLE)))]
+    lines[i] = json.dumps(rec).replace('"BAD"', bad).encode()
+    return b"\n".join(lines) + b"\n"
+
+
 def _sweep(seed, path, raw, sep, parse, mutate=_mutate):
     rng = np.random.default_rng(seed)
     where = re.escape(str(path)) + r":\d+: "
@@ -105,6 +125,7 @@ def _sweep(seed, path, raw, sep, parse, mutate=_mutate):
             assert "\n" not in str(exc), (case, str(exc))
     # the sweep must reach the error paths, not only harmless mutations
     assert raised > CASES // 4
+    return raised
 
 
 def test_fuzz_tnsr(tmp_path):
@@ -148,6 +169,9 @@ def test_fuzz_detections_jsonl(tmp_path):
            pp.read_detections_jsonl)
     _sweep(57, tmp_path / "fuzz.jsonl", good.read_bytes(), b",",
            pp.read_detections_jsonl, _mutate_json_value)
+    # every record with a frame, class or id that is not a whole number fails
+    assert _sweep(58, tmp_path / "fuzz.jsonl", good.read_bytes(), b",",
+                  pp.read_detections_jsonl, _mutate_json_whole) == CASES
 
 
 def test_fuzz_mot_csv(tmp_path):
@@ -155,6 +179,8 @@ def test_fuzz_mot_csv(tmp_path):
           b"2,1,11.5,12.5,20,30,0.8,-1,-1,-1\n"
     _sweep(52, tmp_path / "fuzz.csv", raw, b",", TK.read_mot_csv)
     _sweep(55, tmp_path / "fuzz.csv", raw, b",", TK.read_mot_csv, _mutate_value)
+    assert _sweep(59, tmp_path / "fuzz.csv", raw, b",", TK.read_mot_csv,
+                  functools.partial(_mutate_value, table=FRACTIONAL_VALUES)) == CASES
 
 
 def test_fuzz_gt_csv(tmp_path):

@@ -5,7 +5,7 @@ from seqdet import postproc as pp
 from seqdet import tensor as T
 from seqdet.errors import ConfigError, ParseError
 from seqdet.net import HeadOut
-from seqdet.train import detections_for_frame
+from seqdet.train import detections_for_frame, score_list_nodes, score_list_profile
 
 from refimpl import naive_iou, naive_nms
 
@@ -41,7 +41,7 @@ def test_iou_symmetric_and_bounded_random():
         v = pp.iou(a, b)
         assert v == pp.iou(b, a)
         assert 0.0 <= v <= 1.0
-        assert v == pytest.approx(naive_iou(a, b), abs=1e-15)
+        assert v == naive_iou(a, b)
 
 
 def test_iou_zero_area_boxes_defined_zero():
@@ -50,17 +50,46 @@ def test_iou_zero_area_boxes_defined_zero():
     assert pp.iou(a, np.array([0.0, 0.0, 1.0, 1.0])) == 0.0
 
 
+def _random_boxes(rng, n):
+    xy = rng.random((n, 2)) * 0.6
+    return np.hstack([xy, xy + rng.random((n, 2)) * 0.4])
+
+
+def _assert_iou_matrix_is_naive(a, b):
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    m = pp.iou_matrix(a, b)
+    assert m.shape == (len(a), len(b))
+    for i in range(len(a)):
+        for j in range(len(b)):
+            assert m[i, j] == naive_iou(a[i], b[j]), (i, j, a[i], b[j])
+
+
 def test_iou_matrix_matches_scalar():
+    """Every entry equals the straight-line reference bit for bit."""
     rng = np.random.default_rng(1)
-    boxes = []
-    for _ in range(8):
-        x1, y1 = rng.random(2) * 0.5
-        boxes.append([x1, y1, x1 + rng.random() * 0.5, y1 + rng.random() * 0.5])
-    boxes = np.array(boxes)
-    m = pp.iou_matrix(boxes, boxes)
-    for i in range(8):
-        for j in range(8):
-            assert m[i, j] == pytest.approx(pp.iou(boxes[i], boxes[j]), abs=1e-15)
+    boxes = _random_boxes(rng, 8)
+    _assert_iou_matrix_is_naive(boxes, boxes)
+    for n, m in ((1, 9), (9, 1), (5, 12), (12, 5)):
+        _assert_iou_matrix_is_naive(_random_boxes(rng, n), _random_boxes(rng, m))
+
+
+def test_iou_matrix_degenerate_inputs_match_scalar():
+    unit = [0.0, 0.0, 1.0, 1.0]
+    zero_area = [[0.2, 0.2, 0.2, 0.6], [0.3, 0.3, 0.7, 0.3], [0.5, 0.5, 0.5, 0.5]]
+    touching = [[0.0, 0.0, 0.5, 0.5], [0.5, 0.0, 1.0, 0.5], [0.0, 0.5, 0.5, 1.0],
+                [0.5, 0.5, 1.0, 1.0]]
+    identical = [[0.1, 0.2, 0.4, 0.7]] * 3
+    boxes = np.array([unit, *zero_area, *touching, *identical])
+    _assert_iou_matrix_is_naive(boxes, boxes)
+    _assert_iou_matrix_is_naive(boxes[:4], boxes[4:])
+    m = pp.iou_matrix(touching, touching)
+    assert np.array_equal(m, np.eye(4))
+    assert np.all(pp.iou_matrix(identical, identical) == 1.0)
+    assert np.all(pp.iou_matrix(zero_area, boxes) == 0.0)
+    for a, b in ((np.empty((0, 4)), boxes), (boxes, np.empty((0, 4))),
+                 (np.empty((0, 4)), np.empty((0, 4)))):
+        assert pp.iou_matrix(a, b).shape == (len(a), len(b))
 
 
 def test_decode_zero_deltas_returns_priors():
@@ -157,6 +186,46 @@ def test_profiles_and_unknown_profile():
         pp.get_profile("coco")
 
 
+def _random_dets(rng, n):
+    """n detections of random boxes whose scores are distinct."""
+    scores = rng.permutation(n) / max(n, 1) + 0.001
+    return [_det(float(s), b) for s, b in zip(scores, _random_boxes(rng, n))]
+
+
+def test_nms_stopped_early_is_a_prefix_of_a_later_stop():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        dets = _random_dets(rng, int(rng.integers(0, 60)))
+        thresh = float(rng.choice([0.3, 0.45, 0.6]))
+        n = int(rng.integers(1, 60))
+        m = int(rng.integers(1, n + 1))
+        boxes, scores = [d.box for d in dets], [d.score for d in dets]
+        long, short = pp.nms(dets, thresh, n), pp.nms(dets, thresh, m)
+        assert short == long[:m]
+        assert [id(d) for d in short] == [id(dets[i]) for i in
+                                          naive_nms(boxes, scores, thresh, m)]
+        assert [id(d) for d in long] == [id(dets[i]) for i in
+                                         naive_nms(boxes, scores, thresh, n)]
+
+
+def test_nms_is_idempotent():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        dets = _random_dets(rng, int(rng.integers(0, 60)))
+        for top in (3, 200):
+            kept = pp.nms(dets, 0.45, top)
+            assert pp.nms(kept, 0.45, top) == kept
+
+
+def test_nms_ignores_input_order_when_scores_are_distinct():
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        dets = _random_dets(rng, int(rng.integers(0, 60)))
+        kept = pp.nms(dets, 0.45, 20)
+        shuffled = [dets[i] for i in rng.permutation(len(dets))]
+        assert pp.nms(shuffled, 0.45, 20) == kept
+
+
 def array_head(deltas, logits):
     """A net.HeadOut of fixed per-prior offset and logit arrays."""
     return HeadOut(T.constant(deltas), T.constant(logits))
@@ -166,7 +235,8 @@ def test_detect_uniform_zero_logits_yields_nothing():
     priors = pp.make_priors()
     deltas = np.zeros((len(priors), 4))
     logits = np.zeros((len(priors), 5))   # 4 classes + background -> scores 0.2
-    out = detections_for_frame(array_head(deltas, logits), priors, 0.3, "vid", 4)
+    out = detections_for_frame(array_head(deltas, logits), priors, 0.3,
+                               pp.get_profile("vid"), 4)
     assert out == []
 
 
@@ -175,7 +245,8 @@ def test_detect_single_dominant_prior():
     deltas = np.zeros((len(priors), 4))
     logits = np.zeros((len(priors), 5))
     logits[37, 2] = 12.0
-    out = detections_for_frame(array_head(deltas, logits), priors, 0.3, "vid", 4)
+    out = detections_for_frame(array_head(deltas, logits), priors, 0.3,
+                               pp.get_profile("vid"), 4)
     assert len(out) == 1
     assert out[0].class_id == 2
     assert out[0].prior_index == 37
@@ -187,12 +258,12 @@ def test_detect_equals_manual_composition():
     priors = pp.make_priors()
     deltas = rng.standard_normal((len(priors), 4)) * 0.3
     logits = rng.standard_normal((len(priors), 5)) * 2
-    out = detections_for_frame(array_head(deltas, logits), priors, 0.25, "mot", 4)
+    prof = pp.get_profile("mot")
+    out = detections_for_frame(array_head(deltas, logits), priors, 0.25, prof, 4)
 
     boxes = pp.decode(priors, deltas)
     probs = pp.softmax_rows(logits)
     manual = []
-    prof = pp.get_profile("mot")
     for c in range(1, 5):
         cand = [pp.Detection(c, float(probs[i, c]), boxes[i], prior_index=i)
                 for i in np.nonzero(probs[:, c] > 0.25)[0]]
@@ -201,6 +272,30 @@ def test_detect_equals_manual_composition():
     for a, b in zip(out, manual):
         assert (a.class_id, a.prior_index) == (b.class_id, b.prior_index)
         assert a.score == b.score
+
+
+@pytest.mark.parametrize("k", [1, 75, 300])
+def test_stage3_capped_nms_keeps_the_score_lists(k):
+    """Stage 3 stops NMS at min(k, keep_top); on random heads over the full
+    prior grid the score lists read the same prior rows and sum to the same
+    values as with the vid profile's keep_top of 200."""
+    rng = np.random.default_rng(10 + k)
+    priors = pp.make_priors()
+    full = pp.get_profile("vid")
+    assert score_list_profile("vid", k).keep_top == min(k, full.keep_top)
+    assert score_list_profile("vid", k).nms_iou == full.nms_iou
+    for _ in range(2):
+        head = array_head(rng.standard_normal((len(priors), 4)) * 0.3,
+                          rng.standard_normal((len(priors), 5)))
+        wide = detections_for_frame(head, priors, 0.1, full, 4)
+        capped = detections_for_frame(head, priors, 0.1, score_list_profile("vid", k), 4)
+        for c in range(1, 5):
+            rows = [d.prior_index for d in wide if d.class_id == c]
+            assert len(rows) == full.keep_top
+            assert [d.prior_index for d in capped if d.class_id == c] == rows[:k]
+        a = score_list_nodes(head, wide, k, 4)
+        b = score_list_nodes(head, capped, k, 4)
+        assert [n.item() for n in a] == [n.item() for n in b]
 
 
 def test_detections_jsonl_round_trip(tmp_path):
@@ -239,6 +334,37 @@ def test_detections_jsonl_frame_id_or_class_beyond_int_is_parse_error(tmp_path, 
     path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in rec.items()) + "}\n")
     with pytest.raises(ParseError, match=r"big\.jsonl:1: bad detection record"):
         pp.read_detections_jsonl(path)
+
+
+def test_detections_jsonl_fractional_frame_class_or_id_is_parse_error(tmp_path):
+    path = tmp_path / "frac.jsonl"
+    path.write_text('{"frame": 1.9, "class": 2.7, "score": 0.5, "box": [0, 0, 1, 1], '
+                    '"id": 3.5}\n')
+    with pytest.raises(ParseError, match=r"frac\.jsonl:1: .*must be a whole number"):
+        pp.read_detections_jsonl(path)
+
+
+@pytest.mark.parametrize("key,value", [("frame", "1.5"), ("class", "2.7"), ("id", "3.5"),
+                                       ("frame", "true"), ("class", "false"),
+                                       ("id", "true"), ("class", '"2"')])
+def test_detections_jsonl_frame_class_and_id_must_be_whole_numbers(tmp_path, key, value):
+    path = tmp_path / "whole.jsonl"
+    rec = {"frame": "1", "class": "1", "score": "0.5", "box": "[0, 0, 1, 1]", "id": "2",
+           key: value}
+    path.write_text('{"frame": 1, "class": 1, "score": 0.5, "box": [0, 0, 1, 1]}\n'
+                    + "{" + ", ".join(f'"{k}": {v}' for k, v in rec.items()) + "}\n")
+    with pytest.raises(ParseError, match=rf"whole\.jsonl:2: bad detection record \({key} "
+                                         r"must be a whole number"):
+        pp.read_detections_jsonl(path)
+
+
+def test_detections_jsonl_whole_number_floats_load(tmp_path):
+    path = tmp_path / "floats.jsonl"
+    path.write_text('{"frame": 2.0, "class": 3.0, "score": 0.5, "box": [0, 0, 1, 1], '
+                    '"id": -1.0}\n')
+    (det,) = pp.read_detections_jsonl(path)[2]
+    assert (det.class_id, det.id) == (3, -1)
+    assert type(det.class_id) is int and type(det.id) is int
 
 
 def test_detections_jsonl_box_needs_four_numbers(tmp_path):

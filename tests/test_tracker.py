@@ -399,6 +399,26 @@ def test_mot_csv_frame_or_id_beyond_int_is_parse_error(tmp_path, frame, tid):
         TK.read_mot_csv(p)
 
 
+def test_mot_csv_fractional_frame_or_id_is_parse_error(tmp_path):
+    p = tmp_path / "frac.csv"
+    p.write_text("1.5,2.9,0,0,5,5,0.9,-1,-1,-1\n")
+    with pytest.raises(ParseError, match=r"frac\.csv:1: bad number \(frame and id must be "
+                                         r"whole numbers, got '1\.5', '2\.9'"):
+        TK.read_mot_csv(p)
+    p.write_text("1,1,0,0,5,5,0.9\n2,2.5,0,0,5,5,0.9\n")
+    with pytest.raises(ParseError, match=r"frac\.csv:2: bad number \(frame and id must be "
+                                         r"whole numbers, got '2', '2\.5'"):
+        TK.read_mot_csv(p)
+
+
+def test_mot_csv_whole_number_floats_load(tmp_path):
+    p = tmp_path / "floats.csv"
+    p.write_text("1.0,2.000,0,0,5,5,0.9\n")
+    (row,) = TK.read_mot_csv(p)
+    assert row[:2] == (1, 2)
+    assert type(row[0]) is int and type(row[1]) is int
+
+
 @pytest.mark.parametrize("fields", ["nan,0,5,5,0.9", "0,inf,5,5,0.9", "0,0,-inf,5,0.9",
                                     "0,0,5,nan,0.9", "0,0,5,5,nan", "0,0,5,5,inf"],
                          ids=["left_nan", "top_inf", "width_minus_inf", "height_nan",
