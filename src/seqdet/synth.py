@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError
 from .tensor import load_tnsr, save_tnsr
+from .tracker import whole_number
 
 CANVAS = 96
 NUM_CLASSES = 4
@@ -335,10 +336,13 @@ def load_video_dir(path) -> Video:
                 if not row:
                     continue
                 try:
-                    fidx = int(row[0])
-                    oid = int(row[1])
+                    fidx, oid = whole_number(row[0]), whole_number(row[1])
                     l, t, w, h = (float(v) for v in row[2:6])
-                    cls = int(row[10]) if len(row) > 10 else 1
+                    cls = whole_number(row[10]) if len(row) > 10 else 1
+                    if None in (fidx, oid, cls):
+                        raise ValueError(f"frame, id and class must be whole numbers "
+                                         f"within 64 bits, got "
+                                         f"{', '.join(map(repr, row[:2] + row[10:11]))}")
                 except (ValueError, IndexError) as exc:
                     raise ParseError(f"{gt_path}:{lineno}: bad gt row ({exc})") from exc
                 problem = _gt_row_problem(fidx, l, t, w, h, cls, len(frames))

@@ -251,13 +251,13 @@ def add_n(tensors):
 
 
 def sigmoid(x):
-    # Split by sign to avoid overflow in exp.
+    # e = exp(-|d|) never overflows: 1/(1+e) for d >= 0, e/(1+e) below.
+    # min(d, -d) is -|d| that keeps a NaN's sign, so every bit matches the
+    # sign-split evaluation (tests/refimpl.py).
     d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(np.minimum(d, -d))
+    out = np.where(d >= 0, 1.0, e)
+    out /= 1.0 + e
 
     def bwd(g):
         if x.requires_grad:
@@ -366,7 +366,7 @@ def conv2d(x, kernel, bias=None, stride=1, pad=0):
     cols, h2, w2 = _im2col(x.data, k, stride, pad)
     out = kernel.data.reshape(c_out, -1) @ cols
     if bias is not None:
-        out = out + bias.data[:, None]
+        out += bias.data[:, None]
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bwd(g):

@@ -209,9 +209,26 @@ def write_mot_csv(path, frames, canvas=96):
                          f"{x2 - x1:.2f},{y2 - y1:.2f},{d.score:.4f},-1,-1,-1\n")
 
 
+def whole_number(field):
+    """A MOT row's integer field (frame, id or class) as an int, or None when
+    its number has a fractional part, is not finite or does not fit in 64
+    bits: '1.0' reads as 1; '1.5', 'inf' and '1e30' give None. A field that
+    is no number raises ValueError. read_mot_csv and gt.csv
+    (synth.load_video_dir) both read by it."""
+    try:
+        v = int(field)              # plain integers: exact, and the common case
+    except ValueError:
+        f = float(field)
+        if not f.is_integer():
+            return None
+        v = int(f)
+    return v if -2**63 <= v < 2**63 else None
+
+
 def read_mot_csv(path):
     """Rows as (frame, id, left, top, width, height, conf, extras...); the
-    11th column, when present, is the class id and must be an integer."""
+    11th column, when present, is the class id and must be an integer (it
+    is stored as an int, frame and id too)."""
     rows = []
     with open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -223,20 +240,22 @@ def read_mot_csv(path):
                 raise ParseError(f"{path}:{lineno}: expected >= 7 columns, "
                                  f"got {len(parts)}")
             try:
-                frame, tid = float(parts[0]), float(parts[1])
+                frame, tid = whole_number(parts[0]), whole_number(parts[1])
                 vals = [float(v) for v in parts[2:7]]
                 extras = [float(v) for v in parts[7:]]
-                if not (frame.is_integer() and tid.is_integer()):
+                if frame is None or tid is None:
                     raise ValueError(f"frame and id must be whole numbers, got "
                                      f"{parts[0]!r}, {parts[1]!r}")
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad number ({exc})") from exc
             if not all(map(math.isfinite, vals)):
                 raise ParseError(f"{path}:{lineno}: box and conf must be finite, got {vals}")
-            if len(extras) > 3 and not extras[3].is_integer():
-                raise ParseError(f"{path}:{lineno}: class must be an integer, "
-                                 f"got {parts[10]!r}")
-            rows.append((int(frame), int(tid), *vals, *extras))
+            if len(extras) > 3:
+                extras[3] = whole_number(parts[10])
+                if extras[3] is None:
+                    raise ParseError(f"{path}:{lineno}: class must be an integer, "
+                                     f"got {parts[10]!r}")
+            rows.append((frame, tid, *vals, *extras))
     return rows
 
 

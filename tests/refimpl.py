@@ -27,6 +27,19 @@ def naive_conv2d(x, kernel, bias=None, stride=1, pad=0):
     return out
 
 
+def masked_sigmoid(d):
+    """Logistic function split by sign with boolean masks, so exp never
+    sees a positive argument: 1/(1+exp(-d)) where d >= 0, exp(d)/(1+exp(d))
+    elsewhere (NaN included)."""
+    d = np.asarray(d, dtype=np.float64)
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ez = np.exp(d[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def naive_bilinear_resize(a, h2, w2):
     """Per-pixel evaluation of the half-pixel-center formula with edge clamp."""
     c, h, w = a.shape

@@ -194,6 +194,50 @@ def test_fuzz_gt_csv(tmp_path):
            _mutate_value)
 
 
+# the frame, id and class columns given as whole numbers in other spellings,
+# as numbers with a fractional part, or as integers beyond 64 bits (400
+# digits read as inf by float()); frames stay inside 1..2, classes >= 1
+WHOLE_OR_FRACTIONAL = {0: ["1.0", "2.000", "1e0", "1.5", "0.999", "2.5e-1", "1" * 400],
+                       1: ["3.0", "1e1", "-2.0", "2.9", "1e-3", "-1.5", "9" * 400,
+                           "-9223372036854775809"],
+                       10: ["2.0", "1.00", "3e0", "2.5", "1.25", "inf", "2" * 400,
+                            "9223372036854775808"]}
+
+
+def _gt_ints(video):
+    """Per-frame (id, class) pairs as load_video_dir reads them, or None."""
+    try:
+        vid = synth.load_video_dir(video)
+    except ParseError:
+        return None
+    return [list(zip(ids.tolist(), cls.tolist())) for ids, cls in zip(vid.ids, vid.classes)]
+
+
+def _mot_ints(path, frames):
+    """The same pairs as read_mot_csv reads them, or None."""
+    try:
+        rows = TK.read_mot_csv(path)
+    except ParseError:
+        return None
+    return [[(r[1], int(r[10])) for r in rows if r[0] == f] for f in range(1, frames + 1)]
+
+
+def test_fuzz_gt_and_mot_csv_share_the_whole_number_rule(tmp_path):
+    video = tmp_path / "vid"
+    (video / "frames").mkdir(parents=True)
+    for i in (1, 2):
+        T.save_tnsr(video / "frames" / f"{i:06d}.tnsr", np.zeros((3, 8, 8)))
+    raw = b"1,1,1.000,2.000,3.000,4.000,1,-1,-1,-1,2\n2,1,1.500,2.000,3.000,4.000,1,-1,-1,-1,2\n"
+    rng = np.random.default_rng(60)
+    outcomes = set()
+    for case in range(CASES):
+        (video / "gt.csv").write_bytes(_mutate_value(rng, raw, b",", WHOLE_OR_FRACTIONAL))
+        gt = _gt_ints(video)
+        assert gt == _mot_ints(video / "gt.csv", 2), case
+        outcomes.add(gt is None)
+    assert outcomes == {True, False}
+
+
 def test_fuzz_config_file(tmp_path):
     raw = b"# training settings\nseed = 3\nlr = 0.001\nseq_len = 4\nasso_form = global\n"
     _sweep(54, tmp_path / "fuzz.cfg", raw, b"=", TR.parse_config_file)

@@ -226,6 +226,170 @@ def test_nms_ignores_input_order_when_scores_are_distinct():
         assert pp.nms(shuffled, 0.45, 20) == kept
 
 
+# ---------------------------------------------------------------------------
+# select_class_candidates: NMS over a score-ordered prefix of the candidates
+
+
+def _oracle_selection(scores, boxes, thresh, profile):
+    """Prior indices naive_nms keeps over every thresholded candidate."""
+    idx = np.nonzero(scores > thresh)[0]
+    keep = naive_nms(boxes[idx], scores[idx], profile.nms_iou, profile.keep_top)
+    return [int(idx[j]) for j in keep]
+
+
+def _assert_selects_like_oracle(scores, boxes, thresh, profile):
+    out = pp.select_class_candidates(scores, boxes, 3, thresh, profile)
+    assert [d.prior_index for d in out] == _oracle_selection(scores, boxes, thresh, profile)
+    for d in out:
+        assert d.class_id == 3 and d.score == scores[d.prior_index]
+        assert np.array_equal(d.box, boxes[d.prior_index])
+    return out
+
+
+@pytest.fixture
+def nms_sizes(monkeypatch):
+    """How many candidates each nms call gets from select_class_candidates."""
+    sizes = []
+    real = pp.nms
+
+    def counting(dets, iou_thresh, keep_top):
+        sizes.append(len(dets))
+        return real(dets, iou_thresh, keep_top)
+
+    monkeypatch.setattr(pp, "nms", counting)
+    return sizes
+
+
+@pytest.fixture
+def iou_calls(monkeypatch):
+    """How many times postproc calls iou_matrix (nms and the fallback alike)."""
+    calls = []
+    real = pp.iou_matrix
+
+    def counting(a, b):
+        calls.append((len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(pp, "iou_matrix", counting)
+    return calls
+
+
+STACKED = [0.1, 0.1, 0.3, 0.3]
+
+
+def _disjoint_box(i):
+    """Small boxes on a row of their own, apart from each other and from STACKED."""
+    return [0.05 * i, 0.8, 0.05 * i + 0.04, 0.84]
+
+
+def test_select_equal_scores_straddling_the_prefix_keep_prior_order(nms_sizes):
+    # keep_top 2 starts from an 8-candidate prefix; all 16 scores are equal,
+    # the first 8 priors are one stacked box and the next 8 are disjoint, so
+    # only a rest read in prior order finds prior 8 as the second box
+    prof = pp.Profile(nms_iou=0.45, keep_top=2)
+    boxes = np.array([STACKED] * 8 + [_disjoint_box(i) for i in range(8)])
+    scores = np.full(16, 0.6)
+    out = _assert_selects_like_oracle(scores, boxes, 0.1, prof)
+    assert [d.prior_index for d in out] == [0, 8]
+    assert nms_sizes == [8, 8]
+
+
+def test_select_heavy_overlap_reads_past_the_prefix_once(nms_sizes, iou_calls):
+    # 39 stacked boxes by falling score, then one disjoint box with the lowest;
+    # the rest's 31 stacked boxes go in one iou_matrix against the kept box
+    prof = pp.Profile(nms_iou=0.45, keep_top=2)
+    boxes = np.array([STACKED] * 39 + [_disjoint_box(0)])
+    scores = np.linspace(0.9, 0.5, 40)
+    _assert_selects_like_oracle(scores, boxes, 0.1, prof)
+    assert nms_sizes == [8, 1]
+    assert iou_calls == [(1, 8), (1, 32)]
+
+
+def test_select_rest_keeps_a_box_at_exactly_the_threshold(nms_sizes):
+    # NMS drops a box only when its IoU exceeds the threshold; the rest's
+    # filter keeps one whose IoU with the kept box equals it
+    a, b = [0.0, 0.0, 0.2, 0.2], [0.1, 0.0, 0.3, 0.2]
+    at = float(pp.iou_matrix(np.array([a]), np.array([b]))[0, 0])
+    boxes = np.array([a] * 9 + [b])
+    scores = np.linspace(0.9, 0.5, 10)
+    out = _assert_selects_like_oracle(scores, boxes, 0.1, pp.Profile(nms_iou=at, keep_top=2))
+    assert [d.prior_index for d in out] == [0, 9]
+    assert nms_sizes == [8, 1]
+
+
+def test_select_candidates_run_out_before_keep_top(nms_sizes):
+    prof = pp.Profile(nms_iou=0.45, keep_top=5)
+    boxes = np.array([STACKED] * 30 + [_disjoint_box(0)])
+    scores = np.concatenate([np.linspace(0.9, 0.3, 30), [0.05]])   # the last is below 0.1
+    assert len(_assert_selects_like_oracle(scores, boxes, 0.1, prof)) == 1
+    assert nms_sizes == [20, 0]
+
+
+def test_select_clustered_head_costs_at_most_one_iou_call_more(nms_sizes, iou_calls):
+    """A head whose 1540 candidates form 30 clusters: NMS over all of them keeps
+    30 < keep_top boxes. The prefix keeps what it reaches, the rest is read
+    once, and iou_matrix runs once per kept box plus once for the rest."""
+    rng = np.random.default_rng(14)
+    centres = [(0.1 + 0.15 * i, 0.1 + 0.15 * j) for i in range(5) for j in range(6)]
+    boxes = np.zeros((1540, 4))
+    for i in range(1540):
+        cx, cy = centres[i % 30]
+        dx, dy = rng.uniform(-0.004, 0.004, size=2)
+        boxes[i] = [cx + dx - 0.05, cy + dy - 0.05, cx + dx + 0.05, cy + dy + 0.05]
+    scores = rng.uniform(0.2, 0.9, size=1540)
+    prof = pp.Profile(nms_iou=0.45, keep_top=75)
+    every = [pp.Detection(3, float(scores[i]), boxes[i], prior_index=i) for i in range(1540)]
+    ref = pp.nms(every, prof.nms_iou, prof.keep_top)
+    full_calls = len(iou_calls)
+    assert len(ref) == full_calls == 30
+    nms_sizes.clear()
+    iou_calls.clear()
+    out = _assert_selects_like_oracle(scores, boxes, 0.1, prof)
+    assert [d.prior_index for d in out] == [d.prior_index for d in ref]
+    assert nms_sizes[0] == 300 and sum(nms_sizes) < 1540
+    assert len(iou_calls) <= full_calls + 1
+
+
+def test_select_keep_top_at_or_above_the_candidate_count(nms_sizes):
+    rng = np.random.default_rng(11)
+    boxes = _random_boxes(rng, 12)
+    scores = rng.random(12)
+    for top in (12, 50):
+        nms_sizes.clear()
+        _assert_selects_like_oracle(scores, boxes, 0.0, pp.Profile(0.45, top))
+        assert nms_sizes == [12]
+
+
+def test_select_matches_the_oracle_on_random_tied_scores():
+    rng = np.random.default_rng(12)
+    for _ in range(150):
+        n = int(rng.integers(0, 120))
+        boxes = _random_boxes(rng, n)
+        scores = rng.integers(0, 6, size=n) / 5.0     # many ties, some at or below 0.1
+        prof = pp.Profile(nms_iou=float(rng.choice([0.3, 0.45, 0.6])),
+                          keep_top=int(rng.choice([1, 2, 3, 5, 10, 200])))
+        _assert_selects_like_oracle(scores, boxes, 0.1, prof)
+
+
+def test_stage3_nms_sees_fewer_candidates_than_priors(nms_sizes):
+    """At theta 0.1 every prior of every class is a candidate of a near-uniform
+    head; with k 75 NMS gets a prefix and still keeps what it keeps over all."""
+    rng = np.random.default_rng(13)
+    priors = pp.make_priors()
+    logits = rng.standard_normal((len(priors), 5)) * 0.1
+    head = array_head(rng.standard_normal((len(priors), 4)) * 0.3, logits)
+    prof = score_list_profile("vid", 75)
+    dets = detections_for_frame(head, priors, 0.1, prof, 4)
+    assert nms_sizes and max(nms_sizes) < len(priors)
+    boxes, probs = pp.decode(priors, head.loc.data), pp.softmax_rows(logits)
+    for c in range(1, 5):
+        assert (probs[:, c] > 0.1).all()
+        every = [pp.Detection(c, float(probs[i, c]), boxes[i], prior_index=i)
+                 for i in range(len(priors))]
+        ref = [d.prior_index for d in pp.nms(every, prof.nms_iou, prof.keep_top)]
+        assert [d.prior_index for d in dets if d.class_id == c] == ref
+
+
 def array_head(deltas, logits):
     """A net.HeadOut of fixed per-prior offset and logit arrays."""
     return HeadOut(T.constant(deltas), T.constant(logits))

@@ -3,6 +3,7 @@ import pytest
 
 from seqdet import synth
 from seqdet import tensor as T
+from seqdet import tracker as TK
 from seqdet.errors import ConfigError, ParseError
 from seqdet.postproc import iou
 
@@ -120,12 +121,52 @@ def _two_frame_video(tmp_path, gt_row, shapes=((3, 8, 8), (3, 8, 8))):
     ("3,1,1,2,3,4,1,-1,-1,-1,2", "frame 3 outside 1..2"),
     ("0,1,1,2,3,4,1,-1,-1,-1,2", "frame 0 outside 1..2"),
     ("2,1,1,2,3,4,1,-1,-1,-1,0", "class 0"),
+    ("2,99999999999999999999,1,2,3,4,1,-1,-1,-1,2", "whole numbers within 64 bits"),
+    ("2,-9223372036854775809,1,2,3,4,1,-1,-1,-1,2", "whole numbers within 64 bits"),
+    ("2,1,1,2,3,4,1,-1,-1,-1,9223372036854775808", "whole numbers within 64 bits"),
+    ("2,1,1,2,3,4,1,-1,-1,-1," + "1" * 400, "whole numbers within 64 bits"),
 ], ids=["nan_box", "inf_height", "zero_width", "negative_height", "frame_past_end",
-        "frame_0", "class_0"])
+        "frame_0", "class_0", "id_past_int64", "id_below_int64", "class_past_int64",
+        "class_400_digits"])
 def test_gt_row_with_unusable_values_is_parse_error(tmp_path, row, message):
     video = _two_frame_video(tmp_path, row)
     with pytest.raises(ParseError, match=rf"gt\.csv:2: .*{message}"):
         synth.load_video_dir(video)
+
+
+def _one_row_video(tmp_path, gt_row):
+    video = tmp_path / "vid"
+    (video / "frames").mkdir(parents=True)
+    T.save_tnsr(video / "frames" / "000001.tnsr", np.zeros((3, 8, 8)))
+    (video / "gt.csv").write_text(gt_row + "\n")
+    return video
+
+
+@pytest.mark.parametrize("row", ["1.0,1,1,2,3,4,1,-1,-1,-1,2", "1,1.0,1,2,3,4,1,-1,-1,-1,2",
+                                 "1,1,1,2,3,4,1,-1,-1,-1,2.0", "1e0,3.000,1,2,3,4,1,-1,-1,-1,2"],
+                         ids=["frame", "id", "class", "exponent"])
+def test_gt_whole_number_floats_load_in_both_mot_readers(tmp_path, row):
+    video = _one_row_video(tmp_path, row)
+    vid = synth.load_video_dir(video)
+    (mot,) = TK.read_mot_csv(video / "gt.csv")
+    assert mot[0] == 1 and type(mot[0]) is int and type(mot[1]) is int
+    assert vid.ids[0].tolist() == [mot[1]]
+    assert vid.classes[0].tolist() == [int(mot[10])] == [2]
+
+
+@pytest.mark.parametrize("row", ["1.5,1,1,2,3,4,1,-1,-1,-1,2", "1,1.5,1,2,3,4,1,-1,-1,-1,2",
+                                 "1,1,1,2,3,4,1,-1,-1,-1,1.5", "1,inf,1,2,3,4,1,-1,-1,-1,2",
+                                 "1,1,1,2,3,4,1,-1,-1,-1," + "2" * 400,
+                                 "1" * 400 + ",1,1,2,3,4,1,-1,-1,-1,2"],
+                         ids=["frame", "id", "class", "id_inf", "class_400_digits",
+                              "frame_400_digits"])
+def test_gt_fractional_integer_field_fails_in_both_mot_readers(tmp_path, row):
+    video = _one_row_video(tmp_path, row)
+    with pytest.raises(ParseError, match=r"gt\.csv:1: bad gt row \(frame, id and class "
+                                         r"must be whole numbers"):
+        synth.load_video_dir(video)
+    with pytest.raises(ParseError, match=r"gt\.csv:1: .*must be (whole numbers|an integer)"):
+        TK.read_mot_csv(video / "gt.csv")
 
 
 @pytest.mark.parametrize("shapes", [((3, 8, 8), (3, 6, 6)), ((3, 8, 8), (1, 8, 8)),

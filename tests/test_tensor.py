@@ -1,3 +1,4 @@
+import warnings
 import zlib
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from seqdet import tensor as T
 from seqdet.errors import ParseError, ShapeError
 
-from refimpl import naive_bilinear_resize, naive_conv2d
+from refimpl import masked_sigmoid, naive_bilinear_resize, naive_conv2d
 
 
 def rand_t(rng, shape, name=None):
@@ -79,12 +80,40 @@ def test_conv_pure_same_inputs_same_bits():
     assert np.array_equal(a, b)
 
 
+def test_conv_bias_adds_exactly_and_stays_unchanged():
+    rng = np.random.default_rng(6)
+    x = T.constant(rng.standard_normal((3, 7, 7)))
+    k = T.constant(rng.standard_normal((4, 3, 3, 3)))
+    bias = rng.standard_normal(4)
+    kept = bias.copy()
+    out = T.conv2d(x, k, T.constant(bias), 1, 1).data
+    assert np.array_equal(out, T.conv2d(x, k, None, 1, 1).data + bias[:, None, None])
+    assert np.array_equal(bias, kept)
+
+
 # ---------------------------------------------------------------------------
 # activations
 
 
 def test_sigmoid_at_zero():
     assert T.sigmoid(T.constant([0.0])).data[0] == 0.5
+
+
+SIGMOID_EDGES = [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 1e-320, -1e-320, 36.0, -36.0,
+                 np.inf, -np.inf, np.nan, -np.nan]
+
+
+@pytest.mark.parametrize("shape", [(64, 24, 24), (7,), (3, 1, 5)])
+def test_sigmoid_matches_masked_formula_bit_for_bit(shape):
+    rng = np.random.default_rng(zlib.crc32(repr(shape).encode()))
+    x = rng.standard_normal(shape) * rng.choice([1.0, 10.0, 800.0], size=shape)
+    x.flat[:len(SIGMOID_EDGES)] = SIGMOID_EDGES[:x.size]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = T.sigmoid(T.constant(x)).data
+        ref = masked_sigmoid(x)
+    # integer views compare every bit, NaN signs included
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_tanh_at_zero():

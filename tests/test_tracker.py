@@ -391,7 +391,10 @@ def test_mot_csv_parse_error_line_number(tmp_path):
         TK.read_mot_csv(p)
 
 
-@pytest.mark.parametrize("frame,tid", [("inf", "1"), ("1", "1e400"), ("-inf", "2")])
+@pytest.mark.parametrize("frame,tid", [("inf", "1"), ("1", "1e400"), ("-inf", "2"),
+                                       pytest.param("1" * 400, "1", id="400_digits-1"),
+                                       pytest.param("1", "9" * 400, id="1-400_digits"),
+                                       ("9223372036854775808", "1"), ("1", "1e30")])
 def test_mot_csv_frame_or_id_beyond_int_is_parse_error(tmp_path, frame, tid):
     p = tmp_path / "big.csv"
     p.write_text(f"1,1,0,0,5,5,0.9\n{frame},{tid},0,0,5,5,0.9\n")
@@ -419,6 +422,16 @@ def test_mot_csv_whole_number_floats_load(tmp_path):
     assert type(row[0]) is int and type(row[1]) is int
 
 
+def test_mot_csv_class_column_is_stored_as_the_int_it_was_checked_as(tmp_path):
+    p = tmp_path / "cls.csv"
+    p.write_text("1,1,0,0,5,5,0.9,-1,-1,-1,3.0\n"
+                 "2,1,0,0,5,5,0.9,-1,-1,-1,9223372036854775807\n")
+    rows = TK.read_mot_csv(p)
+    assert [r[10] for r in rows] == [3, 2**63 - 1]
+    assert all(type(r[10]) is int for r in rows)
+    assert [d.class_id for _f, dets in TK.ingest_detections(p) for d in dets] == [3, 2**63 - 1]
+
+
 @pytest.mark.parametrize("fields", ["nan,0,5,5,0.9", "0,inf,5,5,0.9", "0,0,-inf,5,0.9",
                                     "0,0,5,nan,0.9", "0,0,5,5,nan", "0,0,5,5,inf"],
                          ids=["left_nan", "top_inf", "width_minus_inf", "height_nan",
@@ -430,7 +443,9 @@ def test_mot_csv_non_finite_box_or_conf_is_parse_error(tmp_path, fields):
         TK.read_mot_csv(p)
 
 
-@pytest.mark.parametrize("cls", ["inf", "nan", "2.5", "-inf"])
+@pytest.mark.parametrize("cls", ["inf", "nan", "2.5", "-inf",
+                                 pytest.param("2" * 400, id="400_digits"),
+                                 "9223372036854775808"])
 def test_ingest_class_column_must_be_an_integer(tmp_path, cls):
     p = tmp_path / "cls.csv"
     p.write_text(f"1,1,0,0,5,5,0.9,-1,-1,-1,2\n1,2,0,0,5,5,0.9,-1,-1,-1,{cls}\n")
