@@ -159,9 +159,9 @@ def nms(dets, iou_thresh, keep_top):
 
     Highest score first, ties by input order; a box is dropped when its
     IoU with an already-kept box exceeds iou_thresh; at most keep_top
-    survive.
+    survive, so none when keep_top < 1.
     """
-    if not dets:
+    if not dets or keep_top < 1:
         return []
     boxes = np.stack([d.box for d in dets])
     scores = np.array([d.score for d in dets])
@@ -230,15 +230,26 @@ def write_detections_jsonl(path, frames):
                 fh.write(json.dumps(rec) + "\n")
 
 
+def whole_int(v):
+    """An int or float as an int when it is a whole number within 64 bits,
+    else None: 3.0 gives 3; 3.5, inf, nan and 1e30 give None. Every result
+    and ground-truth reader reads frame, class and id by this rule."""
+    if isinstance(v, float):
+        if not v.is_integer():
+            return None
+        v = int(v)
+    return v if -2**63 <= v < 2**63 else None
+
+
 def _whole(rec, key, default=None):
     """rec[key] (or default when absent) as an int; it must be a JSON
-    number with no fractional part, so 3.0 loads and 3.5, true or "3" do not."""
+    number that whole_int accepts, so 3.0 loads and 3.5, 1e30, true or "3"
+    do not."""
     v = rec[key] if default is None else rec.get(key, default)
-    if type(v) is int:
-        return v
-    if type(v) is float and v.is_integer():
-        return int(v)
-    raise ValueError(f"{key} must be a whole number, got {v!r}")
+    w = whole_int(v) if type(v) in (int, float) else None
+    if w is None:
+        raise ValueError(f"{key} must be a whole number within 64 bits, got {v!r}")
+    return w
 
 
 def read_detections_jsonl(path):

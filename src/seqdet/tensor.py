@@ -29,8 +29,9 @@ class Tensor:
     leaf feeds remembers its parent nodes and a closure that scatters the
     output adjoint back onto them, which is all reverse mode needs; a node
     built only from constants keeps neither, so inference records no tape.
-    Leaf tensors created with ``requires_grad=True`` collect their gradient
-    in ``.grad`` after :func:`backward` runs.
+    Leaf tensors created with ``requires_grad=True`` keep their gradient in
+    ``.grad`` after :func:`backward` runs; an interior node's ``.grad`` is
+    None again once the sweep has passed it on.
     """
 
     __slots__ = ("data", "parents", "name", "requires_grad", "grad", "_backward")
@@ -105,9 +106,12 @@ def _toposort(root):
 def backward(loss):
     """Reverse-mode sweep from a scalar loss.
 
-    Populates ``.grad`` on every reachable node and returns the gradients
-    of the named leaves keyed by parameter name. Leaves that do not feed
-    the loss are absent from the result.
+    Returns the gradients of the named leaves keyed by parameter name;
+    leaves that do not feed the loss are absent from the result. Every
+    trainable leaf the loss reaches keeps its gradient in ``.grad``. An
+    interior node's gradient is dropped (``.grad`` set to None) as soon as
+    its backward closure has handed it to the parents, so the sweep holds
+    the adjoints of its frontier, not one per node of the graph.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -123,6 +127,7 @@ def backward(loss):
             continue
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad = None
         elif node.name is not None and not node.parents:
             leaves[node.name] = node.grad.copy()
     return leaves
@@ -387,7 +392,9 @@ def conv2d(x, kernel, bias=None, stride=1, pad=0):
 
 
 def slice_channels(x, lo, hi):
-    """Contiguous channel slice of a [C,H,W] tensor."""
+    """Contiguous channel slice of a [C,H,W] tensor, as a view of x's data:
+    only the optimizers write data in place, and only a parameter leaf's,
+    after the sweep that read it."""
     if x.data.ndim != 3:
         raise ShapeError(f"slice_channels: input must be [C,H,W], got {x.data.shape}")
     c = x.data.shape[0]
@@ -400,7 +407,7 @@ def slice_channels(x, lo, hi):
                 x.grad = np.zeros_like(x.data)
             x.grad[lo:hi] += g
 
-    return Tensor(x.data[lo:hi].copy(), (x,), bwd)
+    return Tensor(x.data[lo:hi], (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .postproc import Detection, iou_matrix
+from .postproc import Detection, iou_matrix, whole_int
 from .postproc import iou  # noqa: F401 (a lookup site perfbench's tracer tests wrap)
 from .tensor import bilinear_weights, load_tnsr
 
@@ -211,18 +211,14 @@ def write_mot_csv(path, frames, canvas=96):
 
 def whole_number(field):
     """A MOT row's integer field (frame, id or class) as an int, or None when
-    its number has a fractional part, is not finite or does not fit in 64
-    bits: '1.0' reads as 1; '1.5', 'inf' and '1e30' give None. A field that
-    is no number raises ValueError. read_mot_csv and gt.csv
-    (synth.load_video_dir) both read by it."""
+    postproc.whole_int refuses its number: '1.0' reads as 1; '1.5', 'inf'
+    and '1e30' give None. A field that is no number raises ValueError.
+    read_mot_csv and gt.csv (synth.load_video_dir) both read by it."""
     try:
         v = int(field)              # plain integers: exact, and the common case
     except ValueError:
-        f = float(field)
-        if not f.is_integer():
-            return None
-        v = int(f)
-    return v if -2**63 <= v < 2**63 else None
+        v = float(field)
+    return whole_int(v)
 
 
 def read_mot_csv(path):

@@ -253,22 +253,21 @@ def _loss_csv_header():
     return "epoch,step,L_loc,L_conf,L_att,L_asso,L_total\n"
 
 
-def _check_finite(parts, stage, epoch, step):
-    """Stop before a non-finite loss reaches the optimizer."""
+def _step(build, update, clip, stage, epoch, step):
+    """One optimizer step. build() returns (loss node, parts dict); a
+    non-finite loss part or gradient norm stops the run before update(grads)
+    applies the gradients, clipped to the global norm clip. The graph lives
+    only inside this call, so the next step's forward starts without it."""
+    loss, parts = build()
+    where = f"stage {stage} epoch {epoch} step {step}"
     if not all(np.isfinite(v) for v in parts.values()):
-        raise FloatingPointError(f"stage {stage} epoch {epoch} step {step}: "
-                                 f"non-finite loss parts {parts}")
-
-
-def _gradients(loss, clip, stage, epoch, step):
-    """Gradients of the trained parameters, clipped to the global norm clip;
-    stops before a non-finite gradient reaches the optimizer."""
+        raise FloatingPointError(f"{where}: non-finite loss parts {parts}")
     grads = T.backward(loss)
     norm = global_norm(grads)
     if not math.isfinite(norm):
-        raise FloatingPointError(f"stage {stage} epoch {epoch} step {step}: "
-                                 f"non-finite gradient norm {norm}")
-    return clip_gradients(grads, clip, norm)
+        raise FloatingPointError(f"{where}: non-finite gradient norm {norm}")
+    update(clip_gradients(grads, clip, norm))
+    return parts
 
 
 def _train_static_epoch(params, videos, cfg, priors, rng, epoch, rows, lr):
@@ -276,17 +275,20 @@ def _train_static_epoch(params, videos, cfg, priors, rng, epoch, rows, lr):
              for t in range(1, len(v.frames) + 1)]
     rng.shuffle(items)
     for step, (vi, t) in enumerate(items, start=1):
-        video = videos[vi]
-        head = net.forward_static(T.constant(video.frames[t - 1]), params)
-        boxes, classes = frame_ground_truth(video, t)
-        m = LS.match_priors(boxes, classes, priors)
-        l_loc, l_conf = LS.loc_conf_loss(head, m)
-        node = LS.frame_loss_node(l_loc, l_conf, None, m.num_matched, LOSS_WEIGHTS)
-        parts = {"L_loc": l_loc.item(), "L_conf": l_conf.item(), "L_total": node.item()}
-        _check_finite(parts, 1, epoch, step)
-        sgd_step(params, _gradients(node, cfg.clip, 1, epoch, step), lr)
+        parts = _step(lambda: _train_frame(params, videos[vi], t, priors),
+                      lambda grads: sgd_step(params, grads, lr), cfg.clip, 1, epoch, step)
         rows.append(f"{epoch},{step},{parts['L_loc']:.6f},{parts['L_conf']:.6f},"
                     f"0,0,{parts['L_total']:.6f}\n")
+
+
+def _train_frame(params, video, t, priors):
+    """Build the static graph of frame t and return (loss_node, parts dict)."""
+    head = net.forward_static(T.constant(video.frames[t - 1]), params)
+    boxes, classes = frame_ground_truth(video, t)
+    m = LS.match_priors(boxes, classes, priors)
+    l_loc, l_conf = LS.loc_conf_loss(head, m)
+    node = LS.frame_loss_node(l_loc, l_conf, None, m.num_matched, LOSS_WEIGHTS)
+    return node, {"L_loc": l_loc.item(), "L_conf": l_conf.item(), "L_total": node.item()}
 
 
 def _train_sequence(params, video, cfg, model_cfg, priors, rng, with_asso):
@@ -377,13 +379,14 @@ def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
         if stage == 1:
             _train_static_epoch(params, videos, cfg, priors, rng, epoch, rows, lr)
             continue
-        for step, video in enumerate(videos, start=1):
-            total, parts = _train_sequence(params, video, cfg, model_cfg, priors,
-                                           rng, with_asso=(stage == 3))
-            _check_finite(parts, stage, epoch, step)
-            grads = _gradients(total, cfg.clip, stage, epoch, step)
+        def update(grads):
             sgd_step(sgd_params, grads, lr)
             rmsprop_step(rms_params, grads, lr, rms_state)
+
+        for step, video in enumerate(videos, start=1):
+            parts = _step(lambda: _train_sequence(params, video, cfg, model_cfg, priors,
+                                                  rng, with_asso=(stage == 3)),
+                          update, cfg.clip, stage, epoch, step)
             rows.append(f"{epoch},{step},{parts['L_loc']:.6f},{parts['L_conf']:.6f},"
                         f"{parts['L_att']:.6f},{parts['L_asso']:.6f},"
                         f"{parts['L_total']:.6f}\n")

@@ -214,3 +214,45 @@ def naive_voc_map(dets_by_frame, gts_by_frame, iou_thresh=0.5, num_classes=4):
         aps[c] = ap
     mean = sum(aps.values()) / len(aps) if aps else 0.0
     return aps, mean
+
+
+def retaining_backward(loss):
+    """Reverse-mode sweep that leaves every visited node's gradient in
+    ``.grad``: the same depth-first post-order over the nodes that require
+    grad and the same per-node closures as the engine, so gradients sum in
+    the same order, but nothing is released until the graph is."""
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node.parents if p.requires_grad)
+    for node in order:
+        node.grad = None
+    loss.grad = np.ones_like(loss.data)
+    leaves = {}
+    for node in reversed(order):
+        if node.grad is None:
+            continue
+        if node._backward is not None:
+            node._backward(node.grad)
+        elif node.name is not None and not node.parents:
+            leaves[node.name] = node.grad.copy()
+    return leaves
+
+
+def graph_nodes(root):
+    """Every distinct node reachable from root through parents."""
+    seen = {id(root): root}
+    stack = [root]
+    while stack:
+        for p in stack.pop().parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())

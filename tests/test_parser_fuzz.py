@@ -111,6 +111,13 @@ def _mutate_json_whole(rng, raw: bytes, _sep: bytes) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
+# JSON numbers for a record's frame, class or id on both sides of the 64-bit
+# edge, as integers and as floats with and without a fractional part
+JSON_WIDE = ["9223372036854775807", "-9223372036854775808", "9223372036854775808",
+             "-9223372036854775809", "9.2e18", "9.3e18", "-1e19", "1e30", "1" * 400,
+             "1e308", "4.0", "4.5"]
+
+
 def _sweep(seed, path, raw, sep, parse, mutate=_mutate):
     rng = np.random.default_rng(seed)
     where = re.escape(str(path)) + r":\d+: "
@@ -172,6 +179,35 @@ def test_fuzz_detections_jsonl(tmp_path):
     # every record with a frame, class or id that is not a whole number fails
     assert _sweep(58, tmp_path / "fuzz.jsonl", good.read_bytes(), b",",
                   pp.read_detections_jsonl, _mutate_json_whole) == CASES
+
+
+def test_fuzz_detections_jsonl_reads_whole_numbers_by_the_mot_csv_rule(tmp_path):
+    """A record loads exactly when tracker.whole_number accepts the spelling
+    put in its frame, class or id; otherwise the error names path:line."""
+    good = tmp_path / "good.jsonl"
+    det = pp.Detection(1, 0.9, np.array([0.1, 0.1, 0.4, 0.5]), id=3)
+    pp.write_detections_jsonl(good, [(1, [det]), (2, [det])])
+    lines = good.read_bytes().rstrip(b"\n").split(b"\n")
+    path = tmp_path / "fuzz.jsonl"
+    rng = np.random.default_rng(61)
+    outcomes = set()
+    for case in range(CASES):
+        i = int(rng.integers(len(lines)))
+        rec = json.loads(lines[i])
+        key = ["frame", "class", "id"][int(rng.integers(3))]
+        value = JSON_WIDE[int(rng.integers(len(JSON_WIDE)))]
+        rec[key] = "BAD"
+        mutated = json.dumps(rec).replace('"BAD"', value).encode()
+        path.write_bytes(b"\n".join(lines[:i] + [mutated] + lines[i + 1:]) + b"\n")
+        try:
+            pp.read_detections_jsonl(path)
+            loaded = True
+        except ParseError as exc:
+            loaded = False
+            assert str(exc).startswith(f"{path}:{i + 1}: "), (case, str(exc))
+        assert loaded == (TK.whole_number(value) is not None), (case, key, value)
+        outcomes.add(loaded)
+    assert outcomes == {True, False}
 
 
 def test_fuzz_mot_csv(tmp_path):

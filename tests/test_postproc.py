@@ -160,6 +160,18 @@ def test_nms_matches_brute_force_reference():
         assert [id(d) for d in kept] == [id(dets[i]) for i in ref]
 
 
+@pytest.mark.parametrize("keep_top", [-1, 0, 1])
+def test_nms_keeps_at_most_keep_top_boxes_even_below_one(keep_top):
+    dets = [_det(0.9, [0.0, 0.0, 0.2, 0.2]), _det(0.8, [0.5, 0.5, 0.7, 0.7])]
+    ref = naive_nms([d.box for d in dets], [d.score for d in dets], 0.45, keep_top)
+    assert [id(d) for d in pp.nms(dets, 0.45, keep_top)] == [id(dets[i]) for i in ref]
+    assert len(ref) == max(keep_top, 0)
+    boxes = np.stack([d.box for d in dets])
+    chosen = pp.select_class_candidates(np.array([0.9, 0.8]), boxes, 1, 0.1,
+                                        pp.Profile(0.45, keep_top))
+    assert [d.prior_index for d in chosen] == ref
+
+
 def test_nms_suppressed_boxes_overlap_a_kept_box():
     rng = np.random.default_rng(4)
     dets = []
@@ -510,7 +522,10 @@ def test_detections_jsonl_fractional_frame_class_or_id_is_parse_error(tmp_path):
 
 @pytest.mark.parametrize("key,value", [("frame", "1.5"), ("class", "2.7"), ("id", "3.5"),
                                        ("frame", "true"), ("class", "false"),
-                                       ("id", "true"), ("class", '"2"')])
+                                       ("id", "true"), ("class", '"2"'),
+                                       ("frame", "1e30"), ("frame", "1" * 400),
+                                       ("class", "9223372036854775808"), ("class", "-1e19"),
+                                       ("id", "-9223372036854775809")])
 def test_detections_jsonl_frame_class_and_id_must_be_whole_numbers(tmp_path, key, value):
     path = tmp_path / "whole.jsonl"
     rec = {"frame": "1", "class": "1", "score": "0.5", "box": "[0, 0, 1, 1]", "id": "2",

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 import zlib
 
@@ -7,7 +8,8 @@ import pytest
 from seqdet import tensor as T
 from seqdet.errors import ParseError, ShapeError
 
-from refimpl import masked_sigmoid, naive_bilinear_resize, naive_conv2d
+from refimpl import (graph_nodes, masked_sigmoid, naive_bilinear_resize, naive_conv2d,
+                     retaining_backward)
 
 
 def rand_t(rng, shape, name=None):
@@ -257,6 +259,66 @@ def test_backward_diamond_graph_accumulates():
     y = T.add(T.scale(x, 3.0), T.scale(x, 4.0))
     grads = T.backward(T.sum_all(y))
     assert grads["x"][0] == 7.0
+
+
+def assert_sweep_matches_retaining_oracle(loss):
+    """backward gives the oracle's gradients bit for bit, and afterwards only
+    the trainable leaves still hold a gradient."""
+    expect = retaining_backward(loss)
+    grads = T.backward(loss)
+    assert sorted(grads) == sorted(expect) != []
+    for name, g in expect.items():
+        assert np.array_equal(grads[name], g), name
+    for node in graph_nodes(loss):
+        if node.parents:
+            assert node.grad is None, node
+        elif node.requires_grad:
+            assert np.array_equal(node.grad, expect[node.name]), node.name
+
+
+def test_backward_matches_retaining_oracle_on_the_aclstm_case():
+    from seqdet.train import build_aclstm_case
+
+    assert_sweep_matches_retaining_oracle(build_aclstm_case(frames=4).build_loss())
+
+
+def test_backward_releases_interior_gradients():
+    """On an unrolled recurrent graph, what the sweep leaves allocated is
+    about the leaf gradients (each leaf's .grad plus its copy in the
+    result), and its peak is well under that of a sweep that keeps every
+    node's gradient."""
+    from seqdet.train import build_aclstm_case
+
+    held, peak = {}, {}
+    for sweep in (T.backward, retaining_backward):
+        case = build_aclstm_case(frames=6, channels=16, size=12)
+        loss = case.build_loss()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grads = sweep(loss)
+            now, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held[sweep], peak[sweep] = now - base, top - base
+        assert grads
+    leaf_bytes = sum(p.data.nbytes for p in case.params.values())
+    assert held[T.backward] < 2 * leaf_bytes + 64 * 1024, (held, leaf_bytes)
+    assert held[retaining_backward] > 8 * leaf_bytes, (held, leaf_bytes)
+    assert peak[T.backward] < 0.5 * peak[retaining_backward], peak
+
+
+def test_slice_channels_is_a_view_with_the_slice_gradient():
+    rng = np.random.default_rng(17)
+    x = T.parameter(rng.standard_normal((5, 3, 4)), "x")
+    w = rng.standard_normal((2, 3, 4))
+    out = T.slice_channels(x, 1, 3)
+    assert np.shares_memory(out.data, x.data)
+    np.testing.assert_array_equal(out.data, x.data[1:3])
+    grads = T.backward(T.sum_all(T.mul(out, T.constant(w))))
+    expect = np.zeros((5, 3, 4))
+    expect[1:3] = w
+    np.testing.assert_array_equal(grads["x"], expect)
 
 
 def test_finite_diff_sum_is_ones():

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from seqdet.errors import ConfigError
 from seqdet.postproc import make_priors
 from seqdet.synth import (gen_sequence, load_dataset_root, load_video_dir, random_scene,
                           write_dataset)
+
+from refimpl import graph_nodes
+from test_tensor import assert_sweep_matches_retaining_oracle
 
 
 @pytest.fixture(scope="module")
@@ -172,30 +177,47 @@ def test_config_file_rejects_unknown_key(tmp_path):
 # stage runner
 
 
-def graph_size(root):
-    seen = {id(root)}
-    stack = [root]
-    while stack:
-        for p in stack.pop().parents:
-            if id(p) not in seen:
-                seen.add(id(p))
-                stack.append(p)
-    return len(seen)
+def sequence_graph(root, stage):
+    video = load_video_dir(root / "video_000")
+    model_cfg = net.ModelConfig()
+    cfg = TR.TrainConfig(stage=stage, seq_len=4).resolved()
+    total, _parts = TR._train_sequence(net.init_params(7, model_cfg), video, cfg, model_cfg,
+                                       make_priors(), np.random.default_rng(0), stage == 3)
+    return total
 
 
 def test_stage3_graph_stays_close_to_stage2(tiny_root):
     """The association term adds a few nodes per class and frame, not one
     per kept detection: at init params nearly every prior passes theta."""
-    video = load_video_dir(tiny_root / "video_000")
-    model_cfg = net.ModelConfig()
-    params = net.init_params(7, model_cfg)
-    sizes = {}
-    for stage in (2, 3):
-        cfg = TR.TrainConfig(stage=stage, seq_len=4).resolved()
-        total, _parts = TR._train_sequence(params, video, cfg, model_cfg, make_priors(),
-                                           np.random.default_rng(0), stage == 3)
-        sizes[stage] = graph_size(total)
+    sizes = {stage: len(graph_nodes(sequence_graph(tiny_root, stage))) for stage in (2, 3)}
     assert sizes[3] <= 1.5 * sizes[2], sizes
+
+
+@pytest.mark.parametrize("stage", [2, 3])
+def test_sequence_sweep_matches_retaining_oracle(tiny_root, stage):
+    assert_sweep_matches_retaining_oracle(sequence_graph(tiny_root, stage))
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_each_step_starts_without_the_previous_graph(tiny_root, tmp_path, monkeypatch, stage):
+    """By the time a step builds its graph, every interior node array of the
+    earlier steps' graphs has been freed (refcounts alone, no gc pass)."""
+    s1 = TR.run_stage(1, tiny_root, tmp_path / "s1", TR.TrainConfig(seed=2, epochs=0))
+    name = "_train_frame" if stage == 1 else "_train_sequence"
+    build = getattr(TR, name)
+    spent = []
+
+    def watched(*args, **kwargs):
+        assert all(ref() is None for refs in spent for ref in refs), "a spent graph is alive"
+        loss, parts = build(*args, **kwargs)
+        spent.append([weakref.ref(n.data) for n in graph_nodes(loss) if n.parents])
+        return loss, parts
+
+    monkeypatch.setattr(TR, name, watched)
+    TR.run_stage(stage, tiny_root, tmp_path / "out",
+                 TR.TrainConfig(seed=2, epochs=2, seq_len=4), init_ckpt=s1["checkpoint"])
+    assert len(spent) == (32 if stage == 1 else 4)
+    assert all(ref() is None for refs in spent for ref in refs)
 
 
 def test_stage2_requires_checkpoint(tiny_root, tmp_path):
