@@ -272,22 +272,24 @@ def map_of_checkpoint(ckpt, data, conf, profile):
             total_dets[offset + t] = dets
             total_gts[offset + t] = (video.boxes_norm[t - 1], video.classes[t - 1])
         offset += len(video.frames)
-    _aps, mean = EV.voc_map(total_dets, total_gts,
-                            num_classes=model_cfg.num_classes)
+    _aps, mean = EV.voc_map(total_dets, total_gts)
     return mean
 
 
 def cmd_dump_attention(args, guard):
-    out = guard.register(_resolve_out(args.out))
     params, model_cfg = _load_model(args.ckpt)
+    if not model_cfg.temporal:
+        raise ConfigError(f"{args.ckpt}: a static (stage-1) checkpoint has no attention "
+                          f"maps; dump-attention needs a temporal one")
+    out = guard.register(_resolve_out(args.out))
     video = load_video_dir(args.data)
     out.mkdir(parents=True, exist_ok=True)
-    maps = TR.dump_attention_maps(params, model_cfg, video)
-    for t, per_level in enumerate(maps, start=1):
-        for lvl, m in enumerate(per_level):
-            T.save_tnsr(out / f"att_{t:06d}_l{lvl}.tnsr", m)
+    for t, (_head, maps) in enumerate(net.frame_outputs(video.frames, params, model_cfg,
+                                                        net.NetMode()), start=1):
+        for lvl, m in enumerate(maps):
+            T.save_tnsr(out / f"att_{t:06d}_l{lvl}.tnsr", m.data)
     _log_config(out, args)
-    print(f"[dump-attention] wrote {len(maps)} frames x {len(maps[0])} levels to {out}")
+    print(f"[dump-attention] wrote {len(video.frames)} frames x {len(maps)} levels to {out}")
     return 0
 
 

@@ -38,22 +38,22 @@ def _check_iou_threshold(value):
         raise ConfigError(f"IoU threshold must be in (0, 1], got {value}")
 
 
-def voc_map(dets_by_frame, gts_by_frame, iou_thresh=0.5, num_classes=4):
+def voc_map(dets_by_frame, gts_by_frame, iou_thresh=0.5):
     """dets_by_frame: {frame: [Detection]}; gts_by_frame: {frame: (boxes, classes)}.
 
-    Returns (per-class AP dict, mAP). A detection is a true positive when
-    its best-IoU ground-truth box of the same class and frame reaches
-    iou_thresh and is not yet matched; each box is creditable once.
+    Returns (per-class AP dict, mAP) over every class the ground truth
+    carries. A detection is a true positive when its best-IoU ground-truth
+    box of the same class and frame reaches iou_thresh and is not yet
+    matched; each box is creditable once.
     """
     _check_iou_threshold(iou_thresh)
+    gts_by_frame = {f: (np.asarray(boxes, dtype=np.float64).reshape(-1, 4),
+                        np.asarray(classes, dtype=int).reshape(-1))
+                    for f, (boxes, classes) in gts_by_frame.items()}
     aps = {}
-    for c in range(1, num_classes + 1):
-        gt = {f: np.asarray(boxes, dtype=np.float64).reshape(-1, 4)[
-                  np.asarray(classes, dtype=int) == c]
-              for f, (boxes, classes) in gts_by_frame.items()}
+    for c in sorted({int(c) for _b, classes in gts_by_frame.values() for c in classes}):
+        gt = {f: boxes[classes == c] for f, (boxes, classes) in gts_by_frame.items()}
         gt_count = sum(len(b) for b in gt.values())
-        if gt_count == 0:
-            continue
         used = {f: np.zeros(len(b), dtype=bool) for f, b in gt.items()}
         cand = []           # (-score, frame, index within the frame, IoU row)
         for f in sorted(dets_by_frame):

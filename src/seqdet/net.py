@@ -167,7 +167,7 @@ def backbone_forward(image: Tensor, params):
     for name, _ci, _co, size, src in _BACKBONE_LAYERS:
         x = T.bilinear_resize(taps[src], size, size)
         taps[name] = T.relu(T.conv2d(x, params[f"backbone.{name}.kernel"],
-                                     params[f"backbone.{name}.bias"], 1, 1))
+                                     params[f"backbone.{name}.bias"]))
     return [taps[f"c{lvl}"] for lvl in range(6)]
 
 
@@ -177,7 +177,7 @@ def unify_low_channels(pyramid, params):
     for lvl, fmap in enumerate(pyramid):
         if lvl in LOW_LEVELS:
             out.append(T.conv2d(fmap, params[f"unify.l{lvl}.kernel"],
-                                params[f"unify.l{lvl}.bias"], 1, 0))
+                                params[f"unify.l{lvl}.bias"]))
         else:
             out.append(fmap)
     return out
@@ -218,10 +218,8 @@ def attention_convlstm_step(x, h_prev, s_prev, w: ACLSTMWeights,
                          f"s {s_prev.data.shape}")
     if attention_enabled:
         xh = T.concat([x, h_prev])
-        a = T.sigmoid(T.conv2d(
-            T.relu(T.conv2d(T.relu(T.conv2d(xh, w.att1, None, 1, 1)),
-                            w.att2, None, 1, 1)),
-            w.att3, None, 1, 1))
+        a = T.sigmoid(T.conv2d(T.relu(T.conv2d(T.relu(T.conv2d(xh, w.att1)), w.att2)),
+                               w.att3))
         ax = T.chanwise_mul(a, x)
     else:
         a = T.constant(np.ones((1,) + x.data.shape[1:]))
@@ -230,7 +228,7 @@ def attention_convlstm_step(x, h_prev, s_prev, w: ACLSTMWeights,
         ax = T.dropout(ax, dropout_rate, rng)
     gate_in = T.concat([ax, h_prev])
     cu = x.data.shape[0]
-    fused = T.conv2d(gate_in, w.gates, w.gates_bias, 1, 1)
+    fused = T.conv2d(gate_in, w.gates, w.gates_bias)
     i = T.sigmoid(T.slice_channels(fused, 0, cu))
     f = T.sigmoid(T.slice_channels(fused, cu, 2 * cu))
     o = T.sigmoid(T.slice_channels(fused, 2 * cu, 3 * cu))
@@ -301,24 +299,26 @@ class HeadOut:
 def head_forward(hidden_pyramid, params):
     """One conv per level. Its map packs the loc block (PRIORS_PER_CELL*4
     channels) and then the conf block (PRIORS_PER_CELL*(K+1) channels)."""
-    maps = [T.conv2d(fmap, params[f"head.l{lvl}.kernel"], params[f"head.l{lvl}.bias"], 1, 1)
+    maps = [T.conv2d(fmap, params[f"head.l{lvl}.kernel"], params[f"head.l{lvl}.bias"])
             for lvl, fmap in enumerate(hidden_pyramid)]
     conf_width = maps[0].data.shape[0] // PRIORS_PER_CELL - 4
     return HeadOut(prior_major(maps, 0, 4), prior_major(maps, PRIORS_PER_CELL * 4, conf_width))
 
 
-def forward_static(image, params):
-    """Single-frame path: backbone -> unify -> heads (no recurrence)."""
-    pyramid = unify_low_channels(backbone_forward(image, params), params)
-    return head_forward(pyramid, params)
-
-
-def forward_temporal(image, state, params, cfg: ModelConfig, mode: NetMode):
-    """One temporal frame: backbone -> unify -> recurrent units -> heads."""
-    pyramid = unify_low_channels(backbone_forward(image, params), params)
-    hidden, new_state, att_maps = temporal_pyramid_forward(pyramid, state, params, cfg,
-                                                           mode)
-    return head_forward(hidden, params), new_state, att_maps
+def frame_outputs(frames, params, cfg: ModelConfig, mode: NetMode):
+    """Run the model over [3,96,96] frame arrays in order, yielding
+    (head, attention maps) per frame: backbone -> unify -> recurrent units
+    -> heads. The temporal model carries its state from zero_state() through
+    the frames; the static model skips the recurrent units, has no state and
+    yields None for the maps."""
+    state = zero_state() if cfg.temporal else None
+    for frame in frames:
+        pyramid = unify_low_channels(backbone_forward(T.constant(frame), params), params)
+        att_maps = None
+        if state is not None:
+            pyramid, state, att_maps = temporal_pyramid_forward(pyramid, state, params,
+                                                                cfg, mode)
+        yield head_forward(pyramid, params), att_maps
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,9 @@ class Tensor:
     leaf feeds remembers its parent nodes and a closure that scatters the
     output adjoint back onto them, which is all reverse mode needs; a node
     built only from constants keeps neither, so inference records no tape.
-    Leaf tensors created with ``requires_grad=True`` keep their gradient in
-    ``.grad`` after :func:`backward` runs; an interior node's ``.grad`` is
-    None again once the sweep has passed it on.
+    ``.grad`` holds an adjoint only while :func:`backward` runs; afterwards
+    it is None on every node, leaves included, and a named leaf's gradient
+    lives only in the dict that backward returns.
     """
 
     __slots__ = ("data", "parents", "name", "requires_grad", "grad", "_backward")
@@ -107,11 +107,11 @@ def backward(loss):
     """Reverse-mode sweep from a scalar loss.
 
     Returns the gradients of the named leaves keyed by parameter name;
-    leaves that do not feed the loss are absent from the result. Every
-    trainable leaf the loss reaches keeps its gradient in ``.grad``. An
-    interior node's gradient is dropped (``.grad`` set to None) as soon as
-    its backward closure has handed it to the parents, so the sweep holds
-    the adjoints of its frontier, not one per node of the graph.
+    leaves that do not feed the loss are absent from the result. The dict
+    owns each leaf's accumulated array: no node keeps a ``.grad`` after the
+    sweep. An interior node's gradient is dropped as soon as its backward
+    closure has handed it to the parents, so the sweep holds the adjoints
+    of its frontier, not one per node of the graph.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -127,9 +127,9 @@ def backward(loss):
             continue
         if node._backward is not None:
             node._backward(node.grad)
-            node.grad = None
         elif node.name is not None and not node.parents:
-            leaves[node.name] = node.grad.copy()
+            leaves[node.name] = node.grad
+        node.grad = None
     return leaves
 
 
@@ -308,40 +308,32 @@ def dropout(x, rate, rng):
 # convolution
 
 
-def _pad_chw(a, pad):
-    if pad == 0:
-        return a
+def _im2col(a, k):
+    """[C*k*k, H*W] columns of the k x k windows centred on every pixel of
+    a [C,H,W] map (zero padding k // 2)."""
     c, h, w = a.shape
-    out = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=a.dtype)
-    out[:, pad:pad + h, pad:pad + w] = a
-    return out
-
-
-def _im2col(a, k, stride, pad):
-    c, h, w = a.shape
-    h2 = (h + 2 * pad - k) // stride + 1
-    w2 = (w + 2 * pad - k) // stride + 1
-    ap = _pad_chw(a, pad)
-    cols = np.empty((c, k, k, h2, w2), dtype=a.dtype)
+    pad = k // 2
+    ap = np.zeros((c, h + 2 * pad, w + 2 * pad))
+    ap[:, pad:pad + h, pad:pad + w] = a
+    cols = np.empty((c, k, k, h, w))
     for ki in range(k):
         for kj in range(k):
-            cols[:, ki, kj] = ap[:, ki:ki + stride * h2:stride, kj:kj + stride * w2:stride]
-    return cols.reshape(c * k * k, h2 * w2), h2, w2
+            cols[:, ki, kj] = ap[:, ki:ki + h, kj:kj + w]
+    return cols.reshape(c * k * k, h * w)
 
 
-def _col2im(dcols, shape, k, stride, pad):
+def _col2im(dcols, shape, k):
     c, h, w = shape
-    h2 = (h + 2 * pad - k) // stride + 1
-    w2 = (w + 2 * pad - k) // stride + 1
+    pad = k // 2
     dp = np.zeros((c, h + 2 * pad, w + 2 * pad))
-    dcols = dcols.reshape(c, k, k, h2, w2)
+    dcols = dcols.reshape(c, k, k, h, w)
     for ki in range(k):
         for kj in range(k):
-            dp[:, ki:ki + stride * h2:stride, kj:kj + stride * w2:stride] += dcols[:, ki, kj]
-    return dp[:, pad:pad + h, pad:pad + w] if pad else dp
+            dp[:, ki:ki + h, kj:kj + w] += dcols[:, ki, kj]
+    return dp[:, pad:pad + h, pad:pad + w]
 
 
-def _check_conv_args(x, kernel, bias, stride, pad):
+def _check_conv_args(x, kernel, bias):
     if x.data.ndim != 3:
         raise ShapeError(f"conv2d: input must be [C,H,W], got {x.data.shape}")
     if kernel.data.ndim != 4:
@@ -352,24 +344,18 @@ def _check_conv_args(x, kernel, bias, stride, pad):
     if c_in != x.data.shape[0]:
         raise ShapeError(
             f"conv2d: input has {x.data.shape[0]} channels, kernel expects {c_in}")
-    h, w = x.data.shape[1:]
-    if (h + 2 * pad - k) % stride or (w + 2 * pad - k) % stride:
-        raise ShapeError(
-            f"conv2d: size {h}x{w} with k={k} pad={pad} stride={stride} is not integral")
     if bias is not None and bias.data.shape != (c_out,):
         raise ShapeError(f"conv2d: bias must be [{c_out}], got {bias.data.shape}")
     return c_out, k
 
 
-def conv2d(x, kernel, bias=None, stride=1, pad=0):
-    """2-D cross-correlation of [C_in,H,W] with [C_out,C_in,k,k] kernels.
-
-    Odd square kernels only; the output extent (H + 2*pad - k)/stride + 1
-    must be integral. The im2col buffer is kept for the backward pass.
+def conv2d(x, kernel, bias=None):
+    """Same-size 2-D cross-correlation of [C_in,H,W] with [C_out,C_in,k,k]
+    kernels: stride 1, zero padding k // 2, so the output is [C_out,H,W].
+    Odd square kernels only.
     """
-    c_out, k = _check_conv_args(x, kernel, bias, stride, pad)
-    cols, h2, w2 = _im2col(x.data, k, stride, pad)
-    out = kernel.data.reshape(c_out, -1) @ cols
+    c_out, k = _check_conv_args(x, kernel, bias)
+    out = kernel.data.reshape(c_out, -1) @ _im2col(x.data, k)
     if bias is not None:
         out += bias.data[:, None]
     parents = (x, kernel) if bias is None else (x, kernel, bias)
@@ -378,17 +364,14 @@ def conv2d(x, kernel, bias=None, stride=1, pad=0):
         # im2col is rebuilt here: caching it across an unrolled sequence
         # costs far more memory locality than the recompute costs time
         gm = g.reshape(c_out, -1)
-        if kernel.requires_grad or x.requires_grad:
-            cols_b, _, _ = _im2col(x.data, k, stride, pad)
-            if kernel.requires_grad:
-                kernel._accumulate((gm @ cols_b.T).reshape(kernel.data.shape))
-            if x.requires_grad:
-                x._accumulate(_col2im(kernel.data.reshape(c_out, -1).T @ gm,
-                                      x.data.shape, k, stride, pad))
+        if kernel.requires_grad:
+            kernel._accumulate((gm @ _im2col(x.data, k).T).reshape(kernel.data.shape))
+        if x.requires_grad:
+            x._accumulate(_col2im(kernel.data.reshape(c_out, -1).T @ gm, x.data.shape, k))
         if bias is not None and bias.requires_grad:
             bias._accumulate(gm.sum(axis=1))
 
-    return Tensor(out.reshape(c_out, h2, w2), parents, bwd)
+    return Tensor(out.reshape((c_out,) + x.data.shape[1:]), parents, bwd)
 
 
 def slice_channels(x, lo, hi):

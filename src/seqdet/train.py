@@ -211,46 +211,21 @@ def detect_video(params, model_cfg, video, conf_thresh, profile_name,
     priors = make_priors()
     profile = get_profile(profile_name)
     out = []
-    if model_cfg.temporal:
-        state = net.zero_state()
-        mode = net.NetMode()
-        for t, frame in enumerate(video.frames, start=1):
-            head, state, att = net.forward_temporal(
-                T.constant(frame), state, params, model_cfg, mode)
-            dets = detections_for_frame(head, priors, conf_thresh, profile,
-                                        model_cfg.num_classes)
-            if attach_av and model_cfg.attention_enabled:
-                from .tracker import attention_vector_for_box
-                maps = [a.data for a in att[:3]]
-                for d in dets:
-                    d.av = attention_vector_for_box(maps, d.box)
-            out.append((t, dets))
-    else:
-        for t, frame in enumerate(video.frames, start=1):
-            head = net.forward_static(T.constant(frame), params)
-            out.append((t, detections_for_frame(head, priors, conf_thresh,
-                                                profile, model_cfg.num_classes)))
-    return out
-
-
-def dump_attention_maps(params, model_cfg, video):
-    """Per-frame, per-level attention maps (plain arrays)."""
-    state = net.zero_state()
-    mode = net.NetMode()
-    out = []
-    for frame in video.frames:
-        _head, state, att = net.forward_temporal(
-            T.constant(frame), state, params, model_cfg, mode)
-        out.append([a.data.copy() for a in att])
+    for t, (head, att) in enumerate(net.frame_outputs(video.frames, params, model_cfg,
+                                                      net.NetMode()), start=1):
+        dets = detections_for_frame(head, priors, conf_thresh, profile,
+                                    model_cfg.num_classes)
+        if attach_av and att is not None and model_cfg.attention_enabled:
+            from .tracker import attention_vector_for_box
+            maps = [a.data for a in att[:3]]
+            for d in dets:
+                d.av = attention_vector_for_box(maps, d.box)
+        out.append((t, dets))
     return out
 
 
 # ---------------------------------------------------------------------------
 # stage runner
-
-
-def _loss_csv_header():
-    return "epoch,step,L_loc,L_conf,L_att,L_asso,L_total\n"
 
 
 def _step(build, update, clip, stage, epoch, step):
@@ -270,45 +245,22 @@ def _step(build, update, clip, stage, epoch, step):
     return parts
 
 
-def _train_static_epoch(params, videos, cfg, priors, rng, epoch, rows, lr):
-    items = [(vi, t) for vi, v in enumerate(videos)
-             for t in range(1, len(v.frames) + 1)]
-    rng.shuffle(items)
-    for step, (vi, t) in enumerate(items, start=1):
-        parts = _step(lambda: _train_frame(params, videos[vi], t, priors),
-                      lambda grads: sgd_step(params, grads, lr), cfg.clip, 1, epoch, step)
-        rows.append(f"{epoch},{step},{parts['L_loc']:.6f},{parts['L_conf']:.6f},"
-                    f"0,0,{parts['L_total']:.6f}\n")
-
-
-def _train_frame(params, video, t, priors):
-    """Build the static graph of frame t and return (loss_node, parts dict)."""
-    head = net.forward_static(T.constant(video.frames[t - 1]), params)
-    boxes, classes = frame_ground_truth(video, t)
-    m = LS.match_priors(boxes, classes, priors)
-    l_loc, l_conf = LS.loc_conf_loss(head, m)
-    node = LS.frame_loss_node(l_loc, l_conf, None, m.num_matched, LOSS_WEIGHTS)
-    return node, {"L_loc": l_loc.item(), "L_conf": l_conf.item(), "L_total": node.item()}
-
-
-def _train_sequence(params, video, cfg, model_cfg, priors, rng, with_asso):
-    """Build the whole-sequence graph and return (loss_node, parts dict)."""
-    v = len(video.frames)
-    sample = random_skip_sample(v, cfg.seq_len, rng, sp=1 if cfg.stage == 3 else None)
-    state = net.zero_state()
-    mode = net.NetMode(dropout_rate=cfg.dropout, rng=rng)
+def _train_sequence(params, video, indices, cfg, model_cfg, priors, mode, with_asso):
+    """Build the loss graph over the 1-based frames `indices` of video, in
+    order and scaled by 1/len(indices), and return (loss_node, parts dict).
+    A stage-1 step is one frame through the static model."""
     frame_nodes = []
     sl_nodes = []
     sl_profile = score_list_profile(cfg.profile, cfg.k)
     sums = {"L_loc": 0.0, "L_conf": 0.0, "L_att": 0.0}
-    for t in sample.indices:
-        head, state, att = net.forward_temporal(
-            T.constant(video.frames[t - 1]), state, params, model_cfg, mode)
+    outputs = net.frame_outputs((video.frames[t - 1] for t in indices), params,
+                                model_cfg, mode)
+    for t, (head, att) in zip(indices, outputs):
         boxes, classes = frame_ground_truth(video, t)
         m = LS.match_priors(boxes, classes, priors)
         l_loc, l_conf = LS.loc_conf_loss(head, m)
         l_att = (LS.attention_loss(att, boxes, net.INPUT_SIZE)
-                 if model_cfg.attention_enabled else None)
+                 if att is not None and model_cfg.attention_enabled else None)
         frame_nodes.append(LS.frame_loss_node(l_loc, l_conf, l_att,
                                               m.num_matched, LOSS_WEIGHTS))
         sums["L_loc"] += l_loc.item()
@@ -319,13 +271,14 @@ def _train_sequence(params, video, cfg, model_cfg, priors, rng, with_asso):
                                         model_cfg.num_classes)
             sl_nodes.append(score_list_nodes(head, dets, cfg.k,
                                              model_cfg.num_classes))
-    total = T.scale(T.add_n(frame_nodes), 1.0 / cfg.seq_len)
+    n = len(indices)
+    total = T.scale(T.add_n(frame_nodes), 1.0 / n)
     l_asso = 0.0
     if with_asso:
-        asso_node = LS.association_loss_node(sl_nodes, cfg.seq_len, cfg.asso_form)
+        asso_node = LS.association_loss_node(sl_nodes, n, cfg.asso_form)
         total = T.add(total, T.scale(asso_node, LOSS_WEIGHTS.xi))
         l_asso = asso_node.item()
-    parts = {k: s / cfg.seq_len for k, s in sums.items()}
+    parts = {k: s / n for k, s in sums.items()}
     parts["L_asso"] = l_asso
     parts["L_total"] = total.item()
     return total, parts
@@ -372,24 +325,34 @@ def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
     sgd_params = {n: p for n, p in params.items()
                   if p.requires_grad and n not in rms_params}
     rms_state = {}
+    mode = net.NetMode(dropout_rate=cfg.dropout, rng=rng)
 
-    rows = [_loss_csv_header()]
+    def build(video, indices):
+        if indices is None:
+            indices = random_skip_sample(len(video.frames), cfg.seq_len, rng,
+                                         sp=1 if stage == 3 else None).indices
+        return _train_sequence(params, video, indices, cfg, model_cfg, priors, mode,
+                               with_asso=(stage == 3))
+
+    rows = ["epoch,step,L_loc,L_conf,L_att,L_asso,L_total\n"]
     for epoch in range(1, cfg.epochs + 1):
         lr = cfg.lr * (LR_DECAY if stage == 2 and epoch > DECAY_EPOCH else 1.0)
-        if stage == 1:
-            _train_static_epoch(params, videos, cfg, priors, rng, epoch, rows, lr)
-            continue
+
         def update(grads):
             sgd_step(sgd_params, grads, lr)
             rmsprop_step(rms_params, grads, lr, rms_state)
 
-        for step, video in enumerate(videos, start=1):
-            parts = _step(lambda: _train_sequence(params, video, cfg, model_cfg, priors,
-                                                  rng, with_asso=(stage == 3)),
-                          update, cfg.clip, stage, epoch, step)
+        if stage == 1:
+            items = [(v, (t,)) for v in videos for t in range(1, len(v.frames) + 1)]
+            rng.shuffle(items)
+        else:
+            items = [(v, None) for v in videos]
+        for step, (video, indices) in enumerate(items, start=1):
+            parts = _step(lambda: build(video, indices), update, cfg.clip, stage, epoch, step)
+            att_asso = ("0,0" if stage == 1
+                        else f"{parts['L_att']:.6f},{parts['L_asso']:.6f}")
             rows.append(f"{epoch},{step},{parts['L_loc']:.6f},{parts['L_conf']:.6f},"
-                        f"{parts['L_att']:.6f},{parts['L_asso']:.6f},"
-                        f"{parts['L_total']:.6f}\n")
+                        f"{att_asso},{parts['L_total']:.6f}\n")
 
     (out_dir / "loss.csv").write_text("".join(rows))
     ckpt_dir = out_dir / "checkpoint"
@@ -453,7 +416,7 @@ def build_linear_head_case(seed=0):
     target = rng.standard_normal(2 * 5 * 5) * 0.3
 
     def build():
-        y = T.conv2d(x, params["head.kernel"], params["head.bias"], 1, 1)
+        y = T.conv2d(x, params["head.kernel"], params["head.bias"])
         return T.smooth_l1_sum(T.gather(y, np.arange(2 * 5 * 5)), target)
 
     return GradCheckCase(params, build)
@@ -485,7 +448,7 @@ def build_aclstm_case(seed=0, frames=3, channels=4, size=5):
         terms = []
         for x in xs:
             h, s, a = net.attention_convlstm_step(x, h, s, w)
-            head = T.conv2d(h, params["head.kernel"], params["head.bias"], 1, 1)
+            head = T.conv2d(h, params["head.kernel"], params["head.bias"])
             vec = T.gather(head, pick)
             terms.append(T.smooth_l1_sum(vec, loc_target))
             terms.append(T.bce_mean(T.bilinear_resize(a, 8, 8), att_target))

@@ -99,7 +99,7 @@ def test_c03_attention_toggle_reproduces_plain_convlstm_bitwise():
         s = T.constant(np.zeros_like(h.data))
         for _frame in range(3):
             gate_in = T.concat([pyramid[lvl], h])
-            fused = T.conv2d(gate_in, w.gates, w.gates_bias, 1, 1)
+            fused = T.conv2d(gate_in, w.gates, w.gates_bias)
             i = T.sigmoid(T.slice_channels(fused, 0, cu))
             f = T.sigmoid(T.slice_channels(fused, cu, 2 * cu))
             o = T.sigmoid(T.slice_channels(fused, 2 * cu, 3 * cu))

@@ -93,6 +93,25 @@ def test_eval_map_on_oracle_detections(dataset, capsys):
     assert "mAP 1.0000" in out
 
 
+def test_eval_map_scores_every_gt_class(tmp_path, capsys):
+    """A gt class above the model's default four still counts: one exact
+    class-5 detection against a class-5 and a class-1 box."""
+    video = tmp_path / "video"
+    (video / "frames").mkdir(parents=True)
+    save_tnsr(video / "frames" / "000001.tnsr", np.zeros((3, 96, 96)))
+    (video / "gt.csv").write_text("1,1,10,10,20,20,1,-1,-1,-1,5\n"
+                                  "1,2,50,50,20,20,1,-1,-1,-1,1\n")
+    dets = tmp_path / "dets.jsonl"
+    dets.write_text('{"frame": 1, "class": 5, "score": 0.9, "id": -1, '
+                    f'"box": {[10 / 96, 10 / 96, 30 / 96, 30 / 96]}}}\n')
+    out = tmp_path / "map.csv"
+    assert run("eval-map", "--dets", dets, "--data", video, "--out", out) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "[eval-map] class 1: AP 0.0000", "[eval-map] class 5: AP 1.0000",
+        "[eval-map] mAP 0.5000"]
+    assert out.read_text() == "class,ap\n1,0.000000\n5,1.000000\nmean,0.500000\n"
+
+
 def test_sweep_T_five_values(dataset, tmp_path):
     dets = dataset / "video_000" / "detections.jsonl"
     gt = dataset / "video_000" / "gt.csv"
@@ -142,6 +161,20 @@ def test_zero_epoch_checkpoint_then_detect_and_dump(dataset, tmp_path, capsys):
     m = load_tnsr(maps[0])
     assert m.shape == (1, 24, 24)
     assert np.all((m > 0) & (m < 1))
+
+
+def test_dump_attention_refuses_a_static_checkpoint(dataset, tmp_path, capsys):
+    ck = tmp_path / "s1"
+    assert run("train", "--stage", "1", "--data", dataset, "--out", ck,
+               "--epochs", "0") == 0
+    capsys.readouterr()
+    out = tmp_path / "att"
+    assert run("dump-attention", "--ckpt", ck / "checkpoint", "--data",
+               dataset / "video_000", "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"seqdet: error: {ck / 'checkpoint'}: a static (stage-1) checkpoint has no "
+        "attention maps; dump-attention needs a temporal one\n")
+    assert not out.exists()
 
 
 def test_error_exit_code_and_cleanup(tmp_path, capsys):

@@ -20,14 +20,14 @@ def det(score, box, cls=1):
 def test_single_gt_single_overlapping_det_ap_one():
     dets = {1: [det(0.9, [0.1, 0.1, 0.5, 0.52])]}
     gts = {1: (np.array([[0.1, 0.1, 0.5, 0.5]]), [1])}
-    aps, mean = EV.voc_map(dets, gts, num_classes=4)
+    aps, mean = EV.voc_map(dets, gts)
     assert aps[1] == pytest.approx(1.0)
     assert mean == pytest.approx(1.0)
 
 
 def test_no_detections_ap_zero():
     gts = {1: (np.array([[0.1, 0.1, 0.5, 0.5]]), [1])}
-    aps, mean = EV.voc_map({}, gts, num_classes=4)
+    aps, mean = EV.voc_map({}, gts)
     assert aps[1] == 0.0
     assert mean == 0.0
 
@@ -38,14 +38,14 @@ def test_interleaved_tp_fp_hand_pr_area():
     dets = {1: [det(0.9, [0.0, 0.0, 0.2, 0.2]),
                 det(0.8, [0.8, 0.8, 0.9, 0.9]),
                 det(0.7, [0.5, 0.5, 0.7, 0.7])]}
-    aps, _ = EV.voc_map(dets, gts, num_classes=1)
+    aps, _ = EV.voc_map(dets, gts)
     assert aps[1] == pytest.approx(5 / 6, rel=1e-12)
 
 
 def test_each_gt_credited_once():
     gts = {1: (np.array([[0.0, 0.0, 0.4, 0.4]]), [1])}
     dets = {1: [det(0.9, [0.0, 0.0, 0.4, 0.4]), det(0.8, [0.01, 0.0, 0.41, 0.4])]}
-    aps, _ = EV.voc_map(dets, gts, num_classes=1)
+    aps, _ = EV.voc_map(dets, gts)
     # second det is a duplicate -> FP; precision envelope gives AP = 1
     assert aps[1] == pytest.approx(1.0)
 
@@ -53,7 +53,7 @@ def test_each_gt_credited_once():
 def test_class_without_gt_excluded_from_mean():
     gts = {1: (np.array([[0.0, 0.0, 0.4, 0.4]]), [2])}
     dets = {1: [det(0.9, [0.0, 0.0, 0.4, 0.4], cls=2), det(0.5, [0.5, 0.5, 0.9, 0.9])]}
-    aps, mean = EV.voc_map(dets, gts, num_classes=4)
+    aps, mean = EV.voc_map(dets, gts)
     assert set(aps) == {2}
     assert mean == pytest.approx(1.0)
 
@@ -98,7 +98,7 @@ def test_voc_map_matches_per_candidate_oracle():
     for case in range(300):
         dets, gts = _random_map_case(rng)
         thresh = float(rng.choice([0.1, 0.5, 0.75, 1.0]))
-        aps, mean = EV.voc_map(dets, gts, iou_thresh=thresh, num_classes=3)
+        aps, mean = EV.voc_map(dets, gts, iou_thresh=thresh)
         want_aps, want_mean = naive_voc_map(dets, gts, iou_thresh=thresh, num_classes=3)
         assert aps.keys() == want_aps.keys(), case
         for c in aps:

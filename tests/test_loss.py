@@ -349,8 +349,8 @@ def test_total_loss_xi_zero_drops_association(tmp_path, monkeypatch):
     cfg = TR.TrainConfig(stage=3, seq_len=2, dropout=0.0).resolved()
     monkeypatch.setattr(TR, "LOSS_WEIGHTS", L.LossWeights(xi=0.0))
     (plain, _), (total, parts) = [
-        TR._train_sequence(params, video, cfg, model_cfg, make_priors(),
-                           np.random.default_rng(0), with_asso)
+        TR._train_sequence(params, video, (2, 3), cfg, model_cfg, make_priors(),
+                           net.NetMode(), with_asso)
         for with_asso in (False, True)]
     assert parts["L_asso"] > 0
     assert total.item() == plain.item()
@@ -377,16 +377,13 @@ def test_full_network_two_frame_gradients_match_finite_diff():
     params = net.init_params(40, cfg)
     seq = gen_sequence(random_scene(40, num_objects=2, length=2))
     priors = make_priors()
-    frames = [T.constant(f) for f in seq.frames]
     gts = [np.stack([g.corners_norm() for g in fb]) for fb in seq.gt]
     classes = [[g.class_id for g in fb] for fb in seq.gt]
 
     def build():
-        state = net.zero_state()
-        mode = net.NetMode()
         terms = []
-        for t in range(2):
-            head, state, att = net.forward_temporal(frames[t], state, params, cfg, mode)
+        for t, (head, att) in enumerate(net.frame_outputs(seq.frames, params, cfg,
+                                                          net.NetMode())):
             m = L.match_priors(gts[t], classes[t], priors)
             l_loc, l_conf = L.loc_conf_loss(head, m)
             l_att = L.attention_loss(att, gts[t], net.INPUT_SIZE)

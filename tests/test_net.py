@@ -160,7 +160,7 @@ def test_attention_disabled_matches_plain_convlstm_bitwise():
     assert np.all(a.data == 1.0)
     # plain ConvLSTM step written out directly over the same gate primitive
     gate_in = T.concat([x, h0])
-    fused = T.conv2d(gate_in, w.gates, w.gates_bias, 1, 1)
+    fused = T.conv2d(gate_in, w.gates, w.gates_bias)
     i = T.sigmoid(T.slice_channels(fused, 0, c))
     f = T.sigmoid(T.slice_channels(fused, c, 2 * c))
     o = T.sigmoid(T.slice_channels(fused, 2 * c, 3 * c))
@@ -475,12 +475,25 @@ def test_forward_on_loaded_params_records_no_tape(tmp_path):
     cfg = _saved_checkpoint(tmp_path / "ck")
     params, _meta = net.load_checkpoint(tmp_path / "ck")
     assert not any(p.requires_grad for p in params.values())
-    frame = T.constant(np.random.default_rng(24).random((3, net.INPUT_SIZE, net.INPUT_SIZE)))
-    head, state, att = net.forward_temporal(frame, net.zero_state(), params, cfg,
-                                            net.NetMode())
-    head, state, att = net.forward_temporal(frame, state, params, cfg, net.NetMode())
-    nodes = [head.loc, head.conf, *att, *(t for pair in state for t in pair)]
+    frame = np.random.default_rng(24).random((3, net.INPUT_SIZE, net.INPUT_SIZE))
+    outputs = list(net.frame_outputs([frame, frame], params, cfg, net.NetMode()))
+    nodes = [n for head, att in outputs for n in (head.loc, head.conf, *att)]
+    assert len(nodes) == 2 * (2 + 6)
     assert all(n.parents == () and not n.requires_grad for n in nodes)
+
+
+def test_frame_outputs_static_model_has_no_state_or_maps(monkeypatch):
+    def no_state():
+        raise AssertionError("the static model allocated a state")
+
+    monkeypatch.setattr(net, "zero_state", no_state)
+    cfg = net.ModelConfig(temporal=False)
+    params = net.init_params(25, cfg, with_lstm=False)
+    frames = np.random.default_rng(25).random((2, 3, net.INPUT_SIZE, net.INPUT_SIZE))
+    outputs = list(net.frame_outputs(frames, params, cfg, net.NetMode()))
+    assert [att for _head, att in outputs] == [None, None]
+    (head, _), = net.frame_outputs(frames[1:], params, cfg, net.NetMode())
+    assert np.array_equal(outputs[1][0].conf.data, head.conf.data)
 
 
 def _drop_manifest_line(ck, name):

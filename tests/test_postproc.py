@@ -383,6 +383,16 @@ def test_select_matches_the_oracle_on_random_tied_scores():
         _assert_selects_like_oracle(scores, boxes, 0.1, prof)
 
 
+def test_select_keeps_prior_order_among_many_equal_scores():
+    """64 candidates on five score levels: past 16 elements numpy's default
+    sort does not keep equal scores in prior order, so only the stable sort
+    gives naive_nms's choice among ties."""
+    rng = np.random.default_rng(64)
+    for _ in range(40):
+        scores = np.round(rng.random(64) * 4) / 4
+        _assert_selects_like_oracle(scores, _random_boxes(rng, 64), 0.1, pp.Profile(0.45, 5))
+
+
 def test_stage3_nms_sees_fewer_candidates_than_priors(nms_sizes):
     """At theta 0.1 every prior of every class is a candidate of a near-uniform
     head; with k 75 NMS gets a prefix and still keeps what it keeps over all."""

@@ -1,4 +1,5 @@
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,16 +175,95 @@ def test_config_file_rejects_unknown_key(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# detection over a video
+
+
+def _det_rows(dets):
+    return [(d.class_id, d.score, d.prior_index, d.box.tolist(),
+             None if d.av is None else d.av.tolist()) for d in dets]
+
+
+def test_static_detect_is_per_frame(tiny_root):
+    """The static model has no state: each frame of a video detects as it
+    would alone, as a one-frame video."""
+    video = load_video_dir(tiny_root / "video_000")
+    model_cfg = net.ModelConfig(temporal=False)
+    params = net.init_params(11, model_cfg, with_lstm=False)
+    frames = TR.detect_video(params, model_cfg, video, 0.2, "vid")
+    assert [t for t, _ in frames] == list(range(1, 9))
+    assert sum(len(d) for _, d in frames) > 0
+    for t, dets in frames:
+        (one, alone), = TR.detect_video(params, model_cfg,
+                                        replace(video, frames=video.frames[t - 1:t]),
+                                        0.2, "vid")
+        assert one == 1
+        assert _det_rows(dets) == _det_rows(alone), t
+        assert all(d.av is None for d in dets)
+
+
+def test_temporal_detect_first_frame_is_its_one_frame_run(tiny_root):
+    """The temporal model starts every video from the zero state: its first
+    frame detects as the one-frame video of that frame; later frames carry
+    the state on."""
+    video = load_video_dir(tiny_root / "video_001")
+    model_cfg = net.ModelConfig()
+    params = net.init_params(12, model_cfg)
+    frames = TR.detect_video(params, model_cfg, video, 0.2, "vid")
+    (_, first), = TR.detect_video(params, model_cfg,
+                                  replace(video, frames=video.frames[:1]), 0.2, "vid")
+    assert first and all(d.av is not None for d in first)
+    assert _det_rows(frames[0][1]) == _det_rows(first)
+    (_, second_alone), = TR.detect_video(params, model_cfg,
+                                         replace(video, frames=video.frames[1:2]),
+                                         0.2, "vid")
+    assert _det_rows(frames[1][1]) != _det_rows(second_alone)
+
+
+# ---------------------------------------------------------------------------
 # stage runner
+
+
+def sample_and_mode(video, cfg, seed):
+    """A stage's draw of frame indices, and the forward settings that share
+    its generator, as run_stage makes them."""
+    rng = np.random.default_rng(seed)
+    sample = TR.random_skip_sample(len(video.frames), cfg.seq_len, rng,
+                                   sp=1 if cfg.stage == 3 else None)
+    return sample.indices, net.NetMode(dropout_rate=cfg.dropout, rng=rng)
 
 
 def sequence_graph(root, stage):
     video = load_video_dir(root / "video_000")
     model_cfg = net.ModelConfig()
     cfg = TR.TrainConfig(stage=stage, seq_len=4).resolved()
-    total, _parts = TR._train_sequence(net.init_params(7, model_cfg), video, cfg, model_cfg,
-                                       make_priors(), np.random.default_rng(0), stage == 3)
+    indices, mode = sample_and_mode(video, cfg, 0)
+    total, _parts = TR._train_sequence(net.init_params(7, model_cfg), video, indices, cfg,
+                                       model_cfg, make_priors(), mode, stage == 3)
     return total
+
+
+def test_one_frame_static_loss_is_the_frame_loss(tiny_root):
+    """Stage 1's step is the sequence builder over one frame of the static
+    model: the frame loss without L_att, with zero L_att and L_asso parts."""
+    video = load_video_dir(tiny_root / "video_001")
+    model_cfg = net.ModelConfig(temporal=False)
+    params = net.init_params(9, model_cfg, with_lstm=False)
+    cfg = TR.TrainConfig(stage=1).resolved()
+    priors = make_priors()
+    total, parts = TR._train_sequence(params, video, (5,), cfg, model_cfg, priors,
+                                      net.NetMode(), with_asso=False)
+    (head, att), = net.frame_outputs([video.frames[4]], params, model_cfg, net.NetMode())
+    assert att is None
+    m = LS.match_priors(*TR.frame_ground_truth(video, 5), priors)
+    l_loc, l_conf = LS.loc_conf_loss(head, m)
+    node = LS.frame_loss_node(l_loc, l_conf, None, m.num_matched, TR.LOSS_WEIGHTS)
+    assert total.item() == node.item()
+    assert parts == {"L_loc": l_loc.item(), "L_conf": l_conf.item(), "L_att": 0.0,
+                     "L_asso": 0.0, "L_total": node.item()}
+    grads, want = T.backward(total), T.backward(node)
+    assert sorted(grads) == sorted(want) == sorted(params)
+    for name in want:
+        assert np.array_equal(grads[name], want[name]), name
 
 
 def test_stage3_graph_stays_close_to_stage2(tiny_root):
@@ -203,8 +283,7 @@ def test_each_step_starts_without_the_previous_graph(tiny_root, tmp_path, monkey
     """By the time a step builds its graph, every interior node array of the
     earlier steps' graphs has been freed (refcounts alone, no gc pass)."""
     s1 = TR.run_stage(1, tiny_root, tmp_path / "s1", TR.TrainConfig(seed=2, epochs=0))
-    name = "_train_frame" if stage == 1 else "_train_sequence"
-    build = getattr(TR, name)
+    build = TR._train_sequence
     spent = []
 
     def watched(*args, **kwargs):
@@ -213,7 +292,7 @@ def test_each_step_starts_without_the_previous_graph(tiny_root, tmp_path, monkey
         spent.append([weakref.ref(n.data) for n in graph_nodes(loss) if n.parents])
         return loss, parts
 
-    monkeypatch.setattr(TR, name, watched)
+    monkeypatch.setattr(TR, "_train_sequence", watched)
     TR.run_stage(stage, tiny_root, tmp_path / "out",
                  TR.TrainConfig(seed=2, epochs=2, seq_len=4), init_ckpt=s1["checkpoint"])
     assert len(spent) == (32 if stage == 1 else 4)
@@ -228,7 +307,11 @@ def test_stage2_requires_checkpoint(tiny_root, tmp_path):
 def test_stage1_then_stage2_freezing_and_split(tiny_root, tmp_path):
     cfg = TR.TrainConfig(seed=3, epochs=1)
     s1 = TR.run_stage(1, tiny_root, tmp_path / "s1", cfg)
-    assert s1["loss_csv"].read_text().startswith("epoch,step,L_loc,L_conf,L_att")
+    header, *rows = s1["loss_csv"].read_text().splitlines()
+    assert header == "epoch,step,L_loc,L_conf,L_att,L_asso,L_total"
+    # one row per frame of the two 8-frame videos; stage 1 has no L_att or L_asso
+    assert len(rows) == 16
+    assert all(row.split(",")[4:6] == ["0", "0"] for row in rows)
 
     def frozen_bytes(params):
         return {n: p.data.tobytes() for n, p in params.items()
@@ -276,7 +359,6 @@ def test_gt_class_above_num_classes_fails_before_first_step(tmp_path, stage, mon
     def no_step(*_a, **_k):
         raise AssertionError("a training step ran")
 
-    monkeypatch.setattr(TR, "_train_static_epoch", no_step)
     monkeypatch.setattr(TR, "_train_sequence", no_step)
     with pytest.raises(ConfigError, match="^video_000: gt class 7 exceeds the model's "
                                           "num_classes = 4$"):
@@ -322,8 +404,9 @@ def test_optimizer_split_update_rules(tiny_root, tmp_path):
     model_cfg = net.ModelConfig.from_meta(meta)
     model_cfg.temporal = True
     videos = sorted(load_dataset_root(tiny_root), key=lambda v: v.name)
-    total, _ = TR._train_sequence(params, videos[0], cfg2, model_cfg, make_priors(),
-                                  np.random.default_rng(7), with_asso=False)
+    indices, mode = sample_and_mode(videos[0], cfg2, 7)
+    total, _ = TR._train_sequence(params, videos[0], indices, cfg2, model_cfg, make_priors(),
+                                  mode, with_asso=False)
     grads = T.backward(total)
     assert any(n.startswith("head.") for n in grads)
     assert any(n.startswith("lstm.") for n in grads)
