@@ -281,6 +281,9 @@ def cmd_dump_attention(args, guard):
     if not model_cfg.temporal:
         raise ConfigError(f"{args.ckpt}: a static (stage-1) checkpoint has no attention "
                           f"maps; dump-attention needs a temporal one")
+    if not model_cfg.attention_enabled:
+        raise ConfigError(f"{args.ckpt}: a --no-attention checkpoint has no attention "
+                          f"maps; dump-attention needs one trained with attention")
     out = guard.register(_resolve_out(args.out))
     video = load_video_dir(args.data)
     out.mkdir(parents=True, exist_ok=True)

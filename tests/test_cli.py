@@ -177,6 +177,23 @@ def test_dump_attention_refuses_a_static_checkpoint(dataset, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_dump_attention_refuses_a_no_attention_checkpoint(dataset, tmp_path, capsys):
+    ck = tmp_path / "s1"
+    assert run("train", "--stage", "1", "--data", dataset, "--out", ck,
+               "--epochs", "0") == 0
+    s2 = tmp_path / "s2"
+    assert run("train", "--stage", "2", "--data", dataset, "--out", s2, "--epochs", "0",
+               "--init", ck / "checkpoint", "--no-attention") == 0
+    capsys.readouterr()
+    out = tmp_path / "att"
+    assert run("dump-attention", "--ckpt", s2 / "checkpoint", "--data",
+               dataset / "video_000", "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"seqdet: error: {s2 / 'checkpoint'}: a --no-attention checkpoint has no "
+        "attention maps; dump-attention needs one trained with attention\n")
+    assert not out.exists()
+
+
 def test_error_exit_code_and_cleanup(tmp_path, capsys):
     out = tmp_path / "result.csv"
     code = run("track", "--out", out)   # no input given

@@ -119,6 +119,68 @@ def test_unify_equals_per_pixel_matmul():
                                        rtol=1e-12, atol=1e-12)
 
 
+def model_conv_shapes():
+    """(c_out, c_in, k, S) of every conv the temporal model runs, from
+    param_shapes and the size of the map each kernel reads."""
+    backbone = {name: size for name, _ci, _co, size, _src in net._BACKBONE_LAYERS}
+    shapes = set()
+    for name, shape in net.param_shapes(net.ModelConfig(), with_lstm=True).items():
+        if not name.endswith(".kernel"):
+            continue
+        group, part = name.split(".")[:2]
+        if group == "backbone":
+            sizes = [backbone[part]]
+        elif group == "lstm":
+            sizes = [s for lvl, s in enumerate(net.TOY_SIZES) if net.unit_of_level(lvl) == part]
+        else:                               # unify.l<lvl>, head.l<lvl>
+            sizes = [net.TOY_SIZES[int(part[1:])]]
+        c_out, c_in, k, _ = shape
+        shapes.update((c_out, c_in, k, s) for s in sizes)
+    return shapes
+
+
+def test_model_conv_shapes_are_what_the_forward_runs(monkeypatch):
+    ran = set()
+    conv2d = T.conv2d
+
+    def recording(x, kernel, bias=None):
+        c_out, c_in, k, _ = kernel.data.shape
+        ran.add((c_out, c_in, k, x.data.shape[1]))
+        return conv2d(x, kernel, bias)
+
+    monkeypatch.setattr(T, "conv2d", recording)
+    cfg = net.ModelConfig()
+    frames = np.random.default_rng(8).random((2, 3, net.INPUT_SIZE, net.INPUT_SIZE))
+    list(net.frame_outputs(frames, net.init_params(8, cfg), cfg, net.NetMode()))
+    assert ran == model_conv_shapes()
+
+
+def _rel(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+def test_conv_layouts_agree_on_every_model_shape():
+    """The shifted and im2col layouts give the same forward, dX and dW on
+    every conv shape of the model, whichever of them conv2d picks."""
+    shapes = sorted(model_conv_shapes())
+    picked = [T._conv_layout(c_out, c_in, k) for c_out, c_in, k, _s in shapes]
+    assert picked.count(T._SHIFTED) >= 10 and picked.count(T._IM2COL) >= 10
+    fwd_i, grads_i = T._IM2COL
+    fwd_s, grads_s = T._SHIFTED
+    rng = np.random.default_rng(12)
+    for c_out, c_in, k, s in shapes:
+        x = rng.standard_normal((c_in, s, s))
+        kern = rng.standard_normal((c_out, c_in, k, k))
+        g = rng.standard_normal((c_out, s, s))
+        case = (c_out, c_in, k, s)
+        assert _rel(fwd_s(x, kern), fwd_i(x, kern)) <= 1e-12, case
+        dk_s, dx_s = grads_s(x, kern, g, True, True)
+        dk_i, dx_i = grads_i(x, kern, g, True, True)
+        assert dk_s.shape == kern.shape and dx_s.shape == x.shape, case
+        assert _rel(dk_s, dk_i) <= 1e-12, case
+        assert _rel(dx_s, dx_i) <= 1e-12, case
+
+
 # ---------------------------------------------------------------------------
 # recurrent step
 

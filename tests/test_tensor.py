@@ -25,6 +25,7 @@ def test_conv_1x1_kernel_scales():
     k = T.constant(np.full((1, 1, 1, 1), 2.0))
     out = T.conv2d(x, k, T.constant([0.0]))
     assert np.array_equal(out.data, [[[2, 4], [6, 8]]])
+    assert np.shares_memory(T._im2col(x.data, 1), x.data)    # the GEMM reads x itself
 
 
 def test_conv_identity_kernel():
@@ -44,12 +45,14 @@ def test_conv_matches_naive_loops_many_cases():
     maps both larger and smaller than the kernel."""
     rng = np.random.default_rng(1)
     small = 0
+    layouts = []
     for _ in range(110):
         c_in = int(rng.integers(1, 4))
         c_out = int(rng.integers(1, 4))
         k = int(rng.choice([1, 3, 5]))
         h, w = (int(v) for v in rng.integers(1, 8, size=2))
         small += min(h, w) < k
+        layouts.append(T._conv_layout(c_out, c_in, k))
         x = rng.standard_normal((c_in, h, w))
         kern = rng.standard_normal((c_out, c_in, k, k))
         bias = rng.standard_normal(c_out)
@@ -58,6 +61,7 @@ def test_conv_matches_naive_loops_many_cases():
         assert out.data.shape == (c_out, h, w)
         np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
     assert small >= 10
+    assert layouts.count(T._SHIFTED) >= 10 and layouts.count(T._IM2COL) >= 10
 
 
 def test_conv_random_3x5x5_case_close_to_reference():
@@ -95,6 +99,41 @@ def test_conv_bias_adds_exactly_and_stays_unchanged():
     out = T.conv2d(x, k, T.constant(bias)).data
     assert np.array_equal(out, T.conv2d(x, k).data + bias[:, None, None])
     assert np.array_equal(bias, kept)
+
+
+# one case per branch of conv2d's layout rule: (c_out, c_in, k, h, w, layout)
+CONV_BRANCHES = [
+    (1, 3, 3, 4, 5, "shifted"),      # c_out < c_in
+    (2, 4, 5, 2, 3, "shifted"),      # map smaller than the kernel
+    (2, 3, 5, 1, 1, "shifted"),
+    (3, 2, 3, 4, 3, "im2col"),       # c_out > c_in
+    (2, 2, 3, 3, 4, "im2col"),       # c_out == c_in
+    (3, 1, 5, 1, 3, "im2col"),
+    (2, 3, 1, 3, 4, "im2col"),       # k = 1: one GEMM on the map itself
+    (3, 2, 1, 2, 1, "im2col"),
+]
+
+
+@pytest.mark.parametrize("c_out,c_in,k,h,w,layout", CONV_BRANCHES,
+                         ids=[f"{c[0]}x{c[1]}_k{c[2]}_{c[3]}x{c[4]}" for c in CONV_BRANCHES])
+def test_conv_gradients_match_finite_diff_on_each_layout(c_out, c_in, k, h, w, layout):
+    assert T._conv_layout(c_out, c_in, k) is {"shifted": T._SHIFTED, "im2col": T._IM2COL}[layout]
+    rng = np.random.default_rng(c_out * 1000 + c_in * 100 + k * 10 + h + w)
+    arrays = {"x": rng.standard_normal((c_in, h, w)),
+              "kernel": rng.standard_normal((c_out, c_in, k, k)) * 0.5,
+              "bias": rng.standard_normal(c_out)}
+    weights = T.constant(rng.standard_normal((c_out, h, w)))
+
+    def loss(x, kernel, bias):
+        return T.sum_all(T.mul(T.tanh(T.conv2d(x, kernel, bias)), weights))
+
+    grads = T.backward(loss(*(T.parameter(a, n) for n, a in arrays.items())))
+    for name in arrays:
+        def f(arr, name=name):
+            return loss(*(T.constant(arr if n == name else a)
+                          for n, a in arrays.items())).item()
+
+        assert _max_rel_err(grads[name], T.finite_diff(f, arrays[name])) < 1e-6, name
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +302,23 @@ def test_backward_diamond_graph_accumulates():
     y = T.add(T.scale(x, 3.0), T.scale(x, 4.0))
     grads = T.backward(T.sum_all(y))
     assert grads["x"][0] == 7.0
+
+
+def test_first_gradient_is_copied_not_shared_between_parents():
+    """add hands one adjoint array to both of its parents. Here both take it
+    as their first contribution and x gets a second one afterwards, which
+    must not reach y's gradient."""
+    rng = np.random.default_rng(23)
+    x0, y0, w, v = rng.standard_normal((4, 3))
+    for swap in (False, True):
+        x, y = T.parameter(x0, "x"), T.parameter(y0, "y")
+        s = T.add(y, x) if swap else T.add(x, y)
+        loss = T.add(T.sum_all(T.mul(s, T.constant(w))),
+                     T.sum_all(T.mul(x, T.constant(v))))
+        for sweep in (T.backward, retaining_backward):
+            grads = sweep(loss)
+            assert np.array_equal(grads["x"], w + v), (swap, sweep)
+            assert np.array_equal(grads["y"], w), (swap, sweep)
 
 
 def assert_sweep_matches_retaining_oracle(loss):
