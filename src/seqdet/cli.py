@@ -12,6 +12,7 @@ import argparse
 import os
 import shutil
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -405,9 +406,16 @@ def main(argv=None):
     guard = OutputGuard()
     try:
         return args.func(args, guard)
-    except Exception as exc:  # one-line diagnostic, partial outputs removed
+    except (ValueError, OSError, FloatingPointError) as exc:
+        # bad input or a diverged run (ParseError, ConfigError and ShapeError
+        # are ValueErrors): one line, partial outputs removed
         guard.cleanup()
         print(f"seqdet: error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a bug: named as one, with its traceback
+        guard.cleanup()
+        print(f"seqdet: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 1
 
 

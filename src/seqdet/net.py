@@ -10,7 +10,11 @@ resolution while the unit weights are shared within its group.
 
 The recurrent step gates a ConvLSTM on an attention-weighted input: a
 single-channel map in (0,1) produced by a three-layer conv stack over
-[x, h_prev] multiplies every channel of x before the gates see it.
+[x, h_prev] multiplies every channel of x before the gates see it. Both
+convs read [x, h_prev] and [a.x, h_prev] as channel parts, so no
+concatenated copy is made, and the gate conv with the LSTM update is one
+node (tensor.convlstm_cell) that keeps the gate activations, not the gate
+map; h and s are views of its [h; s] data.
 """
 
 from __future__ import annotations
@@ -217,25 +221,17 @@ def attention_convlstm_step(x, h_prev, s_prev, w: ACLSTMWeights,
         raise ShapeError(f"state mismatch: x {x.data.shape}, h {h_prev.data.shape}, "
                          f"s {s_prev.data.shape}")
     if attention_enabled:
-        xh = T.concat([x, h_prev])
-        a = T.sigmoid(T.conv2d(T.relu(T.conv2d(T.relu(T.conv2d(xh, w.att1)), w.att2)),
-                               w.att3))
+        a = T.sigmoid(T.conv2d(T.relu(T.conv2d(T.relu(T.conv2d([x, h_prev], w.att1)),
+                                               w.att2)), w.att3))
         ax = T.chanwise_mul(a, x)
     else:
         a = T.constant(np.ones((1,) + x.data.shape[1:]))
         ax = x
     if dropout_rate > 0.0:
         ax = T.dropout(ax, dropout_rate, rng)
-    gate_in = T.concat([ax, h_prev])
-    cu = x.data.shape[0]
-    fused = T.conv2d(gate_in, w.gates, w.gates_bias)
-    i = T.sigmoid(T.slice_channels(fused, 0, cu))
-    f = T.sigmoid(T.slice_channels(fused, cu, 2 * cu))
-    o = T.sigmoid(T.slice_channels(fused, 2 * cu, 3 * cu))
-    c = T.tanh(T.slice_channels(fused, 3 * cu, 4 * cu))
-    s = T.add(T.mul(f, s_prev), T.mul(i, c))
-    h = T.mul(o, T.tanh(s))
-    return h, s, a
+    cell = T.convlstm_cell([ax, h_prev], w.gates, w.gates_bias, s_prev)
+    c = x.data.shape[0]
+    return T.slice_channels(cell, 0, c), T.slice_channels(cell, c, 2 * c), a
 
 
 def zero_state():

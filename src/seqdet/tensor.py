@@ -258,14 +258,18 @@ def add_n(tensors):
 # activations
 
 
-def sigmoid(x):
+def _sigmoid(d):
     # e = exp(-|d|) never overflows: 1/(1+e) for d >= 0, e/(1+e) below.
     # min(d, -d) is -|d| that keeps a NaN's sign, so every bit matches the
     # sign-split evaluation (tests/refimpl.py).
-    d = x.data
     e = np.exp(np.minimum(d, -d))
     out = np.where(d >= 0, 1.0, e)
     out /= 1.0 + e
+    return out
+
+
+def sigmoid(x):
+    out = _sigmoid(x.data)
 
     def bwd(g):
         if x.requires_grad:
@@ -293,33 +297,53 @@ def relu(x):
 
 
 def dropout(x, rate, rng):
-    """Inverted dropout; identity when rate == 0. Mask drawn once from rng."""
-    if rate < 0 or rate >= 1:
+    """Inverted dropout; identity when rate == 0. Mask drawn once from rng;
+    the node keeps it as booleans and rebuilds the scaled mask when used."""
+    if not 0 <= rate < 1:
         raise ValueError(f"dropout rate must be in [0,1), got {rate}")
     if rate == 0.0:
         return x
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+    keep = rng.random(x.data.shape) >= rate
+    scale = 1.0 / (1.0 - rate)
 
     def bwd(g):
         if x.requires_grad:
-            x._accumulate(g * mask)
+            x._accumulate(g * (keep * scale))
 
-    return Tensor(x.data * mask, (x,), bwd)
+    return Tensor(x.data * (keep * scale), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
 # convolution
+#
+# A conv input is a list of [C_i,H,W] maps read as their channel
+# concatenation. Both layouts copy the input into a fresh zero-padded buffer
+# anyway, so they fill it from the parts, and no concatenated copy is made or
+# kept; the backward hands each part its block of dX.
 
 
-def _im2col(a, k):
+def _pad(parts, p, below=0):
+    """The parts' concatenation zero-padded by p on every side, with `below`
+    more zero rows at the bottom."""
+    _, h, w = parts[0].shape
+    buf = np.zeros((sum([a.shape[0] for a in parts]), h + 2 * p + below, w + 2 * p))
+    lo = 0
+    for a in parts:
+        buf[lo:lo + a.shape[0], p:p + h, p:p + w] = a
+        lo += a.shape[0]
+    return buf
+
+
+def _im2col(parts, k):
     """[C*k*k, H*W] columns of the k x k windows centred on every pixel of
-    a [C,H,W] map (zero padding k // 2); for k = 1, the map itself."""
-    c, h, w = a.shape
+    the parts' concatenation (zero padding k // 2); for k = 1, that map
+    itself, with no copy when there is one part."""
+    _, h, w = parts[0].shape
     if k == 1:
-        return a.reshape(c, h * w)
-    pad = k // 2
-    ap = np.zeros((c, h + 2 * pad, w + 2 * pad))
-    ap[:, pad:pad + h, pad:pad + w] = a
+        a = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return a.reshape(a.shape[0], h * w)
+    ap = _pad(parts, k // 2)
+    c = ap.shape[0]
     cols = np.empty((c, k, k, h, w))
     for ki in range(k):
         for kj in range(k):
@@ -340,19 +364,20 @@ def _col2im(dcols, shape, k):
     return dp[:, pad:pad + h, pad:pad + w]
 
 
-def _im2col_forward(a, kern):
+def _im2col_forward(parts, kern):
     c_out, _, k, _ = kern.shape
-    out = kern.reshape(c_out, -1) @ _im2col(a, k)
-    return out.reshape((c_out,) + a.shape[1:])
+    out = kern.reshape(c_out, -1) @ _im2col(parts, k)
+    return out.reshape((c_out,) + parts[0].shape[1:])
 
 
-def _im2col_grads(a, kern, g, need_kernel, need_input):
+def _im2col_grads(parts, kern, g, need_kernel, need_input):
     # the columns are rebuilt here: caching them across an unrolled sequence
     # costs far more memory locality than the recompute costs time
-    c_out, _, k, _ = kern.shape
+    c_out, c_in, k, _ = kern.shape
     gm = g.reshape(c_out, -1)
-    dk = (gm @ _im2col(a, k).T).reshape(kern.shape) if need_kernel else None
-    dx = _col2im(kern.reshape(c_out, -1).T @ gm, a.shape, k) if need_input else None
+    dk = (gm @ _im2col(parts, k).T).reshape(kern.shape) if need_kernel else None
+    dx = (_col2im(kern.reshape(c_out, -1).T @ gm, (c_in,) + g.shape[1:], k)
+          if need_input else None)
     return dk, dx
 
 
@@ -363,14 +388,12 @@ def _im2col_grads(a, kern, g, need_kernel, need_input):
 # Columns j >= W of each output row are wrap-around garbage and are dropped.
 
 
-def _padded_rows(a, k):
-    """a [C,H,W] zero-padded by k // 2 on every side, plus one zero row
-    below that keeps the last tap's slice inside, as [C, (H+k)*(W+k-1)]."""
-    c, h, w = a.shape
-    p = k // 2
-    buf = np.zeros((c, h + k, w + 2 * p))
-    buf[:, p:p + h, p:p + w] = a
-    return buf.reshape(c, -1)
+def _padded_rows(parts, k):
+    """The parts' concatenation zero-padded by k // 2 on every side, plus one
+    zero row below that keeps the last tap's slice inside, as
+    [C, (H+k)*(W+k-1)]."""
+    buf = _pad(parts, k // 2, 1)
+    return buf.reshape(buf.shape[0], -1)
 
 
 def _taps(kern):
@@ -384,12 +407,12 @@ def _tap_offsets(k, wp):
     return [ki * wp + kj for ki in range(k) for kj in range(k)]
 
 
-def _shifted_forward(a, kern):
+def _shifted_forward(parts, kern):
     c_out, _, k, _ = kern.shape
-    _, h, w = a.shape
+    _, h, w = parts[0].shape
     wp = w + k - 1
     n = h * wp
-    flat = _padded_rows(a, k)
+    flat = _padded_rows(parts, k)
     taps = _taps(kern)
     out = np.zeros((c_out, n))
     part = np.empty((c_out, n))
@@ -398,9 +421,9 @@ def _shifted_forward(a, kern):
     return np.ascontiguousarray(out.reshape(c_out, h, wp)[:, :, :w])
 
 
-def _shifted_grads(a, kern, g, need_kernel, need_input):
+def _shifted_grads(parts, kern, g, need_kernel, need_input):
     c_out, c_in, k, _ = kern.shape
-    _, h, w = a.shape
+    _, h, w = g.shape
     wp = w + k - 1
     n = h * wp
     offsets = _tap_offsets(k, wp)
@@ -409,7 +432,7 @@ def _shifted_grads(a, kern, g, need_kernel, need_input):
     gw = gw.reshape(c_out, n)
     dk = dx = None
     if need_kernel:
-        flat = _padded_rows(a, k)
+        flat = _padded_rows(parts, k)
         dtaps = np.empty((k * k, c_out, c_in))
         for t, off in enumerate(offsets):
             np.matmul(gw, flat[:, off:off + n].T, out=dtaps[t])
@@ -434,26 +457,59 @@ def _conv_layout(c_out, c_in, k):
     return _SHIFTED if k > 1 and c_out < c_in else _IM2COL
 
 
-def _check_conv_args(x, kernel, bias):
-    if x.data.ndim != 3:
-        raise ShapeError(f"conv2d: input must be [C,H,W], got {x.data.shape}")
+def _check_conv_args(parts, kernel, bias, op):
+    channels = 0
+    for x in parts:
+        if x.data.ndim != 3:
+            raise ShapeError(f"{op}: input must be [C,H,W], got {x.data.shape}")
+        if x.data.shape[1:] != parts[0].data.shape[1:]:
+            raise ShapeError(f"{op}: input parts {parts[0].data.shape} and "
+                             f"{x.data.shape} differ in size")
+        channels += x.data.shape[0]
     if kernel.data.ndim != 4:
-        raise ShapeError(f"conv2d: kernel must be [C_out,C_in,k,k], got {kernel.data.shape}")
+        raise ShapeError(f"{op}: kernel must be [C_out,C_in,k,k], got {kernel.data.shape}")
     c_out, c_in, k, k2 = kernel.data.shape
     if k != k2 or k % 2 == 0:
-        raise ShapeError(f"conv2d: kernel must be odd square, got {k}x{k2}")
-    if c_in != x.data.shape[0]:
-        raise ShapeError(
-            f"conv2d: input has {x.data.shape[0]} channels, kernel expects {c_in}")
+        raise ShapeError(f"{op}: kernel must be odd square, got {k}x{k2}")
+    if c_in != channels:
+        raise ShapeError(f"{op}: input has {channels} channels, kernel expects {c_in}")
     if bias is not None and bias.data.shape != (c_out,):
-        raise ShapeError(f"conv2d: bias must be [{c_out}], got {bias.data.shape}")
+        raise ShapeError(f"{op}: bias must be [{c_out}], got {bias.data.shape}")
     return c_out, c_in, k
+
+
+def _conv_forward(parts, kernel, bias, op):
+    """The conv's output and the grads of the layout that computed it."""
+    forward, grads = _conv_layout(*_check_conv_args(parts, kernel, bias, op))
+    out = forward([x.data for x in parts], kernel.data)
+    if bias is not None:
+        out += bias.data[:, None, None]
+    return out, grads
+
+
+def _conv_backward(parts, kernel, bias, grads, g):
+    """Hand the conv's output adjoint g to the kernel, each part (its block
+    of dX, in order) and the bias. dW is handed on before dX is computed, so
+    the two and their buffers are never live together."""
+    data = [x.data for x in parts]
+    if kernel.requires_grad:
+        kernel._accumulate(grads(data, kernel.data, g, True, False)[0])
+    if any([x.requires_grad for x in parts]):
+        dx = grads(data, kernel.data, g, False, True)[1]
+        lo = 0
+        for x in parts:
+            if x.requires_grad:
+                x._accumulate(dx[lo:lo + x.data.shape[0]])
+            lo += x.data.shape[0]
+    if bias is not None and bias.requires_grad:
+        bias._accumulate(g.reshape(g.shape[0], -1).sum(axis=1))
 
 
 def conv2d(x, kernel, bias=None):
     """Same-size 2-D cross-correlation of [C_in,H,W] with [C_out,C_in,k,k]
     kernels: stride 1, zero padding k // 2, so the output is [C_out,H,W].
-    Odd square kernels only.
+    Odd square kernels only. x is one map or a list of [C_i,H,W] maps that
+    the conv reads as their channel concatenation, without making it.
 
     The GEMM layout follows the kernel shape; the two agree to float64
     rounding (the tests compare them on every model shape). Timings are
@@ -465,28 +521,63 @@ def conv2d(x, kernel, bias=None):
       dX. An im2col column buffer of C_in*k*k*H*W would move more memory
       than such a narrow product computes: att1 (32 <- 128) takes 4.1 ms
       here against 5.6 ms with im2col, a head (18 <- 64) 1.5 against 2.1 ms.
-    - k = 1: one GEMM on x reshaped to [C_in, H*W], with no copy.
+    - k = 1: one GEMM on x reshaped to [C_in, H*W], with no copy for a
+      single map.
     - otherwise im2col: one [C_out, C_in*k*k] product on the column buffer.
       The wide gate convs (256 <- 128) run it near GEMM peak, 18.3 ms;
       shifted they take 23.8 ms.
     """
-    c_out, c_in, k = _check_conv_args(x, kernel, bias)
-    forward, grads = _conv_layout(c_out, c_in, k)
-    out = forward(x.data, kernel.data)
-    if bias is not None:
-        out += bias.data[:, None, None]
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    parts = list(x) if isinstance(x, (list, tuple)) else [x]
+    out, grads = _conv_forward(parts, kernel, bias, "conv2d")
+    parents = (*parts, kernel) if bias is None else (*parts, kernel, bias)
+    return Tensor(out, parents, lambda g: _conv_backward(parts, kernel, bias, grads, g))
+
+
+def convlstm_cell(parts, kernel, bias, s_prev):
+    """One ConvLSTM update as one node. The gate conv reads the parts (see
+    conv2d); kernel and bias rows are the blocks i, f, o, c of c channels:
+        s = sigmoid(f)*s_prev + sigmoid(i)*tanh(c),   h = sigmoid(o)*tanh(s).
+    The data is [h; s], 2c channels; read them with slice_channels.
+
+    For its backward the node keeps sigmoid over the first 3c gate channels,
+    tanh over the last c and tanh(s), but not the raw gate map, f*s_prev or
+    i*c. The backward runs the operations of the composed graph (conv2d,
+    slice_channels, sigmoid, tanh, mul, add) in their order, so both give
+    the same bits (tests/refimpl.py keeps the composed step as the oracle).
+    """
+    if bias is None:
+        raise ShapeError("convlstm_cell: the gates need a bias")
+    gates, grads = _conv_forward(parts, kernel, bias, "convlstm_cell")
+    c = gates.shape[0] // 4
+    if gates.shape[0] != 4 * c or s_prev.data.shape != (c,) + gates.shape[1:]:
+        raise ShapeError(f"convlstm_cell: {gates.shape[0]} gate rows and state "
+                         f"{s_prev.data.shape}; want 4c rows and a [c,H,W] state")
+    act = _sigmoid(gates[:3 * c])        # i, f, o
+    cc = np.tanh(gates[3 * c:])
+    del gates
+    i, f, o = act[:c], act[c:2 * c], act[2 * c:]
+    out = np.empty((2 * c,) + cc.shape[1:])
+    np.add(f * s_prev.data, i * cc, out=out[c:])
+    ts = np.tanh(out[c:])
+    np.multiply(o, ts, out=out[:c])
 
     def bwd(g):
-        dk, dx = grads(x.data, kernel.data, g, kernel.requires_grad, x.requires_grad)
-        if dk is not None:
-            kernel._accumulate(dk)
-        if dx is not None:
-            x._accumulate(dx)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.reshape(c_out, -1).sum(axis=1))
+        dh = g[:c]
+        ds = g[c:] + dh * o * (1.0 - ts * ts)
+        dgates = np.empty((4 * c,) + ts.shape[1:])
+        dact = dgates[:3 * c]
+        np.multiply(ds, cc, out=dact[:c])
+        np.multiply(ds, s_prev.data, out=dact[c:2 * c])
+        np.multiply(dh, ts, out=dact[2 * c:])
+        dact *= act
+        dact *= 1.0 - act
+        np.multiply(ds * i, 1.0 - cc * cc, out=dgates[3 * c:])
+        if s_prev.requires_grad:
+            s_prev._accumulate(ds * f)
+        del ds
+        _conv_backward(parts, kernel, bias, grads, dgates)
 
-    return Tensor(out, parents, bwd)
+    return Tensor(out, (*parts, kernel, bias, s_prev), bwd)
 
 
 def slice_channels(x, lo, hi):

@@ -422,9 +422,10 @@ def build_linear_head_case(seed=0):
     return GradCheckCase(params, build)
 
 
-def build_aclstm_case(seed=0, frames=3, channels=4, size=5):
+def build_aclstm_case(seed=0, frames=3, channels=4, size=5, dropout=0.0):
     """Unrolled recurrent steps plus a composite loss over heads, attention
-    maps, and class scores; parameter count stays in the low thousands."""
+    maps, and class scores; parameter count stays in the low thousands.
+    With dropout, every build draws the same masks."""
     rng = np.random.default_rng((seed, 0x62))
     params = {}
     pr = np.random.default_rng((seed, 0x63))
@@ -446,8 +447,9 @@ def build_aclstm_case(seed=0, frames=3, channels=4, size=5):
         h = T.constant(np.zeros((channels, size, size)))
         s = T.constant(np.zeros((channels, size, size)))
         terms = []
+        masks = np.random.default_rng((seed, 0x64))
         for x in xs:
-            h, s, a = net.attention_convlstm_step(x, h, s, w)
+            h, s, a = net.attention_convlstm_step(x, h, s, w, dropout, masks)
             head = T.conv2d(h, params["head.kernel"], params["head.bias"])
             vec = T.gather(head, pick)
             terms.append(T.smooth_l1_sum(vec, loc_target))

@@ -1,10 +1,14 @@
 """Independent straight-line reference implementations used as oracles.
 
 Everything here is deliberately naive (nested loops, exhaustive argmax
-scans) and shares no code with the package under test.
+scans) and shares no code with the package under test, except the composed
+recurrent step at the end, which is built from the engine's primitive ops
+as the oracle of the fused tensor.convlstm_cell.
 """
 
 import numpy as np
+
+from seqdet import tensor as T
 
 
 def naive_conv2d(x, kernel, bias=None, stride=1, pad=0):
@@ -256,3 +260,37 @@ def graph_nodes(root):
                 seen[id(p)] = p
                 stack.append(p)
     return list(seen.values())
+
+
+def composed_convlstm_cell(parts, kernel, bias, s_prev):
+    """The ConvLSTM update as a graph of primitive ops: concat the parts,
+    one gate conv, channel slices i, f, o, c, then
+    s = sigmoid(f)*s_prev + sigmoid(i)*tanh(c) and h = sigmoid(o)*tanh(s).
+    Returns the nodes (h, s)."""
+    c = s_prev.data.shape[0]
+    fused = T.conv2d(T.concat(list(parts)), kernel, bias)
+    i = T.sigmoid(T.slice_channels(fused, 0, c))
+    f = T.sigmoid(T.slice_channels(fused, c, 2 * c))
+    o = T.sigmoid(T.slice_channels(fused, 2 * c, 3 * c))
+    cc = T.tanh(T.slice_channels(fused, 3 * c, 4 * c))
+    s = T.add(T.mul(f, s_prev), T.mul(i, cc))
+    return T.mul(o, T.tanh(s)), s
+
+
+def composed_aclstm_step(x, h_prev, s_prev, w, dropout_rate=0.0, rng=None,
+                         attention_enabled=True):
+    """net.attention_convlstm_step composed from primitive ops: the attention
+    stack and the gates read concatenated [x, h_prev] and [a.x, h_prev]
+    copies, and the update is composed_convlstm_cell."""
+    if attention_enabled:
+        xh = T.concat([x, h_prev])
+        a = T.sigmoid(T.conv2d(T.relu(T.conv2d(T.relu(T.conv2d(xh, w.att1)), w.att2)),
+                               w.att3))
+        ax = T.chanwise_mul(a, x)
+    else:
+        a = T.constant(np.ones((1,) + x.data.shape[1:]))
+        ax = x
+    if dropout_rate > 0.0:
+        ax = T.dropout(ax, dropout_rate, rng)
+    h, s = composed_convlstm_cell([ax, h_prev], w.gates, w.gates_bias, s_prev)
+    return h, s, a

@@ -206,6 +206,27 @@ def test_error_exit_code_and_cleanup(tmp_path, capsys):
     assert not (tmp_path / "t1").exists()
 
 
+def test_internal_error_names_itself_with_a_traceback(tmp_path, capsys, monkeypatch):
+    """An exception that is not bad input (here an IndexError from a
+    command) says "internal error", its type and message, then the
+    traceback; partial outputs are removed and the exit code is 1."""
+    out = tmp_path / "result.csv"
+
+    def broken(args, guard):
+        guard.register(args.out).write_text("partial")
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli, "cmd_track", broken)
+    assert run("track", "--out", out) == 1
+    err = capsys.readouterr().err
+    first, *rest = err.splitlines()
+    assert first == "seqdet: internal error: IndexError: list index out of range"
+    assert rest[0] == "Traceback (most recent call last):"
+    assert rest[-1] == "IndexError: list index out of range"
+    assert "in broken" in err
+    assert not out.exists()
+
+
 def test_track_rejects_three_number_box(tmp_path, capsys):
     dets = tmp_path / "short.jsonl"
     dets.write_text('{"frame": 1, "class": 1, "score": 0.5, "box": [0.1, 0.1, 0.5]}\n')

@@ -5,7 +5,7 @@ from seqdet import net
 from seqdet import tensor as T
 from seqdet.errors import ConfigError, ShapeError
 
-from refimpl import naive_conv2d
+from refimpl import composed_aclstm_step, composed_convlstm_cell, naive_conv2d
 
 
 def zero_lstm_weights(c):
@@ -140,15 +140,21 @@ def model_conv_shapes():
 
 
 def test_model_conv_shapes_are_what_the_forward_runs(monkeypatch):
+    """Recorded where every conv runs, conv2d's and the fused cell's gate
+    conv alike: at the forward of the layout _conv_layout picks."""
     ran = set()
-    conv2d = T.conv2d
+    conv_layout = T._conv_layout
 
-    def recording(x, kernel, bias=None):
-        c_out, c_in, k, _ = kernel.data.shape
-        ran.add((c_out, c_in, k, x.data.shape[1]))
-        return conv2d(x, kernel, bias)
+    def recording(c_out, c_in, k):
+        forward, grads = conv_layout(c_out, c_in, k)
 
-    monkeypatch.setattr(T, "conv2d", recording)
+        def recorded(parts, kern):
+            assert sum(p.shape[0] for p in parts) == c_in == kern.shape[1]
+            ran.add((c_out, c_in, k, parts[0].shape[1]))
+            return forward(parts, kern)
+        return recorded, grads
+
+    monkeypatch.setattr(T, "_conv_layout", recording)
     cfg = net.ModelConfig()
     frames = np.random.default_rng(8).random((2, 3, net.INPUT_SIZE, net.INPUT_SIZE))
     list(net.frame_outputs(frames, net.init_params(8, cfg), cfg, net.NetMode()))
@@ -161,7 +167,9 @@ def _rel(a, b):
 
 def test_conv_layouts_agree_on_every_model_shape():
     """The shifted and im2col layouts give the same forward, dX and dW on
-    every conv shape of the model, whichever of them conv2d picks."""
+    every conv shape of the model, whichever of them conv2d picks; in each
+    layout, the input read as two channel parts gives the same bits as the
+    input read whole."""
     shapes = sorted(model_conv_shapes())
     picked = [T._conv_layout(c_out, c_in, k) for c_out, c_in, k, _s in shapes]
     assert picked.count(T._SHIFTED) >= 10 and picked.count(T._IM2COL) >= 10
@@ -173,12 +181,18 @@ def test_conv_layouts_agree_on_every_model_shape():
         kern = rng.standard_normal((c_out, c_in, k, k))
         g = rng.standard_normal((c_out, s, s))
         case = (c_out, c_in, k, s)
-        assert _rel(fwd_s(x, kern), fwd_i(x, kern)) <= 1e-12, case
-        dk_s, dx_s = grads_s(x, kern, g, True, True)
-        dk_i, dx_i = grads_i(x, kern, g, True, True)
+        assert _rel(fwd_s([x], kern), fwd_i([x], kern)) <= 1e-12, case
+        dk_s, dx_s = grads_s([x], kern, g, True, True)
+        dk_i, dx_i = grads_i([x], kern, g, True, True)
         assert dk_s.shape == kern.shape and dx_s.shape == x.shape, case
         assert _rel(dk_s, dk_i) <= 1e-12, case
         assert _rel(dx_s, dx_i) <= 1e-12, case
+        parts = [x[:c_in // 2].copy(), x[c_in // 2:].copy()]
+        for fwd, grads in (T._IM2COL, T._SHIFTED):
+            assert np.array_equal(fwd(parts, kern), fwd([x], kern)), case
+            for got, want in zip(grads(parts, kern, g, True, True),
+                                 grads([x], kern, g, True, True)):
+                assert np.array_equal(got, want), case
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +234,10 @@ def test_attention_disabled_matches_plain_convlstm_bitwise():
     s0 = T.constant(rng.standard_normal((c, sz, sz)) * 0.2)
     h, s, a = net.attention_convlstm_step(x, h0, s0, w, attention_enabled=False)
     assert np.all(a.data == 1.0)
-    # plain ConvLSTM step written out directly over the same gate primitive
-    gate_in = T.concat([x, h0])
-    fused = T.conv2d(gate_in, w.gates, w.gates_bias)
-    i = T.sigmoid(T.slice_channels(fused, 0, c))
-    f = T.sigmoid(T.slice_channels(fused, c, 2 * c))
-    o = T.sigmoid(T.slice_channels(fused, 2 * c, 3 * c))
-    cc = T.tanh(T.slice_channels(fused, 3 * c, 4 * c))
-    s_ref = f.data * s0.data + i.data * cc.data
-    assert np.array_equal(s.data, s_ref)
-    assert np.array_equal(h.data, o.data * np.tanh(s_ref))
+    # plain ConvLSTM update on the raw x, composed from primitive ops
+    h_ref, s_ref = composed_convlstm_cell([x, h0], w.gates, w.gates_bias, s0)
+    assert np.array_equal(s.data, s_ref.data)
+    assert np.array_equal(h.data, h_ref.data)
 
 
 def test_three_step_unroll_matches_straight_line_reference():
@@ -296,6 +304,68 @@ def test_dropout_only_in_training_mode():
     h3, _, _ = net.attention_convlstm_step(x, z, z, w, dropout_rate=0.5,
                                            rng=np.random.default_rng(0))
     assert not np.array_equal(h1.data, h3.data)
+
+
+LEVEL_SHAPES = [(net.unit_channels(lvl), size) for lvl, size in enumerate(net.TOY_SIZES)]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("c,size", LEVEL_SHAPES, ids=[f"c{c}_s{s}" for c, s in LEVEL_SHAPES])
+def test_fused_step_equals_the_composed_graph_bitwise(c, size):
+    """Two unrolled steps of net's step (convs over channel parts, one
+    convlstm_cell node) against refimpl's composed step (concatenated
+    inputs, one gate conv, then slices, sigmoid, tanh, mul and add): the
+    same bits in every output and every leaf gradient (inputs, state,
+    attention and gate weights), with attention on and off, with and
+    without dropout, on each level shape of the model."""
+    rng = np.random.default_rng(c * 100 + size)
+    w0 = random_lstm_weights(rng, c)
+    fields = ("att1", "att2", "att3", "gates", "gates_bias")
+    arrays = {f"w.{f}": getattr(w0, f).data for f in fields}
+    for name in ("x1", "x2", "h0", "s0"):
+        arrays[name] = rng.standard_normal((c, size, size))
+    readout = {n: T.constant(rng.standard_normal((1 if n[0] == "a" else c, size, size)))
+               for n in ("h1", "h2", "s2", "a1", "a2")}
+    for attention in (True, False):
+        for rate in (0.0, 0.2):
+            results = []
+            for step in (net.attention_convlstm_step, composed_aclstm_step):
+                leaves = {n: T.parameter(a, n) for n, a in arrays.items()}
+                w = net.ACLSTMWeights(*(leaves[f"w.{f}"] for f in fields))
+                masks = np.random.default_rng(3)
+                h1, s1, a1 = step(leaves["x1"], leaves["h0"], leaves["s0"], w,
+                                  rate, masks, attention)
+                h2, s2, a2 = step(leaves["x2"], h1, s1, w, rate, masks, attention)
+                outs = {"h1": h1, "h2": h2, "s2": s2, "a1": a1, "a2": a2}
+                loss = T.add_n([T.sum_all(T.mul(outs[n], readout[n])) for n in outs])
+                results.append(({n: o.data for n, o in outs.items()}, T.backward(loss)))
+            (data, grads), (data_ref, grads_ref) = results
+            case = (attention, rate)
+            for name in data_ref:
+                assert _same_bits(data[name], data_ref[name]), (case, name)
+            assert sorted(grads) == sorted(grads_ref), case
+            assert ("w.gates" in grads) and (("w.att1" in grads) == attention), case
+            for name in grads_ref:
+                assert _same_bits(grads[name], grads_ref[name]), (case, name)
+
+
+def test_step_state_is_two_views_of_one_cell_node():
+    """h and s are the channel halves of one convlstm_cell node's [h; s]
+    data, and that data is the composed update's."""
+    rng = np.random.default_rng(14)
+    c, size = 4, 5
+    w = random_lstm_weights(rng, c)
+    x, h_prev, s_prev = (T.parameter(rng.standard_normal((c, size, size)), n)
+                         for n in ("x", "h", "s"))
+    h, s, _ = net.attention_convlstm_step(x, h_prev, s_prev, w, attention_enabled=False)
+    cell = h.parents[0]
+    assert s.parents == (cell,) and cell.data.shape == (2 * c, size, size)
+    assert np.shares_memory(h.data, cell.data) and np.shares_memory(s.data, cell.data)
+    h_ref, s_ref = composed_convlstm_cell([x, h_prev], w.gates, w.gates_bias, s_prev)
+    assert np.array_equal(cell.data, np.concatenate([h_ref.data, s_ref.data]))
 
 
 # ---------------------------------------------------------------------------

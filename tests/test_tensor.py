@@ -8,8 +8,8 @@ import pytest
 from seqdet import tensor as T
 from seqdet.errors import ParseError, ShapeError
 
-from refimpl import (graph_nodes, masked_sigmoid, naive_bilinear_resize, naive_conv2d,
-                     retaining_backward)
+from refimpl import (composed_aclstm_step, graph_nodes, masked_sigmoid,
+                     naive_bilinear_resize, naive_conv2d, retaining_backward)
 
 
 def rand_t(rng, shape, name=None):
@@ -25,7 +25,7 @@ def test_conv_1x1_kernel_scales():
     k = T.constant(np.full((1, 1, 1, 1), 2.0))
     out = T.conv2d(x, k, T.constant([0.0]))
     assert np.array_equal(out.data, [[[2, 4], [6, 8]]])
-    assert np.shares_memory(T._im2col(x.data, 1), x.data)    # the GEMM reads x itself
+    assert np.shares_memory(T._im2col([x.data], 1), x.data)  # the GEMM reads x itself
 
 
 def test_conv_identity_kernel():
@@ -79,6 +79,23 @@ def test_conv_shape_errors():
         T.conv2d(x, T.constant(np.zeros((1, 3, 3, 3))), None)  # channel mismatch
     with pytest.raises(ShapeError):
         T.conv2d(x, T.constant(np.zeros((1, 2, 2, 2))), None)  # even kernel
+
+
+def test_conv_parts_and_cell_shape_errors():
+    a = T.constant(np.zeros((2, 4, 4)))
+    kern = T.constant(np.zeros((8, 4, 3, 3)))
+    bias = T.constant(np.zeros(8))
+    with pytest.raises(ShapeError, match="differ in size"):
+        T.conv2d([a, T.constant(np.zeros((2, 4, 3)))], kern)
+    with pytest.raises(ShapeError, match="3 channels"):
+        T.conv2d([a, T.constant(np.zeros((1, 4, 4)))], kern)
+    assert T.convlstm_cell([a, a], kern, bias, a).data.shape == (4, 4, 4)
+    with pytest.raises(ShapeError, match="state"):
+        T.convlstm_cell([a, a], kern, bias, T.constant(np.zeros((3, 4, 4))))
+    with pytest.raises(ShapeError, match="4c rows"):
+        T.convlstm_cell([a, a], T.constant(np.zeros((6, 4, 3, 3))), T.constant(np.zeros(6)), a)
+    with pytest.raises(ShapeError, match="bias"):
+        T.convlstm_cell([a, a], kern, None, a)
 
 
 def test_conv_pure_same_inputs_same_bits():
@@ -339,12 +356,14 @@ def test_backward_matches_retaining_oracle_on_the_aclstm_case():
     assert_sweep_matches_retaining_oracle(build_aclstm_case(frames=4).build_loss())
 
 
-def test_backward_releases_interior_gradients():
-    """On an unrolled recurrent graph, what the sweep leaves allocated is
-    the leaf gradients once (the returned dict owns them), and its peak is
-    well under that of a sweep that keeps every node's gradient."""
+def _sweep_memory(monkeypatch, step):
+    """Bytes held after, and peak bytes during, T.backward and the retaining
+    oracle on one unrolled recurrent graph built with the given step; and
+    the graph's leaf and interior bytes."""
+    from seqdet import net
     from seqdet.train import build_aclstm_case
 
+    monkeypatch.setattr(net, "attention_convlstm_step", step)
     held, peak = {}, {}
     for sweep in (T.backward, retaining_backward):
         case = build_aclstm_case(frames=6, channels=16, size=12)
@@ -359,9 +378,73 @@ def test_backward_releases_interior_gradients():
         held[sweep], peak[sweep] = now - base, top - base
         assert grads
     leaf_bytes = sum(p.data.nbytes for p in case.params.values())
+    interior_bytes = sum(n.data.nbytes for n in graph_nodes(loss) if n.parents)
+    return held, peak, leaf_bytes, interior_bytes
+
+
+def test_backward_releases_interior_gradients(monkeypatch):
+    """On an unrolled recurrent graph, what the sweep leaves allocated is
+    the leaf gradients once (the returned dict owns them), and its peak is
+    well under that of a sweep that keeps every node's gradient.
+
+    The peak is compared on the composed step (refimpl.composed_aclstm_step),
+    whose interior gradients outweigh the one conv backward transient that
+    both sweeps share. The fused cell keeps too little interior for a peak
+    ratio to show the release, so on net's own step the held bytes are
+    checked: the leaf gradients here, more than every interior node's data
+    in the oracle."""
+    from seqdet import net
+
+    fused_step = net.attention_convlstm_step
+    held, peak, leaf_bytes, _ = _sweep_memory(monkeypatch, composed_aclstm_step)
     assert held[T.backward] < leaf_bytes + 64 * 1024, (held, leaf_bytes)
     assert held[retaining_backward] > 8 * leaf_bytes, (held, leaf_bytes)
     assert peak[T.backward] < 0.5 * peak[retaining_backward], peak
+
+    held, _, leaf_bytes, interior_bytes = _sweep_memory(monkeypatch, fused_step)
+    assert interior_bytes > 4 * leaf_bytes, (interior_bytes, leaf_bytes)
+    assert held[T.backward] < leaf_bytes + 64 * 1024, (held, leaf_bytes)
+    assert held[retaining_backward] > interior_bytes, (held, interior_bytes)
+
+
+def test_unrolled_graph_holds_what_each_step_keeps():
+    """Bytes an unrolled recurrent graph holds after its forward, against a
+    closed-form count. A step over c-channel S x S maps, attention and
+    dropout on, keeps these float64 maps: att1 and its relu (c/2 channels
+    each), att2 and its relu (c/4 each), att3 and the attention map (1
+    each), a.x and its dropout (c each), and the cell's [h; s] (2c), gate
+    activations (4c) and tanh(s) (c); plus the dropout mask as c channels of
+    booleans. Each frame adds the 3-channel head map and two 8 x 8 maps (the
+    resized attention map and its clipped copy); the zero start state is 2c
+    channels. What is left is the graph's Python objects and few-entry loss
+    vectors, the same for any S, so it is measured on 1 x 1 maps. A float64
+    dropout mask (7c more bytes per pixel and step), a concatenated
+    [x, h_prev] copy (16c) or the raw gate map (32c) breaks the bound."""
+    from seqdet.train import build_aclstm_case
+
+    frames, c = 6, 16
+
+    def kept(size):
+        px = size * size
+        step = px * (8 * (c // 2 * 2 + c // 4 * 2 + 2 + 2 * c + 2 * c + 4 * c + c) + c)
+        return 8 * 2 * c * px + frames * (step + 8 * (3 * px + 2 * 64))
+
+    def held(size):
+        case = build_aclstm_case(frames=frames, channels=c, size=size, dropout=0.2)
+        case.build_loss()                   # caches the resize matrices
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = case.build_loss()
+            return tracemalloc.get_traced_memory()[0] - base
+        finally:
+            del loss
+            tracemalloc.stop()
+
+    objects = held(1) - kept(1)
+    got = held(12) - objects
+    assert kept(12) - 16 * 1024 <= got <= kept(12) + 16 * 1024, (got, kept(12), objects)
+    assert 16 * 1024 < frames * 7 * c * 144 / 4      # the smallest regression shows
 
 
 def test_slice_channels_is_a_view_with_the_slice_gradient():
@@ -415,7 +498,13 @@ OPS = [
     ("bce_mean", lambda rng: _bce_case(rng)),
     ("gather_rows", lambda rng: _gather_rows_case(rng)),
     ("conv2d_split", lambda rng: _conv_split_case(rng)),
+    ("conv2d_parts_first", lambda rng: _conv_parts_case(rng, 0, 6)),     # im2col
+    ("conv2d_parts_second", lambda rng: _conv_parts_case(rng, 1, 2)),    # shifted
     ("slice_channels", lambda rng: _slice_case(rng)),
+    ("convlstm_cell_part", lambda rng: _cell_case(rng, "part")),
+    ("convlstm_cell_kernel", lambda rng: _cell_case(rng, "kernel")),
+    ("convlstm_cell_bias", lambda rng: _cell_case(rng, "bias")),
+    ("convlstm_cell_s_prev", lambda rng: _cell_case(rng, "s_prev")),
 ]
 
 
@@ -523,6 +612,37 @@ def _conv_split_case(rng):
     return x0, build
 
 
+def _conv_parts_case(rng, at, c_out):
+    # the leaf is part `at` of a two-part input read as its concatenation
+    x0 = rng.standard_normal((2, 4, 3))
+    other = T.constant(rng.standard_normal((3, 4, 3)))
+    kern = T.constant(rng.standard_normal((c_out, 5, 3, 3)) * 0.5)
+
+    def build(x):
+        parts = [x, other] if at == 0 else [other, x]
+        return T.sum_all(T.tanh(T.conv2d(parts, kern)))
+    return x0, build
+
+
+def _cell_case(rng, leaf):
+    # c = 2 channels of state, gates from a 3 + 2 channel input; the loss
+    # reads both h and s
+    c, h, w = 2, 3, 4
+    arrays = {"part": rng.standard_normal((3, h, w)),
+              "kernel": rng.standard_normal((4 * c, 3 + c, 3, 3)) * 0.4,
+              "bias": rng.standard_normal(4 * c) * 0.5,
+              "s_prev": rng.standard_normal((c, h, w))}
+    h_prev = T.constant(rng.standard_normal((c, h, w)))
+    weights = T.constant(rng.standard_normal((2 * c, h, w)))
+
+    def build(x):
+        t = {n: x if n == leaf else T.constant(a) for n, a in arrays.items()}
+        cell = T.convlstm_cell([t["part"], h_prev], t["kernel"], t["bias"], t["s_prev"])
+        hs = T.concat([T.tanh(T.slice_channels(cell, 0, c)), T.slice_channels(cell, c, 2 * c)])
+        return T.sum_all(T.mul(hs, weights))
+    return arrays[leaf], build
+
+
 def _slice_case(rng):
     x0 = rng.standard_normal((4, 3, 3))
     return x0, lambda x: T.sum_all(T.mul(T.slice_channels(x, 1, 3),
@@ -604,6 +724,28 @@ def test_dropout_scales_surviving_entries():
     out = T.dropout(x, 0.2, rng).data
     vals = np.unique(out)
     assert set(np.round(vals, 12)) <= {0.0, round(1 / 0.8, 12)}
+
+
+def test_dropout_matches_the_float_mask_form_bit_for_bit():
+    """The boolean mask and its scale give the bits of x * mask and g * mask
+    with the float mask (rng draw >= rate) / (1 - rate)."""
+    rng = np.random.default_rng(13)
+    x0 = rng.standard_normal((4, 6, 6))
+    x0.flat[:2] = [-0.0, 0.0]           # a dropped negative entry is -0.0 too
+    g = rng.standard_normal(x0.shape)
+    for rate in (0.2, 0.5, 0.9):
+        mask = (np.random.default_rng(8).random(x0.shape) >= rate) / (1.0 - rate)
+        x = T.parameter(x0, "x")
+        out = T.dropout(x, rate, np.random.default_rng(8))
+        assert np.array_equal((x0 * mask).view(np.uint64), out.data.view(np.uint64))
+        grads = T.backward(T.sum_all(T.mul(out, T.constant(g))))
+        assert np.array_equal((g * mask).view(np.uint64), grads["x"].view(np.uint64))
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -0.1, 1.0])
+def test_dropout_rejects_a_rate_outside_zero_to_one(rate):
+    with pytest.raises(ValueError, match="dropout rate"):
+        T.dropout(T.constant(np.ones(4)), rate, np.random.default_rng(0))
 
 
 def test_smooth_l1_values():
