@@ -19,6 +19,7 @@ map; h and s are views of its [h; s] data.
 
 from __future__ import annotations
 
+import functools
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -213,9 +214,10 @@ def attention_convlstm_step(x, h_prev, s_prev, w: ACLSTMWeights,
     memory          s = f*s_prev + i*c
     hidden          h = o * tanh(s)
 
-    With attention disabled the gates consume the raw x (identical to a
-    plain ConvLSTM step) and the returned map is all ones. Dropout, when
-    active, applies to the attention-weighted input only.
+    With attention disabled the map is all ones, so the gates consume 1.x,
+    which is x bit for bit (a plain ConvLSTM step). Dropout, when active,
+    applies to the attention-weighted input only, inside its chanwise_mul
+    node.
     """
     if x.data.shape != h_prev.data.shape or x.data.shape != s_prev.data.shape:
         raise ShapeError(f"state mismatch: x {x.data.shape}, h {h_prev.data.shape}, "
@@ -223,12 +225,9 @@ def attention_convlstm_step(x, h_prev, s_prev, w: ACLSTMWeights,
     if attention_enabled:
         a = T.sigmoid(T.conv2d(T.relu(T.conv2d(T.relu(T.conv2d([x, h_prev], w.att1)),
                                                w.att2)), w.att3))
-        ax = T.chanwise_mul(a, x)
     else:
         a = T.constant(np.ones((1,) + x.data.shape[1:]))
-        ax = x
-    if dropout_rate > 0.0:
-        ax = T.dropout(ax, dropout_rate, rng)
+    ax = T.chanwise_mul(a, x, dropout_rate, rng)
     cell = T.convlstm_cell([ax, h_prev], w.gates, w.gates_bias, s_prev)
     c = x.data.shape[0]
     return T.slice_channels(cell, 0, c), T.slice_channels(cell, c, 2 * c), a
@@ -268,20 +267,26 @@ def temporal_pyramid_forward(pyramid, state, params, cfg: ModelConfig, mode: Net
     return hidden, new_state, att_maps
 
 
+@functools.cache
+def _prior_major_index(s, lo, width):
+    """Flat indices into an [C,s,s] head map of its [s*s*PRIORS_PER_CELL,
+    width] block, as one shared read-only array."""
+    cell = np.arange(s * s)[:, None, None]
+    prior = np.arange(PRIORS_PER_CELL)[None, :, None]
+    column = np.arange(width)[None, None, :]
+    channel = lo + prior * width + column
+    index = (channel * s * s + cell).reshape(-1, width)
+    index.setflags(write=False)
+    return index
+
+
 def prior_major(maps, lo, width):
     """One [P,width] node from per-level head maps: one row per prior,
     levels in order, cells row-major, the priors of a cell innermost (the
     order of make_priors). Column j of a prior's row is channel
     lo + prior*width + j of its level map."""
-    parts = []
-    for m in maps:
-        s = m.data.shape[1]
-        cell = np.arange(s * s)[:, None, None]
-        prior = np.arange(PRIORS_PER_CELL)[None, :, None]
-        column = np.arange(width)[None, None, :]
-        channel = lo + prior * width + column
-        parts.append(T.gather(m, (channel * s * s + cell).reshape(-1, width)))
-    return T.concat(parts)
+    return T.concat([T.gather(m, _prior_major_index(m.data.shape[1], lo, width))
+                     for m in maps])
 
 
 @dataclass

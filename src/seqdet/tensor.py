@@ -181,21 +181,37 @@ def mul(a, b):
     return Tensor(a.data * b.data, (a, b), bwd)
 
 
-def chanwise_mul(a, b):
-    """Multiply a one-channel map [1,H,W] into each channel of b [C,H,W]."""
+def chanwise_mul(a, b, rate=0.0, rng=None):
+    """Multiply a one-channel map [1,H,W] into each channel of b [C,H,W].
+
+    With rate > 0 the product goes through inverted dropout in the same
+    node: a mask drawn once from rng keeps an entry when its draw is >= rate
+    and scales it by 1/(1-rate). The data and gradients are those of
+    (a*b)*(keep*scale) computed in that order, and the node keeps the mask
+    as booleans instead of the undropped product."""
     if a.data.ndim != 3 or a.data.shape[0] != 1:
         raise ShapeError(f"chanwise_mul: first operand must be [1,H,W], got {a.data.shape}")
     if b.data.ndim != 3 or a.data.shape[1:] != b.data.shape[1:]:
         raise ShapeError(
             f"chanwise_mul: spatial mismatch {a.data.shape} vs {b.data.shape}")
+    if not 0 <= rate < 1:
+        raise ValueError(f"dropout rate must be in [0,1), got {rate}")
+    out = a.data * b.data
+    keep = None
+    if rate > 0.0:
+        keep = rng.random(out.shape) >= rate
+        scale = 1.0 / (1.0 - rate)
+        out *= keep * scale
 
     def bwd(g):
+        if keep is not None:
+            g = g * (keep * scale)
         if a.requires_grad:
             a._accumulate((g * b.data).sum(axis=0, keepdims=True))
         if b.requires_grad:
             b._accumulate(g * a.data)
 
-    return Tensor(a.data * b.data, (a, b), bwd)
+    return Tensor(out, (a, b), bwd)
 
 
 def concat(tensors):
@@ -296,30 +312,14 @@ def relu(x):
     return Tensor(np.maximum(x.data, 0.0), (x,), bwd)
 
 
-def dropout(x, rate, rng):
-    """Inverted dropout; identity when rate == 0. Mask drawn once from rng;
-    the node keeps it as booleans and rebuilds the scaled mask when used."""
-    if not 0 <= rate < 1:
-        raise ValueError(f"dropout rate must be in [0,1), got {rate}")
-    if rate == 0.0:
-        return x
-    keep = rng.random(x.data.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accumulate(g * (keep * scale))
-
-    return Tensor(x.data * (keep * scale), (x,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # convolution
 #
 # A conv input is a list of [C_i,H,W] maps read as their channel
 # concatenation. Both layouts copy the input into a fresh zero-padded buffer
 # anyway, so they fill it from the parts, and no concatenated copy is made or
-# kept; the backward hands each part its block of dX.
+# kept. The backward computes dX only over the channels of the parts that
+# need a gradient.
 
 
 def _pad(parts, p, below=0):
@@ -370,15 +370,17 @@ def _im2col_forward(parts, kern):
     return out.reshape((c_out,) + parts[0].shape[1:])
 
 
-def _im2col_grads(parts, kern, g, need_kernel, need_input):
+def _im2col_dk(parts, g, k):
     # the columns are rebuilt here: caching them across an unrolled sequence
     # costs far more memory locality than the recompute costs time
+    c_out = g.shape[0]
+    return (g.reshape(c_out, -1) @ _im2col(parts, k).T).reshape(c_out, -1, k, k)
+
+
+def _im2col_dx(kern, g):
     c_out, c_in, k, _ = kern.shape
-    gm = g.reshape(c_out, -1)
-    dk = (gm @ _im2col(parts, k).T).reshape(kern.shape) if need_kernel else None
-    dx = (_col2im(kern.reshape(c_out, -1).T @ gm, (c_in,) + g.shape[1:], k)
-          if need_input else None)
-    return dk, dx
+    return _col2im(kern.reshape(c_out, -1).T @ g.reshape(c_out, -1),
+                   (c_in,) + g.shape[1:], k)
 
 
 # The shifted layout works on the map zero-padded by p = k // 2 and flattened
@@ -421,39 +423,49 @@ def _shifted_forward(parts, kern):
     return np.ascontiguousarray(out.reshape(c_out, h, wp)[:, :, :w])
 
 
-def _shifted_grads(parts, kern, g, need_kernel, need_input):
-    c_out, c_in, k, _ = kern.shape
+def _widened(g, k):
+    """g [c_out,H,W] as [c_out, H*(W+k-1)] rows with zero garbage columns,
+    which add nothing to dW or dX."""
+    c_out, h, w = g.shape
+    gw = np.zeros((c_out, h, w + k - 1))
+    gw[:, :, :w] = g
+    return gw.reshape(c_out, -1)
+
+
+def _shifted_dk(parts, g, k):
+    c_out, h, w = g.shape
+    wp = w + k - 1
+    n = h * wp
+    gw = _widened(g, k)
+    flat = _padded_rows(parts, k)
+    dtaps = np.empty((k * k, c_out, flat.shape[0]))
+    for t, off in enumerate(_tap_offsets(k, wp)):
+        np.matmul(gw, flat[:, off:off + n].T, out=dtaps[t])
+    return dtaps.reshape(k, k, c_out, -1).transpose(2, 3, 0, 1)
+
+
+def _shifted_dx(kern, g):
+    _, c_in, k, _ = kern.shape
     _, h, w = g.shape
     wp = w + k - 1
     n = h * wp
-    offsets = _tap_offsets(k, wp)
-    gw = np.zeros((c_out, h, wp))        # zero garbage columns add nothing
-    gw[:, :, :w] = g
-    gw = gw.reshape(c_out, n)
-    dk = dx = None
-    if need_kernel:
-        flat = _padded_rows(parts, k)
-        dtaps = np.empty((k * k, c_out, c_in))
-        for t, off in enumerate(offsets):
-            np.matmul(gw, flat[:, off:off + n].T, out=dtaps[t])
-        dk = dtaps.reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1)
-    if need_input:
-        taps = _taps(kern)
-        dflat = np.zeros((c_in, (h + k) * wp))
-        part = np.empty((c_in, n))
-        for t, off in enumerate(offsets):
-            dflat[:, off:off + n] += np.matmul(taps[t].T, gw, out=part)
-        p = k // 2
-        dx = dflat.reshape(c_in, h + k, wp)[:, p:p + h, p:p + w]
-    return dk, dx
+    gw = _widened(g, k)
+    taps = _taps(kern)
+    dflat = np.zeros((c_in, (h + k) * wp))
+    part = np.empty((c_in, n))
+    for t, off in enumerate(_tap_offsets(k, wp)):
+        dflat[:, off:off + n] += np.matmul(taps[t].T, gw, out=part)
+    p = k // 2
+    return dflat.reshape(c_in, h + k, wp)[:, p:p + h, p:p + w]
 
 
-_IM2COL = (_im2col_forward, _im2col_grads)
-_SHIFTED = (_shifted_forward, _shifted_grads)
+_IM2COL = (_im2col_forward, _im2col_dk, _im2col_dx)
+_SHIFTED = (_shifted_forward, _shifted_dk, _shifted_dx)
 
 
 def _conv_layout(c_out, c_in, k):
-    """The (forward, grads) pair conv2d runs for a [c_out, c_in, k, k] kernel."""
+    """The (forward, dk, dx) functions conv2d runs for a [c_out, c_in, k, k]
+    kernel."""
     return _SHIFTED if k > 1 and c_out < c_in else _IM2COL
 
 
@@ -479,28 +491,31 @@ def _check_conv_args(parts, kernel, bias, op):
 
 
 def _conv_forward(parts, kernel, bias, op):
-    """The conv's output and the grads of the layout that computed it."""
-    forward, grads = _conv_layout(*_check_conv_args(parts, kernel, bias, op))
-    out = forward([x.data for x in parts], kernel.data)
+    """The conv's output and the layout that computed it."""
+    layout = _conv_layout(*_check_conv_args(parts, kernel, bias, op))
+    out = layout[0]([x.data for x in parts], kernel.data)
     if bias is not None:
         out += bias.data[:, None, None]
-    return out, grads
+    return out, layout
 
 
-def _conv_backward(parts, kernel, bias, grads, g):
-    """Hand the conv's output adjoint g to the kernel, each part (its block
-    of dX, in order) and the bias. dW is handed on before dX is computed, so
-    the two and their buffers are never live together."""
+def _conv_backward(parts, kernel, bias, layout, g):
+    """Hand the conv's output adjoint g to the kernel, the parts that need a
+    gradient (each its block of dX) and the bias. dW is handed on before dX
+    is computed, so the two and their buffers are never live together. dX
+    is one product over the channels from the first part that needs it to
+    the last, so a constant part costs no dX."""
+    _, dk, dx = layout
     data = [x.data for x in parts]
     if kernel.requires_grad:
-        kernel._accumulate(grads(data, kernel.data, g, True, False)[0])
-    if any([x.requires_grad for x in parts]):
-        dx = grads(data, kernel.data, g, False, True)[1]
-        lo = 0
-        for x in parts:
-            if x.requires_grad:
-                x._accumulate(dx[lo:lo + x.data.shape[0]])
-            lo += x.data.shape[0]
+        kernel._accumulate(dk(data, g, kernel.data.shape[2]))
+    need = [i for i, x in enumerate(parts) if x.requires_grad]
+    if need:
+        bounds = np.cumsum([0] + [a.shape[0] for a in data])
+        lo, hi = bounds[need[0]], bounds[need[-1] + 1]
+        d = dx(kernel.data[:, lo:hi], g)
+        for i in need:
+            parts[i]._accumulate(d[bounds[i] - lo:bounds[i + 1] - lo])
     if bias is not None and bias.requires_grad:
         bias._accumulate(g.reshape(g.shape[0], -1).sum(axis=1))
 
@@ -509,7 +524,12 @@ def conv2d(x, kernel, bias=None):
     """Same-size 2-D cross-correlation of [C_in,H,W] with [C_out,C_in,k,k]
     kernels: stride 1, zero padding k // 2, so the output is [C_out,H,W].
     Odd square kernels only. x is one map or a list of [C_i,H,W] maps that
-    the conv reads as their channel concatenation, without making it.
+    the conv reads as their channel concatenation, without making it. The
+    backward computes dX only for the parts that need a gradient: one
+    product over the kernel columns from the first such part to the last,
+    so a constant part (the backbone map att1 reads, the zero state at a
+    sequence's first frame) costs none, and when every part needs dX it
+    stays one product.
 
     The GEMM layout follows the kernel shape; the two agree to float64
     rounding (the tests compare them on every model shape). Timings are
@@ -528,9 +548,9 @@ def conv2d(x, kernel, bias=None):
       shifted they take 23.8 ms.
     """
     parts = list(x) if isinstance(x, (list, tuple)) else [x]
-    out, grads = _conv_forward(parts, kernel, bias, "conv2d")
+    out, layout = _conv_forward(parts, kernel, bias, "conv2d")
     parents = (*parts, kernel) if bias is None else (*parts, kernel, bias)
-    return Tensor(out, parents, lambda g: _conv_backward(parts, kernel, bias, grads, g))
+    return Tensor(out, parents, lambda g: _conv_backward(parts, kernel, bias, layout, g))
 
 
 def convlstm_cell(parts, kernel, bias, s_prev):
@@ -539,15 +559,16 @@ def convlstm_cell(parts, kernel, bias, s_prev):
         s = sigmoid(f)*s_prev + sigmoid(i)*tanh(c),   h = sigmoid(o)*tanh(s).
     The data is [h; s], 2c channels; read them with slice_channels.
 
-    For its backward the node keeps sigmoid over the first 3c gate channels,
-    tanh over the last c and tanh(s), but not the raw gate map, f*s_prev or
-    i*c. The backward runs the operations of the composed graph (conv2d,
+    For its backward the node keeps sigmoid over the first 3c gate channels
+    and tanh over the last c, but not the raw gate map, f*s_prev, i*c or
+    tanh(s), which the backward recomputes from the node's own s. The
+    backward runs the operations of the composed graph (conv2d,
     slice_channels, sigmoid, tanh, mul, add) in their order, so both give
     the same bits (tests/refimpl.py keeps the composed step as the oracle).
     """
     if bias is None:
         raise ShapeError("convlstm_cell: the gates need a bias")
-    gates, grads = _conv_forward(parts, kernel, bias, "convlstm_cell")
+    gates, layout = _conv_forward(parts, kernel, bias, "convlstm_cell")
     c = gates.shape[0] // 4
     if gates.shape[0] != 4 * c or s_prev.data.shape != (c,) + gates.shape[1:]:
         raise ShapeError(f"convlstm_cell: {gates.shape[0]} gate rows and state "
@@ -558,10 +579,10 @@ def convlstm_cell(parts, kernel, bias, s_prev):
     i, f, o = act[:c], act[c:2 * c], act[2 * c:]
     out = np.empty((2 * c,) + cc.shape[1:])
     np.add(f * s_prev.data, i * cc, out=out[c:])
-    ts = np.tanh(out[c:])
-    np.multiply(o, ts, out=out[:c])
+    np.multiply(o, np.tanh(out[c:]), out=out[:c])
 
     def bwd(g):
+        ts = np.tanh(out[c:])
         dh = g[:c]
         ds = g[c:] + dh * o * (1.0 - ts * ts)
         dgates = np.empty((4 * c,) + ts.shape[1:])
@@ -574,8 +595,8 @@ def convlstm_cell(parts, kernel, bias, s_prev):
         np.multiply(ds * i, 1.0 - cc * cc, out=dgates[3 * c:])
         if s_prev.requires_grad:
             s_prev._accumulate(ds * f)
-        del ds
-        _conv_backward(parts, kernel, bias, grads, dgates)
+        del ds, ts
+        _conv_backward(parts, kernel, bias, layout, dgates)
 
     return Tensor(out, (*parts, kernel, bias, s_prev), bwd)
 
@@ -742,7 +763,8 @@ def bce_mean(pred, target, eps=1e-7):
     """Mean binary cross entropy with the prediction clamped to [eps, 1-eps].
 
     The clamp kills the gradient outside the open interval, matching the
-    derivative of the clipped composite.
+    derivative of the clipped composite. The node keeps the prediction node
+    and the target, not the clamped copy: the backward recomputes it.
     """
     t = np.asarray(target, dtype=np.float64)
     if t.shape != pred.data.shape:
@@ -753,6 +775,7 @@ def bce_mean(pred, target, eps=1e-7):
 
     def bwd(g):
         if pred.requires_grad:
+            p = np.clip(pred.data, eps, 1.0 - eps)
             inside = (pred.data > eps) & (pred.data < 1.0 - eps)
             pred._accumulate(g[0] * inside * (p - t) / (p * (1.0 - p)) / n)
 

@@ -277,11 +277,18 @@ def composed_convlstm_cell(parts, kernel, bias, s_prev):
     return T.mul(o, T.tanh(s)), s
 
 
+def composed_dropout(x, rate, rng):
+    """Inverted dropout as a product with a float mask: (rng draw >= rate)
+    / (1 - rate), drawn once over x's shape."""
+    return T.mul(x, T.constant((rng.random(x.data.shape) >= rate) / (1.0 - rate)))
+
+
 def composed_aclstm_step(x, h_prev, s_prev, w, dropout_rate=0.0, rng=None,
                          attention_enabled=True):
     """net.attention_convlstm_step composed from primitive ops: the attention
     stack and the gates read concatenated [x, h_prev] and [a.x, h_prev]
-    copies, and the update is composed_convlstm_cell."""
+    copies, dropout is its own node (composed_dropout), and the update is
+    composed_convlstm_cell."""
     if attention_enabled:
         xh = T.concat([x, h_prev])
         a = T.sigmoid(T.conv2d(T.relu(T.conv2d(T.relu(T.conv2d(xh, w.att1)), w.att2)),
@@ -291,6 +298,6 @@ def composed_aclstm_step(x, h_prev, s_prev, w, dropout_rate=0.0, rng=None,
         a = T.constant(np.ones((1,) + x.data.shape[1:]))
         ax = x
     if dropout_rate > 0.0:
-        ax = T.dropout(ax, dropout_rate, rng)
+        ax = composed_dropout(ax, dropout_rate, rng)
     h, s = composed_convlstm_cell([ax, h_prev], w.gates, w.gates_bias, s_prev)
     return h, s, a

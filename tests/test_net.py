@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -146,13 +148,13 @@ def test_model_conv_shapes_are_what_the_forward_runs(monkeypatch):
     conv_layout = T._conv_layout
 
     def recording(c_out, c_in, k):
-        forward, grads = conv_layout(c_out, c_in, k)
+        forward, dk, dx = conv_layout(c_out, c_in, k)
 
         def recorded(parts, kern):
             assert sum(p.shape[0] for p in parts) == c_in == kern.shape[1]
             ran.add((c_out, c_in, k, parts[0].shape[1]))
             return forward(parts, kern)
-        return recorded, grads
+        return recorded, dk, dx
 
     monkeypatch.setattr(T, "_conv_layout", recording)
     cfg = net.ModelConfig()
@@ -168,31 +170,36 @@ def _rel(a, b):
 def test_conv_layouts_agree_on_every_model_shape():
     """The shifted and im2col layouts give the same forward, dX and dW on
     every conv shape of the model, whichever of them conv2d picks; in each
-    layout, the input read as two channel parts gives the same bits as the
-    input read whole."""
+    layout, the input read as two channel parts gives the same forward and
+    dW bits as the input read whole. dX for one part alone, computed on its
+    columns of the kernel, gives that part's block of the whole dX bit for
+    bit in the layout conv2d picks. (The shifted dX of the stem's
+    one-channel half differs in its last bits, a layout conv2d does not run
+    for that shape.)"""
     shapes = sorted(model_conv_shapes())
     picked = [T._conv_layout(c_out, c_in, k) for c_out, c_in, k, _s in shapes]
     assert picked.count(T._SHIFTED) >= 10 and picked.count(T._IM2COL) >= 10
-    fwd_i, grads_i = T._IM2COL
-    fwd_s, grads_s = T._SHIFTED
+    fwd_i, dk_i, dx_i = T._IM2COL
+    fwd_s, dk_s, dx_s = T._SHIFTED
     rng = np.random.default_rng(12)
-    for c_out, c_in, k, s in shapes:
+    for (c_out, c_in, k, s), layout in zip(shapes, picked):
         x = rng.standard_normal((c_in, s, s))
         kern = rng.standard_normal((c_out, c_in, k, k))
         g = rng.standard_normal((c_out, s, s))
         case = (c_out, c_in, k, s)
         assert _rel(fwd_s([x], kern), fwd_i([x], kern)) <= 1e-12, case
-        dk_s, dx_s = grads_s([x], kern, g, True, True)
-        dk_i, dx_i = grads_i([x], kern, g, True, True)
-        assert dk_s.shape == kern.shape and dx_s.shape == x.shape, case
-        assert _rel(dk_s, dk_i) <= 1e-12, case
-        assert _rel(dx_s, dx_i) <= 1e-12, case
-        parts = [x[:c_in // 2].copy(), x[c_in // 2:].copy()]
-        for fwd, grads in (T._IM2COL, T._SHIFTED):
+        assert dk_s([x], g, k).shape == kern.shape and dx_s(kern, g).shape == x.shape, case
+        assert _rel(dk_s([x], g, k), dk_i([x], g, k)) <= 1e-12, case
+        assert _rel(dx_s(kern, g), dx_i(kern, g)) <= 1e-12, case
+        half = c_in // 2
+        parts = [x[:half].copy(), x[half:].copy()]
+        for fwd, dk, _dx in (T._IM2COL, T._SHIFTED):
             assert np.array_equal(fwd(parts, kern), fwd([x], kern)), case
-            for got, want in zip(grads(parts, kern, g, True, True),
-                                 grads([x], kern, g, True, True)):
-                assert np.array_equal(got, want), case
+            assert np.array_equal(dk(parts, g, k), dk([x], g, k)), case
+        dx = layout[2]
+        whole = dx(kern, g)
+        assert np.array_equal(dx(kern[:, :half], g), whole[:half]), case
+        assert np.array_equal(dx(kern[:, half:], g), whole[half:]), case
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +327,10 @@ def test_fused_step_equals_the_composed_graph_bitwise(c, size):
     inputs, one gate conv, then slices, sigmoid, tanh, mul and add): the
     same bits in every output and every leaf gradient (inputs, state,
     attention and gate weights), with attention on and off, with and
-    without dropout, on each level shape of the model."""
+    without dropout, on each level shape of the model. It is run again with
+    the inputs and the start state as constants, as in the model, where
+    net's convs compute dX only for the parts that need it and the composed
+    graph slices the whole dX."""
     rng = np.random.default_rng(c * 100 + size)
     w0 = random_lstm_weights(rng, c)
     fields = ("att1", "att2", "att3", "gates", "gates_bias")
@@ -329,27 +339,28 @@ def test_fused_step_equals_the_composed_graph_bitwise(c, size):
         arrays[name] = rng.standard_normal((c, size, size))
     readout = {n: T.constant(rng.standard_normal((1 if n[0] == "a" else c, size, size)))
                for n in ("h1", "h2", "s2", "a1", "a2")}
-    for attention in (True, False):
-        for rate in (0.0, 0.2):
-            results = []
-            for step in (net.attention_convlstm_step, composed_aclstm_step):
-                leaves = {n: T.parameter(a, n) for n, a in arrays.items()}
-                w = net.ACLSTMWeights(*(leaves[f"w.{f}"] for f in fields))
-                masks = np.random.default_rng(3)
-                h1, s1, a1 = step(leaves["x1"], leaves["h0"], leaves["s0"], w,
-                                  rate, masks, attention)
-                h2, s2, a2 = step(leaves["x2"], h1, s1, w, rate, masks, attention)
-                outs = {"h1": h1, "h2": h2, "s2": s2, "a1": a1, "a2": a2}
-                loss = T.add_n([T.sum_all(T.mul(outs[n], readout[n])) for n in outs])
-                results.append(({n: o.data for n, o in outs.items()}, T.backward(loss)))
-            (data, grads), (data_ref, grads_ref) = results
-            case = (attention, rate)
-            for name in data_ref:
-                assert _same_bits(data[name], data_ref[name]), (case, name)
-            assert sorted(grads) == sorted(grads_ref), case
-            assert ("w.gates" in grads) and (("w.att1" in grads) == attention), case
-            for name in grads_ref:
-                assert _same_bits(grads[name], grads_ref[name]), (case, name)
+    for attention, rate, constants in itertools.product(
+            (True, False), (0.0, 0.2), ((), ("x1", "x2", "h0", "s0"))):
+        results = []
+        for step in (net.attention_convlstm_step, composed_aclstm_step):
+            leaves = {n: T.constant(a) if n in constants else T.parameter(a, n)
+                      for n, a in arrays.items()}
+            w = net.ACLSTMWeights(*(leaves[f"w.{f}"] for f in fields))
+            masks = np.random.default_rng(3)
+            h1, s1, a1 = step(leaves["x1"], leaves["h0"], leaves["s0"], w,
+                              rate, masks, attention)
+            h2, s2, a2 = step(leaves["x2"], h1, s1, w, rate, masks, attention)
+            outs = {"h1": h1, "h2": h2, "s2": s2, "a1": a1, "a2": a2}
+            loss = T.add_n([T.sum_all(T.mul(outs[n], readout[n])) for n in outs])
+            results.append(({n: o.data for n, o in outs.items()}, T.backward(loss)))
+        (data, grads), (data_ref, grads_ref) = results
+        case = (attention, rate, constants)
+        for name in data_ref:
+            assert _same_bits(data[name], data_ref[name]), (case, name)
+        assert sorted(grads) == sorted(grads_ref), case
+        assert ("w.gates" in grads) and (("w.att1" in grads) == attention), case
+        for name in grads_ref:
+            assert _same_bits(grads[name], grads_ref[name]), (case, name)
 
 
 def test_step_state_is_two_views_of_one_cell_node():
@@ -509,6 +520,63 @@ def test_head_graph_nodes_agree_with_flat_views():
     np.testing.assert_array_equal(grads["head.l5.bias"], expect)
     # level 0 gets conf gradients only: its loc block stays zero
     assert np.all(grads["head.l0.kernel"][:8] == 0.0) and np.any(grads["head.l0.kernel"][8:])
+
+
+def test_prior_major_index_is_one_shared_read_only_array():
+    """Each (level size, block) has one cached index array: read-only,
+    equal to the prior-major formula written out, and the very array every
+    frame's gather keeps."""
+    ppc = net.PRIORS_PER_CELL
+    conf_width = 5
+    params = net.init_params(20, net.ModelConfig())
+    for s in net.TOY_SIZES:
+        for lo, width in ((0, 4), (4 * ppc, conf_width)):
+            index = net._prior_major_index(s, lo, width)
+            assert net._prior_major_index(s, lo, width) is index
+            assert not index.flags.writeable
+            want = [[(lo + prior * width + j) * s * s + cell for j in range(width)]
+                    for cell in range(s * s) for prior in range(ppc)]
+            assert np.array_equal(index, want), (s, lo, width)
+    for frame in (1, 2):
+        maps = [T.conv2d(fmap, params[f"head.l{lvl}.kernel"], params[f"head.l{lvl}.bias"])
+                for lvl, fmap in enumerate(unified_pyramid(np.random.default_rng(frame)))]
+        node = net.prior_major(maps, 4 * ppc, conf_width)
+        for m, gather in zip(maps, node.parents):
+            index = net._prior_major_index(m.data.shape[1], 4 * ppc, conf_width)
+            kept = [c.cell_contents for c in gather._backward.__closure__]
+            assert any(v is index for v in kept)
+
+
+def test_conv_backward_computes_dx_only_for_parts_that_need_it(monkeypatch):
+    """att1 reads [x, h_prev] and the gates [a.x, h_prev]. x is a constant
+    backbone map and the first frame's h_prev the zero state, so neither
+    gets a dX: att1 computes none at the first frame and one over h_prev's
+    c kernel columns at the second; the gates compute one over a.x's c
+    columns at the first frame and one product over all 2c at the second."""
+    spans = []
+    conv_layout = T._conv_layout
+
+    def recording(c_out, c_in, k):
+        forward, dk, dx = conv_layout(c_out, c_in, k)
+
+        def recorded(kern, g):
+            spans.append((c_out, c_in, kern.shape[1]))
+            return dx(kern, g)
+        return forward, dk, recorded
+
+    monkeypatch.setattr(T, "_conv_layout", recording)
+    rng = np.random.default_rng(21)
+    c, size = 8, 6
+    w0 = random_lstm_weights(rng, c)
+    w = net.ACLSTMWeights(*(T.parameter(getattr(w0, f).data, f)
+                            for f in ("att1", "att2", "att3", "gates", "gates_bias")))
+    h = s = T.constant(np.zeros((c, size, size)))
+    for _frame in range(2):
+        h, s, _a = net.attention_convlstm_step(T.constant(rng.standard_normal((c, size, size))),
+                                               h, s, w)
+    T.backward(T.sum_all(h))
+    two_part = [span for span in spans if span[1] == 2 * c]
+    assert two_part == [(4 * c, 2 * c, 2 * c), (c // 2, 2 * c, c), (4 * c, 2 * c, c)]
 
 
 def test_weight_sharing_one_parameter_set_serves_three_levels():

@@ -8,7 +8,7 @@ import pytest
 from seqdet import tensor as T
 from seqdet.errors import ParseError, ShapeError
 
-from refimpl import (composed_aclstm_step, graph_nodes, masked_sigmoid,
+from refimpl import (composed_aclstm_step, composed_dropout, graph_nodes, masked_sigmoid,
                      naive_bilinear_resize, naive_conv2d, retaining_backward)
 
 
@@ -412,13 +412,13 @@ def test_unrolled_graph_holds_what_each_step_keeps():
     closed-form count. A step over c-channel S x S maps, attention and
     dropout on, keeps these float64 maps: att1 and its relu (c/2 channels
     each), att2 and its relu (c/4 each), att3 and the attention map (1
-    each), a.x and its dropout (c each), and the cell's [h; s] (2c), gate
-    activations (4c) and tanh(s) (c); plus the dropout mask as c channels of
-    booleans. Each frame adds the 3-channel head map and two 8 x 8 maps (the
-    resized attention map and its clipped copy); the zero start state is 2c
-    channels. What is left is the graph's Python objects and few-entry loss
-    vectors, the same for any S, so it is measured on 1 x 1 maps. A float64
-    dropout mask (7c more bytes per pixel and step), a concatenated
+    each), the dropped-out a.x (c), and the cell's [h; s] (2c) and gate
+    activations (4c); plus the dropout mask as c channels of booleans. Each
+    frame adds the 3-channel head map and the 8 x 8 resized attention map;
+    the zero start state is 2c channels. What is left is the graph's Python
+    objects and few-entry loss vectors, the same for any S, so it is
+    measured on 1 x 1 maps. A float64 dropout mask (7c more bytes per pixel
+    and step), the undropped a.x or tanh(s) (8c each), a concatenated
     [x, h_prev] copy (16c) or the raw gate map (32c) breaks the bound."""
     from seqdet.train import build_aclstm_case
 
@@ -426,8 +426,8 @@ def test_unrolled_graph_holds_what_each_step_keeps():
 
     def kept(size):
         px = size * size
-        step = px * (8 * (c // 2 * 2 + c // 4 * 2 + 2 + 2 * c + 2 * c + 4 * c + c) + c)
-        return 8 * 2 * c * px + frames * (step + 8 * (3 * px + 2 * 64))
+        step = px * (8 * (c // 2 * 2 + c // 4 * 2 + 2 + c + 2 * c + 4 * c) + c)
+        return 8 * 2 * c * px + frames * (step + 8 * (3 * px + 64))
 
     def held(size):
         case = build_aclstm_case(frames=frames, channels=c, size=size, dropout=0.2)
@@ -491,7 +491,8 @@ OPS = [
     ("concat", lambda rng: _concat_case(rng)),
     ("gather", lambda rng: _gather_case(rng)),
     ("absolute", lambda rng: _unary_case(rng, T.absolute)),
-    ("dropout", lambda rng: _dropout_case(rng)),
+    ("dropout", lambda rng: _dropout_case(rng, "x")),
+    ("dropout_map", lambda rng: _dropout_case(rng, "map")),
     ("smooth_l1", lambda rng: _smooth_l1_case(rng)),
     ("softmax_ce_rows", lambda rng: _softmax_ce_rows_case(rng)),
     ("softmax_prob_rows", lambda rng: _softmax_prob_rows_case(rng)),
@@ -556,10 +557,16 @@ def _gather_case(rng):
     return x0, lambda x: T.sum_all(T.tanh(T.gather(x, idx)))
 
 
-def _dropout_case(rng):
-    x0 = rng.standard_normal((3, 4, 4))
-    masks = [np.random.default_rng(99)]  # fixed mask stream per evaluation
-    return x0, lambda x: T.sum_all(T.dropout(x, 0.3, np.random.default_rng(99)))
+def _dropout_case(rng, leaf):
+    # dropout inside chanwise_mul, the same mask on every evaluation; the
+    # leaf is the multi-channel operand or the one-channel map
+    arrays = {"map": rng.standard_normal((1, 4, 4)), "x": rng.standard_normal((3, 4, 4))}
+
+    def build(v):
+        t = {n: v if n == leaf else T.constant(a) for n, a in arrays.items()}
+        return T.sum_all(T.tanh(T.chanwise_mul(t["map"], t["x"], 0.3,
+                                               np.random.default_rng(99))))
+    return arrays[leaf], build
 
 
 def _smooth_l1_case(rng):
@@ -714,38 +721,50 @@ def test_gather_values_and_scatter_grad():
 
 
 def test_dropout_zero_rate_is_identity():
-    x = T.constant(np.ones((2, 2)))
-    assert T.dropout(x, 0.0, np.random.default_rng(0)) is x
+    """chanwise_mul at rate 0 is the plain product and draws nothing."""
+    rng = np.random.default_rng(0)
+    a = T.constant(rng.random((1, 3, 3)))
+    x = T.constant(rng.standard_normal((2, 3, 3)))
+    state = rng.bit_generator.state
+    assert np.array_equal(T.chanwise_mul(a, x, 0.0, rng).data, a.data * x.data)
+    assert rng.bit_generator.state == state
 
 
 def test_dropout_scales_surviving_entries():
     rng = np.random.default_rng(12)
-    x = T.constant(np.ones((50, 50)))
-    out = T.dropout(x, 0.2, rng).data
+    out = T.chanwise_mul(T.constant(np.ones((1, 50, 50))), T.constant(np.ones((3, 50, 50))),
+                         0.2, rng).data
     vals = np.unique(out)
     assert set(np.round(vals, 12)) <= {0.0, round(1 / 0.8, 12)}
 
 
 def test_dropout_matches_the_float_mask_form_bit_for_bit():
-    """The boolean mask and its scale give the bits of x * mask and g * mask
-    with the float mask (rng draw >= rate) / (1 - rate)."""
+    """Dropout inside chanwise_mul, with its boolean mask and scale, gives
+    the bits of the composed graph: the product, then a product with the
+    float mask (rng draw >= rate) / (1 - rate) (refimpl.composed_dropout),
+    in its data and in both operands' gradients."""
     rng = np.random.default_rng(13)
+    a0 = rng.random((1, 6, 6))
     x0 = rng.standard_normal((4, 6, 6))
     x0.flat[:2] = [-0.0, 0.0]           # a dropped negative entry is -0.0 too
     g = rng.standard_normal(x0.shape)
     for rate in (0.2, 0.5, 0.9):
-        mask = (np.random.default_rng(8).random(x0.shape) >= rate) / (1.0 - rate)
-        x = T.parameter(x0, "x")
-        out = T.dropout(x, rate, np.random.default_rng(8))
-        assert np.array_equal((x0 * mask).view(np.uint64), out.data.view(np.uint64))
-        grads = T.backward(T.sum_all(T.mul(out, T.constant(g))))
-        assert np.array_equal((g * mask).view(np.uint64), grads["x"].view(np.uint64))
+        results = []
+        for fold in (True, False):
+            a, x = T.parameter(a0, "a"), T.parameter(x0, "x")
+            out = (T.chanwise_mul(a, x, rate, np.random.default_rng(8)) if fold
+                   else composed_dropout(T.chanwise_mul(a, x), rate, np.random.default_rng(8)))
+            grads = T.backward(T.sum_all(T.mul(out, T.constant(g))))
+            results.append([out.data, grads["a"], grads["x"]])
+        for got, want in zip(*results):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), rate
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -0.1, 1.0])
 def test_dropout_rejects_a_rate_outside_zero_to_one(rate):
+    ones = T.constant(np.ones((1, 2, 2)))
     with pytest.raises(ValueError, match="dropout rate"):
-        T.dropout(T.constant(np.ones(4)), rate, np.random.default_rng(0))
+        T.chanwise_mul(ones, ones, rate, np.random.default_rng(0))
 
 
 def test_smooth_l1_values():
@@ -759,6 +778,29 @@ def test_softmax_ce_perfect_prediction_near_zero():
     assert np.all(T.softmax_ce_rows(logits, [1, 1]).data > 49)
     with pytest.raises(ShapeError):
         T.softmax_ce_rows(logits, [0, 3])
+
+
+def test_bce_mean_keeps_no_copy_of_the_prediction():
+    """The node holds the prediction node and the caller's target, not the
+    clamped prediction: its backward recomputes the clamp."""
+    rng = np.random.default_rng(22)
+    pred = T.parameter(rng.uniform(0.01, 0.99, (1, 64, 64)), "p")
+    pred.data[0, 0, :3] = [0.0, 1.0, 1e-9]      # clamped entries get no gradient
+    tgt = (rng.random((1, 64, 64)) > 0.5).astype(float)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        node = T.bce_mean(pred, tgt)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < pred.data.nbytes // 8, held
+    kept = [c.cell_contents for c in node._backward.__closure__]
+    assert all(v is tgt for v in kept if isinstance(v, np.ndarray))
+    grad = T.backward(node)["p"]
+    p = np.clip(pred.data, 1e-7, 1 - 1e-7)
+    assert np.array_equal(grad, (p - tgt) / (p * (1.0 - p)) / p.size
+                          * ((pred.data > 1e-7) & (pred.data < 1 - 1e-7)))
 
 
 def test_bce_mean_at_half_is_ln2():
