@@ -124,11 +124,11 @@ def box_indicator_map(gt_boxes, size):
 
 
 def attention_loss(att_maps, gt_boxes, input_size=96):
-    """Sum over levels of the mean BCE between each upsampled attention map
-    and the box-indicator target at input resolution."""
+    """Sum over levels of the mean BCE between each attention map, upsampled
+    inside its bce_mean node, and the box-indicator target at input
+    resolution."""
     target = box_indicator_map(gt_boxes, input_size)
-    terms = [T.bce_mean(T.bilinear_resize(a, input_size, input_size), target, BCE_EPS)
-             for a in att_maps]
+    terms = [T.bce_mean(a, target, BCE_EPS) for a in att_maps]
     return T.add_n(terms)
 
 

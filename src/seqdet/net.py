@@ -12,9 +12,11 @@ The recurrent step gates a ConvLSTM on an attention-weighted input: a
 single-channel map in (0,1) produced by a three-layer conv stack over
 [x, h_prev] multiplies every channel of x before the gates see it. Both
 convs read [x, h_prev] and [a.x, h_prev] as channel parts, so no
-concatenated copy is made, and the gate conv with the LSTM update is one
-node (tensor.convlstm_cell) that keeps the gate activations, not the gate
-map; h and s are views of its [h; s] data.
+concatenated copy is made, and a.x, its dropout, the gate conv and the
+LSTM update are one node (tensor.convlstm_cell) that keeps the gate
+activations and the dropout mask, not a.x or the gate map; h and s are
+views of its [h; s] data. The six head convs are one node too
+(tensor.conv_gather), whose loc and conf rows are all it holds.
 """
 
 from __future__ import annotations
@@ -216,8 +218,8 @@ def attention_convlstm_step(x, h_prev, s_prev, w: ACLSTMWeights,
 
     With attention disabled the map is all ones, so the gates consume 1.x,
     which is x bit for bit (a plain ConvLSTM step). Dropout, when active,
-    applies to the attention-weighted input only, inside its chanwise_mul
-    node.
+    applies to the attention-weighted input only. a.x, its dropout and the
+    update are one tensor.convlstm_cell node.
     """
     if x.data.shape != h_prev.data.shape or x.data.shape != s_prev.data.shape:
         raise ShapeError(f"state mismatch: x {x.data.shape}, h {h_prev.data.shape}, "
@@ -227,8 +229,7 @@ def attention_convlstm_step(x, h_prev, s_prev, w: ACLSTMWeights,
                                                w.att2)), w.att3))
     else:
         a = T.constant(np.ones((1,) + x.data.shape[1:]))
-    ax = T.chanwise_mul(a, x, dropout_rate, rng)
-    cell = T.convlstm_cell([ax, h_prev], w.gates, w.gates_bias, s_prev)
+    cell = T.convlstm_cell(a, x, h_prev, w.gates, w.gates_bias, s_prev, dropout_rate, rng)
     c = x.data.shape[0]
     return T.slice_channels(cell, 0, c), T.slice_channels(cell, c, 2 * c), a
 
@@ -268,42 +269,48 @@ def temporal_pyramid_forward(pyramid, state, params, cfg: ModelConfig, mode: Net
 
 
 @functools.cache
-def _prior_major_index(s, lo, width):
-    """Flat indices into an [C,s,s] head map of its [s*s*PRIORS_PER_CELL,
-    width] block, as one shared read-only array."""
-    cell = np.arange(s * s)[:, None, None]
-    prior = np.arange(PRIORS_PER_CELL)[None, :, None]
-    column = np.arange(width)[None, None, :]
-    channel = lo + prior * width + column
-    index = (channel * s * s + cell).reshape(-1, width)
-    index.setflags(write=False)
+def _prior_major_index(sizes, conf_width):
+    """Flat indices of the loc [P,4] and conf [P,conf_width] rows in the
+    head maps of levels of the given sizes, flattened and concatenated in
+    level order, as two shared read-only arrays. One row per prior: levels
+    in order, cells row-major, the priors of a cell innermost (the order of
+    make_priors). Column j of a prior's loc row is channel prior*4 + j of
+    its level map, of its conf row channel PRIORS_PER_CELL*4 +
+    prior*conf_width + j."""
+    channels = PRIORS_PER_CELL * (4 + conf_width)
+    blocks = ([], [])
+    base = 0
+    for s in sizes:
+        cell = np.arange(s * s)[:, None, None]
+        prior = np.arange(PRIORS_PER_CELL)[None, :, None]
+        for rows, lo, width in zip(blocks, (0, PRIORS_PER_CELL * 4), (4, conf_width)):
+            channel = lo + prior * width + np.arange(width)[None, None, :]
+            rows.append((base + channel * s * s + cell).reshape(-1, width))
+        base += channels * s * s
+    index = tuple(np.concatenate(rows) for rows in blocks)
+    for a in index:
+        a.setflags(write=False)
     return index
-
-
-def prior_major(maps, lo, width):
-    """One [P,width] node from per-level head maps: one row per prior,
-    levels in order, cells row-major, the priors of a cell innermost (the
-    order of make_priors). Column j of a prior's row is channel
-    lo + prior*width + j of its level map."""
-    return T.concat([T.gather(m, _prior_major_index(m.data.shape[1], lo, width))
-                     for m in maps])
 
 
 @dataclass
 class HeadOut:
     """Box offsets loc [P,4] and class logits conf [P,K+1] as graph nodes,
-    one row per prior (see prior_major)."""
+    one row per prior (see _prior_major_index)."""
     loc: Tensor
     conf: Tensor
 
 
 def head_forward(hidden_pyramid, params):
     """One conv per level. Its map packs the loc block (PRIORS_PER_CELL*4
-    channels) and then the conf block (PRIORS_PER_CELL*(K+1) channels)."""
-    maps = [T.conv2d(fmap, params[f"head.l{lvl}.kernel"], params[f"head.l{lvl}.bias"])
-            for lvl, fmap in enumerate(hidden_pyramid)]
-    conf_width = maps[0].data.shape[0] // PRIORS_PER_CELL - 4
-    return HeadOut(prior_major(maps, 0, 4), prior_major(maps, PRIORS_PER_CELL * 4, conf_width))
+    channels) and then the conf block (PRIORS_PER_CELL*(K+1) channels),
+    read out as prior-major rows. loc and conf are views of one
+    tensor.conv_gather node that keeps no head map."""
+    kernels = [params[f"head.l{lvl}.kernel"] for lvl in range(len(hidden_pyramid))]
+    biases = [params[f"head.l{lvl}.bias"] for lvl in range(len(hidden_pyramid))]
+    conf_width = kernels[0].data.shape[0] // PRIORS_PER_CELL - 4
+    index = _prior_major_index(tuple(h.data.shape[1] for h in hidden_pyramid), conf_width)
+    return HeadOut(*T.conv_gather(hidden_pyramid, kernels, biases, index))
 
 
 def frame_outputs(frames, params, cfg: ModelConfig, mode: NetMode):

@@ -321,8 +321,9 @@ def load_video_dir(path) -> Video:
         raise ConfigError(f"{path}: no frames/*.tnsr found")
     frames = [load_tnsr(f) for f in frame_files]
     shape = frames[0].shape
-    if len(shape) != 3 or shape[0] != 3 or shape[1] != shape[2]:
-        raise ConfigError(f"{frame_files[0]}: a frame must be [3,S,S], got {list(shape)}")
+    if len(shape) != 3 or shape[0] != 3 or shape[1] != shape[2] or shape[1] < 1:
+        raise ConfigError(f"{frame_files[0]}: a frame must be [3,S,S] with S >= 1, "
+                          f"got {list(shape)}")
     for f, frame in zip(frame_files, frames):
         if frame.shape != shape:
             raise ConfigError(f"{f}: frame shape {list(frame.shape)} differs from "

@@ -9,6 +9,17 @@ used by fixtures and checkpoints.
 Feature maps use channels-first layout [C, H, W]; convolution kernels
 are [C_out, C_in, k, k]. Everything computes in float64; float32 appears
 only inside TNSR files.
+
+Three fused nodes hold less than the ops they replace would, and give
+the same bits (tests/refimpl.py composes each from primitive ops). What
+each keeps for its backward, besides its parent nodes:
+- convlstm_cell: the [h; s] data, the gate activations and the dropout
+  mask as booleans; a.x, tanh(s) and the gate map are recomputed or not
+  needed.
+- conv_gather: the index arrays and the picked entries (its data); no
+  conv output.
+- bce_mean: the target and the cached resize matrices; the resized
+  prediction and its clamp are recomputed.
 """
 
 from __future__ import annotations
@@ -181,39 +192,6 @@ def mul(a, b):
     return Tensor(a.data * b.data, (a, b), bwd)
 
 
-def chanwise_mul(a, b, rate=0.0, rng=None):
-    """Multiply a one-channel map [1,H,W] into each channel of b [C,H,W].
-
-    With rate > 0 the product goes through inverted dropout in the same
-    node: a mask drawn once from rng keeps an entry when its draw is >= rate
-    and scales it by 1/(1-rate). The data and gradients are those of
-    (a*b)*(keep*scale) computed in that order, and the node keeps the mask
-    as booleans instead of the undropped product."""
-    if a.data.ndim != 3 or a.data.shape[0] != 1:
-        raise ShapeError(f"chanwise_mul: first operand must be [1,H,W], got {a.data.shape}")
-    if b.data.ndim != 3 or a.data.shape[1:] != b.data.shape[1:]:
-        raise ShapeError(
-            f"chanwise_mul: spatial mismatch {a.data.shape} vs {b.data.shape}")
-    if not 0 <= rate < 1:
-        raise ValueError(f"dropout rate must be in [0,1), got {rate}")
-    out = a.data * b.data
-    keep = None
-    if rate > 0.0:
-        keep = rng.random(out.shape) >= rate
-        scale = 1.0 / (1.0 - rate)
-        out *= keep * scale
-
-    def bwd(g):
-        if keep is not None:
-            g = g * (keep * scale)
-        if a.requires_grad:
-            a._accumulate((g * b.data).sum(axis=0, keepdims=True))
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-
-    return Tensor(out, (a, b), bwd)
-
-
 def concat(tensors):
     """Join tensors along axis 0 (channels of [C,H,W] maps, rows of [N,W]
     tables); the other dimensions must agree."""
@@ -277,9 +255,10 @@ def add_n(tensors):
 def _sigmoid(d):
     # e = exp(-|d|) never overflows: 1/(1+e) for d >= 0, e/(1+e) below.
     # min(d, -d) is -|d| that keeps a NaN's sign, so every bit matches the
-    # sign-split evaluation (tests/refimpl.py).
+    # sign-split evaluation (tests/refimpl.py). The numerator max(e, d >= 0)
+    # is 1 for d >= 0 (e <= 1) and e below; a NaN passes through from e.
     e = np.exp(np.minimum(d, -d))
-    out = np.where(d >= 0, 1.0, e)
+    out = np.maximum(e, d >= 0)
     out /= 1.0 + e
     return out
 
@@ -469,15 +448,15 @@ def _conv_layout(c_out, c_in, k):
     return _SHIFTED if k > 1 and c_out < c_in else _IM2COL
 
 
-def _check_conv_args(parts, kernel, bias, op):
+def _check_conv_args(data, kernel, bias, op):
     channels = 0
-    for x in parts:
-        if x.data.ndim != 3:
-            raise ShapeError(f"{op}: input must be [C,H,W], got {x.data.shape}")
-        if x.data.shape[1:] != parts[0].data.shape[1:]:
-            raise ShapeError(f"{op}: input parts {parts[0].data.shape} and "
-                             f"{x.data.shape} differ in size")
-        channels += x.data.shape[0]
+    for a in data:
+        if a.ndim != 3:
+            raise ShapeError(f"{op}: input must be [C,H,W], got {a.shape}")
+        if a.shape[1:] != data[0].shape[1:]:
+            raise ShapeError(f"{op}: input parts {data[0].shape} and "
+                             f"{a.shape} differ in size")
+        channels += a.shape[0]
     if kernel.data.ndim != 4:
         raise ShapeError(f"{op}: kernel must be [C_out,C_in,k,k], got {kernel.data.shape}")
     c_out, c_in, k, k2 = kernel.data.shape
@@ -490,32 +469,38 @@ def _check_conv_args(parts, kernel, bias, op):
     return c_out, c_in, k
 
 
-def _conv_forward(parts, kernel, bias, op):
-    """The conv's output and the layout that computed it."""
-    layout = _conv_layout(*_check_conv_args(parts, kernel, bias, op))
-    out = layout[0]([x.data for x in parts], kernel.data)
+def _conv_forward(data, kernel, bias, op):
+    """The conv of the part arrays `data` and the layout that computed it."""
+    layout = _conv_layout(*_check_conv_args(data, kernel, bias, op))
+    out = layout[0](data, kernel.data)
     if bias is not None:
         out += bias.data[:, None, None]
     return out, layout
 
 
-def _conv_backward(parts, kernel, bias, layout, g):
-    """Hand the conv's output adjoint g to the kernel, the parts that need a
-    gradient (each its block of dX) and the bias. dW is handed on before dX
-    is computed, so the two and their buffers are never live together. dX
-    is one product over the channels from the first part that needs it to
-    the last, so a constant part costs no dX."""
+def _sinks(parts):
+    """Per part node, the function that takes its block of dX, or None when
+    it needs no gradient."""
+    return [x._accumulate if x.requires_grad else None for x in parts]
+
+
+def _conv_backward(data, sinks, kernel, bias, layout, g):
+    """Hand the conv's output adjoint g to the kernel, the parts and the
+    bias: data holds the parts' arrays, sinks per part the function that
+    takes its block of dX, or None. dW is handed on before dX is computed,
+    so the two and their buffers are never live together. dX is one product
+    over the channels from the first part with a sink to the last, so a
+    part that needs no gradient costs no dX."""
     _, dk, dx = layout
-    data = [x.data for x in parts]
     if kernel.requires_grad:
         kernel._accumulate(dk(data, g, kernel.data.shape[2]))
-    need = [i for i, x in enumerate(parts) if x.requires_grad]
+    need = [i for i, sink in enumerate(sinks) if sink is not None]
     if need:
         bounds = np.cumsum([0] + [a.shape[0] for a in data])
         lo, hi = bounds[need[0]], bounds[need[-1] + 1]
         d = dx(kernel.data[:, lo:hi], g)
         for i in need:
-            parts[i]._accumulate(d[bounds[i] - lo:bounds[i + 1] - lo])
+            sinks[i](d[bounds[i] - lo:bounds[i + 1] - lo])
     if bias is not None and bias.requires_grad:
         bias._accumulate(g.reshape(g.shape[0], -1).sum(axis=1))
 
@@ -548,27 +533,93 @@ def conv2d(x, kernel, bias=None):
       shifted they take 23.8 ms.
     """
     parts = list(x) if isinstance(x, (list, tuple)) else [x]
-    out, layout = _conv_forward(parts, kernel, bias, "conv2d")
+    out, layout = _conv_forward([p.data for p in parts], kernel, bias, "conv2d")
     parents = (*parts, kernel) if bias is None else (*parts, kernel, bias)
-    return Tensor(out, parents, lambda g: _conv_backward(parts, kernel, bias, layout, g))
+    return Tensor(out, parents, lambda g: _conv_backward([p.data for p in parts], _sinks(parts),
+                                                         kernel, bias, layout, g))
 
 
-def convlstm_cell(parts, kernel, bias, s_prev):
-    """One ConvLSTM update as one node. The gate conv reads the parts (see
-    conv2d); kernel and bias rows are the blocks i, f, o, c of c channels:
+def conv_gather(xs, kernels, biases, indices):
+    """Entries of several same-size convolutions, conv l being
+    conv2d(xs[l], kernels[l], biases[l]) on one map. Their outputs are read
+    flattened and concatenated in order, and the result is one node per
+    index array, of that array's shape, entry e being the entry at flat
+    position indices[k][e]. The results are views of one node that keeps
+    the inputs, weights and index arrays but no conv output: its backward
+    scatter-adds the adjoint of each index array (as gather does) and runs
+    each conv's backward on its block. The data and gradients are those of
+    conv2d, gather and concat composed (tests/refimpl.py)."""
+    layouts, shapes, flat = [], [], []
+    for x, kernel, bias in zip(xs, kernels, biases, strict=True):
+        out, layout = _conv_forward([x.data], kernel, bias, "conv_gather")
+        layouts.append(layout)
+        shapes.append(out.shape)
+        flat.append(out.reshape(-1))
+    flat = np.concatenate(flat)
+    n = flat.size
+    idx = [np.asarray(i, dtype=np.intp) for i in indices]
+    for i in idx:
+        if i.size and (i.min() < 0 or i.max() >= n):
+            raise ShapeError(f"conv_gather: index out of range for size {n}")
+    bounds = np.cumsum([0] + [i.size for i in idx])
+    picked = np.concatenate([flat[i.reshape(-1)] for i in idx])
+
+    def bwd(g):
+        d = np.bincount(idx[0].reshape(-1), weights=g[:bounds[1]], minlength=n)
+        for i, lo, hi in zip(idx[1:], bounds[1:-1], bounds[2:]):
+            d += np.bincount(i.reshape(-1), weights=g[lo:hi], minlength=n)
+        lo = 0
+        for x, kernel, bias, layout, shape in zip(xs, kernels, biases, layouts, shapes):
+            hi = lo + math.prod(shape)
+            _conv_backward([x.data], _sinks([x]), kernel, bias, layout,
+                           d[lo:hi].reshape(shape))
+            lo = hi
+
+    node = Tensor(picked, (*xs, *kernels, *biases), bwd)
+    return [_block(node, lo, hi, i.shape) for i, lo, hi in zip(idx, bounds[:-1], bounds[1:])]
+
+
+def convlstm_cell(a, x, h_prev, kernel, bias, s_prev, rate=0.0, rng=None):
+    """One attention-gated ConvLSTM update as one node. The gate conv reads
+    [a.x, h_prev] as channel parts (see conv2d). a.x is the one-channel map
+    a [1,H,W] multiplied into every channel of x [C,H,W]; with rate > 0 it
+    goes through inverted dropout, a mask drawn once from rng keeping an
+    entry when its draw is >= rate and scaling it by 1/(1-rate), computed as
+    (a*x)*(keep*scale) in that order. Kernel and bias rows are the blocks
+    i, f, o, c of c channels:
         s = sigmoid(f)*s_prev + sigmoid(i)*tanh(c),   h = sigmoid(o)*tanh(s).
     The data is [h; s], 2c channels; read them with slice_channels.
 
-    For its backward the node keeps sigmoid over the first 3c gate channels
-    and tanh over the last c, but not the raw gate map, f*s_prev, i*c or
-    tanh(s), which the backward recomputes from the node's own s. The
-    backward runs the operations of the composed graph (conv2d,
-    slice_channels, sigmoid, tanh, mul, add) in their order, so both give
-    the same bits (tests/refimpl.py keeps the composed step as the oracle).
+    For its backward the node keeps sigmoid over the first 3c gate channels,
+    tanh over the last c and the dropout mask as booleans, but not a.x, the
+    raw gate map, f*s_prev, i*c or tanh(s): the backward recomputes a.x
+    for dW (an elementwise product, so the same bits) and tanh(s) from the
+    node's own s. It runs the operations of the composed graph (the map
+    product, dropout, conv2d, slice_channels, sigmoid, tanh, mul, add) in
+    their order, so both give the same bits (tests/refimpl.py keeps the
+    composed step as the oracle).
     """
+    if a.data.ndim != 3 or a.data.shape[0] != 1:
+        raise ShapeError(f"convlstm_cell: attention map must be [1,H,W], got {a.data.shape}")
+    if x.data.ndim != 3 or a.data.shape[1:] != x.data.shape[1:]:
+        raise ShapeError(f"convlstm_cell: map {a.data.shape} and input {x.data.shape} "
+                         f"differ in size")
+    if not 0 <= rate < 1:
+        raise ValueError(f"dropout rate must be in [0,1), got {rate}")
     if bias is None:
         raise ShapeError("convlstm_cell: the gates need a bias")
-    gates, layout = _conv_forward(parts, kernel, bias, "convlstm_cell")
+    keep = scale = None
+    if rate > 0.0:
+        keep = rng.random(x.data.shape) >= rate
+        scale = 1.0 / (1.0 - rate)
+
+    def attended():
+        ax = a.data * x.data
+        if keep is not None:
+            ax *= keep * scale
+        return ax
+
+    gates, layout = _conv_forward([attended(), h_prev.data], kernel, bias, "convlstm_cell")
     c = gates.shape[0] // 4
     if gates.shape[0] != 4 * c or s_prev.data.shape != (c,) + gates.shape[1:]:
         raise ShapeError(f"convlstm_cell: {gates.shape[0]} gate rows and state "
@@ -580,6 +631,14 @@ def convlstm_cell(parts, kernel, bias, s_prev):
     out = np.empty((2 * c,) + cc.shape[1:])
     np.add(f * s_prev.data, i * cc, out=out[c:])
     np.multiply(o, np.tanh(out[c:]), out=out[:c])
+
+    def attended_grad(d):
+        if keep is not None:
+            d = d * (keep * scale)
+        if a.requires_grad:
+            a._accumulate((d * x.data).sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            x._accumulate(d * a.data)
 
     def bwd(g):
         ts = np.tanh(out[c:])
@@ -596,9 +655,23 @@ def convlstm_cell(parts, kernel, bias, s_prev):
         if s_prev.requires_grad:
             s_prev._accumulate(ds * f)
         del ds, ts
-        _conv_backward(parts, kernel, bias, layout, dgates)
+        sinks = [attended_grad if a.requires_grad or x.requires_grad else None,
+                 *_sinks([h_prev])]
+        _conv_backward([attended(), h_prev.data], sinks, kernel, bias, layout, dgates)
 
-    return Tensor(out, (*parts, kernel, bias, s_prev), bwd)
+    return Tensor(out, (a, x, h_prev, kernel, bias, s_prev), bwd)
+
+
+def _block(x, lo, hi, shape):
+    """Rows [lo, hi) of x's data as a view node of the given shape, whose
+    backward adds into those rows of x's gradient (zero-filled first)."""
+
+    def bwd(g):
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[lo:hi] += g.reshape(x.grad[lo:hi].shape)
+
+    return Tensor(x.data[lo:hi].reshape(shape), (x,), bwd)
 
 
 def slice_channels(x, lo, hi):
@@ -610,14 +683,7 @@ def slice_channels(x, lo, hi):
     c = x.data.shape[0]
     if not 0 <= lo < hi <= c:
         raise ShapeError(f"slice_channels: [{lo},{hi}) outside 0..{c}")
-
-    def bwd(g):
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[lo:hi] += g
-
-    return Tensor(x.data[lo:hi], (x,), bwd)
+    return _block(x, lo, hi, x.data[lo:hi].shape)
 
 
 # ---------------------------------------------------------------------------
@@ -760,24 +826,31 @@ def softmax_prob_rows(logits, class_index):
 
 
 def bce_mean(pred, target, eps=1e-7):
-    """Mean binary cross entropy with the prediction clamped to [eps, 1-eps].
+    """Mean binary cross entropy between the prediction [..,h,w] read
+    bilinearly resized to the target's [..,H,W] (Ry @ pred @ Rx^T, as
+    bilinear_resize computes it; the identity for equal sizes) and the
+    target, the resized prediction clamped to [eps, 1-eps].
 
     The clamp kills the gradient outside the open interval, matching the
     derivative of the clipped composite. The node keeps the prediction node
-    and the target, not the clamped copy: the backward recomputes it.
+    and the target, not the resized map or its clamped copy: the backward
+    recomputes both and hands on Ry^T @ g @ Rx, the adjoint of the resize.
     """
     t = np.asarray(target, dtype=np.float64)
-    if t.shape != pred.data.shape:
+    if (pred.data.ndim < 2 or t.ndim != pred.data.ndim or t.shape[:-2] != pred.data.shape[:-2]
+            or t.size == 0):
         raise ShapeError(f"bce_mean: target {t.shape} vs pred {pred.data.shape}")
-    p = np.clip(pred.data, eps, 1.0 - eps)
+    ry = _resize_matrix(pred.data.shape[-2], t.shape[-2])
+    rx = _resize_matrix(pred.data.shape[-1], t.shape[-1])
+    p = np.clip(ry @ pred.data @ rx.T, eps, 1.0 - eps)
     val = float(np.mean(-t * np.log(p) - (1.0 - t) * np.log(1.0 - p)))
-    n = p.size
 
     def bwd(g):
         if pred.requires_grad:
-            p = np.clip(pred.data, eps, 1.0 - eps)
-            inside = (pred.data > eps) & (pred.data < 1.0 - eps)
-            pred._accumulate(g[0] * inside * (p - t) / (p * (1.0 - p)) / n)
+            up = ry @ pred.data @ rx.T
+            p = np.clip(up, eps, 1.0 - eps)
+            inside = (up > eps) & (up < 1.0 - eps)
+            pred._accumulate(ry.T @ (g[0] * inside * (p - t) / (p * (1.0 - p)) / t.size) @ rx)
 
     return Tensor(np.array([val]), (pred,), bwd)
 

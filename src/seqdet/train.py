@@ -453,7 +453,7 @@ def build_aclstm_case(seed=0, frames=3, channels=4, size=5, dropout=0.0):
             head = T.conv2d(h, params["head.kernel"], params["head.bias"])
             vec = T.gather(head, pick)
             terms.append(T.smooth_l1_sum(vec, loc_target))
-            terms.append(T.bce_mean(T.bilinear_resize(a, 8, 8), att_target))
+            terms.append(T.bce_mean(a, att_target))
             terms.append(T.softmax_ce_rows(T.gather(head, pick[None, :4]), [1]))
         return T.scale(T.add_n(terms), 1.0 / frames)
 

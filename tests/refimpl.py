@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive (nested loops, exhaustive argmax
 scans) and shares no code with the package under test, except the composed
-recurrent step at the end, which is built from the engine's primitive ops
-as the oracle of the fused tensor.convlstm_cell.
+graphs at the end, which are built from the engine's primitive ops as the
+oracles of its fused nodes: the recurrent step of tensor.convlstm_cell, the
+heads of tensor.conv_gather and the attention loss of tensor.bce_mean.
 """
 
 import numpy as np
@@ -277,6 +278,20 @@ def composed_convlstm_cell(parts, kernel, bias, s_prev):
     return T.mul(o, T.tanh(s)), s
 
 
+def attention_product(a, x):
+    """The one-channel map a [1,H,W] multiplied into every channel of x
+    [C,H,W] as its own node, whose backward sums a's adjoint over the
+    channels."""
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accumulate((g * x.data).sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            x._accumulate(g * a.data)
+
+    return T.Tensor(a.data * x.data, (a, x), bwd)
+
+
 def composed_dropout(x, rate, rng):
     """Inverted dropout as a product with a float mask: (rng draw >= rate)
     / (1 - rate), drawn once over x's shape."""
@@ -287,13 +302,13 @@ def composed_aclstm_step(x, h_prev, s_prev, w, dropout_rate=0.0, rng=None,
                          attention_enabled=True):
     """net.attention_convlstm_step composed from primitive ops: the attention
     stack and the gates read concatenated [x, h_prev] and [a.x, h_prev]
-    copies, dropout is its own node (composed_dropout), and the update is
-    composed_convlstm_cell."""
+    copies, a.x (attention_product) and dropout (composed_dropout) are
+    nodes of their own, and the update is composed_convlstm_cell."""
     if attention_enabled:
         xh = T.concat([x, h_prev])
         a = T.sigmoid(T.conv2d(T.relu(T.conv2d(T.relu(T.conv2d(xh, w.att1)), w.att2)),
                                w.att3))
-        ax = T.chanwise_mul(a, x)
+        ax = attention_product(a, x)
     else:
         a = T.constant(np.ones((1,) + x.data.shape[1:]))
         ax = x
@@ -301,3 +316,33 @@ def composed_aclstm_step(x, h_prev, s_prev, w, dropout_rate=0.0, rng=None,
         ax = composed_dropout(ax, dropout_rate, rng)
     h, s = composed_convlstm_cell([ax, h_prev], w.gates, w.gates_bias, s_prev)
     return h, s, a
+
+
+def prior_major_rows(maps, lo, width, priors_per_cell=2):
+    """One [P,width] node from per-level [C,s,s] maps, one gather per level
+    and a concat: row cell*priors_per_cell + prior of a level (levels in
+    order) holds channels lo + prior*width + j, j < width, at that cell."""
+    rows = []
+    for m in maps:
+        s = m.data.shape[1]
+        index = [[(lo + prior * width + j) * s * s + cell for j in range(width)]
+                 for cell in range(s * s) for prior in range(priors_per_cell)]
+        rows.append(T.gather(m, np.array(index)))
+    return T.concat(rows)
+
+
+def composed_head_forward(hidden_pyramid, params, priors_per_cell=2):
+    """net.head_forward composed from primitive ops: one conv2d node per
+    level, then prior_major_rows for the loc and conf blocks. Returns the
+    nodes (loc, conf)."""
+    maps = [T.conv2d(h, params[f"head.l{lvl}.kernel"], params[f"head.l{lvl}.bias"])
+            for lvl, h in enumerate(hidden_pyramid)]
+    conf_width = maps[0].data.shape[0] // priors_per_cell - 4
+    return (prior_major_rows(maps, 0, 4, priors_per_cell),
+            prior_major_rows(maps, 4 * priors_per_cell, conf_width, priors_per_cell))
+
+
+def composed_bce(pred, target, eps=1e-7):
+    """bce_mean of pred read at the target's size through its own
+    bilinear_resize node; the bce_mean node then resizes by the identity."""
+    return T.bce_mean(T.bilinear_resize(pred, *target.shape[-2:]), target, eps)

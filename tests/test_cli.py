@@ -112,6 +112,23 @@ def test_eval_map_scores_every_gt_class(tmp_path, capsys):
     assert out.read_text() == "class,ap\n1,0.000000\n5,1.000000\nmean,0.500000\n"
 
 
+def test_eval_map_refuses_a_frame_with_zero_extent(tmp_path, capsys):
+    """A [3,0,0] frame is a valid TNSR file but no image: reading the video
+    ends in one ConfigError line that names the frame, before any gt box is
+    divided by the frame's size."""
+    video = tmp_path / "video"
+    (video / "frames").mkdir(parents=True)
+    save_tnsr(video / "frames" / "000001.tnsr", np.zeros((3, 0, 0)))
+    (video / "gt.csv").write_text("1,1,10,10,20,20,1,-1,-1,-1,1\n")
+    dets = tmp_path / "dets.jsonl"
+    dets.write_text('{"frame": 1, "class": 1, "score": 0.9, "id": -1, '
+                    '"box": [0.1, 0.1, 0.3, 0.3]}\n')
+    assert run("eval-map", "--dets", dets, "--data", video) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"seqdet: error: {video / 'frames' / '000001.tnsr'}: a frame must be "
+                   f"[3,S,S] with S >= 1, got [3, 0, 0]"]
+
+
 def test_sweep_T_five_values(dataset, tmp_path):
     dets = dataset / "video_000" / "detections.jsonl"
     gt = dataset / "video_000" / "gt.csv"

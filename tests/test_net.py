@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from seqdet import net
 from seqdet import tensor as T
 from seqdet.errors import ConfigError, ShapeError
 
-from refimpl import composed_aclstm_step, composed_convlstm_cell, naive_conv2d
+from refimpl import (composed_aclstm_step, composed_convlstm_cell, composed_head_forward,
+                     naive_conv2d)
 
 
 def zero_lstm_weights(c):
@@ -523,28 +525,78 @@ def test_head_graph_nodes_agree_with_flat_views():
 
 
 def test_prior_major_index_is_one_shared_read_only_array():
-    """Each (level size, block) has one cached index array: read-only,
-    equal to the prior-major formula written out, and the very array every
-    frame's gather keeps."""
+    """The pyramid's (loc, conf) index pair is cached once per (level sizes,
+    conf width): read-only, equal to the prior-major formula written out
+    over the flattened, concatenated head maps, and the very arrays every
+    frame's head node keeps."""
     ppc = net.PRIORS_PER_CELL
     conf_width = 5
+    sizes = tuple(net.TOY_SIZES)
+    index = net._prior_major_index(sizes, conf_width)
+    assert net._prior_major_index(sizes, conf_width) is index
+    base, want = 0, ([], [])
+    for s in sizes:
+        for rows, lo, width in zip(want, (0, 4 * ppc), (4, conf_width)):
+            rows += [[base + (lo + prior * width + j) * s * s + cell for j in range(width)]
+                     for cell in range(s * s) for prior in range(ppc)]
+        base += ppc * (4 + conf_width) * s * s
+    for got, rows in zip(index, want):
+        assert not got.flags.writeable
+        assert np.array_equal(got, rows)
     params = net.init_params(20, net.ModelConfig())
-    for s in net.TOY_SIZES:
-        for lo, width in ((0, 4), (4 * ppc, conf_width)):
-            index = net._prior_major_index(s, lo, width)
-            assert net._prior_major_index(s, lo, width) is index
-            assert not index.flags.writeable
-            want = [[(lo + prior * width + j) * s * s + cell for j in range(width)]
-                    for cell in range(s * s) for prior in range(ppc)]
-            assert np.array_equal(index, want), (s, lo, width)
     for frame in (1, 2):
-        maps = [T.conv2d(fmap, params[f"head.l{lvl}.kernel"], params[f"head.l{lvl}.bias"])
-                for lvl, fmap in enumerate(unified_pyramid(np.random.default_rng(frame)))]
-        node = net.prior_major(maps, 4 * ppc, conf_width)
-        for m, gather in zip(maps, node.parents):
-            index = net._prior_major_index(m.data.shape[1], 4 * ppc, conf_width)
-            kept = [c.cell_contents for c in gather._backward.__closure__]
-            assert any(v is index for v in kept)
+        out = net.head_forward(unified_pyramid(np.random.default_rng(frame)), params)
+        node = out.loc.parents[0]
+        assert out.conf.parents == (node,)
+        kept = [c.cell_contents for c in node._backward.__closure__]
+        idx = next(v for v in kept if isinstance(v, list) and len(v) == 2)
+        assert idx[0] is index[0] and idx[1] is index[1]
+
+
+@pytest.mark.parametrize("trained", [True, False])
+def test_head_node_equals_the_composed_graph_bitwise(trained):
+    """net.head_forward (one conv_gather node, loc and conf views of it)
+    against refimpl's composed heads (a conv2d node per level, a gather per
+    level and block, a concat per block): the same bits in loc, conf and
+    every gradient, the hidden maps' included, with a loss that reads some
+    prior rows once, some twice and some not at all. The node holds its
+    rows and no head map (the maps take as many bytes as the rows).
+    Untrained heads are constants, as in detect: then no node keeps a
+    tape."""
+    rng = np.random.default_rng(23)
+    params = net.init_params(23, net.ModelConfig())
+    arrays = {f"h{lvl}": m.data for lvl, m in enumerate(unified_pyramid(rng))}
+    arrays.update({n: p.data for n, p in params.items() if n.startswith("head.")})
+    picks = np.array([0, 5, 5, 600, 1151, 1200, 1539, 1539, 1539])
+    wl = T.constant(rng.standard_normal((len(picks), 4)))
+    wc = T.constant(rng.standard_normal((len(picks), 5)))
+    results = []
+    for forward in (net.head_forward, composed_head_forward):
+        leaves = {n: T.parameter(a, n) if trained else T.constant(a) for n, a in arrays.items()}
+        hidden = [leaves[f"h{lvl}"] for lvl in range(6)]
+        forward(hidden, leaves)             # caches the index arrays
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = forward(hidden, leaves)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        loc, conf = (out.loc, out.conf) if forward is net.head_forward else out
+        if forward is net.head_forward:
+            rows = loc.data.nbytes + conf.data.nbytes
+            assert rows <= held < rows + 8 * 1024, (held, rows)
+        loss = T.add(T.sum_all(T.mul(T.gather_rows(loc, picks), wl)),
+                     T.sum_all(T.mul(T.gather_rows(conf, picks), wc)))
+        results.append(([loc.data, conf.data], T.backward(loss)))
+        if not trained:
+            assert not loss.requires_grad and loc.parents == ()
+    (data, grads), (data_ref, grads_ref) = results
+    for got, want in zip(data, data_ref):
+        assert _same_bits(got, want)
+    assert sorted(grads) == sorted(grads_ref) == (sorted(arrays) if trained else [])
+    for name in grads_ref:
+        assert _same_bits(grads[name], grads_ref[name]), name
 
 
 def test_conv_backward_computes_dx_only_for_parts_that_need_it(monkeypatch):

@@ -8,7 +8,8 @@ import pytest
 from seqdet import tensor as T
 from seqdet.errors import ParseError, ShapeError
 
-from refimpl import (composed_aclstm_step, composed_dropout, graph_nodes, masked_sigmoid,
+from refimpl import (attention_product, composed_aclstm_step, composed_bce,
+                     composed_convlstm_cell, composed_dropout, graph_nodes, masked_sigmoid,
                      naive_bilinear_resize, naive_conv2d, retaining_backward)
 
 
@@ -83,19 +84,24 @@ def test_conv_shape_errors():
 
 def test_conv_parts_and_cell_shape_errors():
     a = T.constant(np.zeros((2, 4, 4)))
+    m = T.constant(np.ones((1, 4, 4)))
     kern = T.constant(np.zeros((8, 4, 3, 3)))
     bias = T.constant(np.zeros(8))
     with pytest.raises(ShapeError, match="differ in size"):
         T.conv2d([a, T.constant(np.zeros((2, 4, 3)))], kern)
     with pytest.raises(ShapeError, match="3 channels"):
         T.conv2d([a, T.constant(np.zeros((1, 4, 4)))], kern)
-    assert T.convlstm_cell([a, a], kern, bias, a).data.shape == (4, 4, 4)
+    assert T.convlstm_cell(m, a, a, kern, bias, a).data.shape == (4, 4, 4)
     with pytest.raises(ShapeError, match="state"):
-        T.convlstm_cell([a, a], kern, bias, T.constant(np.zeros((3, 4, 4))))
+        T.convlstm_cell(m, a, a, kern, bias, T.constant(np.zeros((3, 4, 4))))
     with pytest.raises(ShapeError, match="4c rows"):
-        T.convlstm_cell([a, a], T.constant(np.zeros((6, 4, 3, 3))), T.constant(np.zeros(6)), a)
+        T.convlstm_cell(m, a, a, T.constant(np.zeros((6, 4, 3, 3))), T.constant(np.zeros(6)), a)
     with pytest.raises(ShapeError, match="bias"):
-        T.convlstm_cell([a, a], kern, None, a)
+        T.convlstm_cell(m, a, a, kern, None, a)
+    with pytest.raises(ShapeError, match="attention map must be"):
+        T.convlstm_cell(a, a, a, kern, bias, a)
+    with pytest.raises(ShapeError, match="differ in size"):
+        T.convlstm_cell(T.constant(np.ones((1, 4, 3))), a, a, kern, bias, a)
 
 
 def test_conv_pure_same_inputs_same_bits():
@@ -161,8 +167,8 @@ def test_sigmoid_at_zero():
     assert T.sigmoid(T.constant([0.0])).data[0] == 0.5
 
 
-SIGMOID_EDGES = [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 1e-320, -1e-320, 36.0, -36.0,
-                 np.inf, -np.inf, np.nan, -np.nan]
+SIGMOID_EDGES = [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 800.0, -800.0, 1e-320, -1e-320,
+                 36.0, -36.0, np.inf, -np.inf, np.nan, -np.nan]
 
 
 @pytest.mark.parametrize("shape", [(64, 24, 24), (7,), (3, 1, 5)])
@@ -252,11 +258,26 @@ def test_resize_matches_per_pixel_reference():
 # elementwise
 
 
-def test_chanwise_mul_ones_is_identity():
+def _cell_inputs(rng, c, h, w, c_x=None):
+    """x, h_prev, kernel, bias and s_prev of a convlstm_cell over c_x + c
+    input channels (c_x defaults to c)."""
+    c_x = c if c_x is None else c_x
+    return (rng.standard_normal((c_x, h, w)), rng.standard_normal((c, h, w)),
+            rng.standard_normal((4 * c, c_x + c, 3, 3)) * 0.4, rng.standard_normal(4 * c) * 0.5,
+            rng.standard_normal((c, h, w)))
+
+
+def test_cell_with_a_ones_map_reads_x_itself():
+    """The all-ones map, attention off, multiplies x into itself bit for
+    bit: the cell equals the composed update on [x, h_prev]."""
     rng = np.random.default_rng(9)
-    x = T.constant(rng.random((4, 5, 5)))
+    x, h, k, b, s = (T.constant(v) for v in _cell_inputs(rng, 4, 5, 5))
+    x.data.flat[:2] = [-0.0, np.inf]
     ones = T.constant(np.ones((1, 5, 5)))
-    assert np.array_equal(T.chanwise_mul(ones, x).data, x.data)
+    h_ref, s_ref = composed_convlstm_cell([x, h], k, b, s)
+    got = T.convlstm_cell(ones, x, h, k, b, s).data
+    want = np.concatenate([h_ref.data, s_ref.data])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_concat_channel_counts():
@@ -287,7 +308,7 @@ def test_elementwise_shape_errors():
     with pytest.raises(ShapeError):
         T.add(a, T.constant(np.zeros((2, 3, 4))))
     with pytest.raises(ShapeError):
-        T.chanwise_mul(a, b)  # first operand not single-channel
+        T.mul(a, T.constant(np.zeros((1, 3, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +387,7 @@ def _sweep_memory(monkeypatch, step):
     monkeypatch.setattr(net, "attention_convlstm_step", step)
     held, peak = {}, {}
     for sweep in (T.backward, retaining_backward):
-        case = build_aclstm_case(frames=6, channels=16, size=12)
+        case = build_aclstm_case(frames=8, channels=16, size=12)
         loss = case.build_loss()
         tracemalloc.start()
         try:
@@ -412,22 +433,24 @@ def test_unrolled_graph_holds_what_each_step_keeps():
     closed-form count. A step over c-channel S x S maps, attention and
     dropout on, keeps these float64 maps: att1 and its relu (c/2 channels
     each), att2 and its relu (c/4 each), att3 and the attention map (1
-    each), the dropped-out a.x (c), and the cell's [h; s] (2c) and gate
-    activations (4c); plus the dropout mask as c channels of booleans. Each
-    frame adds the 3-channel head map and the 8 x 8 resized attention map;
-    the zero start state is 2c channels. What is left is the graph's Python
-    objects and few-entry loss vectors, the same for any S, so it is
-    measured on 1 x 1 maps. A float64 dropout mask (7c more bytes per pixel
-    and step), the undropped a.x or tanh(s) (8c each), a concatenated
-    [x, h_prev] copy (16c) or the raw gate map (32c) breaks the bound."""
+    each), and the cell's [h; s] (2c) and gate activations (4c); plus the
+    dropout mask as c channels of booleans. Each frame adds the 3-channel
+    head map; the zero start state is 2c channels. What is left is the
+    graph's Python objects and few-entry loss vectors, the same for any S,
+    so it is measured on 1 x 1 maps (the attention target is 8 x 8 at every
+    S, and bce_mean keeps no resized copy of it, see
+    test_bce_mean_keeps_no_copy_of_the_prediction). A float64 dropout mask
+    (7c more bytes per pixel and step), a.x or tanh(s) (8c each), a
+    concatenated [x, h_prev] copy (16c) or the raw gate map (32c) breaks
+    the bound."""
     from seqdet.train import build_aclstm_case
 
     frames, c = 6, 16
 
     def kept(size):
         px = size * size
-        step = px * (8 * (c // 2 * 2 + c // 4 * 2 + 2 + c + 2 * c + 4 * c) + c)
-        return 8 * 2 * c * px + frames * (step + 8 * (3 * px + 64))
+        step = px * (8 * (c // 2 * 2 + c // 4 * 2 + 2 + 2 * c + 4 * c) + c)
+        return 8 * 2 * c * px + frames * (step + 8 * 3 * px)
 
     def held(size):
         case = build_aclstm_case(frames=frames, channels=c, size=size, dropout=0.2)
@@ -443,8 +466,8 @@ def test_unrolled_graph_holds_what_each_step_keeps():
 
     objects = held(1) - kept(1)
     got = held(12) - objects
-    assert kept(12) - 16 * 1024 <= got <= kept(12) + 16 * 1024, (got, kept(12), objects)
-    assert 16 * 1024 < frames * 7 * c * 144 / 4      # the smallest regression shows
+    assert kept(12) - 8 * 1024 <= got <= kept(12) + 8 * 1024, (got, kept(12), objects)
+    assert 8 * 1024 < frames * 7 * c * 144 / 4      # the smallest regression shows
 
 
 def test_slice_channels_is_a_view_with_the_slice_gradient():
@@ -487,7 +510,6 @@ OPS = [
     ("add", lambda rng: _binary_case(rng, T.add)),
     ("sub", lambda rng: _binary_case(rng, T.sub)),
     ("mul", lambda rng: _binary_case(rng, T.mul)),
-    ("chanwise_mul", lambda rng: _chanwise_case(rng)),
     ("concat", lambda rng: _concat_case(rng)),
     ("gather", lambda rng: _gather_case(rng)),
     ("absolute", lambda rng: _unary_case(rng, T.absolute)),
@@ -503,9 +525,13 @@ OPS = [
     ("conv2d_parts_second", lambda rng: _conv_parts_case(rng, 1, 2)),    # shifted
     ("slice_channels", lambda rng: _slice_case(rng)),
     ("convlstm_cell_part", lambda rng: _cell_case(rng, "part")),
+    ("convlstm_cell_map", lambda rng: _cell_case(rng, "map")),
     ("convlstm_cell_kernel", lambda rng: _cell_case(rng, "kernel")),
     ("convlstm_cell_bias", lambda rng: _cell_case(rng, "bias")),
     ("convlstm_cell_s_prev", lambda rng: _cell_case(rng, "s_prev")),
+    ("conv_gather_input", lambda rng: _conv_gather_case(rng, "x1")),
+    ("conv_gather_kernel", lambda rng: _conv_gather_case(rng, "k0")),
+    ("conv_gather_bias", lambda rng: _conv_gather_case(rng, "b1")),
 ]
 
 
@@ -518,12 +544,6 @@ def _binary_case(rng, op):
     x0 = rng.standard_normal((2, 3, 3))
     other = T.constant(rng.standard_normal((2, 3, 3)))
     return x0, lambda x: T.sum_all(T.tanh(op(x, other)))
-
-
-def _chanwise_case(rng):
-    x0 = rng.standard_normal((1, 4, 4))
-    other = T.constant(rng.standard_normal((3, 4, 4)))
-    return x0, lambda x: T.sum_all(T.sigmoid(T.chanwise_mul(x, other)))
 
 
 def _concat_case(rng):
@@ -558,15 +578,9 @@ def _gather_case(rng):
 
 
 def _dropout_case(rng, leaf):
-    # dropout inside chanwise_mul, the same mask on every evaluation; the
-    # leaf is the multi-channel operand or the one-channel map
-    arrays = {"map": rng.standard_normal((1, 4, 4)), "x": rng.standard_normal((3, 4, 4))}
-
-    def build(v):
-        t = {n: v if n == leaf else T.constant(a) for n, a in arrays.items()}
-        return T.sum_all(T.tanh(T.chanwise_mul(t["map"], t["x"], 0.3,
-                                               np.random.default_rng(99))))
-    return arrays[leaf], build
+    # dropout on a.x inside convlstm_cell, the same mask on every
+    # evaluation; the leaf is the multi-channel input or the one-channel map
+    return _cell_case(rng, {"x": "part"}.get(leaf, leaf), rate=0.3)
 
 
 def _smooth_l1_case(rng):
@@ -594,8 +608,9 @@ def _softmax_prob_rows_case(rng):
 
 
 def _bce_case(rng):
-    x0 = rng.uniform(0.05, 0.95, (1, 4, 4))
-    tgt = (rng.random((1, 4, 4)) > 0.5).astype(float)
+    # the prediction is read resized to the target's 5 x 4 inside the node
+    x0 = rng.uniform(0.05, 0.95, (1, 3, 3))
+    tgt = (rng.random((1, 5, 4)) > 0.5).astype(float)
     return x0, lambda x: T.bce_mean(x, tgt)
 
 
@@ -631,22 +646,40 @@ def _conv_parts_case(rng, at, c_out):
     return x0, build
 
 
-def _cell_case(rng, leaf):
-    # c = 2 channels of state, gates from a 3 + 2 channel input; the loss
+def _cell_case(rng, leaf, rate=0.0):
+    # c = 2 channels of state, gates from a 3 + 2 channel input [a.x, h_prev]
+    # (with dropout at rate, the same mask on every evaluation); the loss
     # reads both h and s
     c, h, w = 2, 3, 4
-    arrays = {"part": rng.standard_normal((3, h, w)),
-              "kernel": rng.standard_normal((4 * c, 3 + c, 3, 3)) * 0.4,
-              "bias": rng.standard_normal(4 * c) * 0.5,
-              "s_prev": rng.standard_normal((c, h, w))}
-    h_prev = T.constant(rng.standard_normal((c, h, w)))
+    x, h_prev, kernel, bias, s_prev = _cell_inputs(rng, c, h, w, c_x=3)
+    arrays = {"part": x, "map": rng.uniform(0.1, 0.9, (1, h, w)), "kernel": kernel,
+              "bias": bias, "s_prev": s_prev}
+    h_prev = T.constant(h_prev)
     weights = T.constant(rng.standard_normal((2 * c, h, w)))
 
-    def build(x):
-        t = {n: x if n == leaf else T.constant(a) for n, a in arrays.items()}
-        cell = T.convlstm_cell([t["part"], h_prev], t["kernel"], t["bias"], t["s_prev"])
+    def build(v):
+        t = {n: v if n == leaf else T.constant(a) for n, a in arrays.items()}
+        cell = T.convlstm_cell(t["map"], t["part"], h_prev, t["kernel"], t["bias"], t["s_prev"],
+                               rate, np.random.default_rng(99))
         hs = T.concat([T.tanh(T.slice_channels(cell, 0, c)), T.slice_channels(cell, c, 2 * c)])
         return T.sum_all(T.mul(hs, weights))
+    return arrays[leaf], build
+
+
+def _conv_gather_case(rng, leaf):
+    # two convs (a 3 x 3 over a 4 x 3 map, a 1 x 1 over a 2 x 2 one) read
+    # through two index arrays that repeat some entries and skip others
+    arrays = {"x0": rng.standard_normal((2, 4, 3)), "k0": rng.standard_normal((3, 2, 3, 3)) * 0.5,
+              "b0": rng.standard_normal(3), "x1": rng.standard_normal((3, 2, 2)),
+              "k1": rng.standard_normal((2, 3, 1, 1)), "b1": rng.standard_normal(2)}
+    indices = [np.array([[0, 5, 5], [35, 36, 42]]), np.array([43, 1, 36, 20])]
+    weights = [T.constant(rng.standard_normal(i.shape)) for i in indices]
+
+    def build(v):
+        t = {n: v if n == leaf else T.constant(a) for n, a in arrays.items()}
+        outs = T.conv_gather([t["x0"], t["x1"]], [t["k0"], t["k1"]], [t["b0"], t["b1"]],
+                             indices)
+        return T.add_n([T.sum_all(T.mul(T.tanh(o), w)) for o, w in zip(outs, weights)])
     return arrays[leaf], build
 
 
@@ -679,13 +712,13 @@ def test_backward_matches_finite_diff_on_random_composites():
         x0 = rng.standard_normal((2, 4, 4)) * 0.5
         w = T.constant(rng.standard_normal((2, 2, 3, 3)) * 0.4)
         b = T.constant(rng.standard_normal(2) * 0.1)
-        att = T.constant(rng.random((1, 4, 4)))
+        att = T.constant(rng.random((2, 4, 4)))
         tgt = (rng.random((2, 2, 2)) > 0.5).astype(float)
 
         def build(x):
             y = T.conv2d(x, w, b)
-            y = T.add(T.tanh(y), T.chanwise_mul(att, T.sigmoid(y)))
-            z = T.bilinear_resize(y, 2, 2)
+            y = T.add(T.tanh(y), T.mul(att, T.sigmoid(y)))
+            z = T.bilinear_resize(y, 3, 3)
             loss = T.bce_mean(T.sigmoid(z), tgt)
             vec = T.gather(y, np.array([[1, 7, 12]]))
             return T.add(loss, T.scale(T.softmax_ce_rows(vec, [0]), 0.3))
@@ -720,42 +753,63 @@ def test_gather_values_and_scatter_grad():
         T.gather_rows(x, [3])
 
 
+def _pass_through_cell(a, x, rate, rng):
+    """s of a cell whose gates read a.x straight through: i = sigmoid(40),
+    which is 1.0, c = the a.x channel, and s_prev = 0, so s = tanh(a.x)."""
+    c = x.data.shape[0]
+    kern = np.zeros((4 * c, 2 * c, 3, 3))
+    kern[3 * c + np.arange(c), np.arange(c), 1, 1] = 1.0
+    bias = np.zeros(4 * c)
+    bias[:c] = 40.0
+    zero = T.constant(np.zeros(x.data.shape))
+    cell = T.convlstm_cell(a, x, zero, T.constant(kern), T.constant(bias), zero, rate, rng)
+    return cell.data[c:]
+
+
 def test_dropout_zero_rate_is_identity():
-    """chanwise_mul at rate 0 is the plain product and draws nothing."""
+    """convlstm_cell at rate 0 reads the plain product a*x and draws
+    nothing."""
     rng = np.random.default_rng(0)
     a = T.constant(rng.random((1, 3, 3)))
-    x = T.constant(rng.standard_normal((2, 3, 3)))
+    x, h, k, b, s = (T.constant(v) for v in _cell_inputs(rng, 2, 3, 3))
     state = rng.bit_generator.state
-    assert np.array_equal(T.chanwise_mul(a, x, 0.0, rng).data, a.data * x.data)
+    h_ref, s_ref = composed_convlstm_cell([T.constant(a.data * x.data), h], k, b, s)
+    got = T.convlstm_cell(a, x, h, k, b, s, 0.0, rng).data
+    assert np.array_equal(got, np.concatenate([h_ref.data, s_ref.data]))
     assert rng.bit_generator.state == state
+    assert np.array_equal(_pass_through_cell(a, x, 0.0, rng), np.tanh(a.data * x.data))
 
 
 def test_dropout_scales_surviving_entries():
     rng = np.random.default_rng(12)
-    out = T.chanwise_mul(T.constant(np.ones((1, 50, 50))), T.constant(np.ones((3, 50, 50))),
-                         0.2, rng).data
-    vals = np.unique(out)
-    assert set(np.round(vals, 12)) <= {0.0, round(1 / 0.8, 12)}
+    s = _pass_through_cell(T.constant(np.ones((1, 50, 50))), T.constant(np.ones((3, 50, 50))),
+                           0.2, rng)
+    assert set(np.unique(s)) == {0.0, np.tanh(1 / 0.8)}
 
 
 def test_dropout_matches_the_float_mask_form_bit_for_bit():
-    """Dropout inside chanwise_mul, with its boolean mask and scale, gives
-    the bits of the composed graph: the product, then a product with the
-    float mask (rng draw >= rate) / (1 - rate) (refimpl.composed_dropout),
-    in its data and in both operands' gradients."""
+    """Dropout inside convlstm_cell, with its boolean mask and scale, gives
+    the bits of the composed graph: the map product (refimpl.
+    attention_product), then a product with the float mask (rng draw >=
+    rate) / (1 - rate) (refimpl.composed_dropout), then the composed update,
+    in its data and in every operand's gradient."""
     rng = np.random.default_rng(13)
     a0 = rng.random((1, 6, 6))
-    x0 = rng.standard_normal((4, 6, 6))
-    x0.flat[:2] = [-0.0, 0.0]           # a dropped negative entry is -0.0 too
-    g = rng.standard_normal(x0.shape)
+    arrays = dict(zip(("x", "h", "kernel", "bias", "s"), _cell_inputs(rng, 4, 6, 6)))
+    arrays["x"].flat[:2] = [-0.0, 0.0]        # a dropped negative entry is -0.0 too
+    g = rng.standard_normal((8, 6, 6))
     for rate in (0.2, 0.5, 0.9):
         results = []
         for fold in (True, False):
-            a, x = T.parameter(a0, "a"), T.parameter(x0, "x")
-            out = (T.chanwise_mul(a, x, rate, np.random.default_rng(8)) if fold
-                   else composed_dropout(T.chanwise_mul(a, x), rate, np.random.default_rng(8)))
+            a = T.parameter(a0, "a")
+            x, h, k, b, s = (T.parameter(v, n) for n, v in arrays.items())
+            if fold:
+                out = T.convlstm_cell(a, x, h, k, b, s, rate, np.random.default_rng(8))
+            else:
+                ax = composed_dropout(attention_product(a, x), rate, np.random.default_rng(8))
+                out = T.concat(composed_convlstm_cell([ax, h], k, b, s))
             grads = T.backward(T.sum_all(T.mul(out, T.constant(g))))
-            results.append([out.data, grads["a"], grads["x"]])
+            results.append([out.data] + [grads[n] for n in ("a", *arrays)])
         for got, want in zip(*results):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), rate
 
@@ -763,8 +817,9 @@ def test_dropout_matches_the_float_mask_form_bit_for_bit():
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -0.1, 1.0])
 def test_dropout_rejects_a_rate_outside_zero_to_one(rate):
     ones = T.constant(np.ones((1, 2, 2)))
+    x, h, k, b, s = (T.constant(v) for v in _cell_inputs(np.random.default_rng(0), 1, 2, 2))
     with pytest.raises(ValueError, match="dropout rate"):
-        T.chanwise_mul(ones, ones, rate, np.random.default_rng(0))
+        T.convlstm_cell(ones, x, h, k, b, s, rate, np.random.default_rng(0))
 
 
 def test_smooth_l1_values():
@@ -781,12 +836,18 @@ def test_softmax_ce_perfect_prediction_near_zero():
 
 
 def test_bce_mean_keeps_no_copy_of_the_prediction():
-    """The node holds the prediction node and the caller's target, not the
-    clamped prediction: its backward recomputes the clamp."""
+    """The node reads an 8 x 8 prediction resized to the 64 x 64 target but
+    holds only the prediction node, the caller's target and the cached
+    resize matrix, not the resized map or its clamp: its backward recomputes
+    both. Value and gradient are the composed graph's, a bilinear_resize
+    node and then bce_mean at the target's size (refimpl.composed_bce), bit
+    for bit, and the value is the per-pixel formula's."""
     rng = np.random.default_rng(22)
-    pred = T.parameter(rng.uniform(0.01, 0.99, (1, 64, 64)), "p")
-    pred.data[0, 0, :3] = [0.0, 1.0, 1e-9]      # clamped entries get no gradient
+    pred = T.parameter(rng.uniform(0.01, 0.99, (1, 8, 8)), "p")
+    pred.data[0, :2, :2] = 0.0          # clamped across its whole footprint:
+    pred.data[0, -2:, -2:] = 1.0        # no gradient at the corner pixels
     tgt = (rng.random((1, 64, 64)) > 0.5).astype(float)
+    T.bce_mean(pred, tgt)               # caches the resize matrix
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -794,13 +855,18 @@ def test_bce_mean_keeps_no_copy_of_the_prediction():
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert held < pred.data.nbytes // 8, held
+    assert held < 1024, held            # the resized map alone is 32 KiB
     kept = [c.cell_contents for c in node._backward.__closure__]
-    assert all(v is tgt for v in kept if isinstance(v, np.ndarray))
-    grad = T.backward(node)["p"]
-    p = np.clip(pred.data, 1e-7, 1 - 1e-7)
-    assert np.array_equal(grad, (p - tgt) / (p * (1.0 - p)) / p.size
-                          * ((pred.data > 1e-7) & (pred.data < 1 - 1e-7)))
+    assert all(v is tgt or v is T._resize_matrix(8, 64) for v in kept
+               if isinstance(v, np.ndarray))
+    ref = composed_bce(pred, tgt)
+    assert np.array_equal(node.data.view(np.uint64), ref.data.view(np.uint64))
+    grad, want = T.backward(node)["p"], T.backward(ref)["p"]
+    assert np.array_equal(grad.view(np.uint64), want.view(np.uint64))
+    assert grad[0, 0, 0] == 0.0 and grad[0, -1, -1] == 0.0 and np.all(grad[0, 3:5, 3:5] != 0)
+    p = np.clip(naive_bilinear_resize(pred.data, 64, 64), 1e-7, 1 - 1e-7)
+    assert node.item() == pytest.approx(np.mean(-tgt * np.log(p) - (1 - tgt) * np.log(1 - p)),
+                                        rel=1e-12)
 
 
 def test_bce_mean_at_half_is_ln2():

@@ -1,3 +1,4 @@
+import itertools
 import weakref
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from seqdet.postproc import make_priors
 from seqdet.synth import (gen_sequence, load_dataset_root, load_video_dir, random_scene,
                           write_dataset)
 
-from refimpl import graph_nodes
+from refimpl import composed_aclstm_step, composed_bce, composed_head_forward, graph_nodes
 from test_tensor import assert_sweep_matches_retaining_oracle
 
 
@@ -276,6 +277,65 @@ def test_stage3_graph_stays_close_to_stage2(tiny_root):
 @pytest.mark.parametrize("stage", [2, 3])
 def test_sequence_sweep_matches_retaining_oracle(tiny_root, stage):
     assert_sweep_matches_retaining_oracle(sequence_graph(tiny_root, stage))
+
+
+def _composed_attention_loss(att_maps, gt_boxes, input_size):
+    target = LS.box_indicator_map(gt_boxes, input_size)
+    return T.add_n([composed_bce(a, target, LS.BCE_EPS) for a in att_maps])
+
+
+def _composed_heads(hidden_pyramid, params):
+    return net.HeadOut(*composed_head_forward(hidden_pyramid, params))
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("stage,seed", [(2, 0), (2, 46), (3, 0), (3, 46)])
+def test_sequence_equals_the_composed_graph_bitwise(tmp_path, monkeypatch, stage, seed):
+    """An 8-frame stage-2/3 sequence built from the fused nodes (a.x and
+    its dropout inside convlstm_cell, the resize inside bce_mean, the heads
+    as one conv_gather node) against the same sequence built from the
+    composed graph: refimpl.composed_aclstm_step with its own a.x and
+    dropout nodes, a bilinear_resize node before each bce_mean, and per
+    level conv2d -> gather -> concat heads. Loss parts and every gradient
+    agree bit for bit, with attention on and off and dropout 0 and 0.2, on
+    the benchmark's training scene for the seed."""
+    seq = gen_sequence(random_scene(seed + 3, num_objects=2, length=24, flicker=0.3,
+                                    blink=0.25))
+    write_dataset(seq, tmp_path / "video")
+    video = load_video_dir(tmp_path / "video")
+    priors = make_priors()
+    indices = tuple(range(3, 11)) if stage == 3 else tuple(range(1, 17, 2))
+    composed = [(net, "attention_convlstm_step", composed_aclstm_step),
+                (net, "head_forward", _composed_heads),
+                (LS, "attention_loss", _composed_attention_loss)]
+    init = net.init_params(seed, net.ModelConfig())
+    for attention, dropout in itertools.product((True, False), (0.0, 0.2)):
+        cfg = TR.TrainConfig(stage=stage, dropout=dropout, attention=attention).resolved()
+        model_cfg = net.ModelConfig(attention_enabled=attention)
+        results = []
+        for fused in (True, False):
+            with monkeypatch.context() as m:
+                for module, name, f in [] if fused else composed:
+                    m.setattr(module, name, f)
+                params = {n: T.constant(p.data) if n.startswith(net.FROZEN_PREFIXES)
+                          else T.parameter(p.data, n) for n, p in init.items()}
+                mode = net.NetMode(dropout_rate=dropout, rng=np.random.default_rng(seed))
+                loss, parts = TR._train_sequence(params, video, indices, cfg, model_cfg,
+                                                 priors, mode, with_asso=stage == 3)
+                results.append((parts, T.backward(loss)))
+        (parts, grads), (parts_ref, grads_ref) = results
+        case = (attention, dropout)
+        assert parts.keys() == parts_ref.keys(), case
+        assert np.array_equal(_bits(list(parts.values())), _bits(list(parts_ref.values()))), case
+        assert parts["L_att"] > 0 if attention else parts["L_att"] == 0, case
+        assert sorted(grads) == sorted(grads_ref), case
+        assert any(n.startswith("lstm.") for n in grads) and "head.l0.kernel" in grads, case
+        for name in grads_ref:
+            assert np.array_equal(grads[name].view(np.uint64),
+                                  grads_ref[name].view(np.uint64)), (case, name)
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3])
