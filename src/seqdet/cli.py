@@ -88,6 +88,8 @@ def _train_config_from_args(args):
 
 
 def cmd_gen(args, guard):
+    if args.videos < 1:
+        raise ConfigError(f"--videos must be >= 1, got {args.videos}")
     out = guard.register(_resolve_out(args.out))
     for i in range(args.videos):
         spec = build_scenario(args.scenario, args.seed + i,

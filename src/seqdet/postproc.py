@@ -218,15 +218,16 @@ def _candidates(scores, boxes, class_id, idx):
 
 
 def write_detections_jsonl(path, frames):
-    """frames: iterable of (frame_index, list[Detection]); 1-based frames."""
+    """frames: iterable of (frame_index, list[Detection]); 1-based frames.
+    Each Detection's box and av are float64 arrays."""
     with open(path, "w") as fh:
         for fidx, dets in frames:
             for d in dets:
                 rec = {"frame": int(fidx), "class": int(d.class_id),
                        "score": float(d.score),
-                       "box": [float(v) for v in d.box], "id": int(d.id)}
+                       "box": d.box.tolist(), "id": int(d.id)}
                 if d.av is not None:
-                    rec["av"] = [float(v) for v in d.av]
+                    rec["av"] = d.av.tolist()
                 fh.write(json.dumps(rec) + "\n")
 
 

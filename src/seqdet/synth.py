@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError
+from .postproc import Detection
 from .tensor import load_tnsr, save_tnsr
 from .tracker import whole_number
 
@@ -79,12 +80,18 @@ class Sequence:
     spec: SceneSpec
 
 
-def _texture_rgb(tex_seed, u, v):
-    """Striped RGB pattern over in-box coordinates u, v in [0,1]."""
+def _texture_params(tex_seed):
+    """An object's texture: RGB base, stripe frequencies and phase, drawn
+    once from its own generator."""
     rng = np.random.default_rng(tex_seed)
     base = rng.uniform(0.35, 0.95, 3)
     fu, fv = rng.uniform(2.0, 6.0, 2)
-    phase = rng.uniform(0, 2 * np.pi)
+    return base, fu, fv, rng.uniform(0, 2 * np.pi)
+
+
+def _texture_rgb(params, u, v):
+    """Striped RGB pattern over in-box coordinates u, v in [0,1]."""
+    base, fu, fv, phase = params
     wave = 0.65 + 0.35 * np.sin(2 * np.pi * (fu * u + fv * v) + phase)
     return base[:, None, None] * wave[None]
 
@@ -117,14 +124,23 @@ def _bounce(pos, vel, lo, hi):
 
 
 def gen_sequence(spec: SceneSpec) -> Sequence:
+    """Render spec's frames and ground truth.
+
+    Each object's texture comes from one generator per object and sequence,
+    seeded (seed, 0x7E, obj_id), and pixels are evaluated on broadcast
+    row and column coordinates. The frames and gt equal, bit for bit, those
+    of the per-frame meshgrid renderer kept as
+    tests/refimpl.gen_sequence_reference.
+    """
     spec.validate()
     s = spec.canvas
     rng_bg = np.random.default_rng((spec.seed, 0xB6))
     background = 0.1 + 0.08 * rng_bg.random((3, s, s))
-    yy, xx = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
-    background += 0.04 * (yy / s)[None]
+    rows = np.arange(s)[:, None]
+    background += 0.04 * (rows / s)[None]
 
     state = [(o.cx, o.cy, o.vx, o.vy) for o in spec.objects]
+    textures = [_texture_params((spec.seed, 0x7E, o.obj_id)) for o in spec.objects]
     rng_flicker = np.random.default_rng((spec.seed, 0xF1))
     rng_blink = np.random.default_rng((spec.seed, 0xB7))
     frames = []
@@ -143,21 +159,16 @@ def gen_sequence(spec: SceneSpec) -> Sequence:
             cx = min(max(cx, half), s - half)
             cy = min(max(cy, half), s - half)
             left, top = cx - half, cy - half
-            x0, x1 = int(np.floor(left)), int(np.ceil(left + size))
-            y0, y1 = int(np.floor(top)), int(np.ceil(top + size))
-            x0, y0 = max(x0, 0), max(y0, 0)
-            x1, y1 = min(x1, s), min(y1, s)
-            px = np.arange(x0, x1)
-            py = np.arange(y0, y1)
-            u = (px + 0.5 - left) / size
-            v = (py + 0.5 - top) / size
-            uu, vv = np.meshgrid(u, v, indexing="xy")
-            mask = _shape_mask(obj.class_id, uu, vv) & (uu >= 0) & (uu <= 1) & (vv >= 0) & (vv <= 1)
+            x0, x1 = max(math.floor(left), 0), min(math.ceil(left + size), s)
+            y0, y1 = max(math.floor(top), 0), min(math.ceil(top + size), s)
             visible = t == 0 or spec.blink == 0.0 or rng_blink.random() >= spec.blink
-            if mask.any() and visible:
-                rgb = _texture_rgb((spec.seed, 0x7E, obj.obj_id), uu, vv)
-                region = frame[:, y0:y1, x0:x1]
-                region[:, mask] = rgb[:, mask]
+            if visible:
+                u = ((np.arange(x0, x1) + 0.5 - left) / size)[None, :]
+                v = ((np.arange(y0, y1) + 0.5 - top) / size)[:, None]
+                mask = (_shape_mask(obj.class_id, u, v) & (u >= 0) & (u <= 1)
+                        & (v >= 0) & (v <= 1))
+                np.copyto(frame[:, y0:y1, x0:x1], _texture_rgb(textures[k], u, v),
+                          where=mask)
             boxes.append(GtBox(obj.obj_id, obj.class_id,
                                np.array([left, top, size, size], dtype=np.float64)))
             ncx, nvx = _bounce(cx, vx, half, s - half)
@@ -166,8 +177,7 @@ def gen_sequence(spec: SceneSpec) -> Sequence:
         if spec.occluder is not None:
             x0, x1 = (int(v) for v in spec.occluder)
             # objects stay annotated while they pass behind the bar
-            bar = 0.06 + 0.05 * ((yy[:, x0:x1] // 3) % 2)
-            frame[:, :, x0:x1] = bar[None]
+            frame[:, :, x0:x1] = (0.06 + 0.05 * ((rows // 3) % 2))[None]
         frames.append(np.clip(frame, 0.0, 1.0))
         gt.append(boxes)
     return Sequence(frames, gt, spec)
@@ -179,6 +189,8 @@ def gen_sequence(spec: SceneSpec) -> Sequence:
 
 def random_scene(seed, num_objects=2, length=16, canvas=CANVAS, flicker=0.0,
                  occluder=False, blink=0.0):
+    if num_objects < 0:
+        raise ConfigError(f"number of objects must be >= 0, got {num_objects}")
     rng = np.random.default_rng((seed, 0x5C))
     bar = None
     if occluder:
@@ -262,11 +274,10 @@ def oracle_detections(seq: Sequence, conf=0.9, jitter=0.02):
     out = []
     for fidx, boxes in enumerate(seq.gt, start=1):
         dets = []
-        from .postproc import Detection
         for gtb in boxes:
             av = np.clip(base[gtb.obj_id] + rng.normal(0, jitter, 147), 0.02, 0.98)
             dets.append(Detection(gtb.class_id,
-                                  float(np.clip(conf + rng.normal(0, 0.02), 0.5, 0.99)),
+                                  min(max(conf + rng.normal(0, 0.02), 0.5), 0.99),
                                   gtb.corners_norm(seq.spec.canvas), av=av))
         out.append((fidx, dets))
     return out

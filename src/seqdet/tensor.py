@@ -180,35 +180,6 @@ def sub(a, b):
     return Tensor(a.data - b.data, (a, b), bwd)
 
 
-def mul(a, b):
-    _check_same_shape(a, b, "mul")
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-
-    return Tensor(a.data * b.data, (a, b), bwd)
-
-
-def concat(tensors):
-    """Join tensors along axis 0 (channels of [C,H,W] maps, rows of [N,W]
-    tables); the other dimensions must agree."""
-    tail = tensors[0].data.shape[1:]
-    for t in tensors:
-        if t.data.shape[1:] != tail:
-            raise ShapeError(f"concat: shape {t.data.shape} does not extend {tail}")
-    offsets = np.cumsum([0] + [t.data.shape[0] for t in tensors])
-
-    def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(g[lo:hi])
-
-    return Tensor(np.concatenate([t.data for t in tensors]), tuple(tensors), bwd)
-
-
 def scale(x, c):
     """Multiply by a python scalar."""
     c = float(c)

@@ -1,15 +1,21 @@
 """Independent straight-line reference implementations used as oracles.
 
 Everything here is deliberately naive (nested loops, exhaustive argmax
-scans) and shares no code with the package under test, except the composed
-graphs at the end, which are built from the engine's primitive ops as the
-oracles of its fused nodes: the recurrent step of tensor.convlstm_cell, the
-heads of tensor.conv_gather and the attention loss of tensor.bce_mean.
+scans) and shares no code with the package under test, except two parts.
+The renderer oracle returns synth's data classes. The composed graphs at
+the end are built from the engine's primitive ops, plus the mul and concat
+nodes defined here, as the oracles of its fused nodes: the recurrent step
+of tensor.convlstm_cell, the heads of tensor.conv_gather and the attention
+loss of tensor.bce_mean.
 """
+
+import json
 
 import numpy as np
 
+from seqdet import synth
 from seqdet import tensor as T
+from seqdet.errors import ShapeError
 
 
 def naive_conv2d(x, kernel, bias=None, stride=1, pad=0):
@@ -221,6 +227,118 @@ def naive_voc_map(dets_by_frame, gts_by_frame, iou_thresh=0.5, num_classes=4):
     return aps, mean
 
 
+# ---------------------------------------------------------------------------
+# the moving-shapes renderer, one meshgrid and one texture generator per
+# object-frame
+
+
+def _reference_texture_rgb(tex_seed, uu, vv):
+    rng = np.random.default_rng(tex_seed)
+    base = rng.uniform(0.35, 0.95, 3)
+    fu, fv = rng.uniform(2.0, 6.0, 2)
+    phase = rng.uniform(0, 2 * np.pi)
+    wave = 0.65 + 0.35 * np.sin(2 * np.pi * (fu * uu + fv * vv) + phase)
+    return base[:, None, None] * wave[None]
+
+
+def _reference_shape_mask(class_id, uu, vv):
+    du = uu - 0.5
+    dv = vv - 0.5
+    if class_id == 1:
+        return (np.abs(du) <= 0.5) & (np.abs(dv) <= 0.5)
+    if class_id == 2:
+        return du * du + dv * dv <= 0.25
+    if class_id == 3:
+        return (vv >= 0.0) & (np.abs(du) <= vv / 2 + 1e-9) & (vv <= 1.0)
+    return np.abs(du) + np.abs(dv) <= 0.5
+
+
+def _reference_bounce(pos, vel, lo, hi):
+    pos += vel
+    if pos < lo:
+        pos = 2 * lo - pos
+        vel = -vel
+    if pos > hi:
+        pos = 2 * hi - pos
+        vel = -vel
+    return min(max(pos, lo), hi), vel
+
+
+def gen_sequence_reference(spec):
+    """synth.gen_sequence as first written: full meshgrids for the canvas
+    and for every object box, a fresh texture generator seeded
+    (seed, 0x7E, obj_id) for every object-frame, and a boolean-mask
+    assignment of the texture."""
+    spec.validate()
+    s = spec.canvas
+    rng_bg = np.random.default_rng((spec.seed, 0xB6))
+    background = 0.1 + 0.08 * rng_bg.random((3, s, s))
+    yy, xx = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
+    background += 0.04 * (yy / s)[None]
+
+    state = [(o.cx, o.cy, o.vx, o.vy) for o in spec.objects]
+    rng_flicker = np.random.default_rng((spec.seed, 0xF1))
+    rng_blink = np.random.default_rng((spec.seed, 0xB7))
+    frames = []
+    gt = []
+    for t in range(spec.length):
+        frame = background.copy()
+        if spec.flicker > 0:
+            frame += spec.flicker * (rng_flicker.random((3, s, s)) - 0.5)
+        boxes = []
+        for k, obj in enumerate(spec.objects):
+            cx, cy, vx, vy = state[k]
+            size = obj.size
+            if obj.size_end is not None and spec.length > 1:
+                size = obj.size + (obj.size_end - obj.size) * t / (spec.length - 1)
+            half = size / 2
+            cx = min(max(cx, half), s - half)
+            cy = min(max(cy, half), s - half)
+            left, top = cx - half, cy - half
+            x0, x1 = int(np.floor(left)), int(np.ceil(left + size))
+            y0, y1 = int(np.floor(top)), int(np.ceil(top + size))
+            x0, y0 = max(x0, 0), max(y0, 0)
+            x1, y1 = min(x1, s), min(y1, s)
+            px = np.arange(x0, x1)
+            py = np.arange(y0, y1)
+            u = (px + 0.5 - left) / size
+            v = (py + 0.5 - top) / size
+            uu, vv = np.meshgrid(u, v, indexing="xy")
+            mask = (_reference_shape_mask(obj.class_id, uu, vv)
+                    & (uu >= 0) & (uu <= 1) & (vv >= 0) & (vv <= 1))
+            visible = t == 0 or spec.blink == 0.0 or rng_blink.random() >= spec.blink
+            if mask.any() and visible:
+                rgb = _reference_texture_rgb((spec.seed, 0x7E, obj.obj_id), uu, vv)
+                region = frame[:, y0:y1, x0:x1]
+                region[:, mask] = rgb[:, mask]
+            boxes.append(synth.GtBox(obj.obj_id, obj.class_id,
+                                     np.array([left, top, size, size], dtype=np.float64)))
+            ncx, nvx = _reference_bounce(cx, vx, half, s - half)
+            ncy, nvy = _reference_bounce(cy, vy, half, s - half)
+            state[k] = (ncx, ncy, nvx, nvy)
+        if spec.occluder is not None:
+            x0, x1 = (int(v) for v in spec.occluder)
+            bar = 0.06 + 0.05 * ((yy[:, x0:x1] // 3) % 2)
+            frame[:, :, x0:x1] = bar[None]
+        frames.append(np.clip(frame, 0.0, 1.0))
+        gt.append(boxes)
+    return synth.Sequence(frames, gt, spec)
+
+
+def detections_jsonl_reference(frames):
+    """The text postproc.write_detections_jsonl writes, built with one
+    float() call per box and av element."""
+    lines = []
+    for fidx, dets in frames:
+        for d in dets:
+            rec = {"frame": int(fidx), "class": int(d.class_id), "score": float(d.score),
+                   "box": [float(v) for v in d.box], "id": int(d.id)}
+            if d.av is not None:
+                rec["av"] = [float(v) for v in d.av]
+            lines.append(json.dumps(rec) + "\n")
+    return "".join(lines)
+
+
 def retaining_backward(loss):
     """Reverse-mode sweep that leaves every visited node's gradient in
     ``.grad``: the same depth-first post-order over the nodes that require
@@ -263,19 +381,50 @@ def graph_nodes(root):
     return list(seen.values())
 
 
+def mul(a, b):
+    """Elementwise product node of two same-shape tensors."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"mul: shape mismatch {a.data.shape} vs {b.data.shape}")
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accumulate(g * b.data)
+        if b.requires_grad:
+            b._accumulate(g * a.data)
+
+    return T.Tensor(a.data * b.data, (a, b), bwd)
+
+
+def concat(tensors):
+    """Join tensors along axis 0 (channels of [C,H,W] maps, rows of [N,W]
+    tables); the other dimensions must agree."""
+    tail = tensors[0].data.shape[1:]
+    for t in tensors:
+        if t.data.shape[1:] != tail:
+            raise ShapeError(f"concat: shape {t.data.shape} does not extend {tail}")
+    offsets = np.cumsum([0] + [t.data.shape[0] for t in tensors])
+
+    def bwd(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                t._accumulate(g[lo:hi])
+
+    return T.Tensor(np.concatenate([t.data for t in tensors]), tuple(tensors), bwd)
+
+
 def composed_convlstm_cell(parts, kernel, bias, s_prev):
     """The ConvLSTM update as a graph of primitive ops: concat the parts,
     one gate conv, channel slices i, f, o, c, then
     s = sigmoid(f)*s_prev + sigmoid(i)*tanh(c) and h = sigmoid(o)*tanh(s).
     Returns the nodes (h, s)."""
     c = s_prev.data.shape[0]
-    fused = T.conv2d(T.concat(list(parts)), kernel, bias)
+    fused = T.conv2d(concat(list(parts)), kernel, bias)
     i = T.sigmoid(T.slice_channels(fused, 0, c))
     f = T.sigmoid(T.slice_channels(fused, c, 2 * c))
     o = T.sigmoid(T.slice_channels(fused, 2 * c, 3 * c))
     cc = T.tanh(T.slice_channels(fused, 3 * c, 4 * c))
-    s = T.add(T.mul(f, s_prev), T.mul(i, cc))
-    return T.mul(o, T.tanh(s)), s
+    s = T.add(mul(f, s_prev), mul(i, cc))
+    return mul(o, T.tanh(s)), s
 
 
 def attention_product(a, x):
@@ -295,7 +444,7 @@ def attention_product(a, x):
 def composed_dropout(x, rate, rng):
     """Inverted dropout as a product with a float mask: (rng draw >= rate)
     / (1 - rate), drawn once over x's shape."""
-    return T.mul(x, T.constant((rng.random(x.data.shape) >= rate) / (1.0 - rate)))
+    return mul(x, T.constant((rng.random(x.data.shape) >= rate) / (1.0 - rate)))
 
 
 def composed_aclstm_step(x, h_prev, s_prev, w, dropout_rate=0.0, rng=None,
@@ -305,7 +454,7 @@ def composed_aclstm_step(x, h_prev, s_prev, w, dropout_rate=0.0, rng=None,
     copies, a.x (attention_product) and dropout (composed_dropout) are
     nodes of their own, and the update is composed_convlstm_cell."""
     if attention_enabled:
-        xh = T.concat([x, h_prev])
+        xh = concat([x, h_prev])
         a = T.sigmoid(T.conv2d(T.relu(T.conv2d(T.relu(T.conv2d(xh, w.att1)), w.att2)),
                                w.att3))
         ax = attention_product(a, x)
@@ -328,7 +477,7 @@ def prior_major_rows(maps, lo, width, priors_per_cell=2):
         index = [[(lo + prior * width + j) * s * s + cell for j in range(width)]
                  for cell in range(s * s) for prior in range(priors_per_cell)]
         rows.append(T.gather(m, np.array(index)))
-    return T.concat(rows)
+    return concat(rows)
 
 
 def composed_head_forward(hidden_pyramid, params, priors_per_cell=2):

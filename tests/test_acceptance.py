@@ -20,7 +20,7 @@ from seqdet import tracker as TK
 from seqdet import train as TR
 from seqdet.synth import crossing_pair, gen_sequence, oracle_detections, random_scene
 
-from refimpl import naive_nms
+from refimpl import concat, mul, naive_nms
 from test_tensor import OPS, _max_rel_err
 from test_tracker import ota_reference
 
@@ -98,14 +98,14 @@ def test_c03_attention_toggle_reproduces_plain_convlstm_bitwise():
         h = T.constant(np.zeros((cu,) + pyramid[lvl].data.shape[1:]))
         s = T.constant(np.zeros_like(h.data))
         for _frame in range(3):
-            gate_in = T.concat([pyramid[lvl], h])
+            gate_in = concat([pyramid[lvl], h])
             fused = T.conv2d(gate_in, w.gates, w.gates_bias)
             i = T.sigmoid(T.slice_channels(fused, 0, cu))
             f = T.sigmoid(T.slice_channels(fused, cu, 2 * cu))
             o = T.sigmoid(T.slice_channels(fused, 2 * cu, 3 * cu))
             cc = T.tanh(T.slice_channels(fused, 3 * cu, 4 * cu))
-            s = T.add(T.mul(f, s), T.mul(i, cc))
-            h = T.mul(o, T.tanh(s))
+            s = T.add(mul(f, s), mul(i, cc))
+            h = mul(o, T.tanh(s))
         assert np.array_equal(h.data, state[lvl][0].data)
         assert np.array_equal(s.data, state[lvl][1].data)
     report("C3 attention-off equals plain ConvLSTM", "(bitwise, 3 frames unrolled)")

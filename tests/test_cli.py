@@ -38,6 +38,18 @@ def test_gen_layout_and_determinism(tmp_path):
     assert (a / "run_config.txt").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--objects", -3), "number of objects must be >= 0, got -3"),
+    (("--videos", -2), "--videos must be >= 1, got -2"),
+    (("--videos", 0), "--videos must be >= 1, got 0"),
+])
+def test_gen_refuses_nonsense_counts(tmp_path, capsys, argv, message):
+    out = tmp_path / "data"
+    assert run("gen", *argv, "--emit-detections", "--out", out) == 1
+    assert capsys.readouterr() == ("", f"seqdet: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_track_from_jsonl_deterministic(dataset, tmp_path):
     dets = dataset / "video_000" / "detections.jsonl"
     r1 = tmp_path / "r1.csv"

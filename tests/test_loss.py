@@ -8,7 +8,7 @@ from seqdet.errors import ConfigError
 from seqdet.postproc import center_to_corner, corner_to_center, get_profile, make_priors
 from seqdet.train import detections_for_frame, score_list_nodes, score_list_profile
 
-from refimpl import association_loss, naive_match, prior_major_rows, score_list
+from refimpl import association_loss, concat, naive_match, prior_major_rows, score_list
 
 
 def small_priors():
@@ -28,7 +28,7 @@ def head_from_maps(loc_maps, conf_maps):
     one conv per level packs them: the loc channels, then the conf channels,
     read out in prior-major rows (refimpl.prior_major_rows)."""
     ppc = net.PRIORS_PER_CELL
-    maps = [T.concat([loc, conf]) for loc, conf in zip(loc_maps, conf_maps)]
+    maps = [concat([loc, conf]) for loc, conf in zip(loc_maps, conf_maps)]
     conf_width = conf_maps[0].data.shape[0] // ppc
     return net.HeadOut(prior_major_rows(maps, 0, 4, ppc),
                        prior_major_rows(maps, ppc * 4, conf_width, ppc))

@@ -9,7 +9,7 @@ from seqdet import tensor as T
 from seqdet.errors import ConfigError, ShapeError
 
 from refimpl import (composed_aclstm_step, composed_convlstm_cell, composed_head_forward,
-                     naive_conv2d)
+                     mul, naive_conv2d)
 
 
 def zero_lstm_weights(c):
@@ -353,7 +353,7 @@ def test_fused_step_equals_the_composed_graph_bitwise(c, size):
                               rate, masks, attention)
             h2, s2, a2 = step(leaves["x2"], h1, s1, w, rate, masks, attention)
             outs = {"h1": h1, "h2": h2, "s2": s2, "a1": a1, "a2": a2}
-            loss = T.add_n([T.sum_all(T.mul(outs[n], readout[n])) for n in outs])
+            loss = T.add_n([T.sum_all(mul(outs[n], readout[n])) for n in outs])
             results.append(({n: o.data for n, o in outs.items()}, T.backward(loss)))
         (data, grads), (data_ref, grads_ref) = results
         case = (attention, rate, constants)
@@ -511,8 +511,8 @@ def test_head_graph_nodes_agree_with_flat_views():
     weights[ids, 2] = 1.0
     loc_weights = np.zeros((1540, 4))
     loc_weights[1539, 1] = 1.0
-    grads = T.backward(T.add(T.sum_all(T.mul(out.conf, T.constant(weights))),
-                             T.sum_all(T.mul(out.loc, T.constant(loc_weights)))))
+    grads = T.backward(T.add(T.sum_all(mul(out.conf, T.constant(weights))),
+                             T.sum_all(mul(out.loc, T.constant(loc_weights)))))
     # prior 1539 is the second prior of the single level-5 cell: loc channel
     # 4 + 1, conf channel 8 (after the loc block) + 5 + 2
     assert net.TOY_SIZES[5] == 1
@@ -586,8 +586,8 @@ def test_head_node_equals_the_composed_graph_bitwise(trained):
         if forward is net.head_forward:
             rows = loc.data.nbytes + conf.data.nbytes
             assert rows <= held < rows + 8 * 1024, (held, rows)
-        loss = T.add(T.sum_all(T.mul(T.gather_rows(loc, picks), wl)),
-                     T.sum_all(T.mul(T.gather_rows(conf, picks), wc)))
+        loss = T.add(T.sum_all(mul(T.gather_rows(loc, picks), wl)),
+                     T.sum_all(mul(T.gather_rows(conf, picks), wc)))
         results.append(([loc.data, conf.data], T.backward(loss)))
         if not trained:
             assert not loss.requires_grad and loc.parents == ()

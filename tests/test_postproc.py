@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from seqdet import postproc as pp
+from seqdet import synth
 from seqdet import tensor as T
 from seqdet.errors import ConfigError, ParseError
 from seqdet.net import HeadOut
 from seqdet.train import detections_for_frame, score_list_nodes, score_list_profile
 
-from refimpl import naive_iou, naive_nms
+from refimpl import detections_jsonl_reference, naive_iou, naive_nms
 
 
 def test_prior_count_matches_grid():
@@ -501,6 +502,20 @@ def test_detections_jsonl_round_trip(tmp_path):
     # av omitted on the line itself when absent
     lines = path.read_text().strip().splitlines()
     assert "av" in lines[0] and "av" not in lines[1]
+
+
+@pytest.mark.parametrize("with_av", [True, False])
+def test_detections_jsonl_bytes_equal_the_per_element_float_writer(tmp_path, with_av):
+    seq = synth.gen_sequence(synth.random_scene(5, num_objects=6, length=8))
+    frames = synth.oracle_detections(seq)
+    if not with_av:
+        for _, dets in frames:
+            for d in dets:
+                d.av = None
+    path = tmp_path / "dets.jsonl"
+    pp.write_detections_jsonl(path, frames)
+    assert path.read_bytes() == detections_jsonl_reference(frames).encode()
+    assert ('"av"' in path.read_text()) == with_av
 
 
 def test_detections_jsonl_parse_error_carries_line(tmp_path):

@@ -7,6 +7,8 @@ from seqdet import tracker as TK
 from seqdet.errors import ConfigError, ParseError
 from seqdet.postproc import iou
 
+from refimpl import gen_sequence_reference
+
 
 def test_same_seed_reproduces_bitwise():
     a = synth.gen_sequence(synth.random_scene(7, num_objects=3, length=6))
@@ -77,6 +79,12 @@ def test_scale_change_size_ramps():
 def test_unknown_scenario_rejected():
     with pytest.raises(ConfigError):
         synth.build_scenario("zoom", 0)
+
+
+def test_random_scene_refuses_a_negative_object_count():
+    assert synth.random_scene(0, num_objects=0).objects == []
+    with pytest.raises(ConfigError, match="number of objects must be >= 0, got -3"):
+        synth.random_scene(0, num_objects=-3)
 
 
 def test_invalid_spec_rejected():
@@ -200,3 +208,55 @@ def test_oracle_detections_match_gt_layout():
             assert d.av.shape == (147,)
             assert d.score > 0.5
             np.testing.assert_allclose(d.box, g.corners_norm(), atol=1e-12)
+
+
+def _every_class_ramp(seed):
+    """One object per class, fast enough to bounce off every wall, sizes
+    ramping both ways, integer positions and sizes among them."""
+    rng = np.random.default_rng(seed)
+    objs = [synth.ObjectSpec(c - 1, c, cx=int(rng.integers(10, 86)),
+                             cy=float(rng.uniform(10, 86)), vx=float(rng.uniform(-7, 7)),
+                             vy=float(rng.uniform(-7, 7)), size=[6, 40, 17, 25][c - 1],
+                             size_end=[40, 6, 17.5, None][c - 1])
+            for c in range(1, synth.NUM_CLASSES + 1)]
+    return synth.SceneSpec(length=14, seed=seed, objects=objs, flicker=0.1, blink=0.4,
+                           occluder=(70.0, 96.0))
+
+
+RENDER_SCENES = {
+    "random": lambda seed: synth.random_scene(seed, num_objects=5, length=12, flicker=0.3,
+                                              occluder=True, blink=0.25),
+    "random-crowded": lambda seed: synth.random_scene(seed, num_objects=16, length=6),
+    "crossing-pair": synth.crossing_pair,
+    "scale-change": synth.scale_change,
+    "every-class-ramp": _every_class_ramp,
+}
+
+
+@pytest.mark.parametrize("scene", sorted(RENDER_SCENES))
+def test_renderer_matches_the_meshgrid_reference_bit_for_bit(scene):
+    """Frames (compared as int64 views, so -0.0 and NaN payloads count) and
+    gt equal those of the per-object-frame meshgrid renderer on 24 seeds."""
+    for seed in range(24):
+        spec = RENDER_SCENES[scene](seed)
+        got, want = synth.gen_sequence(spec), gen_sequence_reference(spec)
+        assert len(got.frames) == len(want.frames) == spec.length
+        for fg, fw in zip(got.frames, want.frames):
+            assert fg.dtype == fw.dtype == np.float64 and fg.shape == fw.shape
+            assert np.array_equal(fg.view(np.int64), fw.view(np.int64)), (scene, seed)
+        for bg, bw in zip(got.gt, want.gt):
+            assert [(b.obj_id, b.class_id, b.box_px.tobytes()) for b in bg] == \
+                   [(b.obj_id, b.class_id, b.box_px.tobytes()) for b in bw]
+
+
+@pytest.mark.parametrize("conf", [0.5, 0.9, 0.99])
+def test_oracle_detection_scores_are_the_clipped_draws(conf):
+    """Each score is conf plus its N(0, 0.02) draw clipped to [0.5, 0.99],
+    drawn after the detection's 147 av draws, as a python float."""
+    seq = synth.gen_sequence(synth.random_scene(4, num_objects=5, length=6))
+    rng = np.random.default_rng((4, 0x0D))
+    for _, dets in synth.oracle_detections(seq, conf=conf):
+        for d in dets:
+            rng.normal(0, 0.02, 147)
+            want = float(np.clip(conf + rng.normal(0, 0.02), 0.5, 0.99))
+            assert type(d.score) is float and d.score == want

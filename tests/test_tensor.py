@@ -9,8 +9,9 @@ from seqdet import tensor as T
 from seqdet.errors import ParseError, ShapeError
 
 from refimpl import (attention_product, composed_aclstm_step, composed_bce,
-                     composed_convlstm_cell, composed_dropout, graph_nodes, masked_sigmoid,
-                     naive_bilinear_resize, naive_conv2d, retaining_backward)
+                     composed_convlstm_cell, composed_dropout, concat, graph_nodes,
+                     masked_sigmoid, mul, naive_bilinear_resize, naive_conv2d,
+                     retaining_backward)
 
 
 def rand_t(rng, shape, name=None):
@@ -148,7 +149,7 @@ def test_conv_gradients_match_finite_diff_on_each_layout(c_out, c_in, k, h, w, l
     weights = T.constant(rng.standard_normal((c_out, h, w)))
 
     def loss(x, kernel, bias):
-        return T.sum_all(T.mul(T.tanh(T.conv2d(x, kernel, bias)), weights))
+        return T.sum_all(mul(T.tanh(T.conv2d(x, kernel, bias)), weights))
 
     grads = T.backward(loss(*(T.parameter(a, n) for n, a in arrays.items())))
     for name in arrays:
@@ -283,18 +284,18 @@ def test_cell_with_a_ones_map_reads_x_itself():
 def test_concat_channel_counts():
     a = T.constant(np.zeros((3, 4, 4)))
     b = T.constant(np.ones((2, 4, 4)))
-    assert T.concat([a, b]).data.shape == (5, 4, 4)
-    assert T.concat([T.constant(np.zeros((2, 5))), T.constant(np.ones((1, 5)))]
-                    ).data.shape == (3, 5)
+    assert concat([a, b]).data.shape == (5, 4, 4)
+    assert concat([T.constant(np.zeros((2, 5))), T.constant(np.ones((1, 5)))]
+                  ).data.shape == (3, 5)
     with pytest.raises(ShapeError):
-        T.concat([a, T.constant(np.zeros((2, 4, 3)))])
+        concat([a, T.constant(np.zeros((2, 4, 3)))])
 
 
 def test_mul_equals_loop_product():
     rng = np.random.default_rng(10)
     a = rng.standard_normal((2, 3, 3))
     b = rng.standard_normal((2, 3, 3))
-    out = T.mul(T.constant(a), T.constant(b)).data
+    out = mul(T.constant(a), T.constant(b)).data
     for c in range(2):
         for i in range(3):
             for j in range(3):
@@ -308,7 +309,7 @@ def test_elementwise_shape_errors():
     with pytest.raises(ShapeError):
         T.add(a, T.constant(np.zeros((2, 3, 4))))
     with pytest.raises(ShapeError):
-        T.mul(a, T.constant(np.zeros((1, 3, 3))))
+        mul(a, T.constant(np.zeros((1, 3, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +352,8 @@ def test_first_gradient_is_copied_not_shared_between_parents():
     for swap in (False, True):
         x, y = T.parameter(x0, "x"), T.parameter(y0, "y")
         s = T.add(y, x) if swap else T.add(x, y)
-        loss = T.add(T.sum_all(T.mul(s, T.constant(w))),
-                     T.sum_all(T.mul(x, T.constant(v))))
+        loss = T.add(T.sum_all(mul(s, T.constant(w))),
+                     T.sum_all(mul(x, T.constant(v))))
         for sweep in (T.backward, retaining_backward):
             grads = sweep(loss)
             assert np.array_equal(grads["x"], w + v), (swap, sweep)
@@ -477,7 +478,7 @@ def test_slice_channels_is_a_view_with_the_slice_gradient():
     out = T.slice_channels(x, 1, 3)
     assert np.shares_memory(out.data, x.data)
     np.testing.assert_array_equal(out.data, x.data[1:3])
-    grads = T.backward(T.sum_all(T.mul(out, T.constant(w))))
+    grads = T.backward(T.sum_all(mul(out, T.constant(w))))
     expect = np.zeros((5, 3, 4))
     expect[1:3] = w
     np.testing.assert_array_equal(grads["x"], expect)
@@ -509,7 +510,7 @@ OPS = [
     ("resize_3x3_to_12x12", lambda rng: _resize_case(rng, (2, 3, 3), 12, 12)),
     ("add", lambda rng: _binary_case(rng, T.add)),
     ("sub", lambda rng: _binary_case(rng, T.sub)),
-    ("mul", lambda rng: _binary_case(rng, T.mul)),
+    ("mul", lambda rng: _binary_case(rng, mul)),
     ("concat", lambda rng: _concat_case(rng)),
     ("gather", lambda rng: _gather_case(rng)),
     ("absolute", lambda rng: _unary_case(rng, T.absolute)),
@@ -537,7 +538,7 @@ OPS = [
 
 def _unary_case(rng, op):
     x0 = rng.standard_normal((2, 3, 3)) + 0.1  # keep clear of relu/abs kinks
-    return x0, lambda x: T.sum_all(T.mul(op(x), op(x)))
+    return x0, lambda x: T.sum_all(mul(op(x), op(x)))
 
 
 def _binary_case(rng, op):
@@ -549,7 +550,7 @@ def _binary_case(rng, op):
 def _concat_case(rng):
     x0 = rng.standard_normal((2, 3, 3))
     other = T.constant(rng.standard_normal((1, 3, 3)))
-    return x0, lambda x: T.sum_all(T.tanh(T.concat([x, other])))
+    return x0, lambda x: T.sum_all(T.tanh(concat([x, other])))
 
 
 def _conv_case(rng):
@@ -597,13 +598,13 @@ ROW_WEIGHTS = T.constant([1.0, -0.5, 2.0, 0.7])
 def _softmax_ce_rows_case(rng):
     x0 = rng.standard_normal((4, 5))
     targets = np.array([2, 0, 4, 2])
-    return x0, lambda x: T.sum_all(T.mul(
+    return x0, lambda x: T.sum_all(mul(
         T.softmax_ce_rows(T.gather_rows(x, ROW_IDS), targets), ROW_WEIGHTS))
 
 
 def _softmax_prob_rows_case(rng):
     x0 = rng.standard_normal((4, 5))
-    return x0, lambda x: T.sum_all(T.mul(
+    return x0, lambda x: T.sum_all(mul(
         T.softmax_prob_rows(T.gather_rows(x, ROW_IDS), 1), ROW_WEIGHTS))
 
 
@@ -617,7 +618,7 @@ def _bce_case(rng):
 def _gather_rows_case(rng):
     x0 = rng.standard_normal((4, 3))
     other = T.constant(rng.standard_normal((2, 3)))
-    return x0, lambda x: T.sum_all(T.tanh(T.concat([T.gather_rows(x, ROW_IDS), other])))
+    return x0, lambda x: T.sum_all(T.tanh(concat([T.gather_rows(x, ROW_IDS), other])))
 
 
 def _conv_split_case(rng):
@@ -661,8 +662,8 @@ def _cell_case(rng, leaf, rate=0.0):
         t = {n: v if n == leaf else T.constant(a) for n, a in arrays.items()}
         cell = T.convlstm_cell(t["map"], t["part"], h_prev, t["kernel"], t["bias"], t["s_prev"],
                                rate, np.random.default_rng(99))
-        hs = T.concat([T.tanh(T.slice_channels(cell, 0, c)), T.slice_channels(cell, c, 2 * c)])
-        return T.sum_all(T.mul(hs, weights))
+        hs = concat([T.tanh(T.slice_channels(cell, 0, c)), T.slice_channels(cell, c, 2 * c)])
+        return T.sum_all(mul(hs, weights))
     return arrays[leaf], build
 
 
@@ -679,14 +680,14 @@ def _conv_gather_case(rng, leaf):
         t = {n: v if n == leaf else T.constant(a) for n, a in arrays.items()}
         outs = T.conv_gather([t["x0"], t["x1"]], [t["k0"], t["k1"]], [t["b0"], t["b1"]],
                              indices)
-        return T.add_n([T.sum_all(T.mul(T.tanh(o), w)) for o, w in zip(outs, weights)])
+        return T.add_n([T.sum_all(mul(T.tanh(o), w)) for o, w in zip(outs, weights)])
     return arrays[leaf], build
 
 
 def _slice_case(rng):
     x0 = rng.standard_normal((4, 3, 3))
-    return x0, lambda x: T.sum_all(T.mul(T.slice_channels(x, 1, 3),
-                                         T.slice_channels(x, 2, 4)))
+    return x0, lambda x: T.sum_all(mul(T.slice_channels(x, 1, 3),
+                                       T.slice_channels(x, 2, 4)))
 
 
 @pytest.mark.parametrize("name,case", OPS, ids=[n for n, _ in OPS])
@@ -717,7 +718,7 @@ def test_backward_matches_finite_diff_on_random_composites():
 
         def build(x):
             y = T.conv2d(x, w, b)
-            y = T.add(T.tanh(y), T.mul(att, T.sigmoid(y)))
+            y = T.add(T.tanh(y), mul(att, T.sigmoid(y)))
             z = T.bilinear_resize(y, 3, 3)
             loss = T.bce_mean(T.sigmoid(z), tgt)
             vec = T.gather(y, np.array([[1, 7, 12]]))
@@ -807,8 +808,8 @@ def test_dropout_matches_the_float_mask_form_bit_for_bit():
                 out = T.convlstm_cell(a, x, h, k, b, s, rate, np.random.default_rng(8))
             else:
                 ax = composed_dropout(attention_product(a, x), rate, np.random.default_rng(8))
-                out = T.concat(composed_convlstm_cell([ax, h], k, b, s))
-            grads = T.backward(T.sum_all(T.mul(out, T.constant(g))))
+                out = concat(composed_convlstm_cell([ax, h], k, b, s))
+            grads = T.backward(T.sum_all(mul(out, T.constant(g))))
             results.append([out.data] + [grads[n] for n in ("a", *arrays)])
         for got, want in zip(*results):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), rate
