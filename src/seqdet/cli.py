@@ -44,9 +44,12 @@ class OutputGuard:
         self.paths = []
 
     def register(self, path):
+        """path, with its parent directories made. The outermost of path
+        and its parents that did not exist yet is removed on cleanup."""
         path = Path(path)
-        if not path.exists():
-            self.paths.append(path)
+        missing = [p for p in (path, *path.parents) if not p.exists()]
+        if missing:
+            self.paths.append(missing[-1])
         path.parent.mkdir(parents=True, exist_ok=True)
         return path
 
@@ -62,24 +65,20 @@ def _log_config(out_dir, args):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     pairs = sorted((k, v) for k, v in vars(args).items()
-                   if k != "func" and v is not None)
+                   if k not in ("func", "settings") and v is not None)
     text = "".join(f"{k} = {v}\n" for k, v in pairs)
     (out_dir / "run_config.txt").write_text(text)
     print(f"[config] {' '.join(f'{k}={v}' for k, v in pairs)}")
 
 
 def _train_config_from_args(args):
-    file_cfg = TR.parse_config_file(args.config) if args.config else {}
-    merged = {"seed": args.seed, **file_cfg}
-    for key in ("seq_len", "lr", "epochs", "theta", "k", "dropout", "clip",
-                "asso_form", "profile"):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    cfg = TR.TrainConfig(**{k: v for k, v in merged.items()
-                            if k in TR.TrainConfig.__dataclass_fields__})
-    if getattr(args, "no_attention", False):
-        cfg = replace(cfg, attention=False)
+    """The run's TrainConfig. Each key of TR.CONFIG_KEYS comes from its
+    explicit flag, else the --config file, else the TrainConfig default;
+    args.seed and args.profile are set to what the run uses."""
+    merged = TR.parse_config_file(args.config) if args.config else {}
+    merged.update((k, v) for k in TR.CONFIG_KEYS if (v := getattr(args, k, None)) is not None)
+    cfg = TR.TrainConfig(**merged, attention=not getattr(args, "no_attention", False))
+    args.seed, args.profile = cfg.seed, cfg.profile
     return cfg
 
 
@@ -108,22 +107,16 @@ def cmd_gen(args, guard):
 
 def cmd_train(args, guard):
     out = guard.register(_resolve_out(args.out))
-    cfg = _train_config_from_args(args)
-    summary = TR.run_stage(args.stage, args.data, out, cfg, init_ckpt=args.init)
+    summary = TR.run_stage(args.stage, args.data, out, args.settings, init_ckpt=args.init)
     _log_config(out, args)
     print(f"[train] stage {args.stage} done: checkpoint at {summary['checkpoint']}, "
           f"loss log at {summary['loss_csv']}")
     return 0
 
 
-def _load_model(ckpt):
-    params, meta = net.load_checkpoint(ckpt)
-    return params, net.ModelConfig.from_meta(meta)
-
-
 def cmd_detect(args, guard):
     out = guard.register(_resolve_out(args.out))
-    params, model_cfg = _load_model(args.ckpt)
+    params, model_cfg = net.load_checkpoint(args.ckpt)
     videos = load_dataset_root(args.data)
     out.mkdir(parents=True, exist_ok=True)
     for video in videos:
@@ -225,7 +218,7 @@ def cmd_sweep(args, guard):
         if not (args.data and args.init):
             raise ConfigError("sweep --param theta needs --data and --init")
         for i, theta in enumerate(values):
-            cfg = replace(_train_config_from_args(args), theta=theta)
+            cfg = replace(args.settings, theta=theta)
             run_dir = guard.register(out.parent / f"{out.stem}_theta{i}")
             summary = TR.run_stage(3, args.data, run_dir, cfg, init_ckpt=args.init)
             last = summary["loss_csv"].read_text().strip().splitlines()[-1]
@@ -264,7 +257,7 @@ def cmd_sweep(args, guard):
 def map_of_checkpoint(ckpt, data, conf, profile):
     """Held-out mAP of a checkpoint over every video under data, with the
     frames of all videos pooled into one evaluation."""
-    params, model_cfg = _load_model(ckpt)
+    params, model_cfg = net.load_checkpoint(ckpt)
     total_dets = {}
     total_gts = {}
     offset = 0
@@ -280,7 +273,7 @@ def map_of_checkpoint(ckpt, data, conf, profile):
 
 
 def cmd_dump_attention(args, guard):
-    params, model_cfg = _load_model(args.ckpt)
+    params, model_cfg = net.load_checkpoint(args.ckpt)
     if not model_cfg.temporal:
         raise ConfigError(f"{args.ckpt}: a static (stage-1) checkpoint has no attention "
                           f"maps; dump-attention needs a temporal one")
@@ -307,9 +300,9 @@ def build_parser():
     p = argparse.ArgumentParser(prog="seqdet",
                                 description="Temporal detection and tubelet "
                                             "tracking on synthetic sequences")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="default 0")
     p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--profile", choices=("vid", "mot"), default="vid")
+    p.add_argument("--profile", choices=("vid", "mot"), default=None, help="default vid")
     sub = p.add_subparsers(dest="command", required=True)
 
     tracker_flags = argparse.ArgumentParser(add_help=False)
@@ -407,6 +400,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     guard = OutputGuard()
     try:
+        args.settings = _train_config_from_args(args)
         return args.func(args, guard)
     except (ValueError, OSError, FloatingPointError) as exc:
         # bad input or a diverged run (ParseError, ConfigError and ShapeError

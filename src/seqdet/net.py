@@ -65,15 +65,6 @@ class ModelConfig:
                 "attention_enabled": str(int(self.attention_enabled)),
                 "temporal": str(int(self.temporal))}
 
-    @classmethod
-    def from_meta(cls, meta):
-        """Keys other than the three fields (priors_per_cell, which
-        load_checkpoint checks, and the dropout_rate line of older
-        checkpoints) are ignored."""
-        return cls(num_classes=int(meta["num_classes"]),
-                   attention_enabled=bool(int(meta["attention_enabled"])),
-                   temporal=bool(int(meta["temporal"])))
-
 
 @dataclass
 class NetMode:
@@ -363,10 +354,12 @@ def save_checkpoint(ckpt_dir, params, meta):
 
 
 def load_checkpoint(ckpt_dir):
-    """(params, meta) of a checkpoint. The tensors load as constants: a
-    checkpoint is data, and a training stage promotes what it trains. The
+    """(params, ModelConfig) of a checkpoint. The tensors load as constants:
+    a checkpoint is data, and a training stage promotes what it trains. The
     tensor names and shapes must be those of the model the meta describes
-    (the temporal units only when it says temporal = 1)."""
+    (the temporal units only when it says temporal = 1). Meta keys other
+    than to_meta's, such as the dropout_rate line of older checkpoints, are
+    ignored."""
     ckpt_dir = Path(ckpt_dir)
     manifest = ckpt_dir / "manifest.txt"
     if not manifest.exists():
@@ -374,25 +367,24 @@ def load_checkpoint(ckpt_dir):
     meta_path = ckpt_dir / "meta.txt"
     if not meta_path.exists():
         raise ConfigError(f"{ckpt_dir}: not a checkpoint (missing meta.txt)")
-    meta = {}
-    for line in meta_path.read_text().splitlines():
-        if " = " in line:
-            k, v = line.split(" = ", 1)
-            meta[k] = v
+    meta = dict(line.split(" = ", 1) for line in meta_path.read_text().splitlines()
+                if " = " in line)
+    ints = {}
     for key in ModelConfig().to_meta():
         if key not in meta:
             raise ConfigError(f"{meta_path}: missing key {key!r}")
         try:
-            int(meta[key])
+            ints[key] = int(meta[key])
         except ValueError:
             raise ConfigError(f"{meta_path}: {key} = {meta[key]!r} is not an integer") from None
     for key in ("attention_enabled", "temporal"):
-        if int(meta[key]) not in (0, 1):
+        if ints[key] not in (0, 1):
             raise ConfigError(f"{meta_path}: {key} = {meta[key]!r} must be 0 or 1")
     if meta["priors_per_cell"] != str(PRIORS_PER_CELL):
         raise ConfigError(f"{meta_path}: priors_per_cell = {meta['priors_per_cell']}, "
                           f"but the prior grid has {PRIORS_PER_CELL} per cell")
-    cfg = ModelConfig.from_meta(meta)
+    cfg = ModelConfig(ints["num_classes"], bool(ints["attention_enabled"]),
+                      bool(ints["temporal"]))
     expected = param_shapes(cfg, with_lstm=cfg.temporal)
     params = {}
     for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
@@ -416,4 +408,4 @@ def load_checkpoint(ckpt_dir):
     for name in expected:
         if name not in params:
             raise ConfigError(f"{manifest}: tensor {name} is missing")
-    return params, meta
+    return params, cfg

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, ParseError
 from .postproc import Detection
 from .tensor import load_tnsr, save_tnsr
-from .tracker import whole_number
+from .tracker import mot_rows
 
 CANVAS = 96
 NUM_CLASSES = 4
@@ -218,6 +218,8 @@ def random_scene(seed, num_objects=2, length=16, canvas=CANVAS, flicker=0.0,
 
 def crossing_pair(seed, length=20, canvas=CANVAS):
     """Two same-class objects swap sides along one horizontal line."""
+    if length < 2:
+        raise ConfigError(f"a crossing pair needs >= 2 frames, got {length}")
     rng = np.random.default_rng((seed, 0xCE))
     cls = int(rng.integers(1, NUM_CLASSES + 1))
     size = float(rng.uniform(18, 24))
@@ -308,14 +310,11 @@ class Video:
     ids: list                    # per frame: int array
     classes: list                # per frame: int array
     boxes_norm: list             # per frame: [N,4] corner-form normalized
-    boxes_px: list               # per frame: [N,4] (l,t,w,h) pixels
     canvas: int = CANVAS
 
 
-def _gt_row_problem(frame, l, t, w, h, cls, num_frames):
-    """What makes a parsed gt row unusable, or None."""
-    if not all(map(math.isfinite, (l, t, w, h))):
-        return f"box values must be finite, got {[l, t, w, h]}"
+def _gt_row_problem(frame, w, h, cls, num_frames):
+    """What makes a MOT row unusable as ground truth of a video, or None."""
     if w <= 0 or h <= 0:
         return f"box width and height must be > 0, got {w} x {h}"
     if not 1 <= frame <= num_frames:
@@ -340,38 +339,25 @@ def load_video_dir(path) -> Video:
             raise ConfigError(f"{f}: frame shape {list(frame.shape)} differs from "
                               f"the first frame's {list(shape)}")
     canvas = shape[-1]
-    per = {i: ([], [], [], []) for i in range(1, len(frames) + 1)}
+    per = {i: ([], [], []) for i in range(1, len(frames) + 1)}
     gt_path = path / "gt.csv"
     if gt_path.exists():
-        with open(gt_path, errors="replace") as fh:
-            for lineno, row in enumerate(csv.reader(fh), 1):
-                if not row:
-                    continue
-                try:
-                    fidx, oid = whole_number(row[0]), whole_number(row[1])
-                    l, t, w, h = (float(v) for v in row[2:6])
-                    cls = whole_number(row[10]) if len(row) > 10 else 1
-                    if None in (fidx, oid, cls):
-                        raise ValueError(f"frame, id and class must be whole numbers "
-                                         f"within 64 bits, got "
-                                         f"{', '.join(map(repr, row[:2] + row[10:11]))}")
-                except (ValueError, IndexError) as exc:
-                    raise ParseError(f"{gt_path}:{lineno}: bad gt row ({exc})") from exc
-                problem = _gt_row_problem(fidx, l, t, w, h, cls, len(frames))
-                if problem:
-                    raise ParseError(f"{gt_path}:{lineno}: {problem}")
-                ids, clss, bn, bp = per[fidx]
-                ids.append(oid)
-                clss.append(cls)
-                bn.append([l / canvas, t / canvas, (l + w) / canvas, (t + h) / canvas])
-                bp.append([l, t, w, h])
+        for lineno, row in mot_rows(gt_path):
+            fidx, oid, l, t, w, h = row[:6]
+            cls = row[10] if len(row) > 10 else 1
+            problem = _gt_row_problem(fidx, w, h, cls, len(frames))
+            if problem:
+                raise ParseError(f"{gt_path}:{lineno}: {problem}")
+            ids, clss, bn = per[fidx]
+            ids.append(oid)
+            clss.append(cls)
+            bn.append([l / canvas, t / canvas, (l + w) / canvas, (t + h) / canvas])
     return Video(
         name=path.name,
         frames=frames,
         ids=[np.array(per[i][0], dtype=int) for i in sorted(per)],
         classes=[np.array(per[i][1], dtype=int) for i in sorted(per)],
         boxes_norm=[np.array(per[i][2], dtype=np.float64).reshape(-1, 4) for i in sorted(per)],
-        boxes_px=[np.array(per[i][3], dtype=np.float64).reshape(-1, 4) for i in sorted(per)],
         canvas=canvas,
     )
 

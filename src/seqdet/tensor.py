@@ -517,9 +517,11 @@ def conv_gather(xs, kernels, biases, indices):
     index array, of that array's shape, entry e being the entry at flat
     position indices[k][e]. The results are views of one node that keeps
     the inputs, weights and index arrays but no conv output: its backward
-    scatter-adds the adjoint of each index array (as gather does) and runs
-    each conv's backward on its block. The data and gradients are those of
-    conv2d, gather and concat composed (tests/refimpl.py)."""
+    scatter-adds the adjoint of the concatenated index arrays in one pass
+    (as gather does) and runs each conv's backward on its block. The data
+    and gradients are those of conv2d, gather and concat composed
+    (tests/refimpl.py), the gradients bit for bit when no position is read
+    by two index arrays, as for the heads' loc and conf."""
     layouts, shapes, flat = [], [], []
     for x, kernel, bias in zip(xs, kernels, biases, strict=True):
         out, layout = _conv_forward([x.data], kernel, bias, "conv_gather")
@@ -536,9 +538,7 @@ def conv_gather(xs, kernels, biases, indices):
     picked = np.concatenate([flat[i.reshape(-1)] for i in idx])
 
     def bwd(g):
-        d = np.bincount(idx[0].reshape(-1), weights=g[:bounds[1]], minlength=n)
-        for i, lo, hi in zip(idx[1:], bounds[1:-1], bounds[2:]):
-            d += np.bincount(i.reshape(-1), weights=g[lo:hi], minlength=n)
+        d = _scatter_add(np.concatenate([i.reshape(-1) for i in idx]), g, n)
         lo = 0
         for x, kernel, bias, layout, shape in zip(xs, kernels, biases, layouts, shapes):
             hi = lo + math.prod(shape)
@@ -705,6 +705,12 @@ def bilinear_resize(x, h2, w2):
 # indexing and loss kernels
 
 
+def _scatter_add(idx, g, n):
+    """The adjoint of reading flat positions idx out of n: g's entries
+    summed per position, each sum in idx order and starting from 0.0."""
+    return np.bincount(idx.reshape(-1), weights=g.reshape(-1), minlength=n)
+
+
 def gather(x, indices):
     """Pick entries of the flattened tensor; the result has the shape of
     the index array and the gradient scatter-adds back."""
@@ -715,8 +721,7 @@ def gather(x, indices):
 
     def bwd(g):
         if x.requires_grad:
-            x._accumulate(np.bincount(idx.reshape(-1), weights=g.reshape(-1),
-                                      minlength=flat.size).reshape(x.data.shape))
+            x._accumulate(_scatter_add(idx, g, flat.size).reshape(x.data.shape))
 
     return Tensor(flat[idx], (x,), bwd)
 

@@ -212,8 +212,7 @@ def write_mot_csv(path, frames, canvas=96):
 def whole_number(field):
     """A MOT row's integer field (frame, id or class) as an int, or None when
     postproc.whole_int refuses its number: '1.0' reads as 1; '1.5', 'inf'
-    and '1e30' give None. A field that is no number raises ValueError.
-    read_mot_csv and gt.csv (synth.load_video_dir) both read by it."""
+    and '1e30' give None. A field that is no number raises ValueError."""
     try:
         v = int(field)              # plain integers: exact, and the common case
     except ValueError:
@@ -221,11 +220,13 @@ def whole_number(field):
     return whole_int(v)
 
 
-def read_mot_csv(path):
-    """Rows as (frame, id, left, top, width, height, conf, extras...); the
-    11th column, when present, is the class id and must be an integer (it
-    is stored as an int, frame and id too)."""
-    rows = []
+def mot_rows(path):
+    """(line number, row) for each non-blank line of a MOT CSV file, the
+    one reader of the layout (gt.csv included). A row is (frame, id, left,
+    top, width, height, conf, extras...): at least 7 columns, every one a
+    number, box and conf finite. Frame, id and the class in the 11th
+    column, when present, must be whole numbers (whole_number) and are
+    stored as ints."""
     with open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -236,23 +237,26 @@ def read_mot_csv(path):
                 raise ParseError(f"{path}:{lineno}: expected >= 7 columns, "
                                  f"got {len(parts)}")
             try:
-                frame, tid = whole_number(parts[0]), whole_number(parts[1])
                 vals = [float(v) for v in parts[2:7]]
                 extras = [float(v) for v in parts[7:]]
-                if frame is None or tid is None:
-                    raise ValueError(f"frame and id must be whole numbers, got "
-                                     f"{parts[0]!r}, {parts[1]!r}")
+                frame, tid = whole_number(parts[0]), whole_number(parts[1])
+                cls = whole_number(parts[10]) if len(parts) > 10 else 1
+                if frame is None or tid is None or cls is None:
+                    raise ValueError(f"frame, id and class must be whole numbers within "
+                                     f"64 bits, got "
+                                     f"{', '.join(map(repr, parts[:2] + parts[10:11]))}")
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad number ({exc})") from exc
             if not all(map(math.isfinite, vals)):
                 raise ParseError(f"{path}:{lineno}: box and conf must be finite, got {vals}")
-            if len(extras) > 3:
-                extras[3] = whole_number(parts[10])
-                if extras[3] is None:
-                    raise ParseError(f"{path}:{lineno}: class must be an integer, "
-                                     f"got {parts[10]!r}")
-            rows.append((frame, tid, *vals, *extras))
-    return rows
+            if len(parts) > 10:
+                extras[3] = cls             # stored as the int it was checked as
+            yield lineno, (frame, tid, *vals, *extras)
+
+
+def read_mot_csv(path):
+    """The rows of mot_rows(path), in file order."""
+    return [row for _lineno, row in mot_rows(path)]
 
 
 def ingest_detections(csv_path, embeddings_path=None, canvas=96):

@@ -306,10 +306,9 @@ def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
     else:
         if init_ckpt is None:
             raise ConfigError(f"stage {stage} requires the previous stage's checkpoint")
-        params, meta = net.load_checkpoint(init_ckpt)
+        params, model_cfg = net.load_checkpoint(init_ckpt)
         params = {n: p if n.startswith(net.FROZEN_PREFIXES) else T.parameter(p.data, n)
                   for n, p in params.items()}
-        model_cfg = net.ModelConfig.from_meta(meta)
         model_cfg.temporal = True
         model_cfg.attention_enabled = cfg.attention
         if not any(name.startswith(net.LSTM_PREFIX) for name in params):

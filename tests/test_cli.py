@@ -50,6 +50,28 @@ def test_gen_refuses_nonsense_counts(tmp_path, capsys, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gen_refuses_a_one_frame_crossing_pair(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run("gen", "--scenario", "crossing-pair", "--frames", 1, "--out", out) == 1
+    assert capsys.readouterr() == (
+        "", "seqdet: error: a crossing pair needs >= 2 frames, got 1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_removes_the_directories_it_made(tmp_path, capsys):
+    """The parents of --out that a failing run created go with it; those
+    that were there before stay."""
+    assert run("gen", "--objects", -3, "--out", tmp_path / "a" / "b" / "x") == 1
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "a").mkdir()
+    assert run("gen", "--objects", -3, "--out", tmp_path / "a" / "b" / "x") == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "a"]
+    assert list((tmp_path / "a").iterdir()) == []
+    assert run("gen", "--frames", 2, "--out", tmp_path / "a" / "b" / "x") == 0
+    assert (tmp_path / "a" / "b" / "x" / "video_000" / "gt.csv").exists()
+    capsys.readouterr()
+
+
 def test_track_from_jsonl_deterministic(dataset, tmp_path):
     dets = dataset / "video_000" / "detections.jsonl"
     r1 = tmp_path / "r1.csv"
@@ -305,6 +327,40 @@ def test_bad_training_setting_fails_before_data_loads(tmp_path, capsys, stage, s
     assert code == 1
     assert capsys.readouterr().err == f"seqdet: error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("setting,flags,key,want", [
+    ("profile = mot", (), "profile", "mot"),
+    ("profile = mot", ("--profile", "vid"), "profile", "vid"),
+    (None, (), "profile", "vid"),
+    ("seed = 5", (), "seed", 5),
+    ("seed = 5", ("--seed", 7), "seed", 7),
+    ("seed = 5", ("--seed", 0), "seed", 0),
+    (None, (), "seed", 0),
+], ids=["profile_from_file", "profile_flag_over_file", "profile_default",
+        "seed_from_file", "seed_flag_over_file", "seed_flag_0_over_file", "seed_default"])
+def test_train_setting_precedence(tmp_path, setting, flags, key, want):
+    """Every key: an explicit flag, else the --config file, else the
+    TrainConfig default; args then hold what the run uses."""
+    config = ()
+    if setting is not None:
+        (tmp_path / "run.cfg").write_text(setting + "\n")
+        config = ("--config", str(tmp_path / "run.cfg"))
+    args = cli.build_parser().parse_args(
+        [*config, *map(str, flags), "train", "--stage", "1", "--data", "d", "--out", "o"])
+    cfg = cli._train_config_from_args(args)
+    assert getattr(cfg, key) == getattr(args, key) == want
+
+
+def test_train_logs_the_profile_of_its_config_file(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run("gen", "--videos", 1, "--frames", 2, "--out", data) == 0
+    (tmp_path / "run.cfg").write_text("profile = mot\nseed = 5\n")
+    assert run("--config", tmp_path / "run.cfg", "--seed", 7, "train", "--stage", 1,
+               "--epochs", 0, "--data", data, "--out", tmp_path / "s1") == 0
+    logged = (tmp_path / "s1" / "run_config.txt").read_text().splitlines()
+    assert "profile = mot" in logged and "seed = 7" in logged
+    capsys.readouterr()
 
 
 def test_outdir_env_override(dataset, tmp_path, monkeypatch):

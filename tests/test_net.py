@@ -653,14 +653,13 @@ def test_checkpoint_round_trip(tmp_path):
     cfg = net.ModelConfig()
     params = net.init_params(21, cfg)
     net.save_checkpoint(tmp_path / "ck", params, cfg.to_meta())
-    loaded, meta = net.load_checkpoint(tmp_path / "ck")
+    loaded, cfg2 = net.load_checkpoint(tmp_path / "ck")
     assert set(loaded) == set(params)
-    cfg2 = net.ModelConfig.from_meta(meta)
-    assert cfg2 == cfg
+    assert cfg2 == cfg and type(cfg2.temporal) is bool
     # values survive at f32 resolution; a second save is byte-identical
     for name in params:
         np.testing.assert_allclose(loaded[name].data, params[name].data, atol=1e-6)
-    net.save_checkpoint(tmp_path / "ck2", loaded, meta)
+    net.save_checkpoint(tmp_path / "ck2", loaded, cfg2.to_meta())
     for f in sorted((tmp_path / "ck").iterdir()):
         assert f.read_bytes() == (tmp_path / "ck2" / f.name).read_bytes()
 
@@ -719,13 +718,25 @@ def test_legacy_meta_with_dropout_rate_still_loads(tmp_path):
     assert "dropout_rate" not in meta.read_text()
     meta.write_text(meta.read_text() + "dropout_rate = 0.2\n")
     _params, loaded = net.load_checkpoint(tmp_path / "ck")
-    assert loaded["dropout_rate"] == "0.2"
-    assert net.ModelConfig.from_meta(loaded) == cfg
+    assert loaded == cfg
+
+
+@pytest.mark.parametrize("temporal,attention", [(False, True), (True, False)],
+                         ids=["static", "no_attention"])
+def test_checkpoint_loads_the_model_config_its_meta_describes(tmp_path, temporal, attention):
+    """An older static or --no-attention checkpoint, dropout_rate line
+    included, loads as the ModelConfig it was saved from."""
+    cfg = net.ModelConfig(num_classes=3, attention_enabled=attention, temporal=temporal)
+    net.save_checkpoint(tmp_path / "ck", net.init_params(25, cfg, with_lstm=temporal),
+                        {**cfg.to_meta(), "dropout_rate": "0.5"})
+    params, loaded = net.load_checkpoint(tmp_path / "ck")
+    assert loaded == cfg
+    assert set(params) == set(net.param_shapes(cfg, with_lstm=temporal))
 
 
 def test_forward_on_loaded_params_records_no_tape(tmp_path):
     cfg = _saved_checkpoint(tmp_path / "ck")
-    params, _meta = net.load_checkpoint(tmp_path / "ck")
+    params, _cfg = net.load_checkpoint(tmp_path / "ck")
     assert not any(p.requires_grad for p in params.values())
     frame = np.random.default_rng(24).random((3, net.INPUT_SIZE, net.INPUT_SIZE))
     outputs = list(net.frame_outputs([frame, frame], params, cfg, net.NetMode()))
@@ -858,7 +869,7 @@ def test_failed_checkpoint_write_leaves_nothing_behind(tmp_path, monkeypatch):
     monkeypatch.setattr(T, "save_tnsr", save_tnsr)
     net.save_checkpoint(tmp_path / "ck", params, cfg.to_meta())
     assert [p.name for p in tmp_path.iterdir()] == ["ck"]
-    loaded, _meta = net.load_checkpoint(tmp_path / "ck")
+    loaded, _cfg = net.load_checkpoint(tmp_path / "ck")
     np.testing.assert_allclose(loaded["backbone.stem.kernel"].data,
                                params["backbone.stem.kernel"].data, atol=1e-6)
     assert ((tmp_path / "ck" / "backbone.stem.kernel.tnsr").read_bytes()

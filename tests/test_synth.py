@@ -76,6 +76,13 @@ def test_scale_change_size_ramps():
     assert w_last > 2 * w0
 
 
+@pytest.mark.parametrize("length", [1, 0, -3])
+def test_crossing_pair_refuses_fewer_than_two_frames(length):
+    with pytest.raises(ConfigError, match=rf"crossing pair needs >= 2 frames, got {length}$"):
+        synth.crossing_pair(0, length=length)
+    assert len(synth.gen_sequence(synth.crossing_pair(0, length=2)).frames) == 2
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(ConfigError):
         synth.build_scenario("zoom", 0)
@@ -154,12 +161,15 @@ def _one_row_video(tmp_path, gt_row):
                                  "1,1,1,2,3,4,1,-1,-1,-1,2.0", "1e0,3.000,1,2,3,4,1,-1,-1,-1,2"],
                          ids=["frame", "id", "class", "exponent"])
 def test_gt_whole_number_floats_load_in_both_mot_readers(tmp_path, row):
+    """load_video_dir reads gt.csv through tracker.mot_rows, the reader
+    behind read_mot_csv: both give the same ints."""
     video = _one_row_video(tmp_path, row)
     vid = synth.load_video_dir(video)
     (mot,) = TK.read_mot_csv(video / "gt.csv")
     assert mot[0] == 1 and type(mot[0]) is int and type(mot[1]) is int
+    assert type(mot[10]) is int
     assert vid.ids[0].tolist() == [mot[1]]
-    assert vid.classes[0].tolist() == [int(mot[10])] == [2]
+    assert vid.classes[0].tolist() == [mot[10]] == [2]
 
 
 @pytest.mark.parametrize("row", ["1.5,1,1,2,3,4,1,-1,-1,-1,2", "1,1.5,1,2,3,4,1,-1,-1,-1,2",
@@ -169,12 +179,37 @@ def test_gt_whole_number_floats_load_in_both_mot_readers(tmp_path, row):
                          ids=["frame", "id", "class", "id_inf", "class_400_digits",
                               "frame_400_digits"])
 def test_gt_fractional_integer_field_fails_in_both_mot_readers(tmp_path, row):
+    """One rule and one message, whichever entry point reads the row."""
     video = _one_row_video(tmp_path, row)
-    with pytest.raises(ParseError, match=r"gt\.csv:1: bad gt row \(frame, id and class "
-                                         r"must be whole numbers"):
+    with pytest.raises(ParseError, match=r"gt\.csv:1: bad number \(frame, id and class "
+                                         r"must be whole numbers within 64 bits, got ") as gt:
         synth.load_video_dir(video)
-    with pytest.raises(ParseError, match=r"gt\.csv:1: .*must be (whole numbers|an integer)"):
+    with pytest.raises(ParseError) as mot:
         TK.read_mot_csv(video / "gt.csv")
+    assert str(gt.value) == str(mot.value)
+    assert "\n" not in str(gt.value)
+
+
+@pytest.mark.parametrize("row,message", [
+    ("2,1,1,2,3,4", "expected >= 7 columns, got 6"),
+    ("2,1,1,2,3", "expected >= 7 columns, got 5"),
+    ("2,1,1,2,3,4,x,-1,-1,-1,2", "bad number"),
+    ("2,1,1,2,3,4,1,-1,n/a,-1,2", "bad number"),
+    ("2,1,1,2,3,4,nan,-1,-1,-1,2", "box and conf must be finite"),
+], ids=["six_columns", "five_columns", "conf_not_a_number", "column_9_not_a_number",
+        "conf_nan"])
+def test_gt_row_is_read_under_the_mot_csv_rules(tmp_path, row, message):
+    """gt.csv needs the 7 MOT columns, every column a number and a finite
+    conf, like any MOT CSV."""
+    video = _two_frame_video(tmp_path, row)
+    with pytest.raises(ParseError, match=rf"gt\.csv:2: {message}"):
+        synth.load_video_dir(video)
+
+
+def test_gt_row_without_a_class_column_is_class_1(tmp_path):
+    vid = synth.load_video_dir(_two_frame_video(tmp_path, "2,7,8,16,4,2,1,-1,-1,-1"))
+    assert vid.ids[1].tolist() == [7] and vid.classes[1].tolist() == [1]
+    np.testing.assert_array_equal(vid.boxes_norm[1], [[1.0, 2.0, 1.5, 2.25]])
 
 
 @pytest.mark.parametrize("shapes", [((3, 8, 8), (3, 6, 6)), ((3, 8, 8), (1, 8, 8)),

@@ -405,12 +405,14 @@ def test_mot_csv_frame_or_id_beyond_int_is_parse_error(tmp_path, frame, tid):
 def test_mot_csv_fractional_frame_or_id_is_parse_error(tmp_path):
     p = tmp_path / "frac.csv"
     p.write_text("1.5,2.9,0,0,5,5,0.9,-1,-1,-1\n")
-    with pytest.raises(ParseError, match=r"frac\.csv:1: bad number \(frame and id must be "
-                                         r"whole numbers, got '1\.5', '2\.9'"):
+    with pytest.raises(ParseError, match=r"frac\.csv:1: bad number \(frame, id and class "
+                                         r"must be whole numbers within 64 bits, "
+                                         r"got '1\.5', '2\.9'\)$"):
         TK.read_mot_csv(p)
     p.write_text("1,1,0,0,5,5,0.9\n2,2.5,0,0,5,5,0.9\n")
-    with pytest.raises(ParseError, match=r"frac\.csv:2: bad number \(frame and id must be "
-                                         r"whole numbers, got '2', '2\.5'"):
+    with pytest.raises(ParseError, match=r"frac\.csv:2: bad number \(frame, id and class "
+                                         r"must be whole numbers within 64 bits, "
+                                         r"got '2', '2\.5'\)$"):
         TK.read_mot_csv(p)
 
 
@@ -449,7 +451,9 @@ def test_mot_csv_non_finite_box_or_conf_is_parse_error(tmp_path, fields):
 def test_ingest_class_column_must_be_an_integer(tmp_path, cls):
     p = tmp_path / "cls.csv"
     p.write_text(f"1,1,0,0,5,5,0.9,-1,-1,-1,2\n1,2,0,0,5,5,0.9,-1,-1,-1,{cls}\n")
-    with pytest.raises(ParseError, match=r"cls\.csv:2: class must be an integer"):
+    with pytest.raises(ParseError, match=rf"cls\.csv:2: bad number \(frame, id and class "
+                                         rf"must be whole numbers within 64 bits, "
+                                         rf"got '1', '2', '{cls}'\)$"):
         TK.ingest_detections(p)
 
 

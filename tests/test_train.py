@@ -379,10 +379,10 @@ def test_stage1_then_stage2_freezing_and_split(tiny_root, tmp_path):
 
     params1, _ = net.load_checkpoint(s1["checkpoint"])
     s2 = TR.run_stage(2, tiny_root, tmp_path / "s2", cfg, init_ckpt=s1["checkpoint"])
-    params2, meta2 = net.load_checkpoint(s2["checkpoint"])
+    params2, model_cfg2 = net.load_checkpoint(s2["checkpoint"])
     assert frozen_bytes(params1) == frozen_bytes(params2) != {}
     assert any(n.startswith("lstm.") for n in params2)
-    assert net.ModelConfig.from_meta(meta2).temporal
+    assert model_cfg2.temporal
     # heads and temporal units actually moved
     moved_head = any(not np.array_equal(params1[n].data, params2[n].data)
                      for n in params1 if n.startswith("head."))
@@ -456,12 +456,11 @@ def test_same_seed_same_checkpoint_bytes(tiny_root, tmp_path):
 def test_optimizer_split_update_rules(tiny_root, tmp_path):
     s1 = TR.run_stage(1, tiny_root, tmp_path / "s1", TR.TrainConfig(seed=6, epochs=1))
     cfg2 = TR.TrainConfig(seed=6, epochs=1, stage=2).resolved()
-    params, meta = net.load_checkpoint(s1["checkpoint"])
+    params, model_cfg = net.load_checkpoint(s1["checkpoint"])
     # promoted as run_stage does: every tensor outside FROZEN_PREFIXES trains
     params = {n: p if n.startswith(net.FROZEN_PREFIXES) else T.parameter(p.data, n)
               for n, p in params.items()}
     net.init_lstm_params(np.random.default_rng(0), params)
-    model_cfg = net.ModelConfig.from_meta(meta)
     model_cfg.temporal = True
     videos = sorted(load_dataset_root(tiny_root), key=lambda v: v.name)
     indices, mode = sample_and_mode(videos[0], cfg2, 7)
