@@ -22,7 +22,7 @@ from . import tensor as T
 from . import tracker as TK
 from . import train as TR
 from .errors import ConfigError
-from .postproc import read_detections_jsonl, write_detections_jsonl
+from .postproc import read_detections_jsonl, whole_int, write_detections_jsonl
 from .synth import (build_scenario, gen_sequence, load_dataset_root,
                     load_video_dir, oracle_detections, write_dataset)
 
@@ -130,7 +130,7 @@ def cmd_detect(args, guard):
 def _tracker_params(args):
     return TK.TrackerParams(match_threshold=args.T, generation_score=args.G,
                             tub_len_max=args.tub_len, max_miss=args.max_miss,
-                            similarity=args.similarity).validate()
+                            similarity=args.similarity)
 
 
 def cmd_track(args, guard):
@@ -139,11 +139,11 @@ def cmd_track(args, guard):
         by_frame = read_detections_jsonl(args.dets)
         frames = [(f, by_frame[f]) for f in sorted(by_frame)]
     elif args.mot:
-        frames = TK.ingest_detections(args.mot, args.embeddings, canvas=args.canvas)
+        frames = TK.ingest_detections(args.mot, args.embeddings)
     else:
         raise ConfigError("track needs --dets JSONL or --mot CSV input")
     tracked = TK.track_frames(frames, _tracker_params(args))
-    TK.write_mot_csv(out, tracked, canvas=args.canvas)
+    TK.write_mot_csv(out, tracked)
     _log_config(out.parent, args)
     print(f"[track] wrote {out}")
     return 0
@@ -204,15 +204,22 @@ def cmd_grad_check(args, guard):
 
 
 def _sweep_values(args):
+    """The --values list as floats: not empty, and whole numbers >= 1 for
+    tub_len, the rule --tub-len follows."""
     try:
-        return [float(v) for v in args.values.split(",") if v.strip()]
+        values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --values list: {args.values!r}") from exc
+    if not values:
+        raise ConfigError(f"--values lists no value: {args.values!r}")
+    if args.param == "tub_len" and not all((whole_int(v) or 0) >= 1 for v in values):
+        raise ConfigError(f"tub_len values must be whole numbers >= 1, got {args.values!r}")
+    return values
 
 
 def cmd_sweep(args, guard):
-    out = guard.register(_resolve_out(args.out))
     values = _sweep_values(args)
+    out = guard.register(_resolve_out(args.out))
     rows = []
     if args.param == "theta":
         if not (args.data and args.init):
@@ -235,15 +242,15 @@ def cmd_sweep(args, guard):
         by_frame = read_detections_jsonl(args.dets)
         frames = [(f, by_frame[f]) for f in sorted(by_frame)]
         gt_rows = TK.read_mot_csv(args.gt_csv)
+        base = _tracker_params(args)
         for v in values:
-            params = _tracker_params(args)
             if args.param == "T":
-                params = replace(params, match_threshold=v)
+                params = replace(base, match_threshold=v)
             else:
-                params = replace(params, tub_len_max=max(int(v), 1))
+                params = replace(base, tub_len_max=int(v))
             tracked = TK.track_frames(frames, params)
             res_path = guard.register(out.parent / f"{out.stem}_{args.param}{v}.csv")
-            TK.write_mot_csv(res_path, tracked, canvas=args.canvas)
+            TK.write_mot_csv(res_path, tracked)
             rep = EV.mot_metrics(TK.read_mot_csv(res_path), gt_rows)
             rows.append((v, rep.mota, rep.ids))
         header = f"{args.param},MOTA,IDS"
@@ -312,7 +319,6 @@ def build_parser():
     tracker_flags.add_argument("--max-miss", dest="max_miss", type=int, default=10)
     tracker_flags.add_argument("--similarity", default="attention_iou",
                                choices=("attention_iou", "iou_only"))
-    tracker_flags.add_argument("--canvas", type=int, default=96)
 
     g = sub.add_parser("gen", help="generate synthetic video datasets")
     g.add_argument("--scenario", default="random",

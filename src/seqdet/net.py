@@ -30,10 +30,10 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .postproc import PRIORS_PER_CELL, TOY_SIZES
+from .postproc import CANVAS, PRIORS_PER_CELL, TOY_SIZES
 from .tensor import Tensor
 
-INPUT_SIZE = 96
+INPUT_SIZE = CANVAS
 TOY_CHANNELS = (32, 64, 32, 16, 16, 16)
 C_LOW = 64
 C_HIGH = 16

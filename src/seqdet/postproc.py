@@ -18,6 +18,7 @@ from .tensor import softmax_rows  # noqa: F401 (re-exported for train)
 
 VARIANCES = (0.1, 0.2)
 
+CANVAS = 96                        # frame side in pixels
 TOY_SIZES = (24, 12, 6, 3, 2, 1)
 PRIORS_PER_CELL = 2
 SCALE_MIN = 0.1
@@ -52,11 +53,6 @@ class Detection:
     av: np.ndarray | None = None       # appearance vector (length 147 in-network)
     id: int = -1
     prior_index: int | None = None     # provenance inside the prior grid
-
-    def copy(self):
-        return Detection(self.class_id, self.score, self.box.copy(),
-                         None if self.av is None else self.av.copy(),
-                         self.id, self.prior_index)
 
 
 def make_priors():

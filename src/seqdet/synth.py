@@ -17,11 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .postproc import Detection
+from .postproc import CANVAS, Detection
 from .tensor import load_tnsr, save_tnsr
 from .tracker import mot_rows
 
-CANVAS = 96
 NUM_CLASSES = 4
 MIN_BOX = 4
 
@@ -41,7 +40,6 @@ class ObjectSpec:
 @dataclass
 class SceneSpec:
     length: int = 16
-    canvas: int = CANVAS
     seed: int = 0
     objects: list = field(default_factory=list)
     scenario: str = "custom"
@@ -53,8 +51,6 @@ class SceneSpec:
     def validate(self):
         if self.length < 1:
             raise ConfigError(f"sequence length must be >= 1, got {self.length}")
-        if self.canvas < 16:
-            raise ConfigError(f"canvas too small: {self.canvas}")
         for o in self.objects:
             if not 1 <= o.class_id <= NUM_CLASSES:
                 raise ConfigError(f"class_id {o.class_id} outside 1..{NUM_CLASSES}")
@@ -68,9 +64,9 @@ class GtBox:
     class_id: int
     box_px: np.ndarray        # (left, top, width, height) in pixels
 
-    def corners_norm(self, canvas=CANVAS):
+    def corners_norm(self):
         l, t, w, h = self.box_px
-        return np.array([l, t, l + w, t + h], dtype=np.float64) / canvas
+        return np.array([l, t, l + w, t + h], dtype=np.float64) / CANVAS
 
 
 @dataclass
@@ -133,7 +129,7 @@ def gen_sequence(spec: SceneSpec) -> Sequence:
     tests/refimpl.gen_sequence_reference.
     """
     spec.validate()
-    s = spec.canvas
+    s = CANVAS
     rng_bg = np.random.default_rng((spec.seed, 0xB6))
     background = 0.1 + 0.08 * rng_bg.random((3, s, s))
     rows = np.arange(s)[:, None]
@@ -187,14 +183,13 @@ def gen_sequence(spec: SceneSpec) -> Sequence:
 # scenario library
 
 
-def random_scene(seed, num_objects=2, length=16, canvas=CANVAS, flicker=0.0,
-                 occluder=False, blink=0.0):
+def random_scene(seed, num_objects=2, length=16, flicker=0.0, occluder=False, blink=0.0):
     if num_objects < 0:
         raise ConfigError(f"number of objects must be >= 0, got {num_objects}")
     rng = np.random.default_rng((seed, 0x5C))
     bar = None
     if occluder:
-        x0 = float(rng.uniform(canvas * 0.35, canvas * 0.55))
+        x0 = float(rng.uniform(CANVAS * 0.35, CANVAS * 0.55))
         bar = (x0, x0 + float(rng.uniform(16, 22)))
     objs = []
     for i in range(num_objects):
@@ -203,8 +198,8 @@ def random_scene(seed, num_objects=2, length=16, canvas=CANVAS, flicker=0.0,
         objs.append(ObjectSpec(
             obj_id=i,
             class_id=int(rng.integers(1, NUM_CLASSES + 1)),
-            cx=float(rng.uniform(half, canvas - half)),
-            cy=float(rng.uniform(half, canvas - half)),
+            cx=float(rng.uniform(half, CANVAS - half)),
+            cy=float(rng.uniform(half, CANVAS - half)),
             vx=float(rng.uniform(1.0, 3.0) * rng.choice([-1, 1])),
             vy=float(rng.uniform(1.0, 3.0) * rng.choice([-1, 1])),
             size=size,
@@ -212,11 +207,11 @@ def random_scene(seed, num_objects=2, length=16, canvas=CANVAS, flicker=0.0,
         # A draw nothing reads: it fixes the stream positions the next
         # objects read from, so each seed keeps giving the same scene.
         rng.random()
-    return SceneSpec(length=length, canvas=canvas, seed=seed, objects=objs,
-                     scenario="random", flicker=flicker, occluder=bar, blink=blink)
+    return SceneSpec(length=length, seed=seed, objects=objs, scenario="random",
+                     flicker=flicker, occluder=bar, blink=blink)
 
 
-def crossing_pair(seed, length=20, canvas=CANVAS):
+def crossing_pair(seed, length=20):
     """Two same-class objects swap sides along one horizontal line."""
     if length < 2:
         raise ConfigError(f"a crossing pair needs >= 2 frames, got {length}")
@@ -224,27 +219,25 @@ def crossing_pair(seed, length=20, canvas=CANVAS):
     cls = int(rng.integers(1, NUM_CLASSES + 1))
     size = float(rng.uniform(18, 24))
     half = size / 2
-    y = float(rng.uniform(canvas * 0.35, canvas * 0.65))
+    y = float(rng.uniform(CANVAS * 0.35, CANVAS * 0.65))
     jitter = float(rng.uniform(-2.0, 2.0))
-    span = canvas - 2 * half - 4
+    span = CANVAS - 2 * half - 4
     speed = span / (length - 1)
     objs = [
         ObjectSpec(0, cls, cx=half + 2, cy=y, vx=speed, vy=0.0, size=size),
-        ObjectSpec(1, cls, cx=canvas - half - 2, cy=y + jitter, vx=-speed, vy=0.0,
+        ObjectSpec(1, cls, cx=CANVAS - half - 2, cy=y + jitter, vx=-speed, vy=0.0,
                    size=size),
     ]
-    return SceneSpec(length=length, canvas=canvas, seed=seed, objects=objs,
-                     scenario="crossing-pair")
+    return SceneSpec(length=length, seed=seed, objects=objs, scenario="crossing-pair")
 
 
-def scale_change(seed, length=16, canvas=CANVAS):
+def scale_change(seed, length=16):
     """One object crossing slowly while its size ramps up."""
     rng = np.random.default_rng((seed, 0x5A))
     cls = int(rng.integers(1, NUM_CLASSES + 1))
-    objs = [ObjectSpec(0, cls, cx=canvas * 0.3, cy=float(rng.uniform(30, 66)),
+    objs = [ObjectSpec(0, cls, cx=CANVAS * 0.3, cy=float(rng.uniform(30, 66)),
                        vx=1.2, vy=0.0, size=12.0, size_end=40.0)]
-    return SceneSpec(length=length, canvas=canvas, seed=seed, objects=objs,
-                     scenario="scale-change")
+    return SceneSpec(length=length, seed=seed, objects=objs, scenario="scale-change")
 
 
 SCENARIOS = {"random": random_scene, "crossing-pair": crossing_pair,
@@ -280,7 +273,7 @@ def oracle_detections(seq: Sequence, conf=0.9, jitter=0.02):
             av = np.clip(base[gtb.obj_id] + rng.normal(0, jitter, 147), 0.02, 0.98)
             dets.append(Detection(gtb.class_id,
                                   min(max(conf + rng.normal(0, 0.02), 0.5), 0.99),
-                                  gtb.corners_norm(seq.spec.canvas), av=av))
+                                  gtb.corners_norm(), av=av))
         out.append((fidx, dets))
     return out
 
@@ -310,7 +303,6 @@ class Video:
     ids: list                    # per frame: int array
     classes: list                # per frame: int array
     boxes_norm: list             # per frame: [N,4] corner-form normalized
-    canvas: int = CANVAS
 
 
 def _gt_row_problem(frame, w, h, cls, num_frames):
@@ -338,7 +330,7 @@ def load_video_dir(path) -> Video:
         if frame.shape != shape:
             raise ConfigError(f"{f}: frame shape {list(frame.shape)} differs from "
                               f"the first frame's {list(shape)}")
-    canvas = shape[-1]
+    side = shape[-1]              # gt is normalised by the frames' own size
     per = {i: ([], [], []) for i in range(1, len(frames) + 1)}
     gt_path = path / "gt.csv"
     if gt_path.exists():
@@ -351,14 +343,13 @@ def load_video_dir(path) -> Video:
             ids, clss, bn = per[fidx]
             ids.append(oid)
             clss.append(cls)
-            bn.append([l / canvas, t / canvas, (l + w) / canvas, (t + h) / canvas])
+            bn.append([l / side, t / side, (l + w) / side, (t + h) / side])
     return Video(
         name=path.name,
         frames=frames,
         ids=[np.array(per[i][0], dtype=int) for i in sorted(per)],
         classes=[np.array(per[i][1], dtype=int) for i in sorted(per)],
         boxes_norm=[np.array(per[i][2], dtype=np.float64).reshape(-1, 4) for i in sorted(per)],
-        canvas=canvas,
     )
 
 

@@ -244,16 +244,6 @@ def sigmoid(x):
     return Tensor(out, (x,), bwd)
 
 
-def tanh(x):
-    out = np.tanh(x.data)
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accumulate(g * (1.0 - out * out))
-
-    return Tensor(out, (x,), bwd)
-
-
 def relu(x):
     def bwd(g):
         if x.requires_grad:

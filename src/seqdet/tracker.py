@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .postproc import Detection, iou_matrix, whole_int
+from .postproc import CANVAS, Detection, iou_matrix, whole_int
 from .postproc import iou  # noqa: F401 (a lookup site perfbench's tracer tests wrap)
 from .tensor import bilinear_weights, load_tnsr
 
@@ -35,7 +35,7 @@ class TrackerParams:
     similarity: str = "attention_iou"  # or "iou_only"
 
     def validate(self):
-        if self.match_threshold <= 0:
+        if not self.match_threshold > 0:     # nan too
             raise ConfigError(f"match_threshold must be > 0, got {self.match_threshold}")
         if not 0 < self.generation_score <= 1:
             raise ConfigError(
@@ -52,7 +52,6 @@ class TrackerParams:
 @dataclass
 class Tubelet:
     id: int
-    class_id: int
     objs: list               # Detections, most recent first, <= tub_len_max
     last_seen: int
 
@@ -105,51 +104,43 @@ def tubelet_similarity(dets, tubs, mode="attention_iou"):
 
 def update_tracks(dets, state: TrackState, params: TrackerParams, frame_idx):
     """One frame of identity assignment; mutates dets' ids and the state.
+    params must have passed TrackerParams.validate().
 
     Per class (ascending), detections in descending score order:
-      1. each detection takes the id of its highest-similarity tubelet
-         (the first of equal maxima) if that similarity strictly exceeds
-         the match threshold;
-      2. a tubelet claimed by several detections keeps only the best one,
-         the rest fall back to -1;
-      3. any unassigned detection whose confidence strictly exceeds the
-         generation score receives a fresh, never-reused id;
-      4. matched tubelets absorb their detection (newest first, truncated
+      1. each detection claims its highest-similarity tubelet (the first
+         of equal maxima) if that similarity strictly exceeds the match
+         threshold;
+      2. a tubelet claimed by several detections goes to the one with the
+         highest similarity (the first in score order on a tie);
+      3. any detection left without a tubelet whose confidence strictly
+         exceeds the generation score receives a fresh, never-reused id;
+      4. claimed tubelets absorb their detection (newest first, truncated
          to tub_len_max), stale tubelets are dropped, new ids found new
          tubelets. Classes without tubelets skip straight to step 3.
     """
-    params.validate()
     classes = sorted(set(d.class_id for d in dets) | set(state.tubs))
     for cls in classes:
         tubs = state.tubs.get(cls, [])
         objs = sorted([d for d in dets if d.class_id == cls],
                       key=lambda d: -d.score)
-        claims = {}          # tubelet id -> list of (similarity, claimant)
+        won = {}             # tubelet index -> (similarity, detection) of its best claimant
         if tubs and objs:
             sim = tubelet_similarity(objs, tubs, params.similarity)
-            for obj, row, best in zip(objs, sim, sim.argmax(axis=1)):
-                if row[best] > params.match_threshold:
-                    obj.id = tubs[best].id
-                    claims.setdefault(obj.id, []).append((row[best], obj))
-            for tub in tubs:
-                contest = claims.get(tub.id, [])
-                if len(contest) > 1:
-                    best = max(range(len(contest)), key=lambda i: contest[i][0])
-                    for i, (_s, obj) in enumerate(contest):
-                        if i != best:
-                            obj.id = -1
-                    claims[tub.id] = [contest[best]]
+            for obj, row, best in zip(objs, sim, sim.argmax(axis=1).tolist()):
+                # beat the threshold and every earlier claimant
+                if row[best] > won.get(best, (params.match_threshold,))[0]:
+                    won[best] = (row[best], obj)
+        for i, (_s, obj) in won.items():
+            obj.id = tubs[i].id
         for obj in objs:
             if obj.id == -1 and obj.score > params.generation_score:
                 obj.id = state.next_id
                 state.next_id += 1
-                tubs.append(Tubelet(obj.id, cls, [obj], frame_idx))
-        matched = {tid: c[0][1] for tid, c in claims.items() if c}
+                tubs.append(Tubelet(obj.id, [obj], frame_idx))
         kept = []
-        for tub in tubs:
-            if tub.id in matched:
-                tub.objs = [matched[tub.id]] + tub.objs
-                tub.objs = tub.objs[:params.tub_len_max]
+        for i, tub in enumerate(tubs):
+            if i in won:
+                tub.objs = [won[i][1]] + tub.objs[:params.tub_len_max - 1]
                 tub.last_seen = frame_idx
             if frame_idx - tub.last_seen <= params.max_miss:
                 kept.append(tub)
@@ -180,7 +171,7 @@ def _check_appearance(frames):
 def track_frames(frames, params: TrackerParams | None = None):
     """Run one tracker stream over [(frame_idx, dets), ...] in order. The
     ids the detections carry in are discarded."""
-    params = params or TrackerParams()
+    params = (params or TrackerParams()).validate()
     if params.similarity == "attention_iou":
         _check_appearance(frames)
     state = TrackState()
@@ -195,16 +186,17 @@ def track_frames(frames, params: TrackerParams | None = None):
 
 # ---------------------------------------------------------------------------
 # MOT result CSV: frame,id,bb_left,bb_top,bb_width,bb_height,conf,-1,-1,-1
-# frame and id are 1-based integers, coordinates in canvas pixels.
+# frame and id are 1-based integers, coordinates in pixels of the
+# CANVAS-sized frame.
 
 
-def write_mot_csv(path, frames, canvas=96):
+def write_mot_csv(path, frames):
     with open(path, "w") as fh:
         for fidx, dets in frames:
             for d in dets:
                 if d.id < 0:
                     continue
-                x1, y1, x2, y2 = d.box * canvas
+                x1, y1, x2, y2 = d.box * CANVAS
                 fh.write(f"{int(fidx)},{d.id + 1},{x1:.2f},{y1:.2f},"
                          f"{x2 - x1:.2f},{y2 - y1:.2f},{d.score:.4f},-1,-1,-1\n")
 
@@ -259,7 +251,7 @@ def read_mot_csv(path):
     return [row for _lineno, row in mot_rows(path)]
 
 
-def ingest_detections(csv_path, embeddings_path=None, canvas=96):
+def ingest_detections(csv_path, embeddings_path=None):
     """Read externally produced results back into per-frame Detection lists.
 
     Rows follow the result CSV layout; an 11th column, when present, is
@@ -281,7 +273,7 @@ def ingest_detections(csv_path, embeddings_path=None, canvas=96):
     for i, row in enumerate(rows):
         frame, tid, left, top, w, h, conf = row[:7]
         cls = int(row[10]) if len(row) > 10 else 1
-        box = np.array([left, top, left + w, top + h], dtype=np.float64) / canvas
+        box = np.array([left, top, left + w, top + h], dtype=np.float64) / CANVAS
         det = Detection(cls, float(conf), box,
                         av=None if emb is None else emb[i].copy(),
                         id=int(tid) - 1 if tid >= 1 else -1)

@@ -285,7 +285,8 @@ def _train_sequence(params, video, indices, cfg, model_cfg, priors, mode, with_a
 
 
 def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
-    """Train one stage and write checkpoint + loss CSV into out_dir.
+    """Train one stage and write checkpoint + loss CSV into out_dir;
+    returns their paths as {"checkpoint": ..., "loss_csv": ...}.
 
     Stage 1 trains the static model on shuffled single frames with SGD.
     Stages 2 and 3 load the previous checkpoint, train only the temporal
@@ -356,8 +357,7 @@ def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
     (out_dir / "loss.csv").write_text("".join(rows))
     ckpt_dir = out_dir / "checkpoint"
     net.save_checkpoint(ckpt_dir, params, model_cfg.to_meta())
-    return {"checkpoint": ckpt_dir, "loss_csv": out_dir / "loss.csv",
-            "params": params, "model_cfg": model_cfg, "epochs": cfg.epochs}
+    return {"checkpoint": ckpt_dir, "loss_csv": out_dir / "loss.csv"}
 
 
 # ---------------------------------------------------------------------------

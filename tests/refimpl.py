@@ -3,8 +3,8 @@
 Everything here is deliberately naive (nested loops, exhaustive argmax
 scans) and shares no code with the package under test, except two parts.
 The renderer oracle returns synth's data classes. The composed graphs at
-the end are built from the engine's primitive ops, plus the mul and concat
-nodes defined here, as the oracles of its fused nodes: the recurrent step
+the end are built from the engine's primitive ops, plus the mul, concat and
+tanh nodes defined here, as the oracles of its fused nodes: the recurrent step
 of tensor.convlstm_cell, the heads of tensor.conv_gather and the attention
 loss of tensor.bce_mean.
 """
@@ -270,7 +270,7 @@ def gen_sequence_reference(spec):
     (seed, 0x7E, obj_id) for every object-frame, and a boolean-mask
     assignment of the texture."""
     spec.validate()
-    s = spec.canvas
+    s = synth.CANVAS
     rng_bg = np.random.default_rng((spec.seed, 0xB6))
     background = 0.1 + 0.08 * rng_bg.random((3, s, s))
     yy, xx = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
@@ -395,6 +395,17 @@ def mul(a, b):
     return T.Tensor(a.data * b.data, (a, b), bwd)
 
 
+def tanh(x):
+    """Elementwise tanh node."""
+    out = np.tanh(x.data)
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accumulate(g * (1.0 - out * out))
+
+    return T.Tensor(out, (x,), bwd)
+
+
 def concat(tensors):
     """Join tensors along axis 0 (channels of [C,H,W] maps, rows of [N,W]
     tables); the other dimensions must agree."""
@@ -422,9 +433,9 @@ def composed_convlstm_cell(parts, kernel, bias, s_prev):
     i = T.sigmoid(T.slice_channels(fused, 0, c))
     f = T.sigmoid(T.slice_channels(fused, c, 2 * c))
     o = T.sigmoid(T.slice_channels(fused, 2 * c, 3 * c))
-    cc = T.tanh(T.slice_channels(fused, 3 * c, 4 * c))
+    cc = tanh(T.slice_channels(fused, 3 * c, 4 * c))
     s = T.add(mul(f, s_prev), mul(i, cc))
-    return mul(o, T.tanh(s)), s
+    return mul(o, tanh(s)), s
 
 
 def attention_product(a, x):

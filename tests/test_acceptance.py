@@ -5,6 +5,7 @@ import csv
 import math
 import time
 import zlib
+from dataclasses import replace
 from filecmp import cmp
 
 import numpy as np
@@ -20,13 +21,18 @@ from seqdet import tracker as TK
 from seqdet import train as TR
 from seqdet.synth import crossing_pair, gen_sequence, oracle_detections, random_scene
 
-from refimpl import concat, mul, naive_nms
+from refimpl import concat, mul, naive_nms, tanh
 from test_tensor import OPS, _max_rel_err
 from test_tracker import ota_reference
 
 
 def report(tag, detail=""):
     print(f"[acceptance] {tag}: PASS {detail}")
+
+
+def copy_detection(d):
+    """d with its own box and av arrays."""
+    return replace(d, box=d.box.copy(), av=None if d.av is None else d.av.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +109,9 @@ def test_c03_attention_toggle_reproduces_plain_convlstm_bitwise():
             i = T.sigmoid(T.slice_channels(fused, 0, cu))
             f = T.sigmoid(T.slice_channels(fused, cu, 2 * cu))
             o = T.sigmoid(T.slice_channels(fused, 2 * cu, 3 * cu))
-            cc = T.tanh(T.slice_channels(fused, 3 * cu, 4 * cu))
+            cc = tanh(T.slice_channels(fused, 3 * cu, 4 * cu))
             s = T.add(mul(f, s), mul(i, cc))
-            h = mul(o, T.tanh(s))
+            h = mul(o, tanh(s))
         assert np.array_equal(h.data, state[lvl][0].data)
         assert np.array_equal(s.data, state[lvl][1].data)
     report("C3 attention-off equals plain ConvLSTM", "(bitwise, 3 frames unrolled)")
@@ -144,13 +150,13 @@ def test_c05_tracker_update_matches_exhaustive_reference_500_cases():
             members = [pp.Detection(1, 0.9, np.sort(rng.random(4)),
                                     av=rng.random(147) + 0.01)
                        for _ in range(int(rng.integers(1, 4)))]
-            tubs.append(TK.Tubelet(ti, 1, members,
+            tubs.append(TK.Tubelet(ti, members,
                                    int(rng.integers(max(1, frame_idx - 6), frame_idx))))
         dets = [pp.Detection(1, float(rng.uniform(0.1, 1.0)), np.sort(rng.random(4)),
                              av=rng.random(147) + 0.01)
                 for _ in range(int(rng.integers(0, 7)))]
         ref_ids, ref_tubs, _ = ota_reference(dets, tubs, params, frame_idx, 50)
-        state = TK.TrackState(tubs={1: [TK.Tubelet(t.id, 1, list(t.objs), t.last_seen)
+        state = TK.TrackState(tubs={1: [TK.Tubelet(t.id, list(t.objs), t.last_seen)
                                         for t in tubs]} if tubs else {}, next_id=50)
         TK.update_tracks(list(dets), state, params, frame_idx)
         assert [d.id for d in dets] == ref_ids, case
@@ -162,7 +168,7 @@ def test_c05_tracker_update_matches_exhaustive_reference_500_cases():
     for seed in range(6):
         seq = gen_sequence(crossing_pair(seed) if seed % 2
                            else random_scene(seed, num_objects=3, length=20))
-        frames = [(fidx, [d.copy() for d in dets])
+        frames = [(fidx, [copy_detection(d) for d in dets])
                   for fidx, dets in oracle_detections(seq)]
         for _fidx, out in TK.track_frames(frames):
             for cls in set(d.class_id for d in out):
@@ -181,7 +187,7 @@ def _mot_rows_from_gt(seq):
 
 
 def _track_to_rows(seq, params):
-    frames = [(f, [d.copy() for d in ds]) for f, ds in oracle_detections(seq)]
+    frames = [(f, [copy_detection(d) for d in ds]) for f, ds in oracle_detections(seq)]
     rows = []
     for f, dets in TK.track_frames(frames, params):
         for d in dets:

@@ -186,6 +186,39 @@ def test_sweep_tub_len(dataset, tmp_path):
     assert len(out.read_text().strip().splitlines()) == 4
 
 
+@pytest.mark.parametrize("values, message", [
+    ("0,-5,2.7", "tub_len values must be whole numbers >= 1, got '0,-5,2.7'"),
+    ("2.7", "tub_len values must be whole numbers >= 1, got '2.7'"),
+    ("1,nan", "tub_len values must be whole numbers >= 1, got '1,nan'"),
+    ("", "--values lists no value: ''"),
+    (" , ", "--values lists no value: ' , '"),
+])
+def test_sweep_refuses_bad_values_and_writes_nothing(dataset, tmp_path, capsys, values,
+                                                     message):
+    dets = dataset / "video_000" / "detections.jsonl"
+    gt = dataset / "video_000" / "gt.csv"
+    assert run("sweep", "--param", "tub_len", "--values", values, "--dets", dets,
+               "--gt-csv", gt, "--out", tmp_path / "sw" / "tl.csv") == 1
+    assert capsys.readouterr().err == f"seqdet: error: {message}\n"
+    assert list(tmp_path.iterdir()) == [dataset]
+
+
+def test_track_refuses_a_nan_match_threshold(dataset, tmp_path, capsys):
+    out = tmp_path / "trk" / "r.csv"
+    assert run("track", "--dets", dataset / "video_000" / "detections.jsonl",
+               "--T", "nan", "--out", out) == 1
+    assert capsys.readouterr().err == "seqdet: error: match_threshold must be > 0, got nan\n"
+    assert not (tmp_path / "trk").exists()
+
+
+def test_track_has_no_canvas_option(dataset, tmp_path):
+    """Frames are always CANVAS pixels wide; there is no flag to say otherwise."""
+    with pytest.raises(SystemExit):
+        run("track", "--dets", dataset / "video_000" / "detections.jsonl",
+            "--canvas", 0, "--out", tmp_path / "r.csv")
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_grad_check_linear_cli(tmp_path, capsys):
     out = tmp_path / "gc.csv"
     assert run("grad-check", "--case", "linear", "--out", out) == 0

@@ -45,8 +45,8 @@ def test_boxes_stay_inside_canvas_and_ids_persist():
             for g in boxes:
                 l, t, w, h = g.box_px
                 assert l >= -1e-9 and t >= -1e-9
-                assert l + w <= seq.spec.canvas + 1e-9
-                assert t + h <= seq.spec.canvas + 1e-9
+                assert l + w <= synth.CANVAS + 1e-9
+                assert t + h <= synth.CANVAS + 1e-9
                 assert w >= synth.MIN_BOX and h >= synth.MIN_BOX
 
 

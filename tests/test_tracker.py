@@ -15,8 +15,8 @@ def det(score, box, av=None, cls=1):
                      av=None if av is None else np.asarray(av, dtype=np.float64))
 
 
-def tub(tid, dets, last_seen, cls=1):
-    return TK.Tubelet(tid, cls, list(dets), last_seen)
+def tub(tid, dets, last_seen):
+    return TK.Tubelet(tid, list(dets), last_seen)
 
 
 def box_with_iou(r):
@@ -319,7 +319,7 @@ def test_update_matches_exhaustive_reference(mode):
 
         ref_ids, ref_tubs, _ = ota_reference(dets, tubs, params, frame_idx, next_id)
 
-        state = TK.TrackState(tubs={1: [TK.Tubelet(t.id, 1, list(t.objs), t.last_seen)
+        state = TK.TrackState(tubs={1: [TK.Tubelet(t.id, list(t.objs), t.last_seen)
                                         for t in tubs]} if tubs else {},
                               next_id=next_id)
         out, state = TK.update_tracks(list(dets), state, params, frame_idx)
@@ -339,7 +339,7 @@ def test_mot_csv_write_format(tmp_path):
     d.id = 4
     skip = det(0.9, [0.0, 0.0, 0.1, 0.1])   # unassigned, not written
     path = tmp_path / "res.csv"
-    TK.write_mot_csv(path, [(1, [d, skip])], canvas=96)
+    TK.write_mot_csv(path, [(1, [d, skip])])
     assert path.read_text() == "1,5,9.60,19.20,19.20,28.80,0.8765,-1,-1,-1\n"
 
 
@@ -355,8 +355,8 @@ def test_mot_csv_round_trip_and_ingest(tmp_path):
             dets.append(d)
         frames.append((f, dets))
     path = tmp_path / "res.csv"
-    TK.write_mot_csv(path, frames, canvas=96)
-    back = TK.ingest_detections(path, canvas=96)
+    TK.write_mot_csv(path, frames)
+    back = TK.ingest_detections(path)
     assert [f for f, _ in back] == [1, 2, 3]
     for (f, orig), (_, rd) in zip(frames, back):
         for a, b in zip(orig, rd):
@@ -485,6 +485,8 @@ def test_track_frames_checks_appearance_before_the_first_frame(monkeypatch):
 def test_tracker_params_validation():
     with pytest.raises(ConfigError):
         TK.TrackerParams(match_threshold=0.0).validate()
+    with pytest.raises(ConfigError, match="match_threshold must be > 0, got nan"):
+        TK.TrackerParams(match_threshold=math.nan).validate()
     with pytest.raises(ConfigError):
         TK.TrackerParams(generation_score=0.0).validate()
     with pytest.raises(ConfigError):
