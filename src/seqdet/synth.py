@@ -9,6 +9,7 @@ ground truth, bit for bit.
 
 from __future__ import annotations
 
+import collections.abc
 import csv
 import math
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError
 from .postproc import CANVAS, Detection
-from .tensor import load_tnsr, save_tnsr
+from .tensor import load_tnsr, save_tnsr, tnsr_shape
 from .tracker import mot_rows
 
 NUM_CLASSES = 4
@@ -296,10 +297,27 @@ def write_dataset(seq: Sequence, out_dir):
                             f"{bw:.3f}", f"{bh:.3f}", 1, -1, -1, -1, b.class_id])
 
 
+class FrameFiles(collections.abc.Sequence):
+    """A video's frames as a read-only sequence over its TNSR files. len()
+    and slices read nothing; each index reads that one file as a float64
+    array and keeps nothing, so a reader holds one frame at a time."""
+
+    def __init__(self, paths):
+        self._paths = tuple(paths)
+
+    def __len__(self):
+        return len(self._paths)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return FrameFiles(self._paths[i])
+        return load_tnsr(self._paths[i])
+
+
 @dataclass
 class Video:
     name: str
-    frames: list                 # [3,S,S] float64 arrays
+    frames: FrameFiles           # [3,S,S] float64 arrays, read when indexed
     ids: list                    # per frame: int array
     classes: list                # per frame: int array
     boxes_norm: list             # per frame: [N,4] corner-form normalized
@@ -321,14 +339,15 @@ def load_video_dir(path) -> Video:
     frame_files = sorted((path / "frames").glob("*.tnsr"))
     if not frame_files:
         raise ConfigError(f"{path}: no frames/*.tnsr found")
-    frames = [load_tnsr(f) for f in frame_files]
-    shape = frames[0].shape
+    frames = FrameFiles(frame_files)
+    shapes = [tnsr_shape(f) for f in frame_files]     # every header, no payload
+    shape = shapes[0]
     if len(shape) != 3 or shape[0] != 3 or shape[1] != shape[2] or shape[1] < 1:
         raise ConfigError(f"{frame_files[0]}: a frame must be [3,S,S] with S >= 1, "
                           f"got {list(shape)}")
-    for f, frame in zip(frame_files, frames):
-        if frame.shape != shape:
-            raise ConfigError(f"{f}: frame shape {list(frame.shape)} differs from "
+    for f, other in zip(frame_files, shapes):
+        if other != shape:
+            raise ConfigError(f"{f}: frame shape {list(other)} differs from "
                               f"the first frame's {list(shape)}")
     side = shape[-1]              # gt is normalised by the frames' own size
     per = {i: ([], [], []) for i in range(1, len(frames) + 1)}

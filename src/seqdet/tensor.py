@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 
 import numpy as np
@@ -863,22 +864,38 @@ def save_tnsr(path, array):
         fh.write(a.tobytes())
 
 
+def _tnsr_header(path, head, size):
+    """(dims, payload offset) of the TNSR file path of size bytes, whose
+    header is head: its first 5 + 4 * 4 bytes (rank 4), or all of it."""
+    if head[:4] != _MAGIC:
+        raise ParseError(f"{path}: bad magic {head[:4]!r}")
+    if size < 5:
+        raise ParseError(f"{path}: truncated header, no rank byte")
+    rank = head[4]
+    if not 1 <= rank <= 4:
+        raise ParseError(f"{path}: bad rank {rank}")
+    off = 5 + 4 * rank
+    if size < off:
+        raise ParseError(f"{path}: truncated header, {size} bytes for rank {rank}")
+    dims = struct.unpack_from(f"<{rank}I", head, 5)
+    n = math.prod(dims)
+    if size - off != 4 * n:
+        raise ParseError(f"{path}: payload size {size - off} != {4 * n}")
+    return dims, off
+
+
+def tnsr_shape(path):
+    """The dims of a TNSR file, with its header and payload size checked
+    as load_tnsr checks them; the payload is not read."""
+    with open(path, "rb") as fh:
+        head = fh.read(5 + 4 * 4)
+        size = os.fstat(fh.fileno()).st_size
+    return _tnsr_header(path, head, size)[0]
+
+
 def load_tnsr(path):
     """Read a TNSR file back as a float64 array."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise ParseError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < 5:
-        raise ParseError(f"{path}: truncated header, no rank byte")
-    rank = raw[4]
-    if not 1 <= rank <= 4:
-        raise ParseError(f"{path}: bad rank {rank}")
-    off = 5 + 4 * rank
-    if len(raw) < off:
-        raise ParseError(f"{path}: truncated header, {len(raw)} bytes for rank {rank}")
-    dims = struct.unpack_from(f"<{rank}I", raw, 5)
-    n = math.prod(dims)
-    if len(raw) - off != 4 * n:
-        raise ParseError(f"{path}: payload size {len(raw) - off} != {4 * n}")
-    return np.frombuffer(raw, dtype="<f4", count=n, offset=off).astype(np.float64).reshape(dims)
+    dims, off = _tnsr_header(path, raw, len(raw))
+    return np.frombuffer(raw, dtype="<f4", offset=off).astype(np.float64).reshape(dims)

@@ -104,7 +104,9 @@ def tubelet_similarity(dets, tubs, mode="attention_iou"):
 
 def update_tracks(dets, state: TrackState, params: TrackerParams, frame_idx):
     """One frame of identity assignment; mutates dets' ids and the state.
-    params must have passed TrackerParams.validate().
+    The ids dets carry in are discarded, so a detection that neither joins
+    nor founds a tubelet leaves with id -1. params must have passed
+    TrackerParams.validate().
 
     Per class (ascending), detections in descending score order:
       1. each detection claims its highest-similarity tubelet (the first
@@ -118,6 +120,8 @@ def update_tracks(dets, state: TrackState, params: TrackerParams, frame_idx):
          to tub_len_max), stale tubelets are dropped, new ids found new
          tubelets. Classes without tubelets skip straight to step 3.
     """
+    for d in dets:
+        d.id = -1
     classes = sorted(set(d.class_id for d in dets) | set(state.tubs))
     for cls in classes:
         tubs = state.tubs.get(cls, [])
@@ -170,15 +174,13 @@ def _check_appearance(frames):
 
 def track_frames(frames, params: TrackerParams | None = None):
     """Run one tracker stream over [(frame_idx, dets), ...] in order. The
-    ids the detections carry in are discarded."""
+    ids the detections carry in are discarded (update_tracks resets them)."""
     params = (params or TrackerParams()).validate()
     if params.similarity == "attention_iou":
         _check_appearance(frames)
     state = TrackState()
     out = []
     for fidx, dets in frames:
-        for d in dets:
-            d.id = -1
         dets, state = update_tracks(dets, state, params, fidx)
         out.append((fidx, dets))
     return out

@@ -161,8 +161,13 @@ def test_fuzz_tnsr(tmp_path):
         except ParseError as exc:
             raised += 1
             assert str(exc).startswith(f"{path}: "), (case, str(exc))
+            # the header-only reader refuses the same files with the same words
+            with pytest.raises(ParseError) as shape_exc:
+                T.tnsr_shape(path)
+            assert str(shape_exc.value) == str(exc), case
         else:
             assert 4 * arr.size == len(data) - 5 - 4 * arr.ndim, case
+            assert T.tnsr_shape(path) == arr.shape, case
     assert raised > CASES * 3 // 4
 
 

@@ -184,6 +184,18 @@ def test_below_threshold_no_inheritance():
     assert out[0].id == 4      # new identity instead of inheritance
 
 
+def test_carried_in_id_is_discarded():
+    # a far detection wins no tubelet (exp(IoU 0) = 1 does not exceed T = 1);
+    # the id it carries in must not survive as its identity
+    state = TK.TrackState(tubs={1: [tub(3, [det(0.9, UNIT)], 1)]}, next_id=4)
+    obj = det(0.9, [2.0, 2.0, 3.0, 3.0])
+    obj.id = 7
+    out, state = TK.update_tracks([obj], state, TK.TrackerParams(similarity="iou_only"), 2)
+    assert out[0].id == 4
+    assert state.next_id == 5
+    assert sorted(t.id for t in state.tubs[1]) == [3, 4]
+
+
 def test_tubelet_truncation_and_aging():
     av = np.full(147, 0.5)
     params = TK.TrackerParams(tub_len_max=3, max_miss=2)
