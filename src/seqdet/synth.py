@@ -4,7 +4,8 @@ Sequences are rendered on a 96x96 RGB canvas in [0, 1]. Each object has a
 class (shape type), a persistent identity, a striped texture that moves
 with it, and a linear trajectory that bounces off the walls so boxes stay
 inside the canvas. The same seed always reproduces the same frames and
-ground truth, bit for bit.
+ground truth, bit for bit. Frames, generated or read from disk, are made
+each time they are indexed and never cached.
 """
 
 from __future__ import annotations
@@ -70,9 +71,28 @@ class GtBox:
         return np.array([l, t, l + w, t + h], dtype=np.float64) / CANVAS
 
 
+class Frames(collections.abc.Sequence):
+    """A video's frames as a read-only sequence: frame(i) for each i of a
+    range. len() and slices make no frame; each index makes that one
+    [3,S,S] float64 frame again and keeps nothing, so a reader holds one
+    frame at a time."""
+
+    def __init__(self, frame, indices):
+        self._frame = frame
+        self._indices = indices
+
+    def __len__(self):
+        return len(self._indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Frames(self._frame, self._indices[i])
+        return self._frame(self._indices[i])
+
+
 @dataclass
 class Sequence:
-    frames: list              # list of [3,S,S] float64 arrays
+    frames: Frames            # [3,S,S] float64 arrays, rendered when indexed
     gt: list                  # per frame: list[GtBox]
     spec: SceneSpec
 
@@ -121,13 +141,15 @@ def _bounce(pos, vel, lo, hi):
 
 
 def gen_sequence(spec: SceneSpec) -> Sequence:
-    """Render spec's frames and ground truth.
+    """Spec's ground truth, and frames that render when indexed.
 
-    Each object's texture comes from one generator per object and sequence,
-    seeded (seed, 0x7E, obj_id), and pixels are evaluated on broadcast
-    row and column coordinates. The frames and gt equal, bit for bit, those
-    of the per-frame meshgrid renderer kept as
-    tests/refimpl.gen_sequence_reference.
+    The gt and each frame's visible objects (after the blink draws) are
+    computed here; frame t's flicker is read at offset t * 3 * S * S of the
+    (seed, 0xF1) stream (one 64-bit draw per double). Each object's texture
+    comes from one generator per object and sequence, seeded
+    (seed, 0x7E, obj_id), and pixels are evaluated on broadcast row and
+    column coordinates. The frames and gt equal, bit for bit, those of the
+    per-frame meshgrid renderer kept as tests/refimpl.gen_sequence_reference.
     """
     spec.validate()
     s = CANVAS
@@ -138,14 +160,11 @@ def gen_sequence(spec: SceneSpec) -> Sequence:
 
     state = [(o.cx, o.cy, o.vx, o.vy) for o in spec.objects]
     textures = [_texture_params((spec.seed, 0x7E, o.obj_id)) for o in spec.objects]
-    rng_flicker = np.random.default_rng((spec.seed, 0xF1))
     rng_blink = np.random.default_rng((spec.seed, 0xB7))
-    frames = []
+    plan = []                 # per frame: the objects it paints
     gt = []
     for t in range(spec.length):
-        frame = background.copy()
-        if spec.flicker > 0:
-            frame += spec.flicker * (rng_flicker.random((3, s, s)) - 0.5)
+        painted = []
         boxes = []
         for k, obj in enumerate(spec.objects):
             cx, cy, vx, vy = state[k]
@@ -158,26 +177,35 @@ def gen_sequence(spec: SceneSpec) -> Sequence:
             left, top = cx - half, cy - half
             x0, x1 = max(math.floor(left), 0), min(math.ceil(left + size), s)
             y0, y1 = max(math.floor(top), 0), min(math.ceil(top + size), s)
-            visible = t == 0 or spec.blink == 0.0 or rng_blink.random() >= spec.blink
-            if visible:
-                u = ((np.arange(x0, x1) + 0.5 - left) / size)[None, :]
-                v = ((np.arange(y0, y1) + 0.5 - top) / size)[:, None]
-                mask = (_shape_mask(obj.class_id, u, v) & (u >= 0) & (u <= 1)
-                        & (v >= 0) & (v <= 1))
-                np.copyto(frame[:, y0:y1, x0:x1], _texture_rgb(textures[k], u, v),
-                          where=mask)
+            if t == 0 or spec.blink == 0.0 or rng_blink.random() >= spec.blink:
+                painted.append((obj.class_id, textures[k], left, top, size, x0, x1, y0, y1))
             boxes.append(GtBox(obj.obj_id, obj.class_id,
                                np.array([left, top, size, size], dtype=np.float64)))
             ncx, nvx = _bounce(cx, vx, half, s - half)
             ncy, nvy = _bounce(cy, vy, half, s - half)
             state[k] = (ncx, ncy, nvx, nvy)
+        plan.append(painted)
+        gt.append(boxes)
+
+    def render(t):
+        frame = background.copy()
+        if spec.flicker > 0:
+            rng_flicker = np.random.default_rng((spec.seed, 0xF1))
+            rng_flicker.bit_generator.advance(t * 3 * s * s)
+            frame += spec.flicker * (rng_flicker.random((3, s, s)) - 0.5)
+        for class_id, texture, left, top, size, x0, x1, y0, y1 in plan[t]:
+            u = ((np.arange(x0, x1) + 0.5 - left) / size)[None, :]
+            v = ((np.arange(y0, y1) + 0.5 - top) / size)[:, None]
+            mask = (_shape_mask(class_id, u, v) & (u >= 0) & (u <= 1)
+                    & (v >= 0) & (v <= 1))
+            np.copyto(frame[:, y0:y1, x0:x1], _texture_rgb(texture, u, v), where=mask)
         if spec.occluder is not None:
             x0, x1 = (int(v) for v in spec.occluder)
             # objects stay annotated while they pass behind the bar
             frame[:, :, x0:x1] = (0.06 + 0.05 * ((rows // 3) % 2))[None]
-        frames.append(np.clip(frame, 0.0, 1.0))
-        gt.append(boxes)
-    return Sequence(frames, gt, spec)
+        return np.clip(frame, 0.0, 1.0)
+
+    return Sequence(Frames(render, range(spec.length)), gt, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -297,27 +325,10 @@ def write_dataset(seq: Sequence, out_dir):
                             f"{bw:.3f}", f"{bh:.3f}", 1, -1, -1, -1, b.class_id])
 
 
-class FrameFiles(collections.abc.Sequence):
-    """A video's frames as a read-only sequence over its TNSR files. len()
-    and slices read nothing; each index reads that one file as a float64
-    array and keeps nothing, so a reader holds one frame at a time."""
-
-    def __init__(self, paths):
-        self._paths = tuple(paths)
-
-    def __len__(self):
-        return len(self._paths)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return FrameFiles(self._paths[i])
-        return load_tnsr(self._paths[i])
-
-
 @dataclass
 class Video:
     name: str
-    frames: FrameFiles           # [3,S,S] float64 arrays, read when indexed
+    frames: Frames               # [3,S,S] float64 arrays, read when indexed
     ids: list                    # per frame: int array
     classes: list                # per frame: int array
     boxes_norm: list             # per frame: [N,4] corner-form normalized
@@ -339,7 +350,7 @@ def load_video_dir(path) -> Video:
     frame_files = sorted((path / "frames").glob("*.tnsr"))
     if not frame_files:
         raise ConfigError(f"{path}: no frames/*.tnsr found")
-    frames = FrameFiles(frame_files)
+    frames = Frames(lambda i: load_tnsr(frame_files[i]), range(len(frame_files)))
     shapes = [tnsr_shape(f) for f in frame_files]     # every header, no payload
     shape = shapes[0]
     if len(shape) != 3 or shape[0] != 3 or shape[1] != shape[2] or shape[1] < 1:

@@ -198,7 +198,7 @@ def write_mot_csv(path, frames):
             for d in dets:
                 if d.id < 0:
                     continue
-                x1, y1, x2, y2 = d.box * CANVAS
+                x1, y1, x2, y2 = (d.box * CANVAS).tolist()
                 fh.write(f"{int(fidx)},{d.id + 1},{x1:.2f},{y1:.2f},"
                          f"{x2 - x1:.2f},{y2 - y1:.2f},{d.score:.4f},-1,-1,-1\n")
 

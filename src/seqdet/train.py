@@ -207,9 +207,11 @@ def score_list_nodes(head, dets, k, num_classes):
 
 def detect_video(params, model_cfg, video, conf_thresh, profile_name,
                  attach_av=True):
-    """Run the detector over one video; returns [(frame_idx, dets), ...]."""
+    """Run the detector over one video; returns [(frame_idx, dets), ...].
+    Constant views of params keep trainable ones from recording a tape."""
     priors = make_priors()
     profile = get_profile(profile_name)
+    params = {k: T.constant(p.data) for k, p in params.items()}
     out = []
     for t, (head, att) in enumerate(net.frame_outputs(video.frames, params, model_cfg,
                                                       net.NetMode()), start=1):

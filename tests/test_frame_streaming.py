@@ -1,7 +1,8 @@
-"""Video frames are read from disk where they are used, one at a time.
+"""Video frames are made where they are used, one at a time.
 
 `load_video_dir` checks every frame's header and reads no payload; each
-reader of `Video.frames` reads the frames it indexes, so the memory a
+reader of `Video.frames` reads the frames it indexes. `gen_sequence`
+renders a frame each time `Sequence.frames` is indexed. So the memory a
 command holds does not grow with the length of its video.
 """
 
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 from seqdet import cli, net, synth
-from seqdet import tensor as T
 from seqdet import train as TR
 from seqdet.postproc import CANVAS, make_priors, write_detections_jsonl
 
@@ -96,8 +96,9 @@ def _detect_peak(path, params, model_cfg):
 
 def test_detect_memory_does_not_grow_with_video_length(videos):
     model_cfg = net.ModelConfig()
-    # constants, as a loaded checkpoint holds them: detection records no tape
-    params = {k: T.constant(p.data) for k, p in net.init_params(3, model_cfg).items()}
+    # trainable, as a library caller holds them right after training:
+    # detection still records no tape
+    params = net.init_params(3, model_cfg)
     tracemalloc.start()
     try:
         _detect_peak(videos[8], params, model_cfg)     # fill the lazy caches first
@@ -106,6 +107,59 @@ def test_detect_memory_does_not_grow_with_video_length(videos):
     finally:
         tracemalloc.stop()
     assert long - short < FRAME_BYTES, (short, long)
+
+
+def _generation_peak(path, length):
+    """Traced peak bytes of generating a crowded scene and writing it."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    seq = synth.gen_sequence(synth.random_scene(5, num_objects=16, length=length))
+    synth.write_dataset(seq, path)
+    return tracemalloc.get_traced_memory()[1] - base
+
+
+def test_generation_memory_does_not_grow_with_video_length(tmp_path):
+    tracemalloc.start()
+    try:
+        _generation_peak(tmp_path / "warm", 8)
+        short = _generation_peak(tmp_path / "short", 8)
+        long = _generation_peak(tmp_path / "long", 32)
+    finally:
+        tracemalloc.stop()
+    assert long - short < 2 * FRAME_BYTES, (short, long)
+
+
+def _flickering_scene():
+    """Rendered frames on a scene with flicker, blinking objects and an
+    occluder, and the same frames read in iteration order as int64 views."""
+    seq = synth.gen_sequence(synth.random_scene(11, num_objects=5, length=10,
+                                                flicker=0.3, occluder=True, blink=0.25))
+    return seq.frames, [f.view(np.int64) for f in seq.frames]
+
+
+def test_rendered_frames_do_not_depend_on_read_order():
+    frames, want = _flickering_scene()
+    for _ in range(2):
+        got = [frames[t].view(np.int64) for t in reversed(range(len(frames)))][::-1]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+def test_rendered_frames_index_like_a_sequence():
+    frames, want = _flickering_scene()
+    assert len(frames) == 10
+    part = frames[2:9:3]
+    assert len(part) == 3
+    for f, t in zip(part, (2, 5, 8), strict=True):
+        assert np.array_equal(f.view(np.int64), want[t])
+    assert np.array_equal(frames[-1].view(np.int64), want[9])
+    assert np.array_equal(frames[-10].view(np.int64), want[0])
+    assert np.array_equal(frames[::-1][0].view(np.int64), want[9])
+    assert np.array_equal(part[-1].view(np.int64), want[8])
+    for bad in (10, -11):
+        with pytest.raises(IndexError):
+            frames[bad]
+    with pytest.raises(IndexError):
+        part[3]
 
 
 def test_truncated_last_frame_fails_before_any_output(videos, tmp_path, capsys):
