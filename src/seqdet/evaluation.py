@@ -50,17 +50,25 @@ def voc_map(dets_by_frame, gts_by_frame, iou_thresh=0.5):
     gts_by_frame = {f: (np.asarray(boxes, dtype=np.float64).reshape(-1, 4),
                         np.asarray(classes, dtype=int).reshape(-1))
                     for f, (boxes, classes) in gts_by_frame.items()}
+    # one IoU matrix per frame, each detection against every gt box of its
+    # frame; a class reads its block of it
+    scored = []         # (frame, detections, their classes, their IoU rows)
+    for f in sorted(dets_by_frame):
+        dets = dets_by_frame[f]
+        if dets:
+            boxes = gts_by_frame[f][0] if f in gts_by_frame else np.empty((0, 4))
+            scored.append((f, dets, np.array([d.class_id for d in dets]),
+                           iou_matrix([d.box for d in dets], boxes)))
     aps = {}
     for c in sorted({int(c) for _b, classes in gts_by_frame.values() for c in classes}):
-        gt = {f: boxes[classes == c] for f, (boxes, classes) in gts_by_frame.items()}
-        gt_count = sum(len(b) for b in gt.values())
-        used = {f: np.zeros(len(b), dtype=bool) for f, b in gt.items()}
-        cand = []           # (-score, frame, index within the frame, IoU row)
-        for f in sorted(dets_by_frame):
-            dets = [d for d in dets_by_frame[f] if d.class_id == c]
-            if dets:
-                ious = iou_matrix([d.box for d in dets], gt.get(f, np.empty((0, 4))))
-                cand += [(-d.score, f, i, row) for i, (d, row) in enumerate(zip(dets, ious))]
+        gt_cols = {f: classes == c for f, (_b, classes) in gts_by_frame.items()}
+        gt_count = sum(int(cols.sum()) for cols in gt_cols.values())
+        used = {f: np.zeros(int(cols.sum()), dtype=bool) for f, cols in gt_cols.items()}
+        cand = []           # (-score, frame, index within the frame's class c, IoU row)
+        for f, dets, det_classes, ious in scored:
+            rows = np.nonzero(det_classes == c)[0]
+            block = ious[rows][:, gt_cols[f]] if f in gt_cols else ious[rows]
+            cand += [(-dets[r].score, f, i, row) for i, (r, row) in enumerate(zip(rows, block))]
         cand.sort(key=lambda r: r[:3])
         tp = np.zeros(len(cand))
         for rank, (_s, f, _i, row) in enumerate(cand):

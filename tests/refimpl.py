@@ -1,8 +1,9 @@
 """Independent straight-line reference implementations used as oracles.
 
 Everything here is deliberately naive (nested loops, exhaustive argmax
-scans) and shares no code with the package under test, except two parts.
-The renderer oracle returns synth's data classes. The composed graphs at
+scans) and shares no code with the package under test, except three parts.
+The renderer oracle returns synth's data classes, and the json-only
+detections reader returns postproc's Detection. The composed graphs at
 the end are built from the engine's primitive ops, plus the mul, concat and
 tanh nodes defined here, as the oracles of its fused nodes: the recurrent step
 of tensor.convlstm_cell, the heads of tensor.conv_gather and the attention
@@ -13,9 +14,10 @@ import json
 
 import numpy as np
 
+from seqdet import postproc as pp
 from seqdet import synth
 from seqdet import tensor as T
-from seqdet.errors import ShapeError
+from seqdet.errors import ParseError, ShapeError
 
 
 def naive_conv2d(x, kernel, bias=None, stride=1, pad=0):
@@ -337,6 +339,46 @@ def detections_jsonl_reference(frames):
                 rec["av"] = [float(v) for v in d.av]
             lines.append(json.dumps(rec) + "\n")
     return "".join(lines)
+
+
+def _json_whole(rec, key, default=None):
+    v = rec[key] if default is None else rec.get(key, default)
+    w = None
+    if type(v) is int or (type(v) is float and v.is_integer()):
+        w = int(v) if -2**63 <= v < 2**63 else None
+    if w is None:
+        raise ValueError(f"{key} must be a whole number within 64 bits, got {v!r}")
+    return w
+
+
+def read_detections_jsonl_json(path):
+    """The detections JSONL reader with json.loads as its only parser: what
+    every accept/refuse decision, Detection and ParseError text of
+    postproc.read_detections_jsonl must equal. Nesting deeper than the
+    recursion limit is a ParseError here too."""
+    frames = {}
+    with open(path, errors="replace") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                box, av = rec["box"], rec.get("av", [])
+                if not (isinstance(box, list) and len(box) == 4):
+                    raise ValueError(f"box must hold 4 numbers, got {box!r}")
+                if not isinstance(av, list):
+                    raise ValueError(f"av must be a list of numbers, got {av!r}")
+                vals = np.asarray([rec["score"], *box, *av], dtype=np.float64)
+                if not np.isfinite(vals).all():
+                    raise ValueError("score, box and av must be finite")
+                det = pp.Detection(_json_whole(rec, "class"), float(vals[0]), vals[1:5],
+                                   av=vals[5:] if "av" in rec else None,
+                                   id=_json_whole(rec, "id", -1))
+                frames.setdefault(_json_whole(rec, "frame"), []).append(det)
+            except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+                raise ParseError(f"{path}:{lineno}: bad detection record ({exc})") from exc
+    return frames
 
 
 def retaining_backward(loss):

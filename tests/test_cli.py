@@ -322,6 +322,21 @@ def test_track_rejects_three_number_box(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["track", "eval-map"])
+def test_deeply_nested_detections_line_is_a_one_line_error(dataset, tmp_path, capsys,
+                                                            command):
+    dets = tmp_path / "deep.jsonl"
+    dets.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    out = tmp_path / "out" / "r.csv"
+    tail = (("--out", out) if command == "track"
+            else ("--data", dataset / "video_000", "--out", out))
+    assert run(command, "--dets", dets, *tail) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"seqdet: error: {dets}:1: bad detection record (maximum recursion")
+    assert err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_train_on_nan_frame_exits_1_and_leaves_nothing(tmp_path, capsys):
     data = tmp_path / "data"
     assert run("--seed", 2, "gen", "--videos", 1, "--frames", 4, "--out", data) == 0

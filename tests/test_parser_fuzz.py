@@ -5,10 +5,12 @@ truncations, byte flips and insertions, or for the MOT/gt row layout and
 the detections JSONL numbers that break a row's meaning) and parses the
 result. Whatever the
 bytes, the parser either returns or raises a ParseError/ConfigError that
-names the file, plus the line for line formats.
+names the file, plus the line for line formats. The detections JSONL
+reader must also give what the json-only reader in refimpl gives.
 """
 
 import functools
+import itertools
 import json
 import re
 
@@ -21,6 +23,8 @@ from seqdet import tensor as T
 from seqdet import tracker as TK
 from seqdet import train as TR
 from seqdet.errors import ConfigError, ParseError
+
+from refimpl import read_detections_jsonl_json
 
 CASES = 400
 TOKENS = ["", "x", "nan", "inf", "-inf", "1e400", "-1e400", "-1", "0", "2.5",
@@ -291,3 +295,165 @@ def test_undecodable_bytes_name_the_line(tmp_path, mutate):
     path.write_bytes(b"1,1,0,0,5,5,0.9\n2," + mutate + b",0,0,5,5,0.9\n")
     with pytest.raises(ParseError, match=r"bad\.csv:2: "):
         TK.read_mot_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# read_detections_jsonl parses with orjson and lets json.loads decide the
+# lines orjson refuses; it must give what a json-only reader gives: the same
+# Detections, bit for bit, or the same ParseError text
+
+
+def _outcome(read, path):
+    try:
+        frames = read(path)
+    except ParseError as exc:
+        return str(exc)
+    return [(f, type(f), d.class_id, type(d.class_id), d.id, type(d.id),
+             np.float64(d.score).view(np.uint64), d.box.view(np.uint64).tolist(),
+             None if d.av is None else d.av.view(np.uint64).tolist())
+            for f, dets in frames.items() for d in dets]
+
+
+def _read_like_json(path):
+    """read_detections_jsonl, whose outcome must equal the json-only one."""
+    got = _outcome(pp.read_detections_jsonl, path)
+    assert got == _outcome(read_detections_jsonl_json, path), path.read_bytes()[:300]
+    if isinstance(got, str):
+        raise ParseError(got)
+
+
+def _good_jsonl(path):
+    dets = [pp.Detection(1, 0.9, np.array([0.1, 0.1, 0.4, 0.5]), av=np.array([0.5, 0.25]),
+                         id=3),
+            pp.Detection(2, 0.4, np.array([0.5, 0.5, 0.9, 0.8]))]
+    pp.write_detections_jsonl(path, [(1, dets), (2, dets[:1])])
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("seed,mutate", [(51, _mutate), (57, _mutate_json_value),
+                                         (58, _mutate_json_whole)],
+                         ids=["bytes", "non_finite", "not_whole"])
+def test_fuzz_detections_jsonl_outcomes_equal_the_json_reader(tmp_path, seed, mutate):
+    raw = _good_jsonl(tmp_path / "good.jsonl")
+    _sweep(seed, tmp_path / "fuzz.jsonl", raw, b",", _read_like_json, mutate)
+
+
+def test_wide_whole_numbers_read_as_the_json_reader_reads_them(tmp_path):
+    """Every (line, key, value) the whole-number sweep above can draw."""
+    good = tmp_path / "good.jsonl"
+    det = pp.Detection(1, 0.9, np.array([0.1, 0.1, 0.4, 0.5]), id=3)
+    pp.write_detections_jsonl(good, [(1, [det]), (2, [det])])
+    lines = good.read_bytes().rstrip(b"\n").split(b"\n")
+    path = tmp_path / "wide.jsonl"
+    for i, key, value in itertools.product(range(len(lines)), ("frame", "class", "id"),
+                                           JSON_WIDE):
+        rec = json.loads(lines[i])
+        rec[key] = "BAD"
+        mutated = json.dumps(rec).replace('"BAD"', value).encode()
+        path.write_bytes(b"\n".join(lines[:i] + [mutated] + lines[i + 1:]) + b"\n")
+        try:
+            _read_like_json(path)
+        except ParseError:
+            pass
+
+
+DEEP = 100_000
+
+
+@pytest.mark.parametrize("line", [
+    "[" * DEEP + "]" * DEEP,
+    '{"frame": 1, "class": 1, "score": 0.5, "box": ' + "[" * DEEP + "]" * DEEP + "}",
+    '{"frame": 1, "class": 1, "score": 0.5, "box": [0, 0, 1, 1], "x": '
+    + '{"a": ' * DEEP + "1" + "}" * DEEP + "}",
+], ids=["line", "box", "extra_key"])
+def test_nesting_beyond_the_recursion_limit_is_a_parse_error(tmp_path, line):
+    path = tmp_path / "deep.jsonl"
+    path.write_text('{"frame": 1, "class": 1, "score": 0.5, "box": [0, 0, 1, 1]}\n'
+                    + line + "\n")
+    with pytest.raises(ParseError) as exc:
+        _read_like_json(path)
+    assert str(exc.value).startswith(f"{path}:2: bad detection record (maximum recursion")
+    assert "\n" not in str(exc.value)
+
+
+# numbers on which orjson and json disagree: tokens orjson refuses, and
+# integers beyond 64 bits, which json reads as ints and orjson as floats (or
+# refuses; 2**64 + 2**11 and the two 2**80 ones lie halfway between two
+# doubles); plus underflow, signed zero and the smallest subnormal
+EDGE_NUMBERS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                *(str(v) for v in (2**63 - 1, 2**63, 2**63 + 1, -2**63 - 1, -2**63,
+                                   -2**63 + 1, 2**64 - 1, 2**64, 2**64 + 2**11,
+                                   2**80 + 2**27, 2**80 + 3 * 2**27)),
+                "1" * 20, "-" + "9" * 20, "1" * 25, "-" + "7" * 25, "1" * 400,
+                "-" + "3" * 400, "1e-400", "-0.0", "-0", "4.9e-324"]
+BASE_RECORD = {"frame": 1, "class": 2, "score": 0.5, "box": [0.1, 0.2, 0.3, 0.4], "id": 3,
+               "av": [0.25, 0.75]}
+GOOD = '{"frame": 1, "class": 2, "score": 0.5, "box": [0.1, 0.2, 0.3, 0.4]'
+
+
+def _with_number(slot, number):
+    rec = json.loads(json.dumps(BASE_RECORD))
+    if slot in ("box", "av"):
+        rec[slot][1] = "BAD"
+    else:
+        rec[slot] = "BAD"
+    return json.dumps(rec).replace('"BAD"', number).encode()
+
+
+TARGETED_LINES = [
+    *(_with_number(slot, number) for slot in ("frame", "class", "id", "score", "box", "av")
+      for number in EDGE_NUMBERS),
+    # escapes orjson refuses and json reads, in a key the reader ignores
+    (GOOD + r', "note": "\ud800"}').encode(),
+    (GOOD + r', "note": "x\udc00y"}').encode(),
+    (GOOD + r', "note": "😀"}').encode(),
+    # bytes that are not UTF-8: inside a string they read as U+FFFD
+    GOOD.encode() + b', "note": "\xff\xc3("}',
+    GOOD.encode() + b', "note": "\xed\xa0\x80"}',
+    GOOD.encode()[:-1] + b'\xff]}',
+    b'{"frame": 1, "class": 2, "score": \xc3(, "box": [0, 0, 1, 1]}',
+    # duplicate keys: the last one counts
+    (GOOD + ', "frame": 4}').encode(),
+    (GOOD + ', "box": [0, 0, 1, 1]}').encode(),
+    (GOOD + ', "box": [0, 0, 1]}').encode(),
+    b'{"frame": 1, "class": 2, "score": "x", "box": [0, 0, 1, 1], "score": 0.25}',
+    b'{"frame": 1, "class": 2, "score": 0.5, "box": [0, 0, 1, 1], "av": [1], "av": 3}',
+    # a byte-order mark, a float frame, a record that is no object
+    ("﻿" + GOOD + "}").encode(),
+    (GOOD.replace('"frame": 1', '"frame": 1.0') + "}").encode(),
+    b"[1, 2, 3]", b'"frame"', b"17",
+    # nesting on both sides of json's recursion limit, in an ignored key
+    *((GOOD + ', "x": ' + "[" * depth + "]" * depth + "}").encode()
+      for depth in (10, 900, 1000, 1100, 5000)),
+]
+
+
+def test_targeted_lines_read_as_the_json_reader_reads_them(tmp_path):
+    path = tmp_path / "one.jsonl"
+    outcomes = set()
+    for line in TARGETED_LINES:
+        path.write_bytes(GOOD.encode() + b"}\n" + line + b"\n")
+        try:
+            _read_like_json(path)
+            outcomes.add("loaded")
+        except ParseError:
+            outcomes.add("refused")
+    assert outcomes == {"loaded", "refused"}
+
+
+def test_random_doubles_read_as_the_json_reader_reads_them(tmp_path):
+    """10^5 seeded random float64 reprs, plus 10^4 of them spelt with 25
+    digits, in av: each line is orjson's to read, and every double must
+    equal json's."""
+    bits = np.random.default_rng(62).integers(0, 2**64, size=120_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    spelt = [repr(float(v)) for v in values[:100_000]] \
+        + [f"{v:.25e}" for v in values[100_000:110_000]]
+    lines = [f'{{"frame": 1, "class": 1, "score": {spelt[i]}, "box": [0, 0, 1, 1], '
+             f'"av": [{", ".join(spelt[i + 1:i + 100])}]}}'
+             for i in range(0, len(spelt), 100)]
+    assert all(pp._orjson_record(line) is not None for line in lines)
+    path = tmp_path / "doubles.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    _read_like_json(path)

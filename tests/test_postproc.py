@@ -602,3 +602,24 @@ def test_detections_jsonl_av_must_be_a_list_of_numbers(tmp_path, av):
                     f'"av": {av}}}\n')
     with pytest.raises(ParseError, match=r"av\.jsonl:1: bad detection record"):
         pp.read_detections_jsonl(path)
+
+
+@pytest.mark.parametrize("field", ["score", "box", "av"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+def test_detections_jsonl_writer_refuses_non_finite_values(tmp_path, field, bad):
+    """JSON spells such values only as tokens the reader refuses, so the
+    writer refuses the record by frame and class and leaves no file."""
+    good = _det(0.9, [0.1, 0.2, 0.3, 0.4], cls=2)
+    good.av = np.array([0.5, 0.25])
+    worse = _det(0.8, [0.5, 0.5, 0.7, 0.8], cls=3)
+    worse.av = np.array([0.5, 0.25])
+    if field == "score":
+        worse.score = bad
+    else:
+        getattr(worse, field)[1] = bad
+    path = tmp_path / "dets.jsonl"
+    path.write_text("an older file\n")
+    with pytest.raises(ValueError) as exc:
+        pp.write_detections_jsonl(path, [(1, [good]), (4, [good, worse])])
+    assert str(exc.value) == f"{path}: frame 4 class 3: score, box and av must be finite"
+    assert not path.exists()
