@@ -9,7 +9,6 @@ one-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import shutil
 import sys
 import traceback
@@ -25,17 +24,6 @@ from .errors import ConfigError
 from .postproc import read_detections_jsonl, whole_int, write_detections_jsonl
 from .synth import (build_scenario, gen_sequence, load_dataset_root,
                     load_video_dir, oracle_detections, write_dataset)
-
-OUTDIR_ENV = "SEQDET_OUTDIR"
-
-
-def _resolve_out(path):
-    base = os.environ.get(OUTDIR_ENV)
-    p = Path(path)
-    if base and not p.is_absolute():
-        return Path(base) / p
-    return p
-
 
 class OutputGuard:
     """Tracks paths created by one command so a failure can remove them."""
@@ -89,7 +77,7 @@ def _train_config_from_args(args):
 def cmd_gen(args, guard):
     if args.videos < 1:
         raise ConfigError(f"--videos must be >= 1, got {args.videos}")
-    out = guard.register(_resolve_out(args.out))
+    out = guard.register(args.out)
     for i in range(args.videos):
         spec = build_scenario(args.scenario, args.seed + i,
                               **({"num_objects": args.objects, "length": args.frames}
@@ -106,7 +94,7 @@ def cmd_gen(args, guard):
 
 
 def cmd_train(args, guard):
-    out = guard.register(_resolve_out(args.out))
+    out = guard.register(args.out)
     summary = TR.run_stage(args.stage, args.data, out, args.settings, init_ckpt=args.init)
     _log_config(out, args)
     print(f"[train] stage {args.stage} done: checkpoint at {summary['checkpoint']}, "
@@ -115,7 +103,7 @@ def cmd_train(args, guard):
 
 
 def cmd_detect(args, guard):
-    out = guard.register(_resolve_out(args.out))
+    out = guard.register(args.out)
     params, model_cfg = net.load_checkpoint(args.ckpt)
     videos = load_dataset_root(args.data)
     out.mkdir(parents=True, exist_ok=True)
@@ -133,11 +121,18 @@ def _tracker_params(args):
                             similarity=args.similarity)
 
 
+def _detection_frames(path):
+    """The detections JSONL file at path as [(frame, dets), ...] in frame order."""
+    by_frame = read_detections_jsonl(path)
+    return [(f, by_frame[f]) for f in sorted(by_frame)]
+
+
 def cmd_track(args, guard):
-    out = guard.register(_resolve_out(args.out))
+    if args.dets and (args.mot or args.embeddings):     # flags --dets input ignores
+        raise ConfigError(f"--dets input takes no {'--mot' if args.mot else '--embeddings'}")
+    out = guard.register(args.out)
     if args.dets:
-        by_frame = read_detections_jsonl(args.dets)
-        frames = [(f, by_frame[f]) for f in sorted(by_frame)]
+        frames = _detection_frames(args.dets)
     elif args.mot:
         frames = TK.ingest_detections(args.mot, args.embeddings)
     else:
@@ -152,14 +147,13 @@ def cmd_track(args, guard):
 def cmd_eval_map(args, guard):
     video = load_video_dir(args.data)
     by_frame = read_detections_jsonl(args.dets)
-    gts = {t: (video.boxes_norm[t - 1], video.classes[t - 1])
-           for t in range(1, len(video.frames) + 1)}
+    gts = {t: TR.frame_ground_truth(video, t) for t in range(1, len(video.frames) + 1)}
     aps, mean = EV.voc_map(by_frame, gts, iou_thresh=args.iou)
     for c in sorted(aps):
         print(f"[eval-map] class {c}: AP {aps[c]:.4f}")
     print(f"[eval-map] mAP {mean:.4f}")
     if args.out:
-        out = guard.register(_resolve_out(args.out))
+        out = guard.register(args.out)
         lines = ["class,ap"] + [f"{c},{aps[c]:.6f}" for c in sorted(aps)]
         lines.append(f"mean,{mean:.6f}")
         out.write_text("\n".join(lines) + "\n")
@@ -179,9 +173,9 @@ def cmd_eval_mot(args, guard):
     table = EV.format_mot_table(named)
     print(table, end="")
     if args.out:
-        txt = guard.register(_resolve_out(str(args.out) + ".txt"))
+        txt = guard.register(str(args.out) + ".txt")
         txt.write_text(table)
-        csvp = guard.register(_resolve_out(str(args.out) + ".csv"))
+        csvp = guard.register(str(args.out) + ".csv")
         csvp.write_text(EV.mot_report_csv(named))
     return 0
 
@@ -195,7 +189,7 @@ def cmd_grad_check(args, guard):
     worst = rows[0].max_rel_err if rows else 0.0
     print(f"[grad-check] worst {worst:.3e}")
     if args.out:
-        out = guard.register(_resolve_out(args.out))
+        out = guard.register(args.out)
         out.write_text("name,max_rel_err\n" + "".join(
             f"{r.name},{r.max_rel_err:.12e}\n" for r in rows))
     if worst >= args.tol:
@@ -219,7 +213,7 @@ def _sweep_values(args):
 
 def cmd_sweep(args, guard):
     values = _sweep_values(args)
-    out = guard.register(_resolve_out(args.out))
+    out = guard.register(args.out)
     rows = []
     if args.param == "theta":
         if not (args.data and args.init):
@@ -239,8 +233,7 @@ def cmd_sweep(args, guard):
     else:
         if not (args.dets and args.gt_csv):
             raise ConfigError(f"sweep --param {args.param} needs --dets and --gt-csv")
-        by_frame = read_detections_jsonl(args.dets)
-        frames = [(f, by_frame[f]) for f in sorted(by_frame)]
+        frames = _detection_frames(args.dets)
         gt_rows = TK.read_mot_csv(args.gt_csv)
         base = _tracker_params(args)
         for v in values:
@@ -273,7 +266,7 @@ def map_of_checkpoint(ckpt, data, conf, profile):
                                  attach_av=False)
         for t, dets in frames:
             total_dets[offset + t] = dets
-            total_gts[offset + t] = (video.boxes_norm[t - 1], video.classes[t - 1])
+            total_gts[offset + t] = TR.frame_ground_truth(video, t)
         offset += len(video.frames)
     _aps, mean = EV.voc_map(total_dets, total_gts)
     return mean
@@ -287,7 +280,7 @@ def cmd_dump_attention(args, guard):
     if not model_cfg.attention_enabled:
         raise ConfigError(f"{args.ckpt}: a --no-attention checkpoint has no attention "
                           f"maps; dump-attention needs one trained with attention")
-    out = guard.register(_resolve_out(args.out))
+    out = guard.register(args.out)
     video = load_video_dir(args.data)
     out.mkdir(parents=True, exist_ok=True)
     for t, (_head, maps) in enumerate(net.frame_outputs(video.frames, params, model_cfg,
@@ -336,12 +329,9 @@ def build_parser():
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--init", default=None, help="previous stage checkpoint")
-    for flag, typ in (("--epochs", int), ("--lr", float), ("--seq-len", int),
-                      ("--theta", float), ("--k", int), ("--dropout", float),
-                      ("--clip", float)):
-        t.add_argument(flag, dest=flag[2:].replace("-", "_"), type=typ, default=None)
-    t.add_argument("--asso-form", dest="asso_form", default=None,
-                   choices=("running", "global"))
+    for key, typ in TR.CONFIG_KEYS.items():
+        if key not in ("seed", "profile"):      # global flags
+            t.add_argument("--" + key.replace("_", "-"), dest=key, type=typ, default=None)
     t.add_argument("--no-attention", action="store_true")
     t.set_defaults(func=cmd_train)
 

@@ -1,6 +1,7 @@
 """Training objective: localization + confidence with hard negative
 mining, attention-map supervision, and the self-supervised score-list
-association term.
+association term (each frame's score list against the running mean of
+the frames before it).
 
 The composed objective is
     (alpha * L_loc + beta * L_conf) / M  +  gamma * L_att  +  xi * L_asso
@@ -132,10 +133,10 @@ def attention_loss(att_maps, gt_boxes, input_size=96):
     return T.add_n(terms)
 
 
-def association_loss_node(sl_nodes, seq_len, form="running"):
-    """Association term: L1 deviation of each frame's score list from the
-    mean of its predecessors ("running") or from the whole-sequence mean
-    ("global"), divided by seq_len; 0 for fewer than two frames.
+def association_loss_node(sl_nodes, seq_len):
+    """Association term: the L1 deviation of each frame's score list from
+    the running mean of the frames before it, summed over frames 2.. and
+    classes and divided by seq_len; 0 for fewer than two frames.
 
     sl_nodes: per frame, a list of per-class scalar nodes (None for an
     empty class). Returns a scalar node.
@@ -144,21 +145,11 @@ def association_loss_node(sl_nodes, seq_len, form="running"):
     frames = [[zero if s is None else s for s in sl] for sl in sl_nodes]
     if len(frames) < 2 or seq_len < 2:
         return zero
-    num_classes = len(frames[0])
     terms = []
-    if form == "running":
-        for t in range(1, len(frames)):
-            for c in range(num_classes):
-                mean_prev = T.scale(T.add_n([frames[u][c] for u in range(t)]), 1.0 / t)
-                terms.append(T.absolute(T.sub(frames[t][c], mean_prev)))
-    elif form == "global":
-        n = len(frames)
-        for c in range(num_classes):
-            mean_all = T.scale(T.add_n([frames[u][c] for u in range(n)]), 1.0 / n)
-            for t in range(n):
-                terms.append(T.absolute(T.sub(frames[t][c], mean_all)))
-    else:
-        raise ConfigError(f"unknown association form {form!r}")
+    for t in range(1, len(frames)):
+        for c in range(len(frames[0])):
+            mean_prev = T.scale(T.add_n([frames[u][c] for u in range(t)]), 1.0 / t)
+            terms.append(T.absolute(T.sub(frames[t][c], mean_prev)))
     return T.scale(T.add_n(terms), 1.0 / seq_len)
 
 

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, quoted
 from .postproc import CANVAS, PRIORS_PER_CELL, TOY_SIZES
 from .tensor import Tensor
 
@@ -376,12 +376,13 @@ def load_checkpoint(ckpt_dir):
         try:
             ints[key] = int(meta[key])
         except ValueError:
-            raise ConfigError(f"{meta_path}: {key} = {meta[key]!r} is not an integer") from None
+            raise ConfigError(f"{meta_path}: {key} = {quoted(meta[key])} "
+                              f"is not an integer") from None
     for key in ("attention_enabled", "temporal"):
         if ints[key] not in (0, 1):
-            raise ConfigError(f"{meta_path}: {key} = {meta[key]!r} must be 0 or 1")
+            raise ConfigError(f"{meta_path}: {key} = {quoted(meta[key])} must be 0 or 1")
     if meta["priors_per_cell"] != str(PRIORS_PER_CELL):
-        raise ConfigError(f"{meta_path}: priors_per_cell = {meta['priors_per_cell']}, "
+        raise ConfigError(f"{meta_path}: priors_per_cell = {quoted(meta['priors_per_cell'])}, "
                           f"but the prior grid has {PRIORS_PER_CELL} per cell")
     cfg = ModelConfig(ints["num_classes"], bool(ints["attention_enabled"]),
                       bool(ints["temporal"]))
@@ -395,11 +396,12 @@ def load_checkpoint(ckpt_dir):
             want = tuple(int(d) for d in dims.split("x"))
         except ValueError:
             raise ConfigError(f"{manifest}:{lineno}: expected name<TAB>file<TAB>dims, "
-                              f"got {line!r}") from None
+                              f"got {quoted(line)}") from None
         if name not in expected:
-            raise ConfigError(f"{manifest}:{lineno}: tensor {name} is not part of the model")
+            raise ConfigError(f"{manifest}:{lineno}: tensor {quoted(name)} is not part of "
+                              f"the model")
         if want != expected[name]:
-            raise ConfigError(f"{manifest}:{lineno}: tensor {name} has shape {want}, "
+            raise ConfigError(f"{manifest}:{lineno}: tensor {name} has shape {quoted(want)}, "
                               f"the model expects {expected[name]}")
         arr = T.load_tnsr(ckpt_dir / fname)
         if arr.shape != want:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, quoted
 from .tensor import softmax_rows  # noqa: F401 (re-exported for train)
 
 VARIANCES = (0.1, 0.2)
@@ -52,7 +52,7 @@ class Detection:
     class_id: int
     score: float
     box: np.ndarray                    # corner form, normalized
-    av: np.ndarray | None = None       # appearance vector (length 147 in-network)
+    av: np.ndarray | None = None       # appearance vector (tracker.AV_LENGTH in-network)
     id: int = -1
     prior_index: int | None = None     # provenance inside the prior grid
 
@@ -127,28 +127,28 @@ def iou_matrix(a, b):
     return out
 
 
-def encode(boxes_corner, priors_cf, variances=VARIANCES):
+def encode(boxes_corner, priors_cf):
     """Corner-form boxes -> per-prior offset targets."""
     g = corner_to_center(np.asarray(boxes_corner, dtype=np.float64).reshape(-1, 4))
     p = priors_cf
     out = np.empty_like(g)
-    out[:, 0] = (g[:, 0] - p[:, 0]) / (variances[0] * p[:, 2])
-    out[:, 1] = (g[:, 1] - p[:, 1]) / (variances[0] * p[:, 3])
-    out[:, 2] = np.log(g[:, 2] / p[:, 2]) / variances[1]
-    out[:, 3] = np.log(g[:, 3] / p[:, 3]) / variances[1]
+    out[:, 0] = (g[:, 0] - p[:, 0]) / (VARIANCES[0] * p[:, 2])
+    out[:, 1] = (g[:, 1] - p[:, 1]) / (VARIANCES[0] * p[:, 3])
+    out[:, 2] = np.log(g[:, 2] / p[:, 2]) / VARIANCES[1]
+    out[:, 3] = np.log(g[:, 3] / p[:, 3]) / VARIANCES[1]
     return out
 
 
-def decode(priors_cf, deltas, variances=VARIANCES):
+def decode(priors_cf, deltas):
     """Per-prior offsets -> corner-form boxes clamped to [0, 1]."""
     d = np.asarray(deltas, dtype=np.float64).reshape(-1, 4)
     if d.shape[0] != priors_cf.shape[0]:
         raise ConfigError(f"decode: {d.shape[0]} deltas for {priors_cf.shape[0]} priors")
     cf = np.empty_like(d)
-    cf[:, 0] = priors_cf[:, 0] + d[:, 0] * variances[0] * priors_cf[:, 2]
-    cf[:, 1] = priors_cf[:, 1] + d[:, 1] * variances[0] * priors_cf[:, 3]
-    cf[:, 2] = priors_cf[:, 2] * np.exp(d[:, 2] * variances[1])
-    cf[:, 3] = priors_cf[:, 3] * np.exp(d[:, 3] * variances[1])
+    cf[:, 0] = priors_cf[:, 0] + d[:, 0] * VARIANCES[0] * priors_cf[:, 2]
+    cf[:, 1] = priors_cf[:, 1] + d[:, 1] * VARIANCES[0] * priors_cf[:, 3]
+    cf[:, 2] = priors_cf[:, 2] * np.exp(d[:, 2] * VARIANCES[1])
+    cf[:, 3] = priors_cf[:, 3] * np.exp(d[:, 3] * VARIANCES[1])
     return np.clip(center_to_corner(cf), 0.0, 1.0)
 
 
@@ -261,7 +261,7 @@ def _whole(rec, key, default=None):
     v = rec[key] if default is None else rec.get(key, default)
     w = whole_int(v) if type(v) in (int, float) else None
     if w is None:
-        raise ValueError(f"{key} must be a whole number within 64 bits, got {v!r}")
+        raise ValueError(f"{key} must be a whole number within 64 bits, got {quoted(v)}")
     return w
 
 
@@ -282,10 +282,13 @@ def _record(rec):
     """(frame, Detection) of one parsed line; raises one of _REFUSED."""
     box, av = rec["box"], rec.get("av", [])
     if not (isinstance(box, list) and len(box) == 4):
-        raise ValueError(f"box must hold 4 numbers, got {box!r}")
+        raise ValueError(f"box must hold 4 numbers, got {quoted(box)}")
     if not isinstance(av, list):
-        raise ValueError(f"av must be a list of numbers, got {av!r}")
-    vals = np.asarray([rec["score"], *box, *av], dtype=np.float64)
+        raise ValueError(f"av must be a list of numbers, got {quoted(av)}")
+    try:
+        vals = np.asarray([rec["score"], *box, *av], dtype=np.float64)
+    except ValueError:      # numpy's message quotes a whole unreadable string
+        raise ValueError("score, box and av must be numbers") from None
     if not np.isfinite(vals).all():
         raise ValueError("score, box and av must be finite")
     det = Detection(_whole(rec, "class"), float(vals[0]), vals[1:5],

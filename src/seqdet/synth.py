@@ -21,10 +21,11 @@ import numpy as np
 from .errors import ConfigError, ParseError
 from .postproc import CANVAS, Detection
 from .tensor import load_tnsr, save_tnsr, tnsr_shape
-from .tracker import mot_rows
+from .tracker import AV_LENGTH, mot_rows
 
 NUM_CLASSES = 4
 MIN_BOX = 4
+ORACLE_JITTER = 0.02      # std of the per-detection noise on an oracle av
 
 
 @dataclass
@@ -283,13 +284,14 @@ def build_scenario(name, seed, **kw):
 # per-identity appearance embeddings (external-detections path)
 
 
-def identity_embedding(seed, obj_id, dim=147):
-    """Deterministic near-binary appearance pattern for one identity."""
+def identity_embedding(seed, obj_id):
+    """Deterministic near-binary appearance pattern of AV_LENGTH values for
+    one identity."""
     rng = np.random.default_rng((seed, 0xED, obj_id))
-    return 0.1 + 0.8 * (rng.random(dim) < 0.5)
+    return 0.1 + 0.8 * (rng.random(AV_LENGTH) < 0.5)
 
 
-def oracle_detections(seq: Sequence, conf=0.9, jitter=0.02):
+def oracle_detections(seq: Sequence, conf=0.9):
     """Ground-truth boxes re-emitted as detections with per-identity
     appearance vectors; the ingestion-path stand-in for a real detector."""
     rng = np.random.default_rng((seq.spec.seed, 0x0D))
@@ -299,7 +301,7 @@ def oracle_detections(seq: Sequence, conf=0.9, jitter=0.02):
     for fidx, boxes in enumerate(seq.gt, start=1):
         dets = []
         for gtb in boxes:
-            av = np.clip(base[gtb.obj_id] + rng.normal(0, jitter, 147), 0.02, 0.98)
+            av = np.clip(base[gtb.obj_id] + rng.normal(0, ORACLE_JITTER, AV_LENGTH), 0.02, 0.98)
             dets.append(Detection(gtb.class_id,
                                   min(max(conf + rng.normal(0, 0.02), 0.5), 0.99),
                                   gtb.corners_norm(), av=av))

@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, quoted
 from .postproc import CANVAS, Detection, iou_matrix, whole_int
 from .postproc import iou  # noqa: F401 (a lookup site perfbench's tracer tests wrap)
 from .tensor import bilinear_weights, load_tnsr
 
 AV_GRID = 7          # each low-level attention map resamples to 7x7
-AV_LEVELS = 3        # number of low-level maps feeding the descriptor (147 values)
+AV_LEVELS = 3        # number of low-level maps feeding the descriptor
+AV_LENGTH = AV_LEVELS * AV_GRID * AV_GRID      # 147 descriptor values
 
 
 @dataclass
@@ -65,7 +66,7 @@ class TrackState:
 def attention_vector_for_box(att_maps, box):
     """Appearance descriptor of one box: each low-level [1,S,S] attention
     map sampled on a 7x7 bilinear grid over the box (half-pixel centers,
-    edge clamp), flattened and concatenated (length 147). The unit box
+    edge clamp), flattened and concatenated (AV_LENGTH values). The unit box
     [0, 0, 1, 1] resamples each whole map."""
     if len(att_maps) < AV_LEVELS:
         raise ConfigError(f"need {AV_LEVELS} low-level maps, got {len(att_maps)}")
@@ -203,6 +204,20 @@ def write_mot_csv(path, frames):
                          f"{x2 - x1:.2f},{y2 - y1:.2f},{d.score:.4f},-1,-1,-1\n")
 
 
+def _floats(fields):
+    """[float(f) for f in fields]. A field that is no number raises a
+    ValueError that quotes it by errors.quoted; float's own quotes all of it."""
+    try:
+        return [float(f) for f in fields]
+    except ValueError:
+        for f in fields:
+            try:
+                float(f)
+            except ValueError:
+                raise ValueError(f"{quoted(f)} is not a number") from None
+        raise
+
+
 def whole_number(field):
     """A MOT row's integer field (frame, id or class) as an int, or None when
     postproc.whole_int refuses its number: '1.0' reads as 1; '1.5', 'inf'
@@ -210,7 +225,7 @@ def whole_number(field):
     try:
         v = int(field)              # plain integers: exact, and the common case
     except ValueError:
-        v = float(field)
+        v = _floats([field])[0]
     return whole_int(v)
 
 
@@ -231,14 +246,14 @@ def mot_rows(path):
                 raise ParseError(f"{path}:{lineno}: expected >= 7 columns, "
                                  f"got {len(parts)}")
             try:
-                vals = [float(v) for v in parts[2:7]]
-                extras = [float(v) for v in parts[7:]]
+                vals = _floats(parts[2:7])
+                extras = _floats(parts[7:])
                 frame, tid = whole_number(parts[0]), whole_number(parts[1])
                 cls = whole_number(parts[10]) if len(parts) > 10 else 1
                 if frame is None or tid is None or cls is None:
                     raise ValueError(f"frame, id and class must be whole numbers within "
                                      f"64 bits, got "
-                                     f"{', '.join(map(repr, parts[:2] + parts[10:11]))}")
+                                     f"{', '.join(map(quoted, parts[:2] + parts[10:11]))}")
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad number ({exc})") from exc
             if not all(map(math.isfinite, vals)):

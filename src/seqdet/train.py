@@ -15,7 +15,7 @@ import numpy as np
 from . import loss as LS
 from . import net
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, quoted
 from .postproc import (decode, get_profile, make_priors,
                        select_class_candidates, softmax_rows)
 from .synth import load_dataset_root
@@ -102,7 +102,6 @@ def clip_gradients(grads, max_norm, norm):
 
 @dataclass
 class TrainConfig:
-    stage: int = 1
     seq_len: int = 8
     lr: float | None = None            # stage default when None
     epochs: int | None = None          # stage default when None
@@ -110,20 +109,17 @@ class TrainConfig:
     k: int = 75
     dropout: float = 0.2
     clip: float = 0.0                  # global grad-norm clip, 0 = off
-    asso_form: str = "running"
     attention: bool = True
     profile: str = "vid"
     seed: int = 0
 
-    def resolved(self):
-        """Fill in the stage defaults and reject out-of-range settings."""
-        if self.stage not in (1, 2, 3):
-            raise ConfigError(f"stage must be 1, 2 or 3, got {self.stage}")
-        out = replace(self)
-        if out.lr is None:
-            out.lr = STAGE_LR[self.stage]
-        if out.epochs is None:
-            out.epochs = STAGE_EPOCHS[self.stage]
+    def resolved(self, stage):
+        """A copy with stage's lr and epochs defaults filled in; rejects an
+        unknown stage and out-of-range settings."""
+        if stage not in (1, 2, 3):
+            raise ConfigError(f"stage must be 1, 2 or 3, got {stage}")
+        out = replace(self, lr=STAGE_LR[stage] if self.lr is None else self.lr,
+                      epochs=STAGE_EPOCHS[stage] if self.epochs is None else self.epochs)
         for key, ok, rule in (
                 ("seq_len", out.seq_len >= 1, ">= 1"),
                 ("k", out.k >= 1, ">= 1"),
@@ -131,19 +127,18 @@ class TrainConfig:
                 ("theta", 0 <= out.theta < 1, "in [0, 1)"),
                 ("dropout", 0 <= out.dropout < 1, "in [0, 1)"),
                 ("clip", math.isfinite(out.clip) and out.clip >= 0, "finite and >= 0"),
-                ("epochs", out.epochs >= 0, ">= 0"),
-                ("asso_form", out.asso_form in ("running", "global"),
-                 "running or global")):
+                ("epochs", out.epochs >= 0, ">= 0")):
             if not ok:
                 raise ConfigError(f"{key} = {getattr(out, key)!r}: must be {rule}")
         get_profile(out.profile)
         return out
 
 
+# The settings a --config file may hold, with their types; each one but the
+# global seed and profile is also a train flag (cli.build_parser).
 CONFIG_KEYS = {
     "seq_len": int, "lr": float, "epochs": int, "theta": float, "k": int,
-    "dropout": float, "seed": int, "clip": float,
-    "asso_form": str, "profile": str,
+    "dropout": float, "seed": int, "clip": float, "profile": str,
 }
 
 
@@ -155,14 +150,14 @@ def parse_config_file(path):
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {quoted(raw)}")
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: unknown config key {quoted(key)}")
         try:
             out[key] = CONFIG_KEYS[key](value)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {quoted(value)}") from exc
     return out
 
 
@@ -277,7 +272,7 @@ def _train_sequence(params, video, indices, cfg, model_cfg, priors, mode, with_a
     total = T.scale(T.add_n(frame_nodes), 1.0 / n)
     l_asso = 0.0
     if with_asso:
-        asso_node = LS.association_loss_node(sl_nodes, n, cfg.asso_form)
+        asso_node = LS.association_loss_node(sl_nodes, n)
         total = T.add(total, T.scale(asso_node, LOSS_WEIGHTS.xi))
         l_asso = asso_node.item()
     parts = {k: s / n for k, s in sums.items()}
@@ -296,7 +291,7 @@ def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
     sequences; temporal-unit parameters update with RMSProp, heads with
     SGD. Stage 3 adds the association term and forces sp = 1.
     """
-    cfg = replace(config, stage=stage).resolved()
+    cfg = config.resolved(stage)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     videos = sorted(load_dataset_root(data_root), key=lambda v: v.name)

@@ -163,23 +163,16 @@ def score_list(dets, k=75, theta=0.1, num_classes=4):
     return out
 
 
-def association_loss(score_lists, seq_len, form="running"):
+def association_loss(score_lists, seq_len):
     """L1 deviation of each frame's score list from the mean of its
-    predecessors (or from the whole-sequence mean), divided by seq_len."""
+    predecessors, divided by seq_len."""
     lists = [np.asarray(sl, dtype=np.float64) for sl in score_lists]
     if len(lists) < 2 or seq_len < 2:
         return 0.0
     total = 0.0
-    if form == "running":
-        for t in range(1, len(lists)):
-            mean_prev = np.mean(lists[:t], axis=0)
-            total += float(np.abs(lists[t] - mean_prev).sum())
-    elif form == "global":
-        mean_all = np.mean(lists, axis=0)
-        for sl in lists:
-            total += float(np.abs(sl - mean_all).sum())
-    else:
-        raise ValueError(f"unknown association form {form!r}")
+    for t in range(1, len(lists)):
+        mean_prev = np.mean(lists[:t], axis=0)
+        total += float(np.abs(lists[t] - mean_prev).sum())
     return total / seq_len
 
 
@@ -341,13 +334,21 @@ def detections_jsonl_reference(frames):
     return "".join(lines)
 
 
+def _quoted(value):
+    """repr(value), its first 32 characters and '...' when it is longer."""
+    text = repr(value)
+    if len(text) > 32:
+        text = text[:32] + "..."
+    return text
+
+
 def _json_whole(rec, key, default=None):
     v = rec[key] if default is None else rec.get(key, default)
     w = None
     if type(v) is int or (type(v) is float and v.is_integer()):
         w = int(v) if -2**63 <= v < 2**63 else None
     if w is None:
-        raise ValueError(f"{key} must be a whole number within 64 bits, got {v!r}")
+        raise ValueError(f"{key} must be a whole number within 64 bits, got {_quoted(v)}")
     return w
 
 
@@ -366,10 +367,13 @@ def read_detections_jsonl_json(path):
                 rec = json.loads(line)
                 box, av = rec["box"], rec.get("av", [])
                 if not (isinstance(box, list) and len(box) == 4):
-                    raise ValueError(f"box must hold 4 numbers, got {box!r}")
+                    raise ValueError(f"box must hold 4 numbers, got {_quoted(box)}")
                 if not isinstance(av, list):
-                    raise ValueError(f"av must be a list of numbers, got {av!r}")
-                vals = np.asarray([rec["score"], *box, *av], dtype=np.float64)
+                    raise ValueError(f"av must be a list of numbers, got {_quoted(av)}")
+                try:
+                    vals = np.asarray([rec["score"], *box, *av], dtype=np.float64)
+                except ValueError:
+                    raise ValueError("score, box and av must be numbers") from None
                 if not np.isfinite(vals).all():
                     raise ValueError("score, box and av must be finite")
                 det = pp.Detection(_json_whole(rec, "class"), float(vals[0]), vals[1:5],

@@ -1,9 +1,11 @@
+import argparse
 import os
 
 import numpy as np
 import pytest
 
 from seqdet import cli
+from seqdet import train as TR
 from seqdet import tracker as TK
 from seqdet.postproc import read_detections_jsonl
 from seqdet.tensor import load_tnsr, save_tnsr
@@ -211,6 +213,23 @@ def test_track_refuses_a_nan_match_threshold(dataset, tmp_path, capsys):
     assert not (tmp_path / "trk").exists()
 
 
+@pytest.mark.parametrize("extra,message", [
+    (("--embeddings", "absent.tnsr"), "--dets input takes no --embeddings"),
+    (("--mot", "absent.csv"), "--dets input takes no --mot"),
+], ids=["embeddings", "mot"])
+def test_track_refuses_an_input_flag_it_would_ignore(dataset, tmp_path, capsys, extra,
+                                                     message):
+    """--dets input makes --embeddings and --mot dead flags: each is refused
+    before any output, even when its path does not exist."""
+    out = tmp_path / "trk" / "r.csv"
+    assert run("track", "--dets", dataset / "video_000" / "detections.jsonl", *extra,
+               "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"seqdet: error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "trk").exists()
+
+
 def test_track_has_no_canvas_option(dataset, tmp_path):
     """Frames are always CANVAS pixels wide; there is no flag to say otherwise."""
     with pytest.raises(SystemExit):
@@ -411,11 +430,31 @@ def test_train_logs_the_profile_of_its_config_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_outdir_env_override(dataset, tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "routed"))
+def test_relative_out_is_under_the_working_directory(dataset, tmp_path, monkeypatch):
+    """A relative --out resolves against the working directory, like every
+    input path, whatever SEQDET_OUTDIR holds."""
+    monkeypatch.setenv("SEQDET_OUTDIR", str(tmp_path / "routed"))
+    monkeypatch.chdir(tmp_path)
     assert run("track", "--dets", dataset / "video_000" / "detections.jsonl",
-               "--out", "rel.csv") == 0
-    assert (tmp_path / "routed" / "rel.csv").exists()
+               "--out", "rel/r.csv") == 0
+    assert (tmp_path / "rel" / "r.csv").exists()
+    assert "out = rel/r.csv" in (tmp_path / "rel" / "run_config.txt").read_text()
+    assert not (tmp_path / "routed").exists()
+
+
+def test_train_flags_are_the_config_keys():
+    """train has one flag per CONFIG_KEYS setting but the global seed and
+    profile, of that setting's type, and no other setting flag."""
+    commands, = (a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    train = commands.choices["train"]
+    settings = {a.dest: a for a in train._actions
+                if a.dest not in ("help", "stage", "data", "out", "init", "no_attention")}
+    keys = {k: t for k, t in TR.CONFIG_KEYS.items() if k not in ("seed", "profile")}
+    assert set(settings) == set(keys)
+    for key, action in settings.items():
+        assert action.option_strings == ["--" + key.replace("_", "-")]
+        assert action.type is keys[key] and action.default is None
 
 
 def test_sweep_and_track_write_the_same_rows(tmp_path):

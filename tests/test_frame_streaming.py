@@ -65,7 +65,7 @@ def test_stage2_sequence_reads_its_seq_len_frames(videos, reads):
     video = synth.load_video_dir(videos[16])
     reads.clear()
     model_cfg = net.ModelConfig()
-    cfg = TR.TrainConfig(stage=2, seq_len=4).resolved()
+    cfg = TR.TrainConfig(seq_len=4).resolved(2)
     rng = np.random.default_rng(0)
     indices = TR.random_skip_sample(len(video.frames), cfg.seq_len, rng).indices
     TR._train_sequence(net.init_params(7, model_cfg), video, indices, cfg, model_cfg,

@@ -261,9 +261,9 @@ def test_score_list_nodes_match_reference_on_detections():
             np.testing.assert_allclose(got, score_list(full, k, 0.1, 4), rtol=1e-12)
 
 
-def association(lists, seq_len, form="running"):
+def association(lists, seq_len):
     nodes = [[T.constant([v]) for v in sl] for sl in lists]
-    return L.association_loss_node(nodes, seq_len, form).item()
+    return L.association_loss_node(nodes, seq_len).item()
 
 
 def test_association_identical_lists_zero():
@@ -304,22 +304,11 @@ def test_association_fewer_than_two_frames_zero():
     assert association([np.array([1.0])], 1) == 0.0
 
 
-def test_association_global_form():
-    sl = [np.array([0.0]), np.array([2.0])]
-    # global mean 1.0 -> |0-1| + |2-1| = 2, / seq_len
-    assert association(sl, 2, form="global") == pytest.approx(1.0)
-    with pytest.raises(ConfigError):
-        association(sl, 2, form="median")
-
-
 def test_association_node_matches_numeric():
     rng = np.random.default_rng(8)
     frames = [rng.random(3) for _ in range(4)]
-    for form in ("running", "global"):
-        node = L.association_loss_node(
-            [[T.constant([v]) for v in sl] for sl in frames], 4, form)
-        assert node.item() == pytest.approx(association_loss(frames, 4, form),
-                                            rel=1e-12)
+    node = L.association_loss_node([[T.constant([v]) for v in sl] for sl in frames], 4)
+    assert node.item() == pytest.approx(association_loss(frames, 4), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +337,7 @@ def test_total_loss_xi_zero_drops_association(tmp_path, monkeypatch):
     video = load_video_dir(tmp_path / "v")
     model_cfg = net.ModelConfig()
     params = net.init_params(41, model_cfg)
-    cfg = TR.TrainConfig(stage=3, seq_len=2, dropout=0.0).resolved()
+    cfg = TR.TrainConfig(seq_len=2, dropout=0.0).resolved(3)
     monkeypatch.setattr(TR, "LOSS_WEIGHTS", L.LossWeights(xi=0.0))
     (plain, _), (total, parts) = [
         TR._train_sequence(params, video, (2, 3), cfg, model_cfg, make_priors(),
@@ -430,8 +419,7 @@ def test_full_network_two_frame_gradients_match_finite_diff():
 # stage-3 gradient spot check (loc + conf + att + xi * L_asso over three frames)
 
 
-@pytest.mark.parametrize("form", ["running", "global"])
-def test_stage3_objective_gradients_match_finite_diff(form):
+def test_stage3_objective_gradients_match_finite_diff():
     """The association term reaches the head parameters through the
     thresholded, NMS-kept detections of each frame: detections_for_frame ->
     score_list_nodes -> association_loss_node. The kept (class, prior) ids
@@ -472,7 +460,7 @@ def test_stage3_objective_gradients_match_finite_diff(form):
             ids.append(tuple((d.class_id, d.prior_index) for d in dets))
             sl_nodes.append(score_list_nodes(head, dets, k, 4))
         kept.append(tuple(ids))
-        asso = L.association_loss_node(sl_nodes, frames, form)
+        asso = L.association_loss_node(sl_nodes, frames)
         total = T.scale(T.add_n(frame_nodes), 1.0 / frames)
         return T.add(total, T.scale(asso, TR.LOSS_WEIGHTS.xi)), asso
 

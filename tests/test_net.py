@@ -708,7 +708,7 @@ def test_checkpoint_with_other_priors_per_cell_is_config_error(tmp_path):
     meta = tmp_path / "ck" / "meta.txt"
     assert "priors_per_cell = 2\n" in meta.read_text()
     meta.write_text(meta.read_text().replace("priors_per_cell = 2", "priors_per_cell = 3"))
-    with pytest.raises(ConfigError, match=r"ck/meta\.txt: priors_per_cell = 3"):
+    with pytest.raises(ConfigError, match=r"ck/meta\.txt: priors_per_cell = '3'"):
         net.load_checkpoint(tmp_path / "ck")
 
 
@@ -793,14 +793,32 @@ def test_checkpoint_meta_flag_other_than_0_or_1_is_config_error(tmp_path, key, v
         net.load_checkpoint(tmp_path / "ck")
 
 
+@pytest.mark.parametrize("file,old,new", [
+    ("meta.txt", "num_classes = 4", "num_classes = " + "x" * 200_000),
+    ("meta.txt", "priors_per_cell = 2", "priors_per_cell = " + " " * 200_000 + "3"),
+    ("manifest.txt", "head.l3.bias\t", "x" * 200_000 + "\t"),
+    ("manifest.txt", "head.l3.bias\t", "x" * 200_000),
+], ids=["meta_value", "meta_spaces", "manifest_name", "manifest_line"])
+def test_checkpoint_error_on_an_oversized_value_is_bounded(tmp_path, file, old, new):
+    _saved_checkpoint(tmp_path / "ck")
+    path = tmp_path / "ck" / file
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new))
+    with pytest.raises(ConfigError) as err:
+        net.load_checkpoint(tmp_path / "ck")
+    message = str(err.value)
+    assert message.startswith(f"{path}")
+    assert len(message) - len(str(path)) <= 200, message
+
+
 CHECKPOINT_MISMATCHES = {
     "missing": r"ck/manifest\.txt: tensor head\.l3\.bias is missing",
-    "extra": r"ck/manifest\.txt:\d+: tensor head\.l6\.bias is not part of the model",
+    "extra": r"ck/manifest\.txt:\d+: tensor 'head\.l6\.bias' is not part of the model",
     "misshaped": r"ck/manifest\.txt:\d+: tensor head\.l3\.bias has shape \(7,\), "
                  r"the model expects \(18,\)",
     "temporal_without_lstm": r"ck/manifest\.txt: tensor lstm\.low\.att1\.kernel is missing",
-    "static_with_lstm": r"ck/manifest\.txt:\d+: tensor lstm\.high\.att1\.kernel is not part",
-    "per_gate_layout": r"ck/manifest\.txt:\d+: tensor lstm\.low\.gate_i\.kernel is not part",
+    "static_with_lstm": r"ck/manifest\.txt:\d+: tensor 'lstm\.high\.att1\.kernel' is not part",
+    "per_gate_layout": r"ck/manifest\.txt:\d+: tensor 'lstm\.low\.gate_i\.kernel' is not part",
 }
 
 

@@ -284,7 +284,7 @@ def test_fuzz_gt_and_mot_csv_share_the_whole_number_rule(tmp_path):
 
 
 def test_fuzz_config_file(tmp_path):
-    raw = b"# training settings\nseed = 3\nlr = 0.001\nseq_len = 4\nasso_form = global\n"
+    raw = b"# training settings\nseed = 3\nlr = 0.001\nseq_len = 4\nprofile = mot\n"
     _sweep(54, tmp_path / "fuzz.cfg", raw, b"=", TR.parse_config_file)
 
 

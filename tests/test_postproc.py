@@ -623,3 +623,31 @@ def test_detections_jsonl_writer_refuses_non_finite_values(tmp_path, field, bad)
         pp.write_detections_jsonl(path, [(1, [good]), (4, [good, worse])])
     assert str(exc.value) == f"{path}: frame 4 class 3: score, box and av must be finite"
     assert not path.exists()
+
+
+# Messages quote at most errors.QUOTE_CHARS characters of a value.
+OVERSIZED_RECORDS = {
+    "box_100k_numbers": '{"frame": 1, "class": 1, "score": 0.5, "box": [%s]}'
+                        % ", ".join(["0.5"] * 100_000),
+    "av_200k_string": '{"frame": 1, "class": 1, "score": 0.5, "box": [0, 0, 1, 1], '
+                      '"av": "%s"}' % ("x" * 200_000),
+    "score_200k_string": '{"frame": 1, "class": 1, "score": "%s", "box": [0, 0, 1, 1]}'
+                         % ("x" * 200_000),
+    "frame_100k_list": '{"frame": [%s], "class": 1, "score": 0.5, "box": [0, 0, 1, 1]}'
+                       % ", ".join(["1"] * 100_000),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERSIZED_RECORDS))
+def test_detections_jsonl_error_on_an_oversized_value_is_bounded(tmp_path, case):
+    from refimpl import read_detections_jsonl_json
+    path = tmp_path / "big.jsonl"
+    path.write_text(OVERSIZED_RECORDS[case] + "\n")
+    with pytest.raises(ParseError) as err:
+        pp.read_detections_jsonl(path)
+    message = str(err.value)
+    assert message.startswith(f"{path}:1: bad detection record (")
+    assert len(message) - len(str(path)) <= 200, message
+    with pytest.raises(ParseError) as ref:
+        read_detections_jsonl_json(path)
+    assert str(ref.value) == message

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -461,11 +462,13 @@ def test_mot_csv_non_finite_box_or_conf_is_parse_error(tmp_path, fields):
                                  pytest.param("2" * 400, id="400_digits"),
                                  "9223372036854775808"])
 def test_ingest_class_column_must_be_an_integer(tmp_path, cls):
+    """The message quotes the class field, cut to 32 characters and '...'."""
     p = tmp_path / "cls.csv"
     p.write_text(f"1,1,0,0,5,5,0.9,-1,-1,-1,2\n1,2,0,0,5,5,0.9,-1,-1,-1,{cls}\n")
+    want = repr(cls) if len(cls) <= 30 else repr(cls)[:32] + "..."
     with pytest.raises(ParseError, match=rf"cls\.csv:2: bad number \(frame, id and class "
                                          rf"must be whole numbers within 64 bits, "
-                                         rf"got '1', '2', '{cls}'\)$"):
+                                         rf"got '1', '2', {re.escape(want)}\)$"):
         TK.ingest_detections(p)
 
 
@@ -507,3 +510,20 @@ def test_tracker_params_validation():
         TK.TrackerParams(similarity="l2").validate()
     with pytest.raises(ConfigError, match="max_miss must be >= 0, got -1"):
         TK.TrackerParams(max_miss=-1).validate()
+
+
+@pytest.mark.parametrize("row", ["1,1,%s,0,5,5,0.9" % ("x" * 200_000),
+                                 "%s,1,0,0,5,5,0.9" % ("x" * 200_000),
+                                 "%s,1,0,0,5,5,0.9" % ("1" * 200_000),
+                                 "1,1,0,0,5,5,0.9,-1,-1,-1,%s" % ("2.5" * 70_000)],
+                         ids=["box_text", "frame_text", "frame_digits", "class_fraction"])
+def test_mot_csv_error_on_an_oversized_field_is_bounded(tmp_path, row):
+    """float() quotes all of a field it cannot read; the row's message
+    quotes at most errors.QUOTE_CHARS characters of it."""
+    p = tmp_path / "big.csv"
+    p.write_text(row + "\n")
+    with pytest.raises(ParseError) as err:
+        TK.read_mot_csv(p)
+    message = str(err.value)
+    assert message.startswith(f"{p}:1: bad number (")
+    assert len(message) - len(str(p)) <= 200, message

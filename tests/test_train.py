@@ -127,12 +127,12 @@ def test_clip_gradients_global_norm():
 
 
 def test_config_defaults_resolution():
-    cfg = TR.TrainConfig(stage=2).resolved()
+    cfg = TR.TrainConfig().resolved(2)
     assert cfg.lr == 1e-4 and cfg.epochs == 40
-    cfg3 = TR.TrainConfig(stage=3).resolved()
+    cfg3 = TR.TrainConfig().resolved(3)
     assert cfg3.lr == 1e-5 and cfg3.epochs == 10
     with pytest.raises(ConfigError):
-        TR.TrainConfig(stage=4).resolved()
+        TR.TrainConfig().resolved(4)
 
 
 @pytest.mark.parametrize("setting,message", [
@@ -144,13 +144,12 @@ def test_config_defaults_resolution():
     ({"dropout": -0.1}, "dropout = -0.1: must be in [0, 1)"),
     ({"clip": float("nan")}, "clip = nan: must be finite and >= 0"),
     ({"epochs": -1}, "epochs = -1: must be >= 0"),
-    ({"asso_form": "median"}, "asso_form = 'median': must be running or global"),
     ({"profile": "coco"}, "unknown dataset profile 'coco'"),
 ], ids=["seq_len", "k", "lr_zero", "lr_inf", "theta", "dropout", "clip", "epochs",
-        "asso_form", "profile"])
+        "profile"])
 def test_config_rejects_out_of_range_settings(setting, message):
     with pytest.raises(ConfigError) as err:
-        TR.TrainConfig(stage=2, **setting).resolved()
+        TR.TrainConfig(**setting).resolved(2)
     assert str(err.value).startswith(message)
 
 
@@ -173,6 +172,18 @@ def test_config_file_rejects_unknown_key(tmp_path):
     p.write_text("stage = 2\n")
     with pytest.raises(ConfigError, match="unknown config key 'stage'"):
         TR.parse_config_file(p)
+
+
+@pytest.mark.parametrize("line", ["x" * 200_000, "lr = " + "9" * 200_000 + "x",
+                                  "y" * 200_000 + " = 1"], ids=["no_equals", "value", "key"])
+def test_config_file_error_on_an_oversized_line_is_bounded(tmp_path, line):
+    p = tmp_path / "big.cfg"
+    p.write_text(line + "\n")
+    with pytest.raises(ConfigError) as err:
+        TR.parse_config_file(p)
+    message = str(err.value)
+    assert message.startswith(f"{p}:1: ")
+    assert len(message) - len(str(p)) <= 200, message
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +235,20 @@ def test_temporal_detect_first_frame_is_its_one_frame_run(tiny_root):
 # stage runner
 
 
-def sample_and_mode(video, cfg, seed):
+def sample_and_mode(video, cfg, stage, seed):
     """A stage's draw of frame indices, and the forward settings that share
     its generator, as run_stage makes them."""
     rng = np.random.default_rng(seed)
     sample = TR.random_skip_sample(len(video.frames), cfg.seq_len, rng,
-                                   sp=1 if cfg.stage == 3 else None)
+                                   sp=1 if stage == 3 else None)
     return sample.indices, net.NetMode(dropout_rate=cfg.dropout, rng=rng)
 
 
 def sequence_graph(root, stage):
     video = load_video_dir(root / "video_000")
     model_cfg = net.ModelConfig()
-    cfg = TR.TrainConfig(stage=stage, seq_len=4).resolved()
-    indices, mode = sample_and_mode(video, cfg, 0)
+    cfg = TR.TrainConfig(seq_len=4).resolved(stage)
+    indices, mode = sample_and_mode(video, cfg, stage, 0)
     total, _parts = TR._train_sequence(net.init_params(7, model_cfg), video, indices, cfg,
                                        model_cfg, make_priors(), mode, stage == 3)
     return total
@@ -249,7 +260,7 @@ def test_one_frame_static_loss_is_the_frame_loss(tiny_root):
     video = load_video_dir(tiny_root / "video_001")
     model_cfg = net.ModelConfig(temporal=False)
     params = net.init_params(9, model_cfg, with_lstm=False)
-    cfg = TR.TrainConfig(stage=1).resolved()
+    cfg = TR.TrainConfig().resolved(1)
     priors = make_priors()
     total, parts = TR._train_sequence(params, video, (5,), cfg, model_cfg, priors,
                                       net.NetMode(), with_asso=False)
@@ -313,7 +324,7 @@ def test_sequence_equals_the_composed_graph_bitwise(tmp_path, monkeypatch, stage
                 (LS, "attention_loss", _composed_attention_loss)]
     init = net.init_params(seed, net.ModelConfig())
     for attention, dropout in itertools.product((True, False), (0.0, 0.2)):
-        cfg = TR.TrainConfig(stage=stage, dropout=dropout, attention=attention).resolved()
+        cfg = TR.TrainConfig(dropout=dropout, attention=attention).resolved(stage)
         model_cfg = net.ModelConfig(attention_enabled=attention)
         results = []
         for fused in (True, False):
@@ -455,7 +466,7 @@ def test_same_seed_same_checkpoint_bytes(tiny_root, tmp_path):
 
 def test_optimizer_split_update_rules(tiny_root, tmp_path):
     s1 = TR.run_stage(1, tiny_root, tmp_path / "s1", TR.TrainConfig(seed=6, epochs=1))
-    cfg2 = TR.TrainConfig(seed=6, epochs=1, stage=2).resolved()
+    cfg2 = TR.TrainConfig(seed=6, epochs=1).resolved(2)
     params, model_cfg = net.load_checkpoint(s1["checkpoint"])
     # promoted as run_stage does: every tensor outside FROZEN_PREFIXES trains
     params = {n: p if n.startswith(net.FROZEN_PREFIXES) else T.parameter(p.data, n)
@@ -463,7 +474,7 @@ def test_optimizer_split_update_rules(tiny_root, tmp_path):
     net.init_lstm_params(np.random.default_rng(0), params)
     model_cfg.temporal = True
     videos = sorted(load_dataset_root(tiny_root), key=lambda v: v.name)
-    indices, mode = sample_and_mode(videos[0], cfg2, 7)
+    indices, mode = sample_and_mode(videos[0], cfg2, 2, 7)
     total, _ = TR._train_sequence(params, videos[0], indices, cfg2, model_cfg, make_priors(),
                                   mode, with_asso=False)
     grads = T.backward(total)
