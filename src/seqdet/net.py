@@ -381,7 +381,7 @@ def load_checkpoint(ckpt_dir):
     for key in ("attention_enabled", "temporal"):
         if ints[key] not in (0, 1):
             raise ConfigError(f"{meta_path}: {key} = {quoted(meta[key])} must be 0 or 1")
-    if meta["priors_per_cell"] != str(PRIORS_PER_CELL):
+    if ints["priors_per_cell"] != PRIORS_PER_CELL:
         raise ConfigError(f"{meta_path}: priors_per_cell = {quoted(meta['priors_per_cell'])}, "
                           f"but the prior grid has {PRIORS_PER_CELL} per cell")
     cfg = ModelConfig(ints["num_classes"], bool(ints["attention_enabled"]),

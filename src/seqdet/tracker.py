@@ -3,7 +3,8 @@ appearance similarity of attention-map descriptors combined with box
 overlap.
 
 Each tubelet keeps the most recent detections of one identity (newest
-first). A detection inherits the id of its best-scoring tubelet when the
+first) and their unit-length descriptors, each normalised once. A
+detection inherits the id of its best-scoring tubelet when the
 similarity exceeds the match threshold; contested tubelets keep only
 their best claimant; confident leftovers found a new identity. Tubelets
 unseen for longer than max_miss frames are dropped, and ids are never
@@ -13,6 +14,7 @@ reused.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +57,7 @@ class Tubelet:
     id: int
     objs: list               # Detections, most recent first, <= tub_len_max
     last_seen: int
+    units: np.ndarray | None = None   # objs' unit avs, row for row; None: not built yet
 
 
 @dataclass
@@ -88,19 +91,23 @@ def _unit_rows(vectors):
     return np.divide(a, norm, out=np.zeros_like(a), where=norm > 0)
 
 
-def tubelet_similarity(dets, tubs, mode="attention_iou"):
-    """[len(dets), len(tubs)] matrix: exp(IoU of each detection with each
-    tubelet's newest box) times the mean cosine similarity of the
-    detection's av with the av of every tubelet member (that factor is 1
-    in iou_only mode; a zero vector has cosine 0 with anything)."""
-    sim = np.exp(iou_matrix([d.box for d in dets], [t.objs[0].box for t in tubs]))
-    if mode == "iou_only":
-        return sim
-    sizes = [len(t.objs) for t in tubs]
-    cos = _unit_rows([d.av for d in dets]) @ _unit_rows(
-        [m.av for t in tubs for m in t.objs]).T
+def tubelet_similarity(overlap, units, tubs):
+    """[len(overlap), len(tubs)] similarity of a class's detections to its
+    tubelets. overlap holds exp(IoU) of each detection with each tubelet's
+    newest box; it is multiplied by the mean cosine of the detection's unit
+    av (a row of units) with the av of every tubelet member, or left as it
+    is when units is None (iou_only mode). A zero vector has cosine 0 with
+    anything. The cosines are one product per class: a product over several
+    classes at once changes their last bits."""
+    if units is None:
+        return overlap
+    for t in tubs:
+        if t.units is None:          # built by hand: its rows come from its objs
+            t.units = _unit_rows([m.av for m in t.objs])
+    sizes = [len(t.units) for t in tubs]
+    cos = units @ np.concatenate([t.units for t in tubs]).T
     starts = np.cumsum([0] + sizes[:-1])
-    return sim * (np.add.reduceat(cos, starts, axis=1) / sizes)
+    return overlap * (np.add.reduceat(cos, starts, axis=1) / sizes)
 
 
 def update_tracks(dets, state: TrackState, params: TrackerParams, frame_idx):
@@ -120,32 +127,50 @@ def update_tracks(dets, state: TrackState, params: TrackerParams, frame_idx):
       4. claimed tubelets absorb their detection (newest first, truncated
          to tub_len_max), stale tubelets are dropped, new ids found new
          tubelets. Classes without tubelets skip straight to step 3.
+
+    The frame's avs are normalised once and its overlaps taken in one
+    matrix across classes, of which each class reads its own block.
     """
     for d in dets:
         d.id = -1
-    classes = sorted(set(d.class_id for d in dets) | set(state.tubs))
+    order = sorted(dets, key=lambda d: (d.class_id, -d.score))
+    keys = [d.class_id for d in order]
+    classes = sorted(set(keys) | set(state.tubs))
+    units = None
+    if params.similarity == "attention_iou" and order:
+        units = _unit_rows([d.av for d in order])
+    live = [t for cls in classes for t in state.tubs.get(cls, ())]
+    overlap = (np.exp(iou_matrix([d.box for d in order], [t.objs[0].box for t in live]))
+               if order and live else None)
+    t0 = 0
     for cls in classes:
         tubs = state.tubs.get(cls, [])
-        objs = sorted([d for d in dets if d.class_id == cls],
-                      key=lambda d: -d.score)
-        won = {}             # tubelet index -> (similarity, detection) of its best claimant
-        if tubs and objs:
-            sim = tubelet_similarity(objs, tubs, params.similarity)
-            for obj, row, best in zip(objs, sim, sim.argmax(axis=1).tolist()):
+        d0, d1 = bisect_left(keys, cls), bisect_right(keys, cls)
+        t1 = t0 + len(tubs)
+        won = {}             # tubelet index -> (similarity, detection index) of its best claimant
+        if tubs and d0 < d1:
+            sim = tubelet_similarity(overlap[d0:d1, t0:t1],
+                                     None if units is None else units[d0:d1], tubs)
+            for j, row, best in zip(range(d0, d1), sim, sim.argmax(axis=1).tolist()):
                 # beat the threshold and every earlier claimant
                 if row[best] > won.get(best, (params.match_threshold,))[0]:
-                    won[best] = (row[best], obj)
-        for i, (_s, obj) in won.items():
-            obj.id = tubs[i].id
-        for obj in objs:
+                    won[best] = (row[best], j)
+        for i, (_s, j) in won.items():
+            order[j].id = tubs[i].id
+        for j in range(d0, d1):
+            obj = order[j]
             if obj.id == -1 and obj.score > params.generation_score:
                 obj.id = state.next_id
                 state.next_id += 1
-                tubs.append(Tubelet(obj.id, [obj], frame_idx))
+                tubs.append(Tubelet(obj.id, [obj], frame_idx,
+                                    None if units is None else units[j:j + 1].copy()))
         kept = []
         for i, tub in enumerate(tubs):
             if i in won:
-                tub.objs = [won[i][1]] + tub.objs[:params.tub_len_max - 1]
+                j = won[i][1]
+                tub.objs = [order[j]] + tub.objs[:params.tub_len_max - 1]
+                tub.units = None if units is None else np.concatenate(
+                    (units[j:j + 1], tub.units[:params.tub_len_max - 1]))
                 tub.last_seen = frame_idx
             if frame_idx - tub.last_seen <= params.max_miss:
                 kept.append(tub)
@@ -153,6 +178,7 @@ def update_tracks(dets, state: TrackState, params: TrackerParams, frame_idx):
             state.tubs[cls] = kept
         else:
             state.tubs.pop(cls, None)
+        t0 = t1
     return dets, state
 
 

@@ -11,6 +11,7 @@ loss of tensor.bce_mean.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -220,6 +221,85 @@ def naive_voc_map(dets_by_frame, gts_by_frame, iou_thresh=0.5, num_classes=4):
         aps[c] = ap
     mean = sum(aps.values()) / len(aps) if aps else 0.0
     return aps, mean
+
+
+class ReferenceTracker:
+    """Online tubelet tracking restated one pair at a time, with its own
+    tubelets, truncation, aging and id counter. step(frame_idx, dets)
+    returns the ids of one frame's detections in input order.
+
+    Per class (ascending), detections by descending score (ties: input
+    order). A detection scores every tubelet of its class as exp(naive_iou
+    with the newest member) times the mean over the members of the cosine
+    of the two appearance vectors (0 when either is zero); in iou_only
+    mode the factor is left out. It claims the first best-scoring tubelet
+    when the score strictly exceeds the match threshold. A tubelet claimed
+    several times goes to the highest score, the first one on a tie. A
+    detection without a tubelet whose score strictly exceeds the generation
+    score founds one with the next id. Claimed tubelets take their detection
+    as newest member (keeping tub_len_max), tubelets unseen for more than
+    max_miss frames go, and founded ones follow the survivors.
+    """
+
+    def __init__(self, match_threshold, generation_score, tub_len_max, max_miss,
+                 similarity):
+        self.match_threshold = match_threshold
+        self.generation_score = generation_score
+        self.tub_len_max = tub_len_max
+        self.max_miss = max_miss
+        self.similarity = similarity
+        self.tubs = {}              # class id -> [[id, members newest first, last seen]]
+        self.next_id = 0
+
+    def _score(self, det, members):
+        s = math.exp(naive_iou(det.box, members[0].box))
+        if self.similarity == "iou_only":
+            return s
+        cos = []
+        for m in members:
+            na, nb = float(np.linalg.norm(det.av)), float(np.linalg.norm(m.av))
+            cos.append(float(np.dot(det.av, m.av)) / (na * nb) if na > 0 and nb > 0 else 0.0)
+        return s * (sum(cos) / len(cos))
+
+    def step(self, frame_idx, dets):
+        ids = [-1] * len(dets)
+        for c in sorted({d.class_id for d in dets} | set(self.tubs)):
+            tubs = self.tubs.get(c, [])
+            order = sorted((i for i, d in enumerate(dets) if d.class_id == c),
+                           key=lambda i: -dets[i].score)
+            claims = {}             # tubelet index -> [(score, detection index)]
+            for i in order:
+                best, best_s = None, None
+                for ti, (_tid, members, _seen) in enumerate(tubs):
+                    s = self._score(dets[i], members)
+                    if best is None or s > best_s:
+                        best, best_s = ti, s
+                if best is not None and best_s > self.match_threshold:
+                    claims.setdefault(best, []).append((best_s, i))
+            winners = {}
+            for ti, lst in claims.items():
+                top = max(s for s, _i in lst)
+                winners[ti] = next(i for s, i in lst if s == top)
+                ids[winners[ti]] = tubs[ti][0]
+            born = []
+            for i in order:
+                if ids[i] == -1 and dets[i].score > self.generation_score:
+                    ids[i] = self.next_id
+                    born.append([self.next_id, [dets[i]], frame_idx])
+                    self.next_id += 1
+            kept = []
+            for ti, (tid, members, seen) in enumerate(tubs):
+                if ti in winners:
+                    members = ([dets[winners[ti]]] + members)[:self.tub_len_max]
+                    seen = frame_idx
+                if frame_idx - seen <= self.max_miss:
+                    kept.append([tid, members, seen])
+            kept += born
+            if kept:
+                self.tubs[c] = kept
+            else:
+                self.tubs.pop(c, None)
+        return ids
 
 
 # ---------------------------------------------------------------------------

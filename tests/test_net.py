@@ -708,8 +708,17 @@ def test_checkpoint_with_other_priors_per_cell_is_config_error(tmp_path):
     meta = tmp_path / "ck" / "meta.txt"
     assert "priors_per_cell = 2\n" in meta.read_text()
     meta.write_text(meta.read_text().replace("priors_per_cell = 2", "priors_per_cell = 3"))
-    with pytest.raises(ConfigError, match=r"ck/meta\.txt: priors_per_cell = '3'"):
+    with pytest.raises(ConfigError, match=r"ck/meta\.txt: priors_per_cell = '3', "
+                                        r"but the prior grid has 2 per cell$"):
         net.load_checkpoint(tmp_path / "ck")
+
+
+def test_priors_per_cell_compares_as_an_integer(tmp_path):
+    cfg = _saved_checkpoint(tmp_path / "ck")
+    meta = tmp_path / "ck" / "meta.txt"
+    meta.write_text(meta.read_text().replace("priors_per_cell = 2", "priors_per_cell = 02"))
+    _params, loaded = net.load_checkpoint(tmp_path / "ck")
+    assert loaded == cfg
 
 
 def test_legacy_meta_with_dropout_rate_still_loads(tmp_path):

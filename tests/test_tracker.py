@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 
@@ -6,9 +7,10 @@ import pytest
 
 from seqdet import tracker as TK
 from seqdet.errors import ConfigError, ParseError
-from seqdet.postproc import Detection
+from seqdet.postproc import Detection, iou_matrix
 
-from refimpl import naive_bilinear_resize, naive_box_descriptor, naive_iou
+from refimpl import (ReferenceTracker, naive_bilinear_resize, naive_box_descriptor,
+                     naive_iou)
 
 
 def det(score, box, av=None, cls=1):
@@ -18,6 +20,18 @@ def det(score, box, av=None, cls=1):
 
 def tub(tid, dets, last_seen):
     return TK.Tubelet(tid, list(dets), last_seen)
+
+
+def similarity_inputs(dets, tubs, mode):
+    """The overlap block and unit avs tubelet_similarity takes, computed for
+    dets and tubs alone."""
+    overlap = np.exp(iou_matrix([d.box for d in dets], [t.objs[0].box for t in tubs]))
+    units = TK._unit_rows([d.av for d in dets]) if mode == "attention_iou" else None
+    return overlap, units
+
+
+def similarity(dets, tubs, mode="attention_iou"):
+    return TK.tubelet_similarity(*similarity_inputs(dets, tubs, mode), tubs)
 
 
 def box_with_iou(r):
@@ -90,7 +104,7 @@ def test_attention_similarity_basic():
     b = rng.random(147) + 0.01
     far = [0.6, 0.6, 0.9, 0.9]
     dets = [det(0.5, [0.0, 0.0, 0.4, 0.4], v) for v in (a, 3.5 * a, np.zeros(147), b)]
-    sim = TK.tubelet_similarity(dets, [tub(0, [det(0.9, far, a)], 1)])
+    sim = similarity(dets, [tub(0, [det(0.9, far, a)], 1)])
     assert sim.shape == (4, 1)
     assert sim[0, 0] == pytest.approx(1.0, rel=1e-12)
     assert sim[1, 0] == pytest.approx(1.0, rel=1e-12)
@@ -98,7 +112,7 @@ def test_attention_similarity_basic():
     expect = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
     assert sim[3, 0] == pytest.approx(expect, abs=1e-12)
     zero_member = tub(0, [det(0.9, far, np.zeros(147))], 1)
-    assert TK.tubelet_similarity(dets[:1], [zero_member])[0, 0] == 0.0
+    assert similarity(dets[:1], [zero_member])[0, 0] == 0.0
 
 
 def test_tubelet_similarity_hand_values():
@@ -108,7 +122,7 @@ def test_tubelet_similarity_hand_values():
     t1 = tub(1, [det(0.9, UNIT, av)], 1)
     other = det(0.5, [0.5, 0.5, 0.9, 0.9], av)
     same = det(0.5, UNIT, av)
-    sim = TK.tubelet_similarity([other, same], [t0, t1])
+    sim = similarity([other, same], [t0, t1])
     assert sim[0, 0] == pytest.approx(1.0)                   # as = 1, o = 0
     assert sim[1, 1] == pytest.approx(math.e, rel=1e-12)     # as = 1, o = 1
     assert sim[1, 0] == pytest.approx(math.exp(0.16), rel=1e-12)
@@ -123,7 +137,7 @@ def test_tubelet_similarity_averages_members():
             for i, (r, n) in enumerate([(0.25, 2), (0.5, 0), (0.75, 4)])]
     dets = [det(0.5, UNIT, rng.random(147) + 0.01),
             det(0.5, box_with_iou(0.5), rng.random(147) + 0.01)]
-    got = TK.tubelet_similarity(dets, tubs)
+    got = similarity(dets, tubs)
     assert got.shape == (2, 3)
     for i, d in enumerate(dets):
         for j, t in enumerate(tubs):
@@ -138,7 +152,7 @@ def test_tubelet_similarity_iou_only():
     """iou_only is exp(IoU) and reads no appearance vector."""
     dets = [det(0.5, box_with_iou(0.5)), det(0.5, box_with_iou(0.25))]
     tubs = [tub(0, [det(0.9, UNIT)], 1), tub(1, [det(0.9, box_with_iou(0.5))], 1)]
-    got = TK.tubelet_similarity(dets, tubs, "iou_only")
+    got = similarity(dets, tubs, "iou_only")
     np.testing.assert_allclose(got, np.exp([[0.5, 1.0], [0.25, 0.5]]), rtol=1e-12)
 
 
@@ -341,6 +355,117 @@ def test_update_matches_exhaustive_reference(mode):
         want_tubs = {tid: (len(members), seen)
                      for tid, (members, seen) in ref_tubs.items()}
         assert got_tubs == want_tubs, case
+
+
+def random_stream(rng, num_classes, num_frames):
+    """[(frame_idx, dets), ...] of up to three drifting identities per class
+    plus clutter. Frame indices skip now and then; identities blink, a class
+    starts late or drops out for a frame (tubelets without detections and
+    detections without tubelets), and every detection's av is its identity's
+    plus noise, an occasional one zero. Each frame's list is shuffled."""
+    idents = []
+    for cls in range(1, num_classes + 1):
+        start = int(rng.integers(1, 4))
+        for _ in range(int(rng.integers(0, 4))):
+            idents.append((cls, start, rng.uniform(0.0, 0.6, 2), rng.uniform(0.15, 0.4, 2),
+                           rng.uniform(-0.04, 0.04, 2), rng.random(147) + 0.01))
+    frames, fidx = [], 0
+    for t in range(num_frames):
+        fidx += int(rng.integers(1, 3))
+        absent = {c for c in range(1, num_classes + 1) if rng.random() < 0.15}
+        dets = []
+        for cls, start, pos, size, vel, base in idents:
+            if t < start or cls in absent or rng.random() < 0.2:
+                continue
+            xy = pos + vel * t + rng.normal(0.0, 0.01, 2)
+            av = np.zeros(147) if rng.random() < 0.03 else base + rng.random(147)
+            dets.append(det(float(rng.uniform(0.1, 1.0)), [*xy, *(xy + size)], av, cls))
+        for _ in range(int(rng.integers(0, 3))):
+            xy = rng.uniform(0.0, 0.7, 2)
+            dets.append(det(float(rng.uniform(0.1, 1.0)), [*xy, *(xy + 0.25)],
+                            rng.random(147), int(rng.integers(1, num_classes + 1))))
+        frames.append((fidx, [dets[i] for i in rng.permutation(len(dets))]))
+    return frames
+
+
+def ids_of(tracked):
+    return [[d.id for d in dets] for _fidx, dets in tracked]
+
+
+@pytest.mark.parametrize("mode", ["attention_iou", "iou_only"])
+def test_track_frames_matches_the_stateful_reference(mode):
+    """About 100 streams over 1-4 classes, frame by frame, against a tracker
+    that recomputes every overlap and cosine from the detections: a cached
+    descriptor gone stale, a block read from the wrong class or a slip in
+    truncation or aging shows as a different id."""
+    rng = np.random.default_rng(23)
+    for case in range(50):
+        params = TK.TrackerParams(match_threshold=float(rng.uniform(0.7, 1.5)),
+                                  tub_len_max=int(rng.integers(1, 5)),
+                                  max_miss=int(rng.integers(0, 4)), similarity=mode)
+        frames = random_stream(rng, int(rng.integers(1, 5)), 14)
+        ref = ReferenceTracker(params.match_threshold, params.generation_score,
+                               params.tub_len_max, params.max_miss, mode)
+        want = [ref.step(fidx, dets) for fidx, dets in frames]
+        got = ids_of(TK.track_frames(frames, params))
+        for (fidx, _dets), g, w in zip(frames, got, want):
+            assert g == w, (case, fidx)
+
+
+def test_tubelet_units_are_the_unit_avs_of_its_members():
+    """After every frame, each tubelet's cached rows are bit for bit
+    _unit_rows of its members, truncated with them."""
+    frames = random_stream(np.random.default_rng(29), 3, 24)
+    params = TK.TrackerParams(tub_len_max=3, max_miss=2)
+    state = TK.TrackState()
+    seen = 0
+    for fidx, dets in frames:
+        _, state = TK.update_tracks(dets, state, params, fidx)
+        for tubs in state.tubs.values():
+            for t in tubs:
+                want = TK._unit_rows([m.av for m in t.objs])
+                assert t.units is not None and len(t.objs) <= 3
+                assert t.units.shape == want.shape, (fidx, t.id)
+                assert np.array_equal(t.units.view(np.uint64), want.view(np.uint64)), (fidx, t.id)
+                seen += len(t.objs) == 3
+    assert seen > 0                  # truncation was reached
+
+
+def test_tracking_the_same_detections_again_gives_the_same_ids():
+    """track_frames keeps nothing on the detections: a second and third run
+    over the same objects give the ids of a run over fresh copies."""
+    frames = random_stream(np.random.default_rng(31), 3, 16)
+    want = ids_of(TK.track_frames(copy.deepcopy(frames)))
+    for _ in range(2):
+        assert ids_of(TK.track_frames(frames)) == want
+
+
+@pytest.mark.parametrize("mode", ["attention_iou", "iou_only"])
+def test_similarity_is_bitwise_a_fresh_per_class_computation(mode, monkeypatch):
+    """Each similarity block update_tracks takes from its frame-wide overlap
+    and cached unit rows equals, bit for bit, one computed for the class
+    alone from its detections and freshly built tubelets."""
+    frames = random_stream(np.random.default_rng(37), 4, 20)
+    params = TK.TrackerParams(tub_len_max=4, max_miss=2, similarity=mode)
+    real = TK.tubelet_similarity
+    current, classes_seen = [], []
+
+    def checked(overlap, units, tubs):
+        got = real(overlap, units, tubs)
+        cls = tubs[0].objs[0].class_id
+        dets = sorted((d for d in current if d.class_id == cls), key=lambda d: -d.score)
+        fresh = [TK.Tubelet(t.id, list(t.objs), t.last_seen) for t in tubs]
+        want = real(*similarity_inputs(dets, fresh, mode), fresh)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), cls
+        classes_seen.append(cls)
+        return got
+
+    monkeypatch.setattr(TK, "tubelet_similarity", checked)
+    state = TK.TrackState()
+    for fidx, dets in frames:
+        current[:] = dets
+        _, state = TK.update_tracks(dets, state, params, fidx)
+    assert len(set(classes_seen)) > 2
 
 
 # ---------------------------------------------------------------------------
