@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Commands: gen, train, detect, track, eval-map, eval-mot, grad-check,
-sweep, dump-attention. Every run logs its resolved options; outputs
+sweep, dump-attention. gen, train, detect, track, sweep and
+dump-attention log their resolved options to run_config.txt; outputs
 created by a failing run are removed; errors exit nonzero with a
 one-line diagnostic on stderr.
 """
@@ -24,6 +25,10 @@ from .errors import ConfigError
 from .postproc import read_detections_jsonl, whole_int, write_detections_jsonl
 from .synth import (build_scenario, gen_sequence, load_dataset_root,
                     load_video_dir, oracle_detections, write_dataset)
+
+MAP_CONF = 0.02       # detection threshold of the held-out mAP a theta sweep reports
+GRAD_TOL = 1e-4       # grad-check fails at a relative error this large
+
 
 class OutputGuard:
     """Tracks paths created by one command so a failure can remove them."""
@@ -182,7 +187,7 @@ def cmd_eval_mot(args, guard):
 
 def cmd_grad_check(args, guard):
     case = TR.BUILTIN_CASES[args.case](args.seed)
-    rows = TR.grad_check(case, h=args.h)
+    rows = TR.grad_check(case)
     print(f"[grad-check] case {args.case}: {len(rows)} parameter tensors")
     for r in rows:
         print(f"  {r.name:32s} max_rel_err {r.max_rel_err:.3e}")
@@ -192,22 +197,24 @@ def cmd_grad_check(args, guard):
         out = guard.register(args.out)
         out.write_text("name,max_rel_err\n" + "".join(
             f"{r.name},{r.max_rel_err:.12e}\n" for r in rows))
-    if worst >= args.tol:
-        raise ConfigError(f"gradient check failed: {worst:.3e} >= {args.tol}")
+    if worst >= GRAD_TOL:
+        raise ConfigError(f"gradient check failed: {worst:.3e} >= {GRAD_TOL}")
     return 0
 
 
 def _sweep_values(args):
-    """The --values list as floats: not empty, and whole numbers >= 1 for
-    tub_len, the rule --tub-len follows."""
+    """The --values list: not empty; floats, or for tub_len the ints of
+    whole numbers >= 1, the rule --tub-len follows."""
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --values list: {args.values!r}") from exc
     if not values:
         raise ConfigError(f"--values lists no value: {args.values!r}")
-    if args.param == "tub_len" and not all((whole_int(v) or 0) >= 1 for v in values):
-        raise ConfigError(f"tub_len values must be whole numbers >= 1, got {args.values!r}")
+    if args.param == "tub_len":
+        values = [whole_int(v) for v in values]
+        if not all((v or 0) >= 1 for v in values):
+            raise ConfigError(f"tub_len values must be whole numbers >= 1, got {args.values!r}")
     return values
 
 
@@ -225,8 +232,7 @@ def cmd_sweep(args, guard):
             last = summary["loss_csv"].read_text().strip().splitlines()[-1]
             final_total = float(last.split(",")[-1])
             mean_ap = map_of_checkpoint(summary["checkpoint"],
-                                        args.val_data or args.data, args.eval_conf,
-                                        args.profile)
+                                        args.val_data or args.data, args.profile)
             rows.append((theta, final_total, mean_ap))
         header = "theta,final_total_loss,mAP"
         body = [f"{t},{ft:.6f},{m:.6f}" for t, ft, m in rows]
@@ -240,7 +246,7 @@ def cmd_sweep(args, guard):
             if args.param == "T":
                 params = replace(base, match_threshold=v)
             else:
-                params = replace(base, tub_len_max=int(v))
+                params = replace(base, tub_len_max=v)
             tracked = TK.track_frames(frames, params)
             res_path = guard.register(out.parent / f"{out.stem}_{args.param}{v}.csv")
             TK.write_mot_csv(res_path, tracked)
@@ -254,15 +260,16 @@ def cmd_sweep(args, guard):
     return 0
 
 
-def map_of_checkpoint(ckpt, data, conf, profile):
-    """Held-out mAP of a checkpoint over every video under data, with the
-    frames of all videos pooled into one evaluation."""
+def map_of_checkpoint(ckpt, data, profile):
+    """Held-out mAP of a checkpoint over every video under data, detections
+    kept from confidence MAP_CONF, with the frames of all videos pooled
+    into one evaluation."""
     params, model_cfg = net.load_checkpoint(ckpt)
     total_dets = {}
     total_gts = {}
     offset = 0
     for video in load_dataset_root(data):
-        frames = TR.detect_video(params, model_cfg, video, conf, profile,
+        frames = TR.detect_video(params, model_cfg, video, MAP_CONF, profile,
                                  attach_av=False)
         for t, dets in frames:
             total_dets[offset + t] = dets
@@ -366,8 +373,6 @@ def build_parser():
 
     gc = sub.add_parser("grad-check", help="analytic vs finite-difference gradients")
     gc.add_argument("--case", default="aclstm", choices=sorted(TR.BUILTIN_CASES))
-    gc.add_argument("--h", type=float, default=1e-5)
-    gc.add_argument("--tol", type=float, default=1e-4)
     gc.add_argument("--out", default=None)
     gc.set_defaults(func=cmd_grad_check)
 
@@ -379,7 +384,6 @@ def build_parser():
     sw.add_argument("--val-data", dest="val_data", default=None)
     sw.add_argument("--init", default=None)
     sw.add_argument("--epochs", type=int, default=None)
-    sw.add_argument("--eval-conf", dest="eval_conf", type=float, default=0.02)
     sw.add_argument("--dets", default=None)
     sw.add_argument("--gt-csv", dest="gt_csv", default=None)
     sw.set_defaults(func=cmd_sweep)
@@ -389,6 +393,10 @@ def build_parser():
     da.add_argument("--data", required=True)
     da.add_argument("--out", required=True)
     da.set_defaults(func=cmd_dump_attention)
+    # flags are spelt in full: a flag that is gone is refused (exit 2), not
+    # read as the prefix of another, as grad-check --h would be --help
+    for parser in (p, *sub.choices.values()):
+        parser.allow_abbrev = False
     return p
 
 

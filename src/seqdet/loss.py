@@ -19,8 +19,8 @@ from . import tensor as T
 from .errors import ConfigError
 from .postproc import center_to_corner, encode, iou_matrix
 
-BCE_EPS = 1e-7
 NEG_POS_RATIO = 3           # mined background priors per matched prior
+MATCH_IOU = 0.5             # overlap at which a prior takes a box's class
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,10 @@ class MatchResult:
         return int(len(self.matched))
 
 
-def match_priors(gt_boxes, gt_classes, priors_cf, iou_match=0.5):
+def match_priors(gt_boxes, gt_classes, priors_cf):
     """Assign priors to ground-truth boxes.
 
-    A prior takes the class of its best-overlap box when IoU >= iou_match;
+    A prior takes the class of its best-overlap box when IoU >= MATCH_IOU;
     additionally every box claims its single best prior regardless of the
     threshold. Zero-area boxes are ignored. Offsets are encoded against
     the matched box.
@@ -70,7 +70,7 @@ def match_priors(gt_boxes, gt_classes, priors_cf, iou_match=0.5):
     overlaps = iou_matrix(center_to_corner(priors_cf), gt_boxes)   # [P,G]
     best_gt = overlaps.argmax(axis=1)
     best_iou = overlaps[np.arange(p), best_gt]
-    assigned = np.where(best_iou >= iou_match, best_gt, -1)
+    assigned = np.where(best_iou >= MATCH_IOU, best_gt, -1)
     # forced fallback: each box keeps its best prior, later boxes win ties
     for g in range(len(gt_boxes)):
         assigned[int(overlaps[:, g].argmax())] = g
@@ -129,7 +129,7 @@ def attention_loss(att_maps, gt_boxes, input_size=96):
     inside its bce_mean node, and the box-indicator target at input
     resolution."""
     target = box_indicator_map(gt_boxes, input_size)
-    terms = [T.bce_mean(a, target, BCE_EPS) for a in att_maps]
+    terms = [T.bce_mean(a, target) for a in att_maps]
     return T.add_n(terms)
 
 

@@ -45,9 +45,7 @@ class SceneSpec:
     length: int = 16
     seed: int = 0
     objects: list = field(default_factory=list)
-    scenario: str = "custom"
     flicker: float = 0.0      # per-frame uniform pixel noise amplitude
-    occluder: tuple | None = None    # (x0, x1) vertical bar drawn over objects
     blink: float = 0.0        # chance an object is invisible on a frame
                               # (stays annotated, like brief full occlusion)
 
@@ -200,10 +198,6 @@ def gen_sequence(spec: SceneSpec) -> Sequence:
             mask = (_shape_mask(class_id, u, v) & (u >= 0) & (u <= 1)
                     & (v >= 0) & (v <= 1))
             np.copyto(frame[:, y0:y1, x0:x1], _texture_rgb(texture, u, v), where=mask)
-        if spec.occluder is not None:
-            x0, x1 = (int(v) for v in spec.occluder)
-            # objects stay annotated while they pass behind the bar
-            frame[:, :, x0:x1] = (0.06 + 0.05 * ((rows // 3) % 2))[None]
         return np.clip(frame, 0.0, 1.0)
 
     return Sequence(Frames(render, range(spec.length)), gt, spec)
@@ -213,14 +207,10 @@ def gen_sequence(spec: SceneSpec) -> Sequence:
 # scenario library
 
 
-def random_scene(seed, num_objects=2, length=16, flicker=0.0, occluder=False, blink=0.0):
+def random_scene(seed, num_objects=2, length=16, flicker=0.0, blink=0.0):
     if num_objects < 0:
         raise ConfigError(f"number of objects must be >= 0, got {num_objects}")
     rng = np.random.default_rng((seed, 0x5C))
-    bar = None
-    if occluder:
-        x0 = float(rng.uniform(CANVAS * 0.35, CANVAS * 0.55))
-        bar = (x0, x0 + float(rng.uniform(16, 22)))
     objs = []
     for i in range(num_objects):
         size = float(rng.uniform(14, 30))
@@ -237,8 +227,7 @@ def random_scene(seed, num_objects=2, length=16, flicker=0.0, occluder=False, bl
         # A draw nothing reads: it fixes the stream positions the next
         # objects read from, so each seed keeps giving the same scene.
         rng.random()
-    return SceneSpec(length=length, seed=seed, objects=objs, scenario="random",
-                     flicker=flicker, occluder=bar, blink=blink)
+    return SceneSpec(length=length, seed=seed, objects=objs, flicker=flicker, blink=blink)
 
 
 def crossing_pair(seed, length=20):
@@ -258,7 +247,7 @@ def crossing_pair(seed, length=20):
         ObjectSpec(1, cls, cx=CANVAS - half - 2, cy=y + jitter, vx=-speed, vy=0.0,
                    size=size),
     ]
-    return SceneSpec(length=length, seed=seed, objects=objs, scenario="crossing-pair")
+    return SceneSpec(length=length, seed=seed, objects=objs)
 
 
 def scale_change(seed, length=16):
@@ -267,7 +256,7 @@ def scale_change(seed, length=16):
     cls = int(rng.integers(1, NUM_CLASSES + 1))
     objs = [ObjectSpec(0, cls, cx=CANVAS * 0.3, cy=float(rng.uniform(30, 66)),
                        vx=1.2, vy=0.0, size=12.0, size_end=40.0)]
-    return SceneSpec(length=length, seed=seed, objects=objs, scenario="scale-change")
+    return SceneSpec(length=length, seed=seed, objects=objs)
 
 
 SCENARIOS = {"random": random_scene, "crossing-pair": crossing_pair,

@@ -792,11 +792,14 @@ def softmax_prob_rows(logits, class_index):
     return Tensor(pc.copy(), (logits,), bwd)
 
 
-def bce_mean(pred, target, eps=1e-7):
+BCE_EPS = 1e-7           # bce_mean's clamp of the prediction away from 0 and 1
+
+
+def bce_mean(pred, target):
     """Mean binary cross entropy between the prediction [..,h,w] read
     bilinearly resized to the target's [..,H,W] (Ry @ pred @ Rx^T, as
     bilinear_resize computes it; the identity for equal sizes) and the
-    target, the resized prediction clamped to [eps, 1-eps].
+    target, the resized prediction clamped to [BCE_EPS, 1-BCE_EPS].
 
     The clamp kills the gradient outside the open interval, matching the
     derivative of the clipped composite. The node keeps the prediction node
@@ -809,14 +812,14 @@ def bce_mean(pred, target, eps=1e-7):
         raise ShapeError(f"bce_mean: target {t.shape} vs pred {pred.data.shape}")
     ry = _resize_matrix(pred.data.shape[-2], t.shape[-2])
     rx = _resize_matrix(pred.data.shape[-1], t.shape[-1])
-    p = np.clip(ry @ pred.data @ rx.T, eps, 1.0 - eps)
+    p = np.clip(ry @ pred.data @ rx.T, BCE_EPS, 1.0 - BCE_EPS)
     val = float(np.mean(-t * np.log(p) - (1.0 - t) * np.log(1.0 - p)))
 
     def bwd(g):
         if pred.requires_grad:
             up = ry @ pred.data @ rx.T
-            p = np.clip(up, eps, 1.0 - eps)
-            inside = (up > eps) & (up < 1.0 - eps)
+            p = np.clip(up, BCE_EPS, 1.0 - BCE_EPS)
+            inside = (up > BCE_EPS) & (up < 1.0 - BCE_EPS)
             pred._accumulate(ry.T @ (g[0] * inside * (p - t) / (p * (1.0 - p)) / t.size) @ rx)
 
     return Tensor(np.array([val]), (pred,), bwd)

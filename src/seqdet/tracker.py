@@ -57,7 +57,7 @@ class Tubelet:
     id: int
     objs: list               # Detections, most recent first, <= tub_len_max
     last_seen: int
-    units: np.ndarray | None = None   # objs' unit avs, row for row; None: not built yet
+    units: np.ndarray | None   # objs' unit avs, row for row; None in iou_only mode
 
 
 @dataclass
@@ -101,9 +101,6 @@ def tubelet_similarity(overlap, units, tubs):
     classes at once changes their last bits."""
     if units is None:
         return overlap
-    for t in tubs:
-        if t.units is None:          # built by hand: its rows come from its objs
-            t.units = _unit_rows([m.av for m in t.objs])
     sizes = [len(t.units) for t in tubs]
     cos = units @ np.concatenate([t.units for t in tubs]).T
     starts = np.cumsum([0] + sizes[:-1])
@@ -114,7 +111,9 @@ def update_tracks(dets, state: TrackState, params: TrackerParams, frame_idx):
     """One frame of identity assignment; mutates dets' ids and the state.
     The ids dets carry in are discarded, so a detection that neither joins
     nor founds a tubelet leaves with id -1. params must have passed
-    TrackerParams.validate().
+    TrackerParams.validate(). In attention_iou mode a detection without an
+    av is a ConfigError; that avs agree in length across frames is checked
+    by track_frames.
 
     Per class (ascending), detections in descending score order:
       1. each detection claims its highest-similarity tubelet (the first
@@ -138,6 +137,7 @@ def update_tracks(dets, state: TrackState, params: TrackerParams, frame_idx):
     classes = sorted(set(keys) | set(state.tubs))
     units = None
     if params.similarity == "attention_iou" and order:
+        _check_appearance([(frame_idx, dets)])
         units = _unit_rows([d.av for d in order])
     live = [t for cls in classes for t in state.tubs.get(cls, ())]
     overlap = (np.exp(iou_matrix([d.box for d in order], [t.objs[0].box for t in live]))

@@ -25,17 +25,8 @@ STAGE_EPOCHS = {1: 15, 2: 40, 3: 10}
 LR_DECAY = 0.1               # stage-2 learning-rate factor after DECAY_EPOCH
 DECAY_EPOCH = 30
 LOSS_WEIGHTS = LS.LossWeights()
-
-
-@dataclass
-class RssSample:
-    sf: int
-    sp: int
-    indices: tuple
-
-    def __post_init__(self):
-        assert self.indices == tuple(self.sf + j * self.sp
-                                     for j in range(len(self.indices)))
+RMS_RHO = 0.9                # RMSProp accumulator decay
+RMS_EPS = 1e-8               # RMSProp denominator floor
 
 
 def random_skip_sample(v, seq_len, rng, sp=None):
@@ -43,7 +34,8 @@ def random_skip_sample(v, seq_len, rng, sp=None):
 
     Draws skip sp in [1, v // seq_len] and start sf in
     [1, v - seq_len * sp + 1] (both inclusive, 1-based), then returns the
-    seq_len frame indices sf, sf+sp, ... A fixed sp can be forced.
+    seq_len frame indices sf, sf+sp, ... as a range (its start is sf, its
+    step sp). A fixed sp can be forced.
     """
     if v < seq_len:
         raise ValueError(f"video has {v} frames, need at least {seq_len}")
@@ -52,7 +44,7 @@ def random_skip_sample(v, seq_len, rng, sp=None):
     elif not 1 <= sp <= v // seq_len:
         raise ValueError(f"sp={sp} outside [1, {v // seq_len}]")
     sf = int(rng.integers(1, v - seq_len * sp + 2))
-    return RssSample(sf, sp, tuple(sf + j * sp for j in range(seq_len)))
+    return range(sf, sf + seq_len * sp, sp)
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +59,9 @@ def sgd_step(params, grads, lr):
     return params
 
 
-def rmsprop_step(params, grads, lr, state, rho=0.9, eps=1e-8):
-    """Accumulator update acc = rho*acc + (1-rho)*g^2, then
-    p -= lr * g / (sqrt(acc) + eps)."""
+def rmsprop_step(params, grads, lr, state):
+    """Accumulator update acc = RMS_RHO*acc + (1-RMS_RHO)*g^2, then
+    p -= lr * g / (sqrt(acc) + RMS_EPS)."""
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -77,9 +69,9 @@ def rmsprop_step(params, grads, lr, state, rho=0.9, eps=1e-8):
         acc = state.get(name)
         if acc is None:
             acc = np.zeros_like(p.data)
-        acc = rho * acc + (1.0 - rho) * g * g
+        acc = RMS_RHO * acc + (1.0 - RMS_RHO) * g * g
         state[name] = acc
-        p.data -= lr * g / (np.sqrt(acc) + eps)
+        p.data -= lr * g / (np.sqrt(acc) + RMS_EPS)
     return params, state
 
 
@@ -214,7 +206,7 @@ def detect_video(params, model_cfg, video, conf_thresh, profile_name,
                                     model_cfg.num_classes)
         if attach_av and att is not None and model_cfg.attention_enabled:
             from .tracker import attention_vector_for_box
-            maps = [a.data for a in att[:3]]
+            maps = [a.data for a in att]
             for d in dets:
                 d.av = attention_vector_for_box(maps, d.box)
         out.append((t, dets))
@@ -327,7 +319,7 @@ def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
     def build(video, indices):
         if indices is None:
             indices = random_skip_sample(len(video.frames), cfg.seq_len, rng,
-                                         sp=1 if stage == 3 else None).indices
+                                         sp=1 if stage == 3 else None)
         return _train_sequence(params, video, indices, cfg, model_cfg, priors, mode,
                                with_asso=(stage == 3))
 
@@ -374,8 +366,9 @@ class GradCheckCase:
     build_loss: callable
 
 
-def grad_check(case: GradCheckCase, h=1e-5):
-    """Analytic vs central-difference gradients for every parameter.
+def grad_check(case: GradCheckCase):
+    """Analytic vs central-difference gradients (tensor.finite_diff at its
+    default step) for every parameter.
 
     Relative error per coordinate is |ga - gn| / max(|ga|, |gn|, 1e-4);
     the floor keeps near-zero gradients comparable at an absolute 1e-8.
@@ -395,7 +388,7 @@ def grad_check(case: GradCheckCase, h=1e-5):
             finally:
                 _p.data = saved
 
-        gn = T.finite_diff(f, p.data.reshape(-1), h).reshape(p.data.shape)
+        gn = T.finite_diff(f, p.data.reshape(-1)).reshape(p.data.shape)
         denom = np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-4)
         rows.append(GradCheckRow(name, float(np.max(np.abs(ga - gn) / denom))))
     rows.sort(key=lambda r: -r.max_rel_err)

@@ -26,7 +26,6 @@ TRAINED_RUN = {
     "s3_epochs": 14,
     "s2_lr": 1e-3,
     "s3_lr": 1e-4,
-    "eval_conf": 0.02,
 }
 
 
@@ -78,8 +77,7 @@ def trained_pipeline(tmp_path_factory):
                                      lr=cfg["s3_lr"]),
                       init_ckpt=s2["checkpoint"])
     elapsed = time.time() - t0
-    maps = {name: map_of_checkpoint(run["checkpoint"], root / "val",
-                                    cfg["eval_conf"], "vid")
+    maps = {name: map_of_checkpoint(run["checkpoint"], root / "val", "vid")
             for name, run in (("static", s1), ("stage2", s2),
                               ("convlstm", cv), ("stage3", s3))}
     return {"root": root, "runs": {"static": s1, "stage2": s2,

@@ -391,10 +391,6 @@ def gen_sequence_reference(spec):
             ncx, nvx = _reference_bounce(cx, vx, half, s - half)
             ncy, nvy = _reference_bounce(cy, vy, half, s - half)
             state[k] = (ncx, ncy, nvx, nvy)
-        if spec.occluder is not None:
-            x0, x1 = (int(v) for v in spec.occluder)
-            bar = 0.06 + 0.05 * ((yy[:, x0:x1] // 3) % 2)
-            frame[:, :, x0:x1] = bar[None]
         frames.append(np.clip(frame, 0.0, 1.0))
         gt.append(boxes)
     return synth.Sequence(frames, gt, spec)
@@ -628,7 +624,7 @@ def composed_head_forward(hidden_pyramid, params, priors_per_cell=2):
             prior_major_rows(maps, 4 * priors_per_cell, conf_width, priors_per_cell))
 
 
-def composed_bce(pred, target, eps=1e-7):
+def composed_bce(pred, target):
     """bce_mean of pred read at the target's size through its own
     bilinear_resize node; the bce_mean node then resizes by the identity."""
-    return T.bce_mean(T.bilinear_resize(pred, *target.shape[-2:]), target, eps)
+    return T.bce_mean(T.bilinear_resize(pred, *target.shape[-2:]), target)

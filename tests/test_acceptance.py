@@ -23,7 +23,7 @@ from seqdet.synth import crossing_pair, gen_sequence, oracle_detections, random_
 
 from refimpl import concat, mul, naive_nms, tanh
 from test_tensor import OPS, _max_rel_err
-from test_tracker import ota_reference
+from test_tracker import ota_reference, tub
 
 
 def report(tag, detail=""):
@@ -55,7 +55,7 @@ def test_c01_gradient_suite_all_ops_and_unrolled_recurrence():
     case = TR.build_aclstm_case(frames=3)
     n_params = sum(p.data.size for p in case.params.values())
     assert n_params <= 5000
-    rows = TR.grad_check(case, h=1e-5)
+    rows = TR.grad_check(case)
     worst = max(r.max_rel_err for r in rows)
     assert worst < 1e-4
     elapsed = time.time() - t0
@@ -150,13 +150,13 @@ def test_c05_tracker_update_matches_exhaustive_reference_500_cases():
             members = [pp.Detection(1, 0.9, np.sort(rng.random(4)),
                                     av=rng.random(147) + 0.01)
                        for _ in range(int(rng.integers(1, 4)))]
-            tubs.append(TK.Tubelet(ti, members,
-                                   int(rng.integers(max(1, frame_idx - 6), frame_idx))))
+            tubs.append(tub(ti, members,
+                            int(rng.integers(max(1, frame_idx - 6), frame_idx))))
         dets = [pp.Detection(1, float(rng.uniform(0.1, 1.0)), np.sort(rng.random(4)),
                              av=rng.random(147) + 0.01)
                 for _ in range(int(rng.integers(0, 7)))]
         ref_ids, ref_tubs, _ = ota_reference(dets, tubs, params, frame_idx, 50)
-        state = TK.TrackState(tubs={1: [TK.Tubelet(t.id, list(t.objs), t.last_seen)
+        state = TK.TrackState(tubs={1: [tub(t.id, t.objs, t.last_seen)
                                         for t in tubs]} if tubs else {}, next_id=50)
         TK.update_tracks(list(dets), state, params, frame_idx)
         assert [d.id for d in dets] == ref_ids, case
@@ -304,11 +304,11 @@ def test_c10_rss_property_sweep_10k():
     while draws < 10_000:
         for v, seq_len in grid:
             s = TR.random_skip_sample(v, seq_len, rng)
-            assert 1 <= s.sp <= v // seq_len
-            assert 1 <= s.sf <= v - seq_len * s.sp + 1
-            assert all(1 <= i <= v for i in s.indices)
-            diffs = {b - a for a, b in zip(s.indices, s.indices[1:])}
-            assert diffs == {s.sp}
+            assert 1 <= s.step <= v // seq_len
+            assert 1 <= s.start <= v - seq_len * s.step + 1
+            assert all(1 <= i <= v for i in s)
+            diffs = {b - a for a, b in zip(s, s[1:])}
+            assert diffs == {s.step}
             draws += 1
     report("C10 skip-sampling sweep", f"({draws} draws over {len(grid)} grid points)")
 
@@ -336,9 +336,15 @@ def test_c11_default_parameters_verbatim():
     assert pp.PROFILES["vid"].keep_top == 200
     assert pp.PROFILES["mot"].nms_iou == 0.3
     assert pp.PROFILES["mot"].keep_top == 400
+    assert LS.MATCH_IOU == 0.5
+    assert TR.RMS_RHO == 0.9 and TR.RMS_EPS == 1e-8
+    assert T.BCE_EPS == 1e-7
+    assert cli.MAP_CONF == 0.02
+    assert cli.GRAD_TOL == 1e-4
     report("C11 defaults",
            "(alpha=1 beta=1 gamma=0.5 xi=2 theta=0.1 k=75 T=1.0 G=0.3 "
-           "tub_len=10 nms=0.45/0.3 top=200/400 seq_len=8)")
+           "tub_len=10 nms=0.45/0.3 top=200/400 seq_len=8 match_iou=0.5 "
+           "rmsprop=0.9/1e-8 bce_eps=1e-7 map_conf=0.02 grad_tol=1e-4)")
 
 
 # value-named default assertions, one knob each

@@ -180,12 +180,19 @@ def test_sweep_T_five_values(dataset, tmp_path):
 
 
 def test_sweep_tub_len(dataset, tmp_path):
+    """Rows and result file names give each tub_len as the int the run
+    used, whatever form --values gives it in."""
     dets = dataset / "video_000" / "detections.jsonl"
     gt = dataset / "video_000" / "gt.csv"
-    out = tmp_path / "tl.csv"
-    assert run("sweep", "--param", "tub_len", "--values", "1,5,10",
-               "--dets", dets, "--gt-csv", gt, "--out", out) == 0
-    assert len(out.read_text().strip().splitlines()) == 4
+    for i, (values, want) in enumerate((("1,5,10", ["1", "5", "10"]), ("2.0", ["2"]))):
+        out = tmp_path / f"run{i}" / "tl.csv"
+        assert run("sweep", "--param", "tub_len", "--values", values,
+                   "--dets", dets, "--gt-csv", gt, "--out", out) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == "tub_len,MOTA,IDS"
+        assert [r.split(",")[0] for r in rows] == want
+        assert sorted(p.name for p in out.parent.glob("tl_*.csv")) == \
+            sorted(f"tl_tub_len{v}.csv" for v in want)
 
 
 @pytest.mark.parametrize("values, message", [
@@ -230,12 +237,25 @@ def test_track_refuses_an_input_flag_it_would_ignore(dataset, tmp_path, capsys, 
     assert not (tmp_path / "trk").exists()
 
 
-def test_track_has_no_canvas_option(dataset, tmp_path):
-    """Frames are always CANVAS pixels wide; there is no flag to say otherwise."""
-    with pytest.raises(SystemExit):
-        run("track", "--dets", dataset / "video_000" / "detections.jsonl",
-            "--canvas", 0, "--out", tmp_path / "r.csv")
-    assert not (tmp_path / "r.csv").exists()
+@pytest.mark.parametrize("command, flag", [
+    ("track", ("--canvas", 0)),                 # frames are always CANVAS pixels wide
+    ("sweep", ("--eval-conf", 0.02)),           # cli.MAP_CONF
+    ("grad-check", ("--h", 1e-5)),              # tensor.finite_diff's own step
+    ("grad-check", ("--tol", 1e-3)),            # cli.GRAD_TOL
+], ids=["track_canvas", "sweep_eval_conf", "grad_check_h", "grad_check_tol"])
+def test_constant_settings_have_no_flag(dataset, tmp_path, command, flag):
+    """A command that runs without the flag is refused by argparse (exit 2)
+    with it, and writes nothing."""
+    dets = dataset / "video_000" / "detections.jsonl"
+    argv = {"track": ("track", "--dets", dets),
+            "sweep": ("sweep", "--param", "T", "--values", "1.0", "--dets", dets,
+                      "--gt-csv", dataset / "video_000" / "gt.csv"),
+            "grad-check": ("grad-check", "--case", "linear")}[command]
+    assert run(*argv, "--out", tmp_path / "ok" / "r.csv") == 0
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, *flag, "--out", tmp_path / "refused" / "r.csv")
+    assert exc.value.code == 2
+    assert not (tmp_path / "refused").exists()
 
 
 def test_grad_check_linear_cli(tmp_path, capsys):

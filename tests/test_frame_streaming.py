@@ -67,7 +67,7 @@ def test_stage2_sequence_reads_its_seq_len_frames(videos, reads):
     model_cfg = net.ModelConfig()
     cfg = TR.TrainConfig(seq_len=4).resolved(2)
     rng = np.random.default_rng(0)
-    indices = TR.random_skip_sample(len(video.frames), cfg.seq_len, rng).indices
+    indices = TR.random_skip_sample(len(video.frames), cfg.seq_len, rng)
     TR._train_sequence(net.init_params(7, model_cfg), video, indices, cfg, model_cfg,
                        make_priors(), net.NetMode(dropout_rate=cfg.dropout, rng=rng),
                        with_asso=False)
@@ -130,10 +130,10 @@ def test_generation_memory_does_not_grow_with_video_length(tmp_path):
 
 
 def _flickering_scene():
-    """Rendered frames on a scene with flicker, blinking objects and an
-    occluder, and the same frames read in iteration order as int64 views."""
+    """Rendered frames on a scene with flicker and blinking objects, and the
+    same frames read in iteration order as int64 views."""
     seq = synth.gen_sequence(synth.random_scene(11, num_objects=5, length=10,
-                                                flicker=0.3, occluder=True, blink=0.25))
+                                                flicker=0.3, blink=0.25))
     return seq.frames, [f.view(np.int64) for f in seq.frames]
 
 

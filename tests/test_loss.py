@@ -476,6 +476,6 @@ def test_stage3_objective_gradients_match_finite_diff():
         assert frame == tuple(p for ps in per_class for p in ps[:k])
         cut |= any(len(ps) > k for ps in per_class)
     assert cut
-    rows = TR.grad_check(TR.GradCheckCase(params, lambda: build()[0]), h=1e-5)
+    rows = TR.grad_check(TR.GradCheckCase(params, lambda: build()[0]))
     assert len(set(kept)) == 1, "a threshold or NMS decision flipped under +-h"
     assert max(r.max_rel_err for r in rows) < 1e-4, rows[:3]

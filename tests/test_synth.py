@@ -254,13 +254,12 @@ def _every_class_ramp(seed):
                              vy=float(rng.uniform(-7, 7)), size=[6, 40, 17, 25][c - 1],
                              size_end=[40, 6, 17.5, None][c - 1])
             for c in range(1, synth.NUM_CLASSES + 1)]
-    return synth.SceneSpec(length=14, seed=seed, objects=objs, flicker=0.1, blink=0.4,
-                           occluder=(70.0, 96.0))
+    return synth.SceneSpec(length=14, seed=seed, objects=objs, flicker=0.1, blink=0.4)
 
 
 RENDER_SCENES = {
     "random": lambda seed: synth.random_scene(seed, num_objects=5, length=12, flicker=0.3,
-                                              occluder=True, blink=0.25),
+                                              blink=0.25),
     "random-crowded": lambda seed: synth.random_scene(seed, num_objects=16, length=6),
     "crossing-pair": synth.crossing_pair,
     "scale-change": synth.scale_change,

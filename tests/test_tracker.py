@@ -19,7 +19,12 @@ def det(score, box, av=None, cls=1):
 
 
 def tub(tid, dets, last_seen):
-    return TK.Tubelet(tid, list(dets), last_seen)
+    """A hand-built tubelet. Its unit rows are its members' avs normalised,
+    as update_tracks keeps them, or None when a member has no av."""
+    dets = list(dets)
+    units = (None if any(d.av is None for d in dets)
+             else TK._unit_rows([d.av for d in dets]))
+    return TK.Tubelet(tid, dets, last_seen, units)
 
 
 def similarity_inputs(dets, tubs, mode):
@@ -346,7 +351,7 @@ def test_update_matches_exhaustive_reference(mode):
 
         ref_ids, ref_tubs, _ = ota_reference(dets, tubs, params, frame_idx, next_id)
 
-        state = TK.TrackState(tubs={1: [TK.Tubelet(t.id, list(t.objs), t.last_seen)
+        state = TK.TrackState(tubs={1: [tub(t.id, t.objs, t.last_seen)
                                         for t in tubs]} if tubs else {},
                               next_id=next_id)
         out, state = TK.update_tracks(list(dets), state, params, frame_idx)
@@ -454,7 +459,7 @@ def test_similarity_is_bitwise_a_fresh_per_class_computation(mode, monkeypatch):
         got = real(overlap, units, tubs)
         cls = tubs[0].objs[0].class_id
         dets = sorted((d for d in current if d.class_id == cls), key=lambda d: -d.score)
-        fresh = [TK.Tubelet(t.id, list(t.objs), t.last_seen) for t in tubs]
+        fresh = [tub(t.id, t.objs, t.last_seen) for t in tubs]
         want = real(*similarity_inputs(dets, fresh, mode), fresh)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), cls
         classes_seen.append(cls)
@@ -620,6 +625,22 @@ def test_track_frames_checks_appearance_before_the_first_frame(monkeypatch):
     frames[1][1][0].av = np.ones(2)
     with pytest.raises(ConfigError, match="length 2, not 3"):
         TK.track_frames(frames)
+
+
+def test_update_tracks_refuses_a_detection_without_av():
+    """A direct update_tracks call in attention_iou mode gives track_frames'
+    one-line ConfigError for a missing av, with or without tubelets."""
+    for tubs in ({}, {2: [tub(0, [det(0.9, UNIT, np.ones(3), cls=2)], 1)]}):
+        state = TK.TrackState(tubs=tubs, next_id=1)
+        dets = [det(0.9, UNIT, np.ones(3)), det(0.8, UNIT, cls=2)]
+        with pytest.raises(ConfigError) as exc:
+            TK.update_tracks(dets, state, TK.TrackerParams(), 2)
+        assert str(exc.value) == ("frame 2: a class 2 detection has no appearance vector; "
+                                  "track it with --similarity iou_only, or give --mot "
+                                  "input its --embeddings")
+    out, _ = TK.update_tracks([det(0.8, UNIT, cls=2)], TK.TrackState(),
+                              TK.TrackerParams(similarity="iou_only"), 1)
+    assert out[0].id == 0            # iou_only reads no av
 
 
 def test_tracker_params_validation():

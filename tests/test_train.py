@@ -33,17 +33,17 @@ def tiny_root(tmp_path_factory):
 
 def test_rss_singleton_ranges():
     s = TR.random_skip_sample(8, 8, np.random.default_rng(0))
-    assert (s.sp, s.sf) == (1, 1)
-    assert s.indices == tuple(range(1, 9))
+    assert (s.step, s.start) == (1, 1)
+    assert s == range(1, 9)
 
 
 def test_rss_v24_sp3_forces_sf1():
     # sp=3 is the maximum for v=24, seq_len=8; then sf has a single choice
     for seed in range(200):
         s = TR.random_skip_sample(24, 8, np.random.default_rng(seed))
-        if s.sp == 3:
-            assert s.sf == 1
-            assert s.indices == (1, 4, 7, 10, 13, 16, 19, 22)
+        if s.step == 3:
+            assert s.start == 1
+            assert list(s) == [1, 4, 7, 10, 13, 16, 19, 22]
             break
     else:
         pytest.fail("sp=3 never drawn")
@@ -54,12 +54,12 @@ def test_rss_property_sweep():
     for v, seq_len in [(8, 8), (16, 8), (24, 8), (64, 8), (9, 3), (40, 5)]:
         for _ in range(500):
             s = TR.random_skip_sample(v, seq_len, rng)
-            assert 1 <= s.sp <= v // seq_len
-            assert 1 <= s.sf <= v - seq_len * s.sp + 1
-            assert len(s.indices) == seq_len
-            assert all(1 <= i <= v for i in s.indices)
-            spacing = {b - a for a, b in zip(s.indices, s.indices[1:])}
-            assert spacing == {s.sp}
+            assert 1 <= s.step <= v // seq_len
+            assert 1 <= s.start <= v - seq_len * s.step + 1
+            assert len(s) == seq_len
+            assert all(1 <= i <= v for i in s)
+            spacing = {b - a for a, b in zip(s, s[1:])}
+            assert spacing == {s.step}
 
 
 def test_rss_rejects_short_video():
@@ -69,8 +69,8 @@ def test_rss_rejects_short_video():
 
 def test_rss_forced_sp():
     s = TR.random_skip_sample(24, 8, np.random.default_rng(2), sp=1)
-    assert s.sp == 1
-    assert 1 <= s.sf <= 17
+    assert s.step == 1
+    assert 1 <= s.start <= 17
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ def test_sgd_arithmetic():
 def test_rmsprop_single_step_hand_trace():
     p = _param("w", [1.0])
     g = np.array([2.0])
-    _, state = TR.rmsprop_step(p, {"w": g}, 0.1, {}, rho=0.9, eps=1e-8)
+    _, state = TR.rmsprop_step(p, {"w": g}, 0.1, {})
     expect = 1.0 - 0.1 * 2.0 / (np.sqrt(0.1 * 4.0) + 1e-8)
     assert p["w"].data[0] == pytest.approx(expect, rel=1e-12)
     np.testing.assert_allclose(state["w"], [0.4])
@@ -239,9 +239,9 @@ def sample_and_mode(video, cfg, stage, seed):
     """A stage's draw of frame indices, and the forward settings that share
     its generator, as run_stage makes them."""
     rng = np.random.default_rng(seed)
-    sample = TR.random_skip_sample(len(video.frames), cfg.seq_len, rng,
-                                   sp=1 if stage == 3 else None)
-    return sample.indices, net.NetMode(dropout_rate=cfg.dropout, rng=rng)
+    indices = TR.random_skip_sample(len(video.frames), cfg.seq_len, rng,
+                                    sp=1 if stage == 3 else None)
+    return indices, net.NetMode(dropout_rate=cfg.dropout, rng=rng)
 
 
 def sequence_graph(root, stage):
@@ -292,7 +292,7 @@ def test_sequence_sweep_matches_retaining_oracle(tiny_root, stage):
 
 def _composed_attention_loss(att_maps, gt_boxes, input_size):
     target = LS.box_indicator_map(gt_boxes, input_size)
-    return T.add_n([composed_bce(a, target, LS.BCE_EPS) for a in att_maps])
+    return T.add_n([composed_bce(a, target) for a in att_maps])
 
 
 def _composed_heads(hidden_pyramid, params):
