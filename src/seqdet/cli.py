@@ -22,8 +22,8 @@ from . import tensor as T
 from . import tracker as TK
 from . import train as TR
 from .errors import ConfigError
-from .postproc import read_detections_jsonl, whole_int, write_detections_jsonl
-from .synth import (build_scenario, gen_sequence, load_dataset_root,
+from .postproc import PROFILES, read_detections_jsonl, whole_int, write_detections_jsonl
+from .synth import (SCENARIOS, build_scenario, gen_sequence, load_dataset_root,
                     load_video_dir, oracle_detections, write_dataset)
 
 MAP_CONF = 0.02       # detection threshold of the held-out mAP a theta sweep reports
@@ -120,10 +120,20 @@ def cmd_detect(args, guard):
     return 0
 
 
+# tracker flag dest -> TrackerParams field
+TRACKER_FLAGS = {"T": "match_threshold", "G": "generation_score", "tub_len": "tub_len_max",
+                 "max_miss": "max_miss", "similarity": "similarity"}
+
+
 def _tracker_params(args):
-    return TK.TrackerParams(match_threshold=args.T, generation_score=args.G,
-                            tub_len_max=args.tub_len, max_miss=args.max_miss,
-                            similarity=args.similarity)
+    """TrackerParams from the tracker flags that were given, its own defaults
+    for the rest. The resolved values are written back onto args, so
+    run_config.txt logs what the run used."""
+    params = TK.TrackerParams(**{field: v for flag, field in TRACKER_FLAGS.items()
+                                 if (v := getattr(args, flag)) is not None})
+    for flag, field in TRACKER_FLAGS.items():
+        setattr(args, flag, getattr(params, field))
+    return params
 
 
 def _detection_frames(path):
@@ -218,7 +228,16 @@ def _sweep_values(args):
     return values
 
 
+# the flags each sweep kind never reads; a run that names one is refused
+SWEEP_IGNORES = {"theta": ("dets", "gt_csv", *TRACKER_FLAGS),
+                 "T": ("data", "val_data", "init", "epochs", "T"),
+                 "tub_len": ("data", "val_data", "init", "epochs", "tub_len")}
+
+
 def cmd_sweep(args, guard):
+    for dest in SWEEP_IGNORES[args.param]:
+        if getattr(args, dest) is not None:
+            raise ConfigError(f"sweep --param {args.param} takes no --{dest.replace('_', '-')}")
     values = _sweep_values(args)
     out = guard.register(args.out)
     rows = []
@@ -290,8 +309,8 @@ def cmd_dump_attention(args, guard):
     out = guard.register(args.out)
     video = load_video_dir(args.data)
     out.mkdir(parents=True, exist_ok=True)
-    for t, (_head, maps) in enumerate(net.frame_outputs(video.frames, params, model_cfg,
-                                                        net.NetMode()), start=1):
+    for t, (_head, maps) in enumerate(net.frame_outputs(video.frames, params, model_cfg),
+                                      start=1):
         for lvl, m in enumerate(maps):
             T.save_tnsr(out / f"att_{t:06d}_l{lvl}.tnsr", m.data)
     _log_config(out, args)
@@ -309,20 +328,19 @@ def build_parser():
                                             "tracking on synthetic sequences")
     p.add_argument("--seed", type=int, default=None, help="default 0")
     p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--profile", choices=("vid", "mot"), default=None, help="default vid")
+    p.add_argument("--profile", choices=tuple(PROFILES), default=None, help="default vid")
     sub = p.add_subparsers(dest="command", required=True)
 
     tracker_flags = argparse.ArgumentParser(add_help=False)
-    tracker_flags.add_argument("--T", type=float, default=1.0)
-    tracker_flags.add_argument("--G", type=float, default=0.3)
-    tracker_flags.add_argument("--tub-len", dest="tub_len", type=int, default=10)
-    tracker_flags.add_argument("--max-miss", dest="max_miss", type=int, default=10)
-    tracker_flags.add_argument("--similarity", default="attention_iou",
-                               choices=("attention_iou", "iou_only"))
+    # unset flags take TrackerParams' defaults (see _tracker_params)
+    tracker_flags.add_argument("--T", type=float)
+    tracker_flags.add_argument("--G", type=float)
+    tracker_flags.add_argument("--tub-len", dest="tub_len", type=int)
+    tracker_flags.add_argument("--max-miss", dest="max_miss", type=int)
+    tracker_flags.add_argument("--similarity", choices=TK.SIMILARITIES)
 
     g = sub.add_parser("gen", help="generate synthetic video datasets")
-    g.add_argument("--scenario", default="random",
-                   choices=("random", "crossing-pair", "scale-change"))
+    g.add_argument("--scenario", default="random", choices=tuple(SCENARIOS))
     g.add_argument("--videos", type=int, default=1)
     g.add_argument("--frames", type=int, default=16)
     g.add_argument("--objects", type=int, default=2)
@@ -332,7 +350,7 @@ def build_parser():
     g.set_defaults(func=cmd_gen)
 
     t = sub.add_parser("train", help="run one training stage")
-    t.add_argument("--stage", type=int, required=True, choices=(1, 2, 3))
+    t.add_argument("--stage", type=int, required=True, choices=tuple(TR.STAGE_LR))
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--init", default=None, help="previous stage checkpoint")

@@ -119,10 +119,6 @@ class MotReport:
     def ml(self):
         return self.ml_count / self.num_tracks if self.num_tracks else 0.0
 
-    def row(self):
-        return {"MOTA": self.mota, "MOTP": self.motp, "MT": self.mt, "ML": self.ml,
-                "FP": self.fp, "FN": self.fn, "IDS": self.ids}
-
 
 def _rows_by_frame(rows):
     frames = {}
@@ -206,10 +202,9 @@ def format_mot_table(named_reports):
     header = ["Video"] + list(MOT_COLUMNS)
     rows = [header]
     for name, r in named_reports:
-        d = r.row()
-        rows.append([name, f"{d['MOTA'] * 100:.1f}", f"{d['MOTP'] * 100:.1f}",
-                     f"{d['MT'] * 100:.1f}%", f"{d['ML'] * 100:.1f}%",
-                     str(d["FP"]), str(d["FN"]), str(d["IDS"])])
+        rows.append([name, f"{r.mota * 100:.1f}", f"{r.motp * 100:.1f}",
+                     f"{r.mt * 100:.1f}%", f"{r.ml * 100:.1f}%",
+                     str(r.fp), str(r.fn), str(r.ids)])
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in rows]
@@ -219,7 +214,6 @@ def format_mot_table(named_reports):
 def mot_report_csv(named_reports):
     lines = ["video," + ",".join(c.lower() for c in MOT_COLUMNS)]
     for name, r in named_reports:
-        d = r.row()
-        lines.append(f"{name},{d['MOTA']:.6f},{d['MOTP']:.6f},{d['MT']:.6f},"
-                     f"{d['ML']:.6f},{d['FP']},{d['FN']},{d['IDS']}")
+        lines.append(f"{name},{r.mota:.6f},{r.motp:.6f},{r.mt:.6f},"
+                     f"{r.ml:.6f},{r.fp},{r.fn},{r.ids}")
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError
-from .postproc import center_to_corner, encode, iou_matrix
+from .postproc import CANVAS, center_to_corner, encode, iou_matrix
 
 NEG_POS_RATIO = 3           # mined background priors per matched prior
 MATCH_IOU = 0.5             # overlap at which a prior takes a box's class
@@ -124,11 +124,11 @@ def box_indicator_map(gt_boxes, size):
     return target
 
 
-def attention_loss(att_maps, gt_boxes, input_size=96):
+def attention_loss(att_maps, gt_boxes):
     """Sum over levels of the mean BCE between each attention map, upsampled
     inside its bce_mean node, and the box-indicator target at input
-    resolution."""
-    target = box_indicator_map(gt_boxes, input_size)
+    resolution (CANVAS)."""
+    target = box_indicator_map(gt_boxes, CANVAS)
     terms = [T.bce_mean(a, target) for a in att_maps]
     return T.add_n(terms)
 

@@ -30,11 +30,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError, quoted
-from .postproc import CANVAS, PRIORS_PER_CELL, TOY_SIZES
+from .postproc import CANVAS, NUM_CLASSES, PRIORS_PER_CELL, TOY_SIZES
 from .tensor import Tensor
 
-INPUT_SIZE = CANVAS
-TOY_CHANNELS = (32, 64, 32, 16, 16, 16)
 C_LOW = 64
 C_HIGH = 16
 LOW_LEVELS = (0, 1, 2)           # the other three levels share the high unit
@@ -43,19 +41,20 @@ LOW_LEVELS = (0, 1, 2)           # the other three levels share the high unit
 # Exact-division strided convs cannot reach odd extents from a 96px input,
 # so downsampling is bilinear. name, in_ch, out_ch, size, input layer
 _BACKBONE_LAYERS = (
-    ("stem", 3, 16, 48, "image"),
-    ("c0", 16, 32, 24, "stem"),     # level 0
-    ("c1", 32, 64, 12, "c0"),       # level 1
-    ("c2", 64, 32, 6, "c1"),        # level 2
-    ("c3", 32, 16, 3, "c2"),        # level 3
-    ("c4", 16, 16, 2, "c3"),        # level 4
-    ("c5", 16, 16, 1, "c3"),        # level 5 (branches off level 3)
+    ("stem", 3, 16, CANVAS // 2, "image"),
+    ("c0", 16, 32, TOY_SIZES[0], "stem"),     # level 0
+    ("c1", 32, 64, TOY_SIZES[1], "c0"),       # level 1
+    ("c2", 64, 32, TOY_SIZES[2], "c1"),       # level 2
+    ("c3", 32, 16, TOY_SIZES[3], "c2"),       # level 3
+    ("c4", 16, 16, TOY_SIZES[4], "c3"),       # level 4
+    ("c5", 16, 16, TOY_SIZES[5], "c3"),       # level 5 (branches off level 3)
 )
+TOY_CHANNELS = tuple(c_out for _name, _ci, c_out, _size, _src in _BACKBONE_LAYERS[1:])
 
 
 @dataclass
 class ModelConfig:
-    num_classes: int = 4
+    num_classes: int = NUM_CLASSES
     attention_enabled: bool = True
     temporal: bool = True
 
@@ -64,13 +63,6 @@ class ModelConfig:
                 "priors_per_cell": str(PRIORS_PER_CELL),
                 "attention_enabled": str(int(self.attention_enabled)),
                 "temporal": str(int(self.temporal))}
-
-
-@dataclass
-class NetMode:
-    """Per-call forward settings; dropout_rate > 0 only while training."""
-    dropout_rate: float = 0.0
-    rng: object = None
 
 
 def unit_channels(level):
@@ -158,9 +150,8 @@ LSTM_PREFIX = "lstm."
 
 def backbone_forward(image: Tensor, params):
     """Image [3,96,96] -> six raw pyramid maps."""
-    if image.data.shape != (3, INPUT_SIZE, INPUT_SIZE):
-        raise ShapeError(
-            f"backbone expects (3,{INPUT_SIZE},{INPUT_SIZE}), got {image.data.shape}")
+    if image.data.shape != (3, CANVAS, CANVAS):
+        raise ShapeError(f"backbone expects (3,{CANVAS},{CANVAS}), got {image.data.shape}")
     taps = {"image": image}
     for name, _ci, _co, size, src in _BACKBONE_LAYERS:
         x = T.bilinear_resize(taps[src], size, size)
@@ -232,13 +223,14 @@ def zero_state():
             for lvl, s in enumerate(TOY_SIZES)]
 
 
-def temporal_pyramid_forward(pyramid, state, params, cfg: ModelConfig, mode: NetMode):
+def temporal_pyramid_forward(pyramid, state, params, cfg: ModelConfig,
+                             dropout_rate=0.0, rng=None):
     """Run the two shared recurrent units over all six (unified) levels.
 
     Levels 0-2 go through the low unit's single weight set, levels 3-5
     through the high unit's. Returns the six hidden maps, the new state,
     and the six attention maps. The state is a list of per-level (h, s)
-    pairs (see zero_state).
+    pairs (see zero_state). dropout_rate > 0 only while training.
     """
     if len(pyramid) != len(state):
         raise ShapeError(f"state has {len(state)} levels, pyramid {len(pyramid)}")
@@ -251,7 +243,7 @@ def temporal_pyramid_forward(pyramid, state, params, cfg: ModelConfig, mode: Net
                              f"vs state {h_prev.data.shape}")
         h, s, a = attention_convlstm_step(
             fmap, h_prev, s_prev, weights[unit_of_level(lvl)],
-            dropout_rate=mode.dropout_rate, rng=mode.rng,
+            dropout_rate=dropout_rate, rng=rng,
             attention_enabled=cfg.attention_enabled)
         hidden.append(h)
         new_state.append((h, s))
@@ -304,7 +296,7 @@ def head_forward(hidden_pyramid, params):
     return HeadOut(*T.conv_gather(hidden_pyramid, kernels, biases, index))
 
 
-def frame_outputs(frames, params, cfg: ModelConfig, mode: NetMode):
+def frame_outputs(frames, params, cfg: ModelConfig, dropout_rate=0.0, rng=None):
     """Run the model over [3,96,96] frame arrays in order, yielding
     (head, attention maps) per frame: backbone -> unify -> recurrent units
     -> heads. The temporal model carries its state from zero_state() through
@@ -316,7 +308,7 @@ def frame_outputs(frames, params, cfg: ModelConfig, mode: NetMode):
         att_maps = None
         if state is not None:
             pyramid, state, att_maps = temporal_pyramid_forward(pyramid, state, params,
-                                                                cfg, mode)
+                                                                cfg, dropout_rate, rng)
         yield head_forward(pyramid, params), att_maps
 
 

@@ -23,6 +23,7 @@ VARIANCES = (0.1, 0.2)
 CANVAS = 96                        # frame side in pixels
 TOY_SIZES = (24, 12, 6, 3, 2, 1)
 PRIORS_PER_CELL = 2
+NUM_CLASSES = 4                    # object classes; class 0 is background
 SCALE_MIN = 0.1
 SCALE_MAX = 0.9
 
@@ -42,7 +43,7 @@ PROFILES = {
 
 def get_profile(name):
     if name not in PROFILES:
-        raise ConfigError(f"unknown dataset profile {name!r} (expected vid|mot)")
+        raise ConfigError(f"unknown dataset profile {name!r} (expected {'|'.join(PROFILES)})")
     return PROFILES[name]
 
 

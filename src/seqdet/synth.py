@@ -19,11 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .postproc import CANVAS, Detection
+from .postproc import CANVAS, NUM_CLASSES, Detection
 from .tensor import load_tnsr, save_tnsr, tnsr_shape
 from .tracker import AV_LENGTH, mot_rows
 
-NUM_CLASSES = 4
 MIN_BOX = 4
 ORACLE_JITTER = 0.02      # std of the per-detection noise on an oracle av
 
@@ -320,7 +319,6 @@ def write_dataset(seq: Sequence, out_dir):
 class Video:
     name: str
     frames: Frames               # [3,S,S] float64 arrays, read when indexed
-    ids: list                    # per frame: int array
     classes: list                # per frame: int array
     boxes_norm: list             # per frame: [N,4] corner-form normalized
 
@@ -352,25 +350,23 @@ def load_video_dir(path) -> Video:
             raise ConfigError(f"{f}: frame shape {list(other)} differs from "
                               f"the first frame's {list(shape)}")
     side = shape[-1]              # gt is normalised by the frames' own size
-    per = {i: ([], [], []) for i in range(1, len(frames) + 1)}
+    per = {i: ([], []) for i in range(1, len(frames) + 1)}
     gt_path = path / "gt.csv"
     if gt_path.exists():
         for lineno, row in mot_rows(gt_path):
-            fidx, oid, l, t, w, h = row[:6]
+            fidx, _oid, l, t, w, h = row[:6]
             cls = row[10] if len(row) > 10 else 1
             problem = _gt_row_problem(fidx, w, h, cls, len(frames))
             if problem:
                 raise ParseError(f"{gt_path}:{lineno}: {problem}")
-            ids, clss, bn = per[fidx]
-            ids.append(oid)
+            clss, bn = per[fidx]
             clss.append(cls)
             bn.append([l / side, t / side, (l + w) / side, (t + h) / side])
     return Video(
         name=path.name,
         frames=frames,
-        ids=[np.array(per[i][0], dtype=int) for i in sorted(per)],
-        classes=[np.array(per[i][1], dtype=int) for i in sorted(per)],
-        boxes_norm=[np.array(per[i][2], dtype=np.float64).reshape(-1, 4) for i in sorted(per)],
+        classes=[np.array(per[i][0], dtype=int) for i in sorted(per)],
+        boxes_norm=[np.array(per[i][1], dtype=np.float64).reshape(-1, 4) for i in sorted(per)],
     )
 
 

@@ -27,6 +27,7 @@ from .tensor import bilinear_weights, load_tnsr
 AV_GRID = 7          # each low-level attention map resamples to 7x7
 AV_LEVELS = 3        # number of low-level maps feeding the descriptor
 AV_LENGTH = AV_LEVELS * AV_GRID * AV_GRID      # 147 descriptor values
+SIMILARITIES = ("attention_iou", "iou_only")
 
 
 @dataclass
@@ -35,7 +36,7 @@ class TrackerParams:
     generation_score: float = 0.3     # confidence needed to found a new id
     tub_len_max: int = 10
     max_miss: int = 10
-    similarity: str = "attention_iou"  # or "iou_only"
+    similarity: str = "attention_iou"  # one of SIMILARITIES
 
     def validate(self):
         if not self.match_threshold > 0:     # nan too
@@ -47,7 +48,7 @@ class TrackerParams:
             raise ConfigError(f"tub_len_max must be >= 1, got {self.tub_len_max}")
         if self.max_miss < 0:
             raise ConfigError(f"max_miss must be >= 0, got {self.max_miss}")
-        if self.similarity not in ("attention_iou", "iou_only"):
+        if self.similarity not in SIMILARITIES:
             raise ConfigError(f"unknown similarity mode {self.similarity!r}")
         return self
 

@@ -56,12 +56,11 @@ def sgd_step(params, grads, lr):
         g = grads.get(name)
         if g is not None:
             p.data -= lr * g
-    return params
 
 
 def rmsprop_step(params, grads, lr, state):
-    """Accumulator update acc = RMS_RHO*acc + (1-RMS_RHO)*g^2, then
-    p -= lr * g / (sqrt(acc) + RMS_EPS)."""
+    """Accumulator update acc = RMS_RHO*acc + (1-RMS_RHO)*g^2, kept in the
+    caller's state dict, then p -= lr * g / (sqrt(acc) + RMS_EPS)."""
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -72,7 +71,6 @@ def rmsprop_step(params, grads, lr, state):
         acc = RMS_RHO * acc + (1.0 - RMS_RHO) * g * g
         state[name] = acc
         p.data -= lr * g / (np.sqrt(acc) + RMS_EPS)
-    return params, state
 
 
 def global_norm(grads):
@@ -108,7 +106,7 @@ class TrainConfig:
     def resolved(self, stage):
         """A copy with stage's lr and epochs defaults filled in; rejects an
         unknown stage and out-of-range settings."""
-        if stage not in (1, 2, 3):
+        if stage not in STAGE_LR:
             raise ConfigError(f"stage must be 1, 2 or 3, got {stage}")
         out = replace(self, lr=STAGE_LR[stage] if self.lr is None else self.lr,
                       epochs=STAGE_EPOCHS[stage] if self.epochs is None else self.epochs)
@@ -200,8 +198,8 @@ def detect_video(params, model_cfg, video, conf_thresh, profile_name,
     profile = get_profile(profile_name)
     params = {k: T.constant(p.data) for k, p in params.items()}
     out = []
-    for t, (head, att) in enumerate(net.frame_outputs(video.frames, params, model_cfg,
-                                                      net.NetMode()), start=1):
+    for t, (head, att) in enumerate(net.frame_outputs(video.frames, params, model_cfg),
+                                    start=1):
         dets = detections_for_frame(head, priors, conf_thresh, profile,
                                     model_cfg.num_classes)
         if attach_av and att is not None and model_cfg.attention_enabled:
@@ -234,21 +232,22 @@ def _step(build, update, clip, stage, epoch, step):
     return parts
 
 
-def _train_sequence(params, video, indices, cfg, model_cfg, priors, mode, with_asso):
+def _train_sequence(params, video, indices, cfg, model_cfg, priors, rng, with_asso):
     """Build the loss graph over the 1-based frames `indices` of video, in
     order and scaled by 1/len(indices), and return (loss_node, parts dict).
-    A stage-1 step is one frame through the static model."""
+    Dropout at cfg.dropout draws its masks from rng. A stage-1 step is one
+    frame through the static model."""
     frame_nodes = []
     sl_nodes = []
     sl_profile = score_list_profile(cfg.profile, cfg.k)
     sums = {"L_loc": 0.0, "L_conf": 0.0, "L_att": 0.0}
     outputs = net.frame_outputs((video.frames[t - 1] for t in indices), params,
-                                model_cfg, mode)
+                                model_cfg, cfg.dropout, rng)
     for t, (head, att) in zip(indices, outputs):
         boxes, classes = frame_ground_truth(video, t)
         m = LS.match_priors(boxes, classes, priors)
         l_loc, l_conf = LS.loc_conf_loss(head, m)
-        l_att = (LS.attention_loss(att, boxes, net.INPUT_SIZE)
+        l_att = (LS.attention_loss(att, boxes)
                  if att is not None and model_cfg.attention_enabled else None)
         frame_nodes.append(LS.frame_loss_node(l_loc, l_conf, l_att,
                                               m.num_matched, LOSS_WEIGHTS))
@@ -314,13 +313,12 @@ def run_stage(stage, data_root, out_dir, config: TrainConfig, init_ckpt=None):
     sgd_params = {n: p for n, p in params.items()
                   if p.requires_grad and n not in rms_params}
     rms_state = {}
-    mode = net.NetMode(dropout_rate=cfg.dropout, rng=rng)
 
     def build(video, indices):
         if indices is None:
             indices = random_skip_sample(len(video.frames), cfg.seq_len, rng,
                                          sp=1 if stage == 3 else None)
-        return _train_sequence(params, video, indices, cfg, model_cfg, priors, mode,
+        return _train_sequence(params, video, indices, cfg, model_cfg, priors, rng,
                                with_asso=(stage == 3))
 
     rows = ["epoch,step,L_loc,L_conf,L_att,L_asso,L_total\n"]

@@ -93,8 +93,7 @@ def test_c03_attention_toggle_reproduces_plain_convlstm_bitwise():
     cfg = net.ModelConfig(attention_enabled=False)
     state = net.zero_state()
     for _frame in range(3):
-        hidden, state, att = net.temporal_pyramid_forward(pyramid, state, params, cfg,
-                                                          net.NetMode())
+        hidden, state, att = net.temporal_pyramid_forward(pyramid, state, params, cfg)
         for a in att:
             assert np.all(a.data == 1.0)
     # independent plain-ConvLSTM unroll over the same gate primitive

@@ -212,6 +212,66 @@ def test_sweep_refuses_bad_values_and_writes_nothing(dataset, tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == [dataset]
 
 
+@pytest.mark.parametrize("param,flag,value", [
+    *(("theta", flag, value) for flag, value in (
+        ("--dets", "d.jsonl"), ("--gt-csv", "gt.csv"), ("--T", 0.6), ("--G", 0.5),
+        ("--tub-len", 3), ("--max-miss", 2), ("--similarity", "iou_only"))),
+    *((param, flag, value) for param in ("T", "tub_len") for flag, value in (
+        ("--data", "data"), ("--val-data", "val"), ("--init", "ckpt"), ("--epochs", 1))),
+    ("T", "--T", 0.6),
+    ("tub_len", "--tub-len", 3),
+])
+def test_sweep_refuses_the_flags_it_would_ignore(dataset, tmp_path, capsys, param, flag,
+                                                 value):
+    """A theta sweep tracks nothing and a T or tub_len sweep trains nothing,
+    and --values replaces the swept flag: each such flag is refused with one
+    line before any output."""
+    video = dataset / "video_000"
+    argv = (("--data", video, "--init", tmp_path / "absent") if param == "theta"
+            else ("--dets", video / "detections.jsonl", "--gt-csv", video / "gt.csv"))
+    assert run("sweep", "--param", param, "--values", "1", *argv, flag, value,
+               "--out", tmp_path / "sw" / "sweep.csv") == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"seqdet: error: sweep --param {param} takes no {flag}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [dataset]
+
+
+def test_theta_sweep_logs_no_tracker_setting(dataset, tmp_path):
+    """A theta sweep tracks nothing, so its run_config.txt names no tracker
+    setting."""
+    video = dataset / "video_000"
+    assert run("train", "--stage", 1, "--epochs", 0, "--data", video,
+               "--out", tmp_path / "s1") == 0
+    assert run("sweep", "--param", "theta", "--values", "0.1", "--epochs", 1,
+               "--data", video, "--init", tmp_path / "s1" / "checkpoint",
+               "--out", tmp_path / "sw" / "theta.csv") == 0
+    logged = (tmp_path / "sw" / "run_config.txt").read_text().splitlines()
+    assert "param = theta" in logged
+    assert not {line.split(" = ")[0] for line in logged} & {"T", "G", "tub_len", "max_miss",
+                                                            "similarity"}
+
+
+def test_track_flags_at_their_defaults_change_nothing(dataset, tmp_path, monkeypatch):
+    """Unset tracker flags take TrackerParams' defaults: track with none of
+    them, with each one, or with all of them spelled at that default writes
+    the same result.csv and run_config.txt."""
+    d = TK.TrackerParams()
+    spelled = [("--T", d.match_threshold), ("--G", d.generation_score),
+               ("--tub-len", d.tub_len_max), ("--max-miss", d.max_miss),
+               ("--similarity", d.similarity)]
+    runs = [(), *spelled, sum(spelled, ())]
+    written = set()
+    for i, flags in enumerate(runs):
+        (tmp_path / str(i)).mkdir()
+        monkeypatch.chdir(tmp_path / str(i))     # the same relative --out is logged
+        assert run("track", "--dets", dataset / "video_000" / "detections.jsonl", *flags,
+                   "--out", "trk/result.csv") == 0
+        written.add(tuple((tmp_path / str(i) / "trk" / f).read_bytes()
+                          for f in ("result.csv", "run_config.txt")))
+    assert len(written) == 1
+
+
 def test_track_refuses_a_nan_match_threshold(dataset, tmp_path, capsys):
     out = tmp_path / "trk" / "r.csv"
     assert run("track", "--dets", dataset / "video_000" / "detections.jsonl",

@@ -69,8 +69,7 @@ def test_stage2_sequence_reads_its_seq_len_frames(videos, reads):
     rng = np.random.default_rng(0)
     indices = TR.random_skip_sample(len(video.frames), cfg.seq_len, rng)
     TR._train_sequence(net.init_params(7, model_cfg), video, indices, cfg, model_cfg,
-                       make_priors(), net.NetMode(dropout_rate=cfg.dropout, rng=rng),
-                       with_asso=False)
+                       make_priors(), rng, with_asso=False)
     frames = sorted((videos[16] / "frames").glob("*.tnsr"))
     assert reads == [frames[t - 1] for t in indices]
     assert len(reads) == cfg.seq_len

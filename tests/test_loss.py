@@ -162,15 +162,15 @@ def constant_maps(value, sizes=(4, 2)):
 
 def test_attention_loss_at_half_is_levels_times_ln2():
     maps = [T.constant(np.full((1, s, s), 0.5)) for s in (24, 12, 6, 3, 2, 1)]
-    out = L.attention_loss(maps, np.array([[0.2, 0.2, 0.6, 0.7]]), 96)
+    out = L.attention_loss(maps, np.array([[0.2, 0.2, 0.6, 0.7]]))
     assert out.item() == pytest.approx(6 * np.log(2), rel=1e-12)
 
 
 def test_attention_loss_perfect_prediction_near_zero():
     gt = np.array([[0.25, 0.25, 0.75, 0.75]])
-    target = L.box_indicator_map(gt, 8)
+    target = L.box_indicator_map(gt, L.CANVAS)
     maps = [T.constant(target.copy()) for _ in range(6)]
-    out = L.attention_loss(maps, gt, 8)
+    out = L.attention_loss(maps, gt)
     assert out.item() < 1e-5
 
 
@@ -178,13 +178,13 @@ def test_attention_loss_equals_hand_rolled_bce():
     rng = np.random.default_rng(3)
     gt = np.array([[0.1, 0.3, 0.5, 0.8], [0.6, 0.1, 0.9, 0.4]])
     maps = [T.constant(rng.uniform(0.01, 0.99, (1, s, s))) for s in (5, 3, 2)]
-    out = L.attention_loss(maps, gt, 16)
+    out = L.attention_loss(maps, gt)
 
     from refimpl import naive_bilinear_resize
-    target = L.box_indicator_map(gt, 16)[0]
+    target = L.box_indicator_map(gt, L.CANVAS)[0]
     total = 0.0
     for m in maps:
-        up = naive_bilinear_resize(m.data, 16, 16)[0]
+        up = naive_bilinear_resize(m.data, L.CANVAS, L.CANVAS)[0]
         p = np.clip(up, 1e-7, 1 - 1e-7)
         total += np.mean(-target * np.log(p) - (1 - target) * np.log(1 - p))
     assert out.item() == pytest.approx(total, rel=1e-10)
@@ -201,7 +201,7 @@ def test_attention_target_permutation_and_nesting_invariance():
 
 def test_attention_loss_empty_gt_still_valid():
     maps = [T.constant(np.full((1, 3, 3), 0.5))]
-    out = L.attention_loss(maps, np.empty((0, 4)), 12)
+    out = L.attention_loss(maps, np.empty((0, 4)))
     assert out.item() == pytest.approx(np.log(2), rel=1e-12)
 
 
@@ -341,7 +341,7 @@ def test_total_loss_xi_zero_drops_association(tmp_path, monkeypatch):
     monkeypatch.setattr(TR, "LOSS_WEIGHTS", L.LossWeights(xi=0.0))
     (plain, _), (total, parts) = [
         TR._train_sequence(params, video, (2, 3), cfg, model_cfg, make_priors(),
-                           net.NetMode(), with_asso)
+                           None, with_asso)
         for with_asso in (False, True)]
     assert parts["L_asso"] > 0
     assert total.item() == plain.item()
@@ -373,11 +373,10 @@ def test_full_network_two_frame_gradients_match_finite_diff():
 
     def build():
         terms = []
-        for t, (head, att) in enumerate(net.frame_outputs(seq.frames, params, cfg,
-                                                          net.NetMode())):
+        for t, (head, att) in enumerate(net.frame_outputs(seq.frames, params, cfg)):
             m = L.match_priors(gts[t], classes[t], priors)
             l_loc, l_conf = L.loc_conf_loss(head, m)
-            l_att = L.attention_loss(att, gts[t], net.INPUT_SIZE)
+            l_att = L.attention_loss(att, gts[t])
             terms.append(L.frame_loss_node(l_loc, l_conf, l_att, m.num_matched,
                                            L.LossWeights()))
         return T.scale(T.add_n(terms), 0.5)
@@ -452,7 +451,7 @@ def test_stage3_objective_gradients_match_finite_diff():
             m = L.match_priors(gts[t], [1, 4], priors)
             l_loc, l_conf = L.loc_conf_loss(head, m)
             att = [T.sigmoid(params[f"f{t}.att{l}"]) for l in range(len(sizes))]
-            l_att = L.attention_loss(att, gts[t], 8)
+            l_att = L.attention_loss(att, gts[t])
             frame_nodes.append(L.frame_loss_node(l_loc, l_conf, l_att, m.num_matched,
                                                  TR.LOSS_WEIGHTS))
             dets = detections_for_frame(head, priors, theta,

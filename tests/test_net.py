@@ -160,8 +160,8 @@ def test_model_conv_shapes_are_what_the_forward_runs(monkeypatch):
 
     monkeypatch.setattr(T, "_conv_layout", recording)
     cfg = net.ModelConfig()
-    frames = np.random.default_rng(8).random((2, 3, net.INPUT_SIZE, net.INPUT_SIZE))
-    list(net.frame_outputs(frames, net.init_params(8, cfg), cfg, net.NetMode()))
+    frames = np.random.default_rng(8).random((2, 3, net.CANVAS, net.CANVAS))
+    list(net.frame_outputs(frames, net.init_params(8, cfg), cfg))
     assert ran == model_conv_shapes()
 
 
@@ -395,11 +395,10 @@ def test_low_unit_perturbation_only_touches_low_levels():
     params = net.init_params(11, cfg)
     rng = np.random.default_rng(11)
     pyramid = unified_pyramid(rng)
-    mode = net.NetMode()
     state = net.zero_state()
-    hidden_a, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, mode)
+    hidden_a, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg)
     params["lstm.low.gates.kernel"].data[2 * net.C_LOW:3 * net.C_LOW] += 0.1  # o block
-    hidden_b, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, mode)
+    hidden_b, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg)
     for lvl in (0, 1, 2):
         assert not np.array_equal(hidden_a[lvl].data, hidden_b[lvl].data)
     for lvl in (3, 4, 5):
@@ -411,7 +410,7 @@ def test_output_dims_match_inputs_with_unit_channels():
     params = net.init_params(12, cfg)
     rng = np.random.default_rng(12)
     hidden, state, att = net.temporal_pyramid_forward(
-        unified_pyramid(rng), net.zero_state(), params, cfg, net.NetMode())
+        unified_pyramid(rng), net.zero_state(), params, cfg)
     for lvl, (h, a) in enumerate(zip(hidden, att)):
         s = net.TOY_SIZES[lvl]
         assert h.data.shape == (net.unit_channels(lvl), s, s)
@@ -425,8 +424,8 @@ def test_static_image_memory_accumulates_across_frames():
     rng = np.random.default_rng(13)
     pyramid = unified_pyramid(rng)
     state = net.zero_state()
-    h1, state, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, net.NetMode())
-    h2, state, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, net.NetMode())
+    h1, state, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg)
+    h2, state, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg)
     assert not np.array_equal(h1[0].data, h2[0].data)
 
 
@@ -436,9 +435,9 @@ def test_state_reset_reproduces_first_frame():
     rng = np.random.default_rng(14)
     pyramid = unified_pyramid(rng)
     h1, _, _ = net.temporal_pyramid_forward(
-        pyramid, net.zero_state(), params, cfg, net.NetMode())
+        pyramid, net.zero_state(), params, cfg)
     h1again, _, _ = net.temporal_pyramid_forward(
-        pyramid, net.zero_state(), params, cfg, net.NetMode())
+        pyramid, net.zero_state(), params, cfg)
     for a, b in zip(h1, h1again):
         assert np.array_equal(a.data, b.data)
 
@@ -452,7 +451,7 @@ def test_state_pyramid_mismatch_raises():
     state[0] = (T.constant(np.zeros((64, 12, 12))),
                 T.constant(np.zeros((64, 12, 12))))
     with pytest.raises(ShapeError):
-        net.temporal_pyramid_forward(pyramid, state, params, cfg, net.NetMode())
+        net.temporal_pyramid_forward(pyramid, state, params, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +638,9 @@ def test_weight_sharing_one_parameter_set_serves_three_levels():
     rng = np.random.default_rng(20)
     pyramid = unified_pyramid(rng)
     state = net.zero_state()
-    before, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, net.NetMode())
+    before, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg)
     params["lstm.low.gates.kernel"].data[:net.C_LOW] *= 1.5  # i block
-    after, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg, net.NetMode())
+    after, _, _ = net.temporal_pyramid_forward(pyramid, state, params, cfg)
     assert all(not np.array_equal(before[l].data, after[l].data) for l in (0, 1, 2))
 
 
@@ -747,8 +746,8 @@ def test_forward_on_loaded_params_records_no_tape(tmp_path):
     cfg = _saved_checkpoint(tmp_path / "ck")
     params, _cfg = net.load_checkpoint(tmp_path / "ck")
     assert not any(p.requires_grad for p in params.values())
-    frame = np.random.default_rng(24).random((3, net.INPUT_SIZE, net.INPUT_SIZE))
-    outputs = list(net.frame_outputs([frame, frame], params, cfg, net.NetMode()))
+    frame = np.random.default_rng(24).random((3, net.CANVAS, net.CANVAS))
+    outputs = list(net.frame_outputs([frame, frame], params, cfg))
     nodes = [n for head, att in outputs for n in (head.loc, head.conf, *att)]
     assert len(nodes) == 2 * (2 + 6)
     assert all(n.parents == () and not n.requires_grad for n in nodes)
@@ -761,10 +760,10 @@ def test_frame_outputs_static_model_has_no_state_or_maps(monkeypatch):
     monkeypatch.setattr(net, "zero_state", no_state)
     cfg = net.ModelConfig(temporal=False)
     params = net.init_params(25, cfg, with_lstm=False)
-    frames = np.random.default_rng(25).random((2, 3, net.INPUT_SIZE, net.INPUT_SIZE))
-    outputs = list(net.frame_outputs(frames, params, cfg, net.NetMode()))
+    frames = np.random.default_rng(25).random((2, 3, net.CANVAS, net.CANVAS))
+    outputs = list(net.frame_outputs(frames, params, cfg))
     assert [att for _head, att in outputs] == [None, None]
-    (head, _), = net.frame_outputs(frames[1:], params, cfg, net.NetMode())
+    (head, _), = net.frame_outputs(frames[1:], params, cfg)
     assert np.array_equal(outputs[1][0].conf.data, head.conf.data)
 
 

@@ -250,21 +250,21 @@ WHOLE_OR_FRACTIONAL = {0: ["1.0", "2.000", "1e0", "1.5", "0.999", "2.5e-1", "1" 
 
 
 def _gt_ints(video):
-    """Per-frame (id, class) pairs as load_video_dir reads them, or None."""
+    """Per-frame classes as load_video_dir reads them, or None."""
     try:
         vid = synth.load_video_dir(video)
     except ParseError:
         return None
-    return [list(zip(ids.tolist(), cls.tolist())) for ids, cls in zip(vid.ids, vid.classes)]
+    return [cls.tolist() for cls in vid.classes]
 
 
 def _mot_ints(path, frames):
-    """The same pairs as read_mot_csv reads them, or None."""
+    """The same classes as read_mot_csv reads them, or None."""
     try:
         rows = TK.read_mot_csv(path)
     except ParseError:
         return None
-    return [[(r[1], int(r[10])) for r in rows if r[0] == f] for f in range(1, frames + 1)]
+    return [[int(r[10]) for r in rows if r[0] == f] for f in range(1, frames + 1)]
 
 
 def test_fuzz_gt_and_mot_csv_share_the_whole_number_rule(tmp_path):

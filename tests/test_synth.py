@@ -168,7 +168,6 @@ def test_gt_whole_number_floats_load_in_both_mot_readers(tmp_path, row):
     (mot,) = TK.read_mot_csv(video / "gt.csv")
     assert mot[0] == 1 and type(mot[0]) is int and type(mot[1]) is int
     assert type(mot[10]) is int
-    assert vid.ids[0].tolist() == [mot[1]]
     assert vid.classes[0].tolist() == [mot[10]] == [2]
 
 
@@ -208,7 +207,7 @@ def test_gt_row_is_read_under_the_mot_csv_rules(tmp_path, row, message):
 
 def test_gt_row_without_a_class_column_is_class_1(tmp_path):
     vid = synth.load_video_dir(_two_frame_video(tmp_path, "2,7,8,16,4,2,1,-1,-1,-1"))
-    assert vid.ids[1].tolist() == [7] and vid.classes[1].tolist() == [1]
+    assert vid.classes[1].tolist() == [1]
     np.testing.assert_array_equal(vid.boxes_norm[1], [[1.0, 2.0, 1.5, 2.25]])
 
 

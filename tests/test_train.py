@@ -99,7 +99,8 @@ def test_sgd_arithmetic():
 def test_rmsprop_single_step_hand_trace():
     p = _param("w", [1.0])
     g = np.array([2.0])
-    _, state = TR.rmsprop_step(p, {"w": g}, 0.1, {})
+    state = {}
+    TR.rmsprop_step(p, {"w": g}, 0.1, state)
     expect = 1.0 - 0.1 * 2.0 / (np.sqrt(0.1 * 4.0) + 1e-8)
     assert p["w"].data[0] == pytest.approx(expect, rel=1e-12)
     np.testing.assert_allclose(state["w"], [0.4])
@@ -109,7 +110,7 @@ def test_rmsprop_accumulator_evolves():
     p = _param("w", [0.0])
     state = {}
     for _ in range(3):
-        _, state = TR.rmsprop_step(p, {"w": np.array([1.0])}, 0.01, state)
+        TR.rmsprop_step(p, {"w": np.array([1.0])}, 0.01, state)
     np.testing.assert_allclose(state["w"], [1 - 0.9 ** 3], rtol=1e-12)
 
 
@@ -235,22 +236,22 @@ def test_temporal_detect_first_frame_is_its_one_frame_run(tiny_root):
 # stage runner
 
 
-def sample_and_mode(video, cfg, stage, seed):
-    """A stage's draw of frame indices, and the forward settings that share
-    its generator, as run_stage makes them."""
+def sample_and_rng(video, cfg, stage, seed):
+    """A stage's draw of frame indices, and the generator it was drawn
+    from, which the dropout masks share as in run_stage."""
     rng = np.random.default_rng(seed)
     indices = TR.random_skip_sample(len(video.frames), cfg.seq_len, rng,
                                     sp=1 if stage == 3 else None)
-    return indices, net.NetMode(dropout_rate=cfg.dropout, rng=rng)
+    return indices, rng
 
 
 def sequence_graph(root, stage):
     video = load_video_dir(root / "video_000")
     model_cfg = net.ModelConfig()
     cfg = TR.TrainConfig(seq_len=4).resolved(stage)
-    indices, mode = sample_and_mode(video, cfg, stage, 0)
+    indices, rng = sample_and_rng(video, cfg, stage, 0)
     total, _parts = TR._train_sequence(net.init_params(7, model_cfg), video, indices, cfg,
-                                       model_cfg, make_priors(), mode, stage == 3)
+                                       model_cfg, make_priors(), rng, stage == 3)
     return total
 
 
@@ -263,8 +264,8 @@ def test_one_frame_static_loss_is_the_frame_loss(tiny_root):
     cfg = TR.TrainConfig().resolved(1)
     priors = make_priors()
     total, parts = TR._train_sequence(params, video, (5,), cfg, model_cfg, priors,
-                                      net.NetMode(), with_asso=False)
-    (head, att), = net.frame_outputs([video.frames[4]], params, model_cfg, net.NetMode())
+                                      None, with_asso=False)
+    (head, att), = net.frame_outputs([video.frames[4]], params, model_cfg)
     assert att is None
     m = LS.match_priors(*TR.frame_ground_truth(video, 5), priors)
     l_loc, l_conf = LS.loc_conf_loss(head, m)
@@ -290,8 +291,8 @@ def test_sequence_sweep_matches_retaining_oracle(tiny_root, stage):
     assert_sweep_matches_retaining_oracle(sequence_graph(tiny_root, stage))
 
 
-def _composed_attention_loss(att_maps, gt_boxes, input_size):
-    target = LS.box_indicator_map(gt_boxes, input_size)
+def _composed_attention_loss(att_maps, gt_boxes):
+    target = LS.box_indicator_map(gt_boxes, LS.CANVAS)
     return T.add_n([composed_bce(a, target) for a in att_maps])
 
 
@@ -333,9 +334,9 @@ def test_sequence_equals_the_composed_graph_bitwise(tmp_path, monkeypatch, stage
                     m.setattr(module, name, f)
                 params = {n: T.constant(p.data) if n.startswith(net.FROZEN_PREFIXES)
                           else T.parameter(p.data, n) for n, p in init.items()}
-                mode = net.NetMode(dropout_rate=dropout, rng=np.random.default_rng(seed))
                 loss, parts = TR._train_sequence(params, video, indices, cfg, model_cfg,
-                                                 priors, mode, with_asso=stage == 3)
+                                                 priors, np.random.default_rng(seed),
+                                                 with_asso=stage == 3)
                 results.append((parts, T.backward(loss)))
         (parts, grads), (parts_ref, grads_ref) = results
         case = (attention, dropout)
@@ -474,9 +475,9 @@ def test_optimizer_split_update_rules(tiny_root, tmp_path):
     net.init_lstm_params(np.random.default_rng(0), params)
     model_cfg.temporal = True
     videos = sorted(load_dataset_root(tiny_root), key=lambda v: v.name)
-    indices, mode = sample_and_mode(videos[0], cfg2, 2, 7)
+    indices, rng = sample_and_rng(videos[0], cfg2, 2, 7)
     total, _ = TR._train_sequence(params, videos[0], indices, cfg2, model_cfg, make_priors(),
-                                  mode, with_asso=False)
+                                  rng, with_asso=False)
     grads = T.backward(total)
     assert any(n.startswith("head.") for n in grads)
     assert any(n.startswith("lstm.") for n in grads)
