@@ -54,11 +54,14 @@ class OutputGuard:
                 path.unlink()
 
 
-def _log_config(out_dir, args):
+def _log_config(out_dir, args, reads=()):
+    """Writes run_config.txt and prints the [config] line: every option the
+    command was given or resolved, and of the global --seed and --profile
+    only those the command reads."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pairs = sorted((k, v) for k, v in vars(args).items()
-                   if k not in ("func", "settings") and v is not None)
+    skip = {"func", "settings", *({"seed", "profile"} - set(reads))}
+    pairs = sorted((k, v) for k, v in vars(args).items() if k not in skip and v is not None)
     text = "".join(f"{k} = {v}\n" for k, v in pairs)
     (out_dir / "run_config.txt").write_text(text)
     print(f"[config] {' '.join(f'{k}={v}' for k, v in pairs)}")
@@ -93,7 +96,7 @@ def cmd_gen(args, guard):
         write_dataset(seq, vdir)
         if args.emit_detections:
             write_detections_jsonl(vdir / "detections.jsonl", oracle_detections(seq))
-    _log_config(out, args)
+    _log_config(out, args, reads=("seed",))
     print(f"[gen] wrote {args.videos} video(s) under {out}")
     return 0
 
@@ -101,7 +104,7 @@ def cmd_gen(args, guard):
 def cmd_train(args, guard):
     out = guard.register(args.out)
     summary = TR.run_stage(args.stage, args.data, out, args.settings, init_ckpt=args.init)
-    _log_config(out, args)
+    _log_config(out, args, reads=("seed", "profile"))
     print(f"[train] stage {args.stage} done: checkpoint at {summary['checkpoint']}, "
           f"loss log at {summary['loss_csv']}")
     return 0
@@ -115,7 +118,7 @@ def cmd_detect(args, guard):
     for video in videos:
         frames = TR.detect_video(params, model_cfg, video, args.conf, args.profile)
         write_detections_jsonl(out / f"{video.name}.jsonl", frames)
-    _log_config(out, args)
+    _log_config(out, args, reads=("profile",))
     print(f"[detect] wrote {len(videos)} detection file(s) under {out}")
     return 0
 
@@ -239,6 +242,9 @@ def cmd_sweep(args, guard):
         if getattr(args, dest) is not None:
             raise ConfigError(f"sweep --param {args.param} takes no --{dest.replace('_', '-')}")
     values = _sweep_values(args)
+    epochs = args.settings.epochs       # None: stage 3's default
+    if args.param == "theta" and epochs is not None and epochs < 1:   # no loss row to report
+        raise ConfigError(f"sweep --param theta needs --epochs >= 1, got {epochs}")
     out = guard.register(args.out)
     rows = []
     if args.param == "theta":
@@ -274,7 +280,7 @@ def cmd_sweep(args, guard):
         header = f"{args.param},MOTA,IDS"
         body = [f"{v},{mota:.6f},{ids}" for v, mota, ids in rows]
     out.write_text(header + "\n" + "\n".join(body) + "\n")
-    _log_config(out.parent, args)
+    _log_config(out.parent, args, reads=("seed", "profile") if args.param == "theta" else ())
     print(f"[sweep] wrote {out}")
     return 0
 

@@ -220,28 +220,57 @@ def write_detections_jsonl(path, frames):
     """frames: iterable of (frame_index, list[Detection]); 1-based frames.
     Each Detection's box and av are float64 arrays.
 
+    Every line is spelt as json.dumps spells the record. orjson spells it
+    about 15x faster, so it writes each record whose numbers it spells
+    alike (_spelled_alike), and json.dumps writes the rest.
+
     A record whose score, box or av is not finite is refused with a
     ValueError naming its frame and class, and the file is removed: JSON
     has no spelling for such values that the reader accepts."""
-    fh = open(path, "w")
+    fh = open(path, "wb")
     try:
         with fh:
             for fidx, dets in frames:
+                frame_alike = _spelled_alike(dets)
                 for d in dets:
                     rec = {"frame": int(fidx), "class": int(d.class_id),
                            "score": float(d.score),
                            "box": d.box.tolist(), "id": int(d.id)}
                     if d.av is not None:
                         rec["av"] = d.av.tolist()
-                    try:
-                        line = json.dumps(rec, allow_nan=False)
-                    except ValueError:
-                        raise ValueError(f"{path}: frame {rec['frame']} class {rec['class']}: "
-                                         "score, box and av must be finite") from None
-                    fh.write(line + "\n")
+                    fh.write(_json_line(path, rec, frame_alike or _spelled_alike([d])))
     except BaseException:
         os.remove(path)
         raise
+
+
+def _spelled_alike(dets):
+    """Whether orjson spells every score, box and av number of dets as
+    json.dumps does. Both spell a float that is 0 or whose magnitude lies
+    in [1e-4, 1e16) in the same shortest digits; outside that range
+    json.dumps turns to exponent form, which orjson spells otherwise
+    (1e-05 as 0.00001, 1e+16 as 1e16). NaN and inf fail too: orjson would
+    write them as null."""
+    parts = [[float(d.score) for d in dets]]
+    parts += [a for d in dets for a in (d.box, d.av) if a is not None]
+    a = np.abs(np.concatenate(parts, dtype=np.float64))
+    return bool((((a >= 1e-4) & (a < 1e16)) | (a == 0)).all())
+
+
+def _json_line(path, rec, alike):
+    """The line json.dumps spells rec as, through orjson when alike."""
+    if alike:
+        try:
+            line = orjson.dumps(rec, option=orjson.OPT_APPEND_NEWLINE)
+        except orjson.JSONEncodeError:      # an int beyond 64 bits
+            pass
+        else:
+            return line.replace(b",", b", ").replace(b":", b": ")     # json's separators
+    try:
+        return (json.dumps(rec, allow_nan=False) + "\n").encode()
+    except ValueError:
+        raise ValueError(f"{path}: frame {rec['frame']} class {rec['class']}: "
+                         "score, box and av must be finite") from None
 
 
 def whole_int(v):

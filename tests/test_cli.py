@@ -212,6 +212,24 @@ def test_sweep_refuses_bad_values_and_writes_nothing(dataset, tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == [dataset]
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_theta_sweep_refuses_zero_epochs_and_writes_nothing(dataset, tmp_path, capsys, source):
+    """A 0-epoch stage 3 logs no loss row for the sweep to report, so the
+    setting is refused before anything is trained or written, whether it
+    comes from --epochs or the --config file."""
+    argv = ["sweep", "--param", "theta", "--values", "0.1", "--data", dataset / "video_000",
+            "--init", tmp_path / "absent", "--out", tmp_path / "sw" / "theta.csv"]
+    if source == "flag":
+        argv += ["--epochs", 0]
+    else:
+        (dataset / "run.cfg").write_text("epochs = 0\n")
+        argv = ["--config", dataset / "run.cfg", *argv]
+    assert run(*argv) == 1
+    assert capsys.readouterr() == (
+        "", "seqdet: error: sweep --param theta needs --epochs >= 1, got 0\n")
+    assert list(tmp_path.iterdir()) == [dataset]
+
+
 @pytest.mark.parametrize("param,flag,value", [
     *(("theta", flag, value) for flag, value in (
         ("--dets", "d.jsonl"), ("--gt-csv", "gt.csv"), ("--T", 0.6), ("--G", 0.5),
@@ -250,6 +268,43 @@ def test_theta_sweep_logs_no_tracker_setting(dataset, tmp_path):
     assert "param = theta" in logged
     assert not {line.split(" = ")[0] for line in logged} & {"T", "G", "tub_len", "max_miss",
                                                             "similarity"}
+
+
+def test_each_command_logs_only_the_global_flags_it_reads(dataset, tmp_path, capsys):
+    """--seed is logged by gen, train and the theta sweep, and --profile by
+    train, detect and the theta sweep: the commands that read them. The
+    other commands log neither, in run_config.txt or on the [config] line."""
+    video = dataset / "video_000"
+    dets, gt = video / "detections.jsonl", video / "gt.csv"
+    s1, s2 = tmp_path / "s1", tmp_path / "s2"
+    runs = [  # argv, the directory run_config.txt is written to, what it logs
+        (("gen", "--frames", 2, "--out", tmp_path / "gen"), tmp_path / "gen", {"seed"}),
+        (("train", "--stage", 1, "--epochs", 0, "--data", video, "--out", s1), s1,
+         {"seed", "profile"}),
+        (("train", "--stage", 2, "--epochs", 0, "--data", video, "--init", s1 / "checkpoint",
+          "--out", s2), s2, {"seed", "profile"}),
+        (("detect", "--ckpt", s2 / "checkpoint", "--data", dataset, "--out", tmp_path / "det"),
+         tmp_path / "det", {"profile"}),
+        (("dump-attention", "--ckpt", s2 / "checkpoint", "--data", video,
+          "--out", tmp_path / "att"), tmp_path / "att", set()),
+        (("track", "--dets", dets, "--out", tmp_path / "trk" / "r.csv"), tmp_path / "trk", set()),
+        (("sweep", "--param", "T", "--values", 1.0, "--dets", dets, "--gt-csv", gt,
+          "--out", tmp_path / "swT" / "s.csv"), tmp_path / "swT", set()),
+        (("sweep", "--param", "tub_len", "--values", 3, "--dets", dets, "--gt-csv", gt,
+          "--out", tmp_path / "swL" / "s.csv"), tmp_path / "swL", set()),
+        (("sweep", "--param", "theta", "--values", 0.1, "--epochs", 1, "--data", video,
+          "--init", s2 / "checkpoint", "--out", tmp_path / "swth" / "s.csv"),
+         tmp_path / "swth", {"seed", "profile"}),
+    ]
+    for argv, log_dir, want in runs:
+        assert run("--seed", 4, "--profile", "mot", *argv) == 0, argv
+        logged = dict(line.split(" = ") for line in
+                      (log_dir / "run_config.txt").read_text().splitlines())
+        (config_line,) = [line for line in capsys.readouterr().out.splitlines()
+                          if line.startswith("[config] ")]
+        got = {"seed": "4", "profile": "mot"}
+        assert {k: logged[k] for k in got if k in logged} == {k: got[k] for k in want}, argv
+        assert {k for k in got if f" {k}=" in config_line} == want, argv
 
 
 def test_track_flags_at_their_defaults_change_nothing(dataset, tmp_path, monkeypatch):

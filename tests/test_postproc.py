@@ -486,22 +486,28 @@ def test_stage3_capped_nms_keeps_the_score_lists(k):
 
 
 def test_detections_jsonl_round_trip(tmp_path):
+    """One record on each spelling path: orjson's (every number in the
+    range it spells as json does) and json's (a box corner of 2.5e-05,
+    which json spells in exponent form). Both read back exactly."""
     rng = np.random.default_rng(6)
     d1 = _det(0.9, [0.1, 0.2, 0.3, 0.4], cls=2)
-    d1.av = rng.random(147)
+    d1.av = 0.5 + rng.random(147) / 4
     d1.id = 5
-    d2 = _det(0.4, [0.5, 0.5, 0.7, 0.8], cls=1)
+    d2 = _det(0.4, [2.5e-05, 0.5, 0.7, 0.8], cls=1)
+    assert pp._spelled_alike([d1]) and not pp._spelled_alike([d2])
     path = tmp_path / "dets.jsonl"
     pp.write_detections_jsonl(path, [(1, [d1]), (2, [d2])])
     back = pp.read_detections_jsonl(path)
     assert set(back) == {1, 2}
-    r1 = back[1][0]
-    assert r1.class_id == 2 and r1.id == 5
-    np.testing.assert_allclose(r1.av, d1.av, atol=1e-16)
+    for got, want in ((back[1][0], d1), (back[2][0], d2)):
+        assert (got.class_id, got.id, got.score) == (want.class_id, want.id, want.score)
+        assert np.array_equal(got.box, want.box)
+    assert np.array_equal(back[1][0].av, d1.av)
     assert back[2][0].av is None
     # av omitted on the line itself when absent
     lines = path.read_text().strip().splitlines()
     assert "av" in lines[0] and "av" not in lines[1]
+    assert "[2.5e-05, 0.5, 0.7, 0.8]" in lines[1]
 
 
 @pytest.mark.parametrize("with_av", [True, False])
@@ -516,6 +522,68 @@ def test_detections_jsonl_bytes_equal_the_per_element_float_writer(tmp_path, wit
     pp.write_detections_jsonl(path, frames)
     assert path.read_bytes() == detections_jsonl_reference(frames).encode()
     assert ('"av"' in path.read_text()) == with_av
+
+
+def _random_doubles(rng, n, exponents):
+    """n finite float64s of random sign and mantissa bits, their biased
+    exponents drawn from the range given (0 gives subnormals and zeros)."""
+    bits = (rng.integers(0, 2**52, n, dtype=np.uint64)
+            | (rng.integers(*exponents, n).astype(np.uint64) << np.uint64(52))
+            | (rng.integers(0, 2, n).astype(np.uint64) << np.uint64(63)))
+    return bits.view(np.float64)
+
+
+# biased float64 exponents: every finite one; 2**-15 up to 2**55, a little
+# beyond [1e-4, 1e16) on each side; and only those of [2**-13, 2**53),
+# which lies inside it
+WHOLE_RANGE, NEAR_RANGE, IN_RANGE = (0, 2047), (1023 - 15, 1023 + 56), (1023 - 13, 1023 + 53)
+
+
+def test_detections_jsonl_bytes_equal_json_dumps_over_the_float64_range(tmp_path):
+    """Records of random float64 bit patterns, and of the values at the
+    edges of the range orjson spells as json does, are written as
+    json.dumps spells them (refimpl) on both spelling paths."""
+    rng = np.random.default_rng(26)
+    edges = [0.0, 5e-324, np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16,
+             2.0**-1022, np.finfo(np.float64).max]
+    edges = np.array(edges + [-v for v in edges])
+    frames = []
+    for fidx in range(1, 61):
+        exponents = (WHOLE_RANGE, NEAR_RANGE, IN_RANGE)[fidx % 3]
+        dets = []
+        for _ in range(rng.integers(0, 5)):
+            vals = _random_doubles(rng, 5 + rng.integers(0, 40), exponents)
+            if rng.random() < 0.3:
+                vals[rng.integers(0, len(vals))] = rng.choice(edges)
+            det = pp.Detection(int(rng.integers(0, 5)), float(vals[0]), vals[1:5],
+                               id=int(rng.integers(-1, 9)))
+            if len(vals) > 5:
+                det.av = vals[5:]
+            dets.append(det)
+        frames.append((fidx, dets))
+    for fidx, big in enumerate([2**63 - 1, -(2**63 - 1), 2**63, 2**64, -2**64], start=61):
+        frames.append((big, [pp.Detection(1, 0.5, np.full(4, 0.25), id=big)]))
+        frames.append((fidx, [pp.Detection(1, 0.5, edges[:4] + 0.0, av=edges, id=big)]))
+    alike = [pp._spelled_alike([d]) for _f, dets in frames for d in dets]
+    assert 40 < sum(alike) < len(alike) - 40       # both spelling paths are taken
+    path = tmp_path / "dets.jsonl"
+    pp.write_detections_jsonl(path, frames)
+    assert path.read_bytes() == detections_jsonl_reference(frames).encode()
+
+
+def test_detections_jsonl_orjson_path_bytes_equal_json_dumps_in_range(tmp_path):
+    """50,000 random float64s from inside [1e-4, 1e16), all in records that
+    orjson spells, and the edges of that range each in a record of its own."""
+    rng = np.random.default_rng(27)
+    vals = _random_doubles(rng, 50_000, IN_RANGE).reshape(-1, 100)
+    dets = [pp.Detection(1, float(v[0]), v[1:5], av=v[5:]) for v in vals]
+    for v in (1e-4, np.nextafter(1e-4, 1), np.nextafter(1e16, 0), 0.0, -0.0):
+        dets.append(pp.Detection(2, float(v), np.full(4, v), av=np.full(3, -v)))
+    assert all(pp._spelled_alike([d]) for d in dets)
+    frames = [(1, dets[:250]), (2, dets[250:])]
+    path = tmp_path / "dets.jsonl"
+    pp.write_detections_jsonl(path, frames)
+    assert path.read_bytes() == detections_jsonl_reference(frames).encode()
 
 
 def test_detections_jsonl_parse_error_carries_line(tmp_path):
