@@ -74,6 +74,8 @@ def _train_config_from_args(args):
     merged = TR.parse_config_file(args.config) if args.config else {}
     merged.update((k, v) for k in TR.CONFIG_KEYS if (v := getattr(args, k, None)) is not None)
     cfg = TR.TrainConfig(**merged, attention=not getattr(args, "no_attention", False))
+    if cfg.seed < 0:            # numpy's generators take no negative seed
+        raise ConfigError(f"seed = {cfg.seed}: must be >= 0")
     args.seed, args.profile = cfg.seed, cfg.profile
     return cfg
 
@@ -242,16 +244,25 @@ def cmd_sweep(args, guard):
         if getattr(args, dest) is not None:
             raise ConfigError(f"sweep --param {args.param} takes no --{dest.replace('_', '-')}")
     values = _sweep_values(args)
-    epochs = args.settings.epochs       # None: stage 3's default
-    if args.param == "theta" and epochs is not None and epochs < 1:   # no loss row to report
-        raise ConfigError(f"sweep --param theta needs --epochs >= 1, got {epochs}")
+    # every value is checked before the first run trains or tracks
+    if args.param == "theta":
+        epochs = args.settings.epochs       # None: stage 3's default
+        if epochs is not None and epochs < 1:   # no loss row to report
+            raise ConfigError(f"sweep --param theta needs --epochs >= 1, got {epochs}")
+        if not (args.data and args.init):
+            raise ConfigError("sweep --param theta needs --data and --init")
+        runs = [replace(args.settings, theta=theta) for theta in values]
+        for cfg in runs:
+            cfg.resolved(3)
+    else:
+        if not (args.dets and args.gt_csv):
+            raise ConfigError(f"sweep --param {args.param} needs --dets and --gt-csv")
+        base = _tracker_params(args)
+        runs = [replace(base, **{TRACKER_FLAGS[args.param]: v}).validate() for v in values]
     out = guard.register(args.out)
     rows = []
     if args.param == "theta":
-        if not (args.data and args.init):
-            raise ConfigError("sweep --param theta needs --data and --init")
-        for i, theta in enumerate(values):
-            cfg = replace(args.settings, theta=theta)
+        for i, (theta, cfg) in enumerate(zip(values, runs)):
             run_dir = guard.register(out.parent / f"{out.stem}_theta{i}")
             summary = TR.run_stage(3, args.data, run_dir, cfg, init_ckpt=args.init)
             last = summary["loss_csv"].read_text().strip().splitlines()[-1]
@@ -262,16 +273,9 @@ def cmd_sweep(args, guard):
         header = "theta,final_total_loss,mAP"
         body = [f"{t},{ft:.6f},{m:.6f}" for t, ft, m in rows]
     else:
-        if not (args.dets and args.gt_csv):
-            raise ConfigError(f"sweep --param {args.param} needs --dets and --gt-csv")
         frames = _detection_frames(args.dets)
         gt_rows = TK.read_mot_csv(args.gt_csv)
-        base = _tracker_params(args)
-        for v in values:
-            if args.param == "T":
-                params = replace(base, match_threshold=v)
-            else:
-                params = replace(base, tub_len_max=v)
+        for v, params in zip(values, runs):
             tracked = TK.track_frames(frames, params)
             res_path = guard.register(out.parent / f"{out.stem}_{args.param}{v}.csv")
             TK.write_mot_csv(res_path, tracked)

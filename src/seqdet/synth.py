@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, ParseError
 from .postproc import CANVAS, NUM_CLASSES, Detection
 from .tensor import load_tnsr, save_tnsr, tnsr_shape
-from .tracker import AV_LENGTH, mot_rows
+from .tracker import AV_LENGTH, mot_rows, mot_table
 
 MIN_BOX = 4
 ORACLE_JITTER = 0.02      # std of the per-detection noise on an oracle av
@@ -324,7 +324,9 @@ class Video:
 
 
 def _gt_row_problem(frame, w, h, cls, num_frames):
-    """What makes a MOT row unusable as ground truth of a video, or None."""
+    """What makes a MOT row unusable as ground truth of a video, or None.
+    Each rule bounds one value, so the extremes of a column pass it exactly
+    when every row does (_gt_columns checks a whole file that way)."""
     if w <= 0 or h <= 0:
         return f"box width and height must be > 0, got {w} x {h}"
     if not 1 <= frame <= num_frames:
@@ -332,6 +334,33 @@ def _gt_row_problem(frame, w, h, cls, num_frames):
     if cls < 1:
         return f"class {cls} must be >= 1"
     return None
+
+
+def _gt_columns(gt_path, num_frames):
+    """Frame and class (int64) and [left, top, width, height] (float64) of
+    each row of a video's gt.csv file, in file order; no rows when there is
+    no such file. The file is read by tracker.mot_table when it can be, else
+    line by line, which also names the first line _gt_row_problem refuses."""
+    exists = gt_path.exists()
+    table = mot_table(gt_path) if exists else None
+    if table is not None:
+        frame, box = table[:, 0], table[:, 2:6]
+        cls = table[:, 10] if table.shape[1] > 10 else np.ones(len(table))
+        lo = (frame.min(), *box[:, 2:].min(axis=0), cls.min())
+        if not (_gt_row_problem(*lo, num_frames)
+                or _gt_row_problem(frame.max(), *lo[1:], num_frames)):
+            return frame.astype(np.int64), cls.astype(np.int64), box
+    ints, boxes = [], []
+    for lineno, row in mot_rows(gt_path) if exists else ():
+        fidx, _oid, l, t, w, h = row[:6]
+        cls = row[10] if len(row) > 10 else 1
+        problem = _gt_row_problem(fidx, w, h, cls, num_frames)
+        if problem:
+            raise ParseError(f"{gt_path}:{lineno}: {problem}")
+        ints.append((fidx, cls))
+        boxes.append((l, t, w, h))
+    ints = np.array(ints, dtype=np.int64).reshape(-1, 2)
+    return ints[:, 0], ints[:, 1], np.array(boxes, dtype=np.float64).reshape(-1, 4)
 
 
 def load_video_dir(path) -> Video:
@@ -350,23 +379,16 @@ def load_video_dir(path) -> Video:
             raise ConfigError(f"{f}: frame shape {list(other)} differs from "
                               f"the first frame's {list(shape)}")
     side = shape[-1]              # gt is normalised by the frames' own size
-    per = {i: ([], []) for i in range(1, len(frames) + 1)}
-    gt_path = path / "gt.csv"
-    if gt_path.exists():
-        for lineno, row in mot_rows(gt_path):
-            fidx, _oid, l, t, w, h = row[:6]
-            cls = row[10] if len(row) > 10 else 1
-            problem = _gt_row_problem(fidx, w, h, cls, len(frames))
-            if problem:
-                raise ParseError(f"{gt_path}:{lineno}: {problem}")
-            clss, bn = per[fidx]
-            clss.append(cls)
-            bn.append([l / side, t / side, (l + w) / side, (t + h) / side])
+    frame, cls, box = _gt_columns(path / "gt.csv", len(frames))
+    order = np.argsort(frame, kind="stable")      # by frame, file order within one
+    cuts = np.searchsorted(frame[order], np.arange(2, len(frames) + 1))
+    l, t, w, h = box[order].T
+    norm = np.stack([l / side, t / side, (l + w) / side, (t + h) / side], axis=1)
     return Video(
         name=path.name,
         frames=frames,
-        classes=[np.array(per[i][0], dtype=int) for i in sorted(per)],
-        boxes_norm=[np.array(per[i][1], dtype=np.float64).reshape(-1, 4) for i in sorted(per)],
+        classes=np.split(cls[order], cuts),
+        boxes_norm=np.split(norm, cuts),
     )
 
 

@@ -41,6 +41,8 @@ class TrackerParams:
     def validate(self):
         if not self.match_threshold > 0:     # nan too
             raise ConfigError(f"match_threshold must be > 0, got {self.match_threshold}")
+        if self.match_threshold == math.inf:   # no similarity exceeds it
+            raise ConfigError(f"match_threshold must be finite, got {self.match_threshold}")
         if not 0 < self.generation_score <= 1:
             raise ConfigError(
                 f"generation_score must be in (0,1], got {self.generation_score}")
@@ -257,11 +259,12 @@ def whole_number(field):
 
 
 def mot_rows(path):
-    """(line number, row) for each non-blank line of a MOT CSV file, the
-    one reader of the layout (gt.csv included). A row is (frame, id, left,
-    top, width, height, conf, extras...): at least 7 columns, every one a
-    number, box and conf finite. Frame, id and the class in the 11th
-    column, when present, must be whole numbers (whole_number) and are
+    """(line number, row) for each non-blank line of a MOT CSV file: the
+    one definition of the layout and of its ParseError texts (gt.csv
+    included), which mot_table's faster pass defers to. A row is (frame,
+    id, left, top, width, height, conf, extras...): at least 7 columns,
+    every one a number, box and conf finite. Frame, id and the class in the
+    11th column, when present, must be whole numbers (whole_number) and are
     stored as ints."""
     with open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -290,9 +293,49 @@ def mot_rows(path):
             yield lineno, (frame, tid, *vals, *extras)
 
 
+EXACT_INT = 2**53      # float64 holds every integer of smaller magnitude
+
+
+def _whole_columns(table):
+    """The columns of a MOT table that hold frame, id and (when present) class."""
+    return [0, 1, 10] if table.shape[1] > 10 else [0, 1]
+
+
+def mot_table(path):
+    """The rows of mot_rows(path) as one float64 array [rows, columns], read
+    in one numpy pass, or None when mot_rows must decide. None comes back for
+    a file the pass refuses (no row, ragged rows, a field np.loadtxt cannot
+    read, such as '1_0', '#' or a blank field) and for one that breaks a
+    rule of the layout or holds a frame, id or class of magnitude 2**53 or
+    more, which float64 may not hold exactly. Any other file gives the
+    values mot_rows gives: both read a number by Python's correctly rounded
+    string-to-double conversion."""
+    with open(path, errors="replace") as fh:
+        text = fh.read()
+    if not text.strip():
+        return None
+    try:    # lines end where the file's do; str.splitlines would also cut at '\x0c'
+        table = np.loadtxt(text.split("\n"), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] < 7 or not np.isfinite(table[:, 2:7]).all():
+        return None
+    whole = table[:, _whole_columns(table)]
+    if not ((np.abs(whole) < EXACT_INT) & (np.trunc(whole) == whole)).all():
+        return None
+    return table
+
+
 def read_mot_csv(path):
-    """The rows of mot_rows(path), in file order."""
-    return [row for _lineno, row in mot_rows(path)]
+    """The rows of mot_rows(path), in file order: from mot_table(path) when
+    it reads the file, else line by line."""
+    table = mot_table(path)
+    if table is None:
+        return [row for _lineno, row in mot_rows(path)]
+    rows = table.astype(object)
+    whole = _whole_columns(table)
+    rows[:, whole] = table[:, whole].astype(np.int64)     # as Python ints
+    return list(map(tuple, rows.tolist()))
 
 
 def ingest_detections(csv_path, embeddings_path=None):

@@ -230,6 +230,26 @@ def test_theta_sweep_refuses_zero_epochs_and_writes_nothing(dataset, tmp_path, c
     assert list(tmp_path.iterdir()) == [dataset]
 
 
+@pytest.mark.parametrize("param,values,message", [
+    ("theta", "0.1,1.5", "theta = 1.5: must be in [0, 1)"),
+    ("T", "1.0,nan", "match_threshold must be > 0, got nan"),
+    ("T", "0.6,inf", "match_threshold must be finite, got inf"),
+])
+def test_sweep_checks_every_value_before_the_first_run(dataset, tmp_path, capsys, monkeypatch,
+                                                       param, values, message):
+    """A value out of range is refused with one line before any value is
+    trained or tracked, and nothing is written."""
+    monkeypatch.setattr(TR, "run_stage", lambda *a, **k: pytest.fail("a stage ran"))
+    monkeypatch.setattr(TK, "track_frames", lambda *a, **k: pytest.fail("a run tracked"))
+    video = dataset / "video_000"
+    argv = (("--data", video, "--init", tmp_path / "absent") if param == "theta"
+            else ("--dets", video / "detections.jsonl", "--gt-csv", video / "gt.csv"))
+    assert run("sweep", "--param", param, "--values", values, *argv,
+               "--out", tmp_path / "sw" / "sweep.csv") == 1
+    assert capsys.readouterr() == ("", f"seqdet: error: {message}\n")
+    assert list(tmp_path.iterdir()) == [dataset]
+
+
 @pytest.mark.parametrize("param,flag,value", [
     *(("theta", flag, value) for flag, value in (
         ("--dets", "d.jsonl"), ("--gt-csv", "gt.csv"), ("--T", 0.6), ("--G", 0.5),
@@ -333,6 +353,30 @@ def test_track_refuses_a_nan_match_threshold(dataset, tmp_path, capsys):
                "--T", "nan", "--out", out) == 1
     assert capsys.readouterr().err == "seqdet: error: match_threshold must be > 0, got nan\n"
     assert not (tmp_path / "trk").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400"])
+def test_track_refuses_an_infinite_match_threshold(dataset, tmp_path, capsys, value):
+    """No similarity exceeds an infinite T, so every detection would found
+    its own identity."""
+    out = tmp_path / "trk" / "r.csv"
+    assert run("track", "--dets", dataset / "video_000" / "detections.jsonl",
+               "--T", value, "--out", out) == 1
+    assert capsys.readouterr().err == "seqdet: error: match_threshold must be finite, got inf\n"
+    assert not (tmp_path / "trk").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_negative_seed_is_a_one_line_error(tmp_path, capsys, source):
+    argv = ["gen", "--out", tmp_path / "g"]
+    if source == "flag":
+        argv = ["--seed", -1, *argv]
+    else:
+        (tmp_path / "run.cfg").write_text("seed = -1\n")
+        argv = ["--config", tmp_path / "run.cfg", *argv]
+    assert run(*argv) == 1
+    assert capsys.readouterr() == ("", "seqdet: error: seed = -1: must be >= 0\n")
+    assert not (tmp_path / "g").exists()
 
 
 @pytest.mark.parametrize("extra,message", [

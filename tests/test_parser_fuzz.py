@@ -6,13 +6,16 @@ the detections JSONL numbers that break a row's meaning) and parses the
 result. Whatever the
 bytes, the parser either returns or raises a ParseError/ConfigError that
 names the file, plus the line for line formats. The detections JSONL
-reader must also give what the json-only reader in refimpl gives.
+reader must also give what the json-only reader in refimpl gives, and the
+MOT CSV readers what the per-line tracker.mot_rows gives.
 """
 
 import functools
 import itertools
 import json
+import random
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -457,3 +460,153 @@ def test_random_doubles_read_as_the_json_reader_reads_them(tmp_path):
     path = tmp_path / "doubles.jsonl"
     path.write_text("\n".join(lines) + "\n")
     _read_like_json(path)
+
+
+# ---------------------------------------------------------------------------
+# read_mot_csv and load_video_dir read a MOT file in one numpy pass
+# (tracker.mot_table) and let the per-line tracker.mot_rows decide every
+# file that pass refuses; they must give what mot_rows alone gives: the same
+# rows with the same types, bit for bit, or the same ParseError text
+
+MOT_FILES = 2200
+MOT_TOKENS = ["1_0", " 1 ", "+.5", "1e0", "0x1p0", "", "١", "１", "٢٥",
+              "nan", "inf", "-inf", "1e400", "-1e400", "1.0", "1.5", "-0", "-0.0", "#",
+              *(str(s * (2**53 + d)) for s in (1, -1) for d in (-1, 0, 1)),
+              str(2**63), str(-2**63), str(2**63 - 1)]
+GT_FRAMES = 3
+
+
+def _double(rnd):
+    """A float64 of a random bit pattern (nan and inf included), or a plain
+    coordinate, spelt by repr or with 17 to 25 significant digits."""
+    if rnd.random() < 0.5:
+        v = rnd.uniform(0.5, 90.0)
+    else:
+        v = struct.unpack("<d", rnd.getrandbits(64).to_bytes(8, "little"))[0]
+    return repr(v) if rnd.random() < 0.5 else f"{v:.{rnd.randint(17, 25)}g}"
+
+
+def _mot_lines(rnd):
+    """A few rows of one column count (7, 10, 11 or 12). Most of them are
+    gt of a GT_FRAMES-frame video (frame in range, positive box sizes,
+    class >= 1); a random double, a frame of 0 or GT_FRAMES + 1 or a class
+    of 0 make some of them gt that load_video_dir refuses."""
+    cols = rnd.choice([7, 10, 11, 12])
+    lines = []
+    for _ in range(rnd.randint(1, 6)):
+        frame = rnd.randint(1, GT_FRAMES) if rnd.random() < 0.9 else rnd.choice([0, GT_FRAMES + 1])
+        row = [str(frame), str(rnd.randint(-2, 40))]
+        row += [_double(rnd) if rnd.random() < 0.2 else f"{rnd.uniform(0.5, 90):.3f}"
+                for _ in range(4)]
+        row.append(_double(rnd) if rnd.random() < 0.2 else f"{rnd.random():.4f}")
+        row += [_double(rnd) if rnd.random() < 0.2 else "-1" for _ in range(cols - 7)]
+        if cols > 10:
+            row[10] = str(rnd.randint(0 if rnd.random() < 0.1 else 1, 4))
+        lines.append(row)
+    return lines
+
+
+def _mutated_mot_file(rnd, kind):
+    """The bytes of a valid file under one mutation of the given kind."""
+    lines = _mot_lines(rnd)
+    i = rnd.randrange(len(lines))
+    if kind == "token":
+        lines[i][rnd.randrange(len(lines[i]))] = rnd.choice(MOT_TOKENS)
+    elif kind == "ragged":
+        if rnd.random() < 0.5:
+            del lines[i][rnd.randrange(len(lines[i]))]
+        else:
+            lines[i].append("-1")
+    text = "".join(",".join(row) + "\n" for row in lines)
+    if kind == "empty":
+        text = rnd.choice(["", "\n", " \n\n"])
+    elif kind in ("blank", "whitespace"):
+        at = [m.end() for m in re.finditer("\n", text)][rnd.randrange(len(lines))]
+        text = text[:at] + ("\n" if kind == "blank" else rnd.choice([" \t", "\x0c", " "]) + "\n") \
+            + text[at:]
+    elif kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif kind == "cr":
+        text = text.replace("\n", "\r")
+    elif kind == "bom":
+        text = "﻿" + text
+    elif kind == "hash":
+        text = text.replace("\n", "#note\n", 1)
+    elif kind == "joined":     # a line break to str.splitlines, none to a file
+        text = text.replace("\n", rnd.choice(LINE_BREAKS_OF_SPLITLINES), 1)
+    return text.encode()
+
+
+LINE_BREAKS_OF_SPLITLINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                             "\u2029"]
+MOT_MUTATIONS = ["none", "token", "ragged", "empty", "blank", "whitespace", "crlf", "cr",
+                 "bom", "hash", "joined"]
+
+
+def _typed(rows):
+    """Rows as (type, value) pairs, floats by their bits: nan == nan, -0.0 != 0.0."""
+    return [tuple((type(v), v if type(v) is int else struct.pack("<d", v)) for v in row)
+            for row in rows]
+
+
+def _outcome_of(read, path):
+    try:
+        return read(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _gt_line_by_line(video):
+    """Per-frame classes and normalised boxes of video/gt.csv, read row by
+    row through tracker.mot_rows with synth._gt_row_problem."""
+    per = {i: ([], []) for i in range(1, GT_FRAMES + 1)}
+    for lineno, row in TK.mot_rows(video / "gt.csv"):
+        fidx, _oid, left, top, w, h = row[:6]
+        cls = row[10] if len(row) > 10 else 1
+        problem = synth._gt_row_problem(fidx, w, h, cls, GT_FRAMES)
+        if problem:
+            raise ParseError(f"{video / 'gt.csv'}:{lineno}: {problem}")
+        per[fidx][0].append(cls)
+        per[fidx][1].append([left / 8, top / 8, (left + w) / 8, (top + h) / 8])
+    return [(np.array(c, dtype=np.int64), np.array(b, dtype=np.float64).reshape(-1, 4))
+            for c, b in per.values()]
+
+
+def _gt_arrays(video):
+    v = synth.load_video_dir(video)
+    return list(zip(v.classes, v.boxes_norm))
+
+
+def _same_gt(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return all(c1.dtype == c2.dtype and c1.tolist() == c2.tolist() and b1.dtype == b2.dtype
+               and b1.shape == b2.shape and b1.tobytes() == b2.tobytes()
+               for (c1, b1), (c2, b2) in zip(a, b))
+
+
+def test_mot_files_read_as_the_per_line_reader_reads_them(tmp_path):
+    video = tmp_path / "vid"
+    (video / "frames").mkdir(parents=True)
+    for i in range(1, GT_FRAMES + 1):
+        T.save_tnsr(video / "frames" / f"{i:06d}.tnsr", np.zeros((3, 8, 8)))
+    path = video / "gt.csv"
+    rnd = random.Random(27)
+    fallback, loaded, seen = 0, 0, set()
+    for case in range(MOT_FILES):
+        kind = MOT_MUTATIONS[case % len(MOT_MUTATIONS)]
+        raw = _mutated_mot_file(rnd, kind)
+        path.write_bytes(raw)
+        fallback += TK.mot_table(path) is None
+        got = _outcome_of(TK.read_mot_csv, path)
+        want = _outcome_of(lambda p: [r for _, r in TK.mot_rows(p)], path)
+        assert (got == want if isinstance(got, str) or isinstance(want, str)
+                else _typed(got) == _typed(want)), (case, raw)
+        assert _same_gt(_outcome_of(lambda _p: _gt_arrays(video), path),
+                        _outcome_of(lambda _p: _gt_line_by_line(video), path)), (case, raw)
+        loaded += not isinstance(got, str)
+        seen.add((kind, isinstance(got, str)))
+    # both readers and both outcomes are reached, and the fast pass reads most valid files
+    assert MOT_FILES // 5 < fallback < MOT_FILES * 4 // 5
+    assert MOT_FILES // 5 < loaded < MOT_FILES * 4 // 5
+    assert {k for k, _ in seen} == set(MOT_MUTATIONS)

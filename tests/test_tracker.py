@@ -648,6 +648,8 @@ def test_tracker_params_validation():
         TK.TrackerParams(match_threshold=0.0).validate()
     with pytest.raises(ConfigError, match="match_threshold must be > 0, got nan"):
         TK.TrackerParams(match_threshold=math.nan).validate()
+    with pytest.raises(ConfigError, match="match_threshold must be finite, got inf"):
+        TK.TrackerParams(match_threshold=math.inf).validate()
     with pytest.raises(ConfigError):
         TK.TrackerParams(generation_score=0.0).validate()
     with pytest.raises(ConfigError):
