@@ -185,7 +185,7 @@ def cmd_eval_mot(args, guard):
         raise ConfigError(f"{len(args.res)} result files vs {len(args.gt)} gt files")
     named = []
     for res_path, gt_path in zip(args.res, args.gt):
-        rep = EV.mot_metrics(TK.read_mot_csv(res_path), TK.read_mot_csv(gt_path),
+        rep = EV.mot_metrics(TK.read_mot_tracks(res_path), TK.read_mot_tracks(gt_path),
                              iou_gate=args.iou)
         named.append((Path(res_path).stem, rep))
     if len(named) > 1:
@@ -274,12 +274,12 @@ def cmd_sweep(args, guard):
         body = [f"{t},{ft:.6f},{m:.6f}" for t, ft, m in rows]
     else:
         frames = _detection_frames(args.dets)
-        gt_rows = TK.read_mot_csv(args.gt_csv)
+        gt = TK.read_mot_tracks(args.gt_csv)
         for v, params in zip(values, runs):
             tracked = TK.track_frames(frames, params)
             res_path = guard.register(out.parent / f"{out.stem}_{args.param}{v}.csv")
             TK.write_mot_csv(res_path, tracked)
-            rep = EV.mot_metrics(TK.read_mot_csv(res_path), gt_rows)
+            rep = EV.mot_metrics(TK.read_mot_tracks(res_path), gt)
             rows.append((v, rep.mota, rep.ids))
         header = f"{args.param},MOTA,IDS"
         body = [f"{v},{mota:.6f},{ids}" for v, mota, ids in rows]

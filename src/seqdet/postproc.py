@@ -108,15 +108,23 @@ def iou(a, b):
 
 
 def iou_matrix(a, b):
-    """Pairwise IoU of [N,4] x [M,4] corner-form boxes.
+    """Pairwise IoU of [..., N, 4] x [..., M, 4] corner-form boxes, as
+    [..., N, M]; leading dimensions broadcast, so one call can score many
+    frames. A 1-D input is read as boxes ([4] is one box, [] none).
 
-    Works on the coordinate columns ([N,1] against [M]), so every
-    temporary is one [N,M] plane.
+    Works on the coordinate columns ([..., N, 1] against [..., 1, M]), so
+    every temporary is one [..., N, M] plane. Each entry is computed from
+    its two boxes alone, by the same operations whatever the batch.
     """
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    ax1, ay1, ax2, ay2 = a[:, 0, None], a[:, 1, None], a[:, 2, None], a[:, 3, None]
-    bx1, by1, bx2, by2 = b.T
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim < 2:
+        a = a.reshape(-1, 4)
+    if b.ndim < 2:
+        b = b.reshape(-1, 4)
+    ax1, ay1, ax2, ay2 = a[..., 0, None], a[..., 1, None], a[..., 2, None], a[..., 3, None]
+    bx1, by1, bx2, by2 = b[..., None, :, 0], b[..., None, :, 1], b[..., None, :, 2], \
+        b[..., None, :, 3]
     w = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
     h = np.minimum(ay2, by2) - np.maximum(ay1, by1)
     inter = np.maximum(w, 0.0, out=w)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -326,16 +327,63 @@ def mot_table(path):
     return table
 
 
+class MotColumns(NamedTuple):
+    """A MOT CSV file as columns, row i of each array read from the file's
+    row i."""
+    frame: np.ndarray       # int64 [n]
+    id: np.ndarray          # int64 [n]
+    box: np.ndarray         # float64 [n, 4]: left, top, width, height
+    conf: np.ndarray        # float64 [n]
+    extra: np.ndarray       # float64 [n, k]: the columns after conf, NaN past a shorter row's end
+    cls: np.ndarray         # int64 [n]: the 11th column (extra[:, 3]), 1 for a row without one
+
+    def corners(self):
+        """box in corner form: left, top, left + width, top + height."""
+        return np.concatenate([self.box[:, :2], self.box[:, :2] + self.box[:, 2:]], axis=1)
+
+
+def _columns_of_rows(rows):
+    """MotColumns of mot_rows' rows, for the files mot_table refuses."""
+    width = max(map(len, rows), default=7)
+    values = np.full((len(rows), width - 2), np.nan)
+    for i, row in enumerate(rows):
+        values[i, :len(row) - 2] = row[2:]
+    return MotColumns(np.array([r[0] for r in rows], dtype=np.int64),
+                      np.array([r[1] for r in rows], dtype=np.int64),
+                      values[:, :4], values[:, 4], values[:, 5:],
+                      np.array([r[10] if len(r) > 10 else 1 for r in rows], dtype=np.int64))
+
+
 def read_mot_csv(path):
-    """The rows of mot_rows(path), in file order: from mot_table(path) when
-    it reads the file, else line by line."""
+    """The rows of mot_rows(path) as MotColumns: from mot_table(path) when
+    it reads the file, else line by line. Frame, id and class keep their
+    exact values, which mot_table only passes below 2**53."""
     table = mot_table(path)
     if table is None:
-        return [row for _lineno, row in mot_rows(path)]
-    rows = table.astype(object)
-    whole = _whole_columns(table)
-    rows[:, whole] = table[:, whole].astype(np.int64)     # as Python ints
-    return list(map(tuple, rows.tolist()))
+        return _columns_of_rows([row for _lineno, row in mot_rows(path)])
+    whole = table[:, _whole_columns(table)].astype(np.int64)
+    if table.shape[1] > 10:
+        cls = whole[:, 2]
+        table[:, 10] = cls          # as mot_rows stores it: '-0' reads as 0
+    else:
+        cls = np.ones(len(table), dtype=np.int64)
+    return MotColumns(whole[:, 0], whole[:, 1], table[:, 2:6], table[:, 6], table[:, 7:], cls)
+
+
+def read_mot_tracks(path):
+    """read_mot_csv(path) of a file CLEAR-MOT scores, which holds each
+    (frame, id) pair on one row at most, as the MOTChallenge devkit
+    requires. A repeated pair is a ParseError that names the first such
+    pair by frame, then id. (MOT detection files put id -1 on every row;
+    read_mot_csv reads them.)"""
+    cols = read_mot_csv(path)
+    key = np.lexsort((cols.id, cols.frame))
+    frame, tid = cols.frame[key], cols.id[key]
+    repeated = np.flatnonzero((frame[1:] == frame[:-1]) & (tid[1:] == tid[:-1]))
+    if len(repeated):
+        i = repeated[0]
+        raise ParseError(f"{path}: frame {frame[i]} id {tid[i]} is on more than one row")
+    return cols
 
 
 def ingest_detections(csv_path, embeddings_path=None):
@@ -345,24 +393,23 @@ def ingest_detections(csv_path, embeddings_path=None):
     the class id. An optional TNSR sidecar supplies one embedding per row
     (row order), which lands in the detection's appearance slot.
     """
-    rows = read_mot_csv(csv_path)
+    cols = read_mot_csv(csv_path)
+    n = len(cols.frame)
     emb = None
     if embeddings_path is not None:
         emb = load_tnsr(embeddings_path)
-        if emb.ndim != 2 or len(emb) != len(rows):
+        if emb.ndim != 2 or len(emb) != n:
             raise ParseError(f"{embeddings_path}: need one embedding row per "
-                             f"detection ({len(rows)}), got shape {emb.shape}")
+                             f"detection ({n}), got shape {emb.shape}")
         bad = np.nonzero(~np.isfinite(emb).all(axis=1))[0]
         if len(bad):
             raise ParseError(f"{embeddings_path}: embedding row {bad[0] + 1} of "
                              f"{len(emb)} is not finite")
+    boxes = cols.corners() / CANVAS
     frames = {}
-    for i, row in enumerate(rows):
-        frame, tid, left, top, w, h, conf = row[:7]
-        cls = int(row[10]) if len(row) > 10 else 1
-        box = np.array([left, top, left + w, top + h], dtype=np.float64) / CANVAS
-        det = Detection(cls, float(conf), box,
-                        av=None if emb is None else emb[i].copy(),
-                        id=int(tid) - 1 if tid >= 1 else -1)
-        frames.setdefault(int(frame), []).append(det)
+    for i, (frame, tid, conf, cls) in enumerate(zip(cols.frame.tolist(), cols.id.tolist(),
+                                                     cols.conf.tolist(), cols.cls.tolist())):
+        det = Detection(cls, conf, boxes[i], av=None if emb is None else emb[i].copy(),
+                        id=tid - 1 if tid >= 1 else -1)
+        frames.setdefault(frame, []).append(det)
     return [(f, frames[f]) for f in sorted(frames)]

@@ -1,9 +1,11 @@
 """Independent straight-line reference implementations used as oracles.
 
 Everything here is deliberately naive (nested loops, exhaustive argmax
-scans) and shares no code with the package under test, except three parts.
+scans) and shares no code with the package under test, except four parts.
 The renderer oracle returns synth's data classes, and the json-only
-detections reader returns postproc's Detection. The composed graphs at
+detections reader returns postproc's Detection. The loop evaluators are
+the package's mAP and CLEAR-MOT code as it was before it batched its
+overlaps across frames, one iou_matrix call per frame. The composed graphs at
 the end are built from the engine's primitive ops, plus the mul, concat and
 tanh nodes defined here, as the oracles of its fused nodes: the recurrent step
 of tensor.convlstm_cell, the heads of tensor.conv_gather and the attention
@@ -15,9 +17,11 @@ import math
 
 import numpy as np
 
+from seqdet import evaluation as EV
 from seqdet import postproc as pp
 from seqdet import synth
 from seqdet import tensor as T
+from seqdet import tracker as TK
 from seqdet.errors import ParseError, ShapeError
 
 
@@ -221,6 +225,145 @@ def naive_voc_map(dets_by_frame, gts_by_frame, iou_thresh=0.5, num_classes=4):
         aps[c] = ap
     mean = sum(aps.values()) / len(aps) if aps else 0.0
     return aps, mean
+
+
+# ---------------------------------------------------------------------------
+# The evaluators as they were before their overlaps were batched across
+# frames: one iou_matrix call per frame and one box array per row. Every
+# MotReport field and AP of the package must equal theirs bit for bit.
+
+
+def _loop_ap_all_points(recalls, precisions):
+    mrec = np.concatenate([[0.0], recalls, [1.0]])
+    mpre = np.concatenate([[0.0], precisions, [0.0]])
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    idx = np.nonzero(mrec[1:] != mrec[:-1])[0]
+    return float(np.sum((mrec[idx + 1] - mrec[idx]) * mpre[idx + 1]))
+
+
+def loop_voc_map(dets_by_frame, gts_by_frame, iou_thresh=0.5):
+    """evaluation.voc_map with one iou_matrix call per frame."""
+    EV._check_iou_threshold(iou_thresh)
+    gts_by_frame = {f: (np.asarray(boxes, dtype=np.float64).reshape(-1, 4),
+                        np.asarray(classes, dtype=int).reshape(-1))
+                    for f, (boxes, classes) in gts_by_frame.items()}
+    # one IoU matrix per frame, each detection against every gt box of its
+    # frame; a class reads its block of it
+    scored = []         # (frame, detections, their classes, their IoU rows)
+    for f in sorted(dets_by_frame):
+        dets = dets_by_frame[f]
+        if dets:
+            boxes = gts_by_frame[f][0] if f in gts_by_frame else np.empty((0, 4))
+            scored.append((f, dets, np.array([d.class_id for d in dets]),
+                           pp.iou_matrix([d.box for d in dets], boxes)))
+    aps = {}
+    for c in sorted({int(c) for _b, classes in gts_by_frame.values() for c in classes}):
+        gt_cols = {f: classes == c for f, (_b, classes) in gts_by_frame.items()}
+        gt_count = sum(int(cols.sum()) for cols in gt_cols.values())
+        used = {f: np.zeros(int(cols.sum()), dtype=bool) for f, cols in gt_cols.items()}
+        cand = []           # (-score, frame, index within the frame's class c, IoU row)
+        for f, dets, det_classes, ious in scored:
+            rows = np.nonzero(det_classes == c)[0]
+            block = ious[rows][:, gt_cols[f]] if f in gt_cols else ious[rows]
+            cand += [(-dets[r].score, f, i, row) for i, (r, row) in enumerate(zip(rows, block))]
+        cand.sort(key=lambda r: r[:3])
+        tp = np.zeros(len(cand))
+        for rank, (_s, f, _i, row) in enumerate(cand):
+            if row.size:
+                best = row.argmax()
+                if row[best] >= iou_thresh and not used[f][best]:
+                    used[f][best] = True
+                    tp[rank] = 1
+        ctp = np.cumsum(tp)
+        cfp = np.cumsum(1 - tp)
+        recalls = ctp / gt_count
+        precisions = ctp / np.maximum(ctp + cfp, 1e-12)
+        aps[c] = _loop_ap_all_points(recalls, precisions) if len(cand) else 0.0
+    mean = float(np.mean(list(aps.values()))) if aps else 0.0
+    return aps, mean
+
+
+def _rows_by_frame(rows):
+    frames = {}
+    for r in rows:
+        frame, tid, left, top, w, h = int(r[0]), int(r[1]), r[2], r[3], r[4], r[5]
+        frames.setdefault(frame, []).append(
+            (tid, np.array([left, top, left + w, top + h], dtype=np.float64)))
+    return frames
+
+
+def loop_mot_metrics(result_rows, gt_rows, iou_gate=0.5):
+    """evaluation.mot_metrics over MOT rows (tuples), one iou_matrix call
+    per frame."""
+    EV._check_iou_threshold(iou_gate)
+    gt_frames = _rows_by_frame(gt_rows)
+    hyp_frames = _rows_by_frame(result_rows)
+    corr = {}                       # gt id -> last matched hypothesis id
+    fp = fn = ids = 0
+    num_gt = sum(len(v) for v in gt_frames.values())
+    motp_sum = 0.0
+    num_matches = 0
+    track_total = {}
+    track_matched = {}
+    for frame in sorted(set(gt_frames) | set(hyp_frames)):
+        gts = gt_frames.get(frame, [])
+        hyps = hyp_frames.get(frame, [])
+        for gid, _ in gts:
+            track_total[gid] = track_total.get(gid, 0) + 1
+        ov = pp.iou_matrix([b for _g, b in gts], [b for _h, b in hyps])
+        gated = ov >= iou_gate
+        hyp_by_id = {hid: i for i, (hid, _b) in enumerate(hyps)}
+        matches = []
+        # persistence: keep an existing correspondence while still gated
+        for gi, (gid, _b) in enumerate(gts):
+            hi = hyp_by_id.get(corr.get(gid))
+            if hi is not None and gated[gi, hi]:
+                matches.append((gi, hi))
+                gated[gi, :] = False
+                gated[:, hi] = False
+        # remaining pairs matched greedily by (-IoU, gt index, hyp index)
+        rows, cols = np.nonzero(gated)
+        for k in np.argsort(-ov[rows, cols], kind="stable"):
+            g, h = rows[k], cols[k]
+            if gated[g, h]:
+                matches.append((g, h))
+                gated[g, :] = False
+                gated[:, h] = False
+        for g, h in matches:
+            gid = gts[g][0]
+            hid = hyps[h][0]
+            if gid in corr and corr[gid] != hid:
+                ids += 1
+            corr[gid] = hid
+            motp_sum += float(ov[g, h])
+            num_matches += 1
+            track_matched[gid] = track_matched.get(gid, 0) + 1
+        fp += len(hyps) - len(matches)
+        fn += len(gts) - len(matches)
+    num_tracks = len(track_total)
+    mt_count = ml_count = 0
+    for gid, total in track_total.items():
+        ratio = track_matched.get(gid, 0) / total
+        if ratio >= 0.8:
+            mt_count += 1
+        elif ratio < 0.2:
+            ml_count += 1
+    return EV.MotReport(fp, fn, ids, num_gt, num_tracks, mt_count, ml_count,
+                        num_matches, motp_sum)
+
+
+def mot_columns(rows):
+    """tracker.MotColumns of MOT rows given as tuples (frame, id, left,
+    top, width, height[, conf]); conf is 1 where a row has none."""
+    rows = [tuple(r) for r in rows]
+    n = len(rows)
+    return TK.MotColumns(np.array([int(r[0]) for r in rows], dtype=np.int64),
+                         np.array([int(r[1]) for r in rows], dtype=np.int64),
+                         np.array([r[2:6] for r in rows], dtype=np.float64).reshape(n, 4),
+                         np.array([r[6] if len(r) > 6 else 1.0 for r in rows],
+                                  dtype=np.float64),
+                         np.empty((n, 0)), np.ones(n, dtype=np.int64))
 
 
 class ReferenceTracker:

@@ -21,7 +21,7 @@ from seqdet import tracker as TK
 from seqdet import train as TR
 from seqdet.synth import crossing_pair, gen_sequence, oracle_detections, random_scene
 
-from refimpl import concat, mul, naive_nms, tanh
+from refimpl import concat, mot_columns, mul, naive_nms, tanh
 from test_tensor import OPS, _max_rel_err
 from test_tracker import ota_reference, tub
 
@@ -176,16 +176,16 @@ def test_c05_tracker_update_matches_exhaustive_reference_500_cases():
     report("C5 tracker exhaustive oracle", "(500 cases + id uniqueness on runs)")
 
 
-def _mot_rows_from_gt(seq):
+def _gt_columns(seq):
     rows = []
     for f, boxes in enumerate(seq.gt, start=1):
         for b in boxes:
             l, t, w, h = b.box_px
             rows.append((f, b.obj_id + 1, l, t, w, h, 1))
-    return rows
+    return mot_columns(rows)
 
 
-def _track_to_rows(seq, params):
+def _tracked_columns(seq, params):
     frames = [(f, [copy_detection(d) for d in ds]) for f, ds in oracle_detections(seq)]
     rows = []
     for f, dets in TK.track_frames(frames, params):
@@ -193,7 +193,7 @@ def _track_to_rows(seq, params):
             if d.id >= 0:
                 x1, y1, x2, y2 = d.box * 96
                 rows.append((f, d.id + 1, x1, y1, x2 - x1, y2 - y1, d.score))
-    return rows
+    return mot_columns(rows)
 
 
 def test_c06_crossing_pair_identity_switches_drop_with_appearance():
@@ -205,18 +205,18 @@ def test_c06_crossing_pair_identity_switches_drop_with_appearance():
     for t_val in grid:
         params = TK.TrackerParams(match_threshold=t_val, similarity="iou_only")
         agg[t_val] = sum(
-            EV.mot_metrics(_track_to_rows(seq, params), _mot_rows_from_gt(seq)).ids
+            EV.mot_metrics(_tracked_columns(seq, params), _gt_columns(seq)).ids
             for seq in sequences.values())
     best_t = min(grid, key=lambda v: agg[v])
     wins = 0
     total_att = total_iou = 0
     for s, seq in sequences.items():
-        ids_att = EV.mot_metrics(_track_to_rows(seq, TK.TrackerParams()),
-                                 _mot_rows_from_gt(seq)).ids
+        ids_att = EV.mot_metrics(_tracked_columns(seq, TK.TrackerParams()),
+                                 _gt_columns(seq)).ids
         ids_iou = EV.mot_metrics(
-            _track_to_rows(seq, TK.TrackerParams(match_threshold=best_t,
+            _tracked_columns(seq, TK.TrackerParams(match_threshold=best_t,
                                                  similarity="iou_only")),
-            _mot_rows_from_gt(seq)).ids
+            _gt_columns(seq)).ids
         total_att += ids_att
         total_iou += ids_iou
         wins += ids_att < ids_iou
@@ -272,7 +272,7 @@ def test_c08_theta_sweep_produces_wellformed_csv(trained_pipeline, tmp_path):
 
 def test_c09_mot_metric_fixtures():
     track = [(f, 1, 10, 10, 20, 20, 1) for f in range(1, 21)]
-    rep = EV.mot_metrics(track, track)
+    rep = EV.mot_metrics(mot_columns(track), mot_columns(track))
     assert rep.mota == 1.0 and rep.ids == 0 and rep.mt == 1.0
 
     gt = [(f, 1, 10, 10, 20, 20, 1) for f in range(1, 101)]
@@ -283,14 +283,14 @@ def test_c09_mot_metric_fixtures():
             seg += 1
         hyp.append((f, 1 + seg, 10, 10, 20, 20, 1))
     hyp += [(f, 99, 60, 60, 10, 10, 1) for f in range(1, 11)]
-    rep = EV.mot_metrics(hyp, gt)
+    rep = EV.mot_metrics(mot_columns(hyp), mot_columns(gt))
     assert (rep.fp, rep.fn, rep.ids) == (10, 20, 5)
     assert rep.mota == pytest.approx(0.65)
 
     gt = [(f, 1, 10, 10, 20, 20, 1) for f in range(1, 21)]
     hyp = [(f, 1, 10, 10, 20, 20, 1) for f in range(1, 11)] \
         + [(f, 2, 10, 10, 20, 20, 1) for f in range(11, 21)]
-    assert EV.mot_metrics(hyp, gt).ids == 1
+    assert EV.mot_metrics(mot_columns(hyp), mot_columns(gt)).ids == 1
     report("C9 MOT fixtures", "(perfect=1.0, hand counts=0.65, one switch)")
 
 

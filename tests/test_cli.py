@@ -81,10 +81,9 @@ def test_track_from_jsonl_deterministic(dataset, tmp_path):
     for out in (r1, r2):
         assert run("track", "--dets", dets, "--out", out) == 0
     assert r1.read_bytes() == r2.read_bytes()
-    rows = TK.read_mot_csv(r1)
-    assert rows, "tracker produced no rows"
-    ids = {r[1] for r in rows}
-    assert len(ids) >= 2
+    cols = TK.read_mot_csv(r1)
+    assert len(cols.frame), "tracker produced no rows"
+    assert len(set(cols.id.tolist())) >= 2
 
 
 def test_track_ingestion_path_with_embeddings(dataset, tmp_path):
@@ -105,7 +104,7 @@ def test_track_ingestion_path_with_embeddings(dataset, tmp_path):
     out = tmp_path / "tracked.csv"
     assert run("track", "--mot", mot_in, "--embeddings", tmp_path / "emb.tnsr",
                "--out", out) == 0
-    assert TK.read_mot_csv(out)
+    assert len(TK.read_mot_csv(out).frame)
 
 
 def test_eval_mot_perfect_fixture(tmp_path, capsys):
@@ -120,6 +119,65 @@ def test_eval_mot_perfect_fixture(tmp_path, capsys):
     csv_text = (tmp_path / "rep.csv").read_text()
     assert csv_text.splitlines()[1].startswith("res,1.000000")
     assert (tmp_path / "rep.txt").exists()
+
+
+@pytest.mark.parametrize("side", ["res", "gt"])
+def test_eval_mot_refuses_a_repeated_frame_and_id(tmp_path, capsys, side):
+    """CLEAR-MOT scores one box per id and frame: a file that repeats a
+    (frame, id) pair is refused with one line naming it, and no report is
+    written, whichever of the two files it is."""
+    rows = "".join(f"{f},{i},{10 * i},10,20,20,1,-1,-1,-1\n" for f in (1, 2, 3) for i in (1, 2))
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text(rows)
+    bad.write_text(rows + "2,2,40,12,20,20,1,-1,-1,-1\n")
+    res, gt = (bad, good) if side == "res" else (good, bad)
+    assert run("eval-mot", "--res", good, "--gt", good, "--res", res, "--gt", gt,
+               "--out", tmp_path / "rep") == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"seqdet: error: {bad}: frame 2 id 2 is on more than one row\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "good.csv"]
+
+
+def test_eval_mot_scores_frames_that_only_one_file_holds(tmp_path, capsys):
+    """A result without frame 1 and a gt without the last frame: frame 1's
+    gt boxes are misses and the last frame's results false positives."""
+    rows = [f"{f},1,10,10,20,20,1,-1,-1,-1\n" for f in range(1, 6)]
+    gt, res = tmp_path / "gt.csv", tmp_path / "res.csv"
+    gt.write_text("".join(rows[:-1]))
+    res.write_text("".join(rows[1:]))
+    assert run("eval-mot", "--res", res, "--gt", gt, "--out", tmp_path / "rep") == 0
+    assert (tmp_path / "rep.csv").read_text().splitlines()[1] == \
+        "res,0.500000,1.000000,0.000000,0.000000,1,1,0"
+    capsys.readouterr()
+
+
+def test_sweep_refuses_a_gt_that_repeats_a_frame_and_id(dataset, tmp_path, capsys):
+    video = dataset / "video_000"
+    gt = tmp_path / "gt.csv"
+    lines = (video / "gt.csv").read_text().splitlines(keepends=True)
+    gt.write_text("".join(lines + lines[:1]))
+    frame, tid = lines[0].split(",")[:2]
+    for param in ("T", "tub_len"):
+        out = tmp_path / param / "sweep.csv"
+        assert run("sweep", "--param", param, "--values", "1", "--dets",
+                   video / "detections.jsonl", "--gt-csv", gt, "--out", out) == 1
+        assert capsys.readouterr().err == \
+            f"seqdet: error: {gt}: frame {frame} id {tid} is on more than one row\n"
+        assert not (tmp_path / param).exists()
+
+
+def test_track_mot_reads_a_detection_file_that_repeats_id_minus_one(tmp_path, capsys):
+    """MOT detection files put id -1 on every row, so track --mot takes
+    repeated (frame, id) pairs."""
+    mot = tmp_path / "det.txt"
+    mot.write_text("1,-1,10,10,20,20,0.9,-1,-1,-1\n1,-1,60,60,20,20,0.8,-1,-1,-1\n"
+                   "2,-1,11,10,20,20,0.9,-1,-1,-1\n2,-1,61,60,20,20,0.8,-1,-1,-1\n")
+    out = tmp_path / "o.csv"
+    assert run("track", "--mot", mot, "--similarity", "iou_only", "--out", out) == 0
+    cols = TK.read_mot_tracks(out)
+    assert cols.frame.tolist() == [1, 1, 2, 2] and cols.id.tolist() == [1, 2, 1, 2]
+    capsys.readouterr()
 
 
 def test_eval_map_on_oracle_detections(dataset, capsys):
@@ -686,7 +744,8 @@ def test_track_mot_input_without_embeddings(tmp_path, capsys):
                    "its --embeddings\n")
     assert not out.exists()
     assert run("track", "--mot", mot, "--similarity", "iou_only", "--out", out) == 0
-    assert [r[:2] for r in TK.read_mot_csv(out)] == [(1, 1), (2, 1)]
+    cols = TK.read_mot_csv(out)
+    assert cols.frame.tolist() == [1, 2] and cols.id.tolist() == [1, 1]
 
 
 @pytest.mark.parametrize("iou", ["nan", "0", "-0.5", "1.5", "inf"])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from seqdet import evaluation as EV
 from seqdet.postproc import Detection
 
-from refimpl import naive_iou, naive_voc_map
+from refimpl import loop_mot_metrics, loop_voc_map, mot_columns, naive_iou, naive_voc_map
 
 
 def det(score, box, cls=1):
@@ -106,6 +107,20 @@ def test_voc_map_matches_per_candidate_oracle():
         assert mean == pytest.approx(want_mean, rel=1e-12, abs=1e-15), case
 
 
+@pytest.mark.parametrize("budget", [EV.FRAME_BUDGET, 7, 1])
+def test_voc_map_equals_the_per_frame_loop_bit_for_bit(monkeypatch, budget):
+    """Batched overlaps and the vectorised envelope give the APs of one
+    iou_matrix call per frame and the loop envelope, ==, at any frame
+    budget (7 and 1 put a few frames or one to a call)."""
+    monkeypatch.setattr(EV, "FRAME_BUDGET", budget)
+    rng = np.random.default_rng(12)
+    for case in range(300):
+        dets, gts = _random_map_case(rng)
+        thresh = float(rng.choice([0.1, 0.5, 0.75, 1.0]))
+        assert EV.voc_map(dets, gts, iou_thresh=thresh) == \
+            loop_voc_map(dets, gts, iou_thresh=thresh), case
+
+
 # ---------------------------------------------------------------------------
 # MOT fixtures
 
@@ -114,10 +129,15 @@ def gt_track(tid, frames, box):
     return [(f, tid, *box) for f in frames]
 
 
+def _mot(hyp_rows, gt_rows, iou_gate=0.5):
+    """mot_metrics of MOT rows given as tuples."""
+    return EV.mot_metrics(mot_columns(hyp_rows), mot_columns(gt_rows), iou_gate)
+
+
 def test_perfect_tracking_fixture():
     gt = gt_track(1, range(1, 21), (10, 10, 20, 20)) \
         + gt_track(2, range(1, 21), (50, 50, 20, 20))
-    rep = EV.mot_metrics(gt, gt)
+    rep = _mot(gt, gt)
     assert rep.mota == pytest.approx(1.0)
     assert rep.ids == 0 and rep.fp == 0 and rep.fn == 0
     assert rep.mt == pytest.approx(1.0)
@@ -133,7 +153,7 @@ def test_hand_built_counts_fixture_mota_065():
             seg += 1
         hyp.append((f, 1 + seg, 10, 10, 20, 20))
     hyp += gt_track(99, range(1, 11), (60, 60, 10, 10))    # spurious, far away
-    rep = EV.mot_metrics(hyp, gt)
+    rep = _mot(hyp, gt)
     assert (rep.fp, rep.fn, rep.ids, rep.num_gt) == (10, 20, 5, 100)
     assert rep.mota == pytest.approx(0.65)
 
@@ -142,7 +162,7 @@ def test_single_id_switch_fixture():
     gt = gt_track(1, range(1, 21), (10, 10, 20, 20))
     hyp = gt_track(1, range(1, 11), (10, 10, 20, 20)) \
         + gt_track(2, range(11, 21), (10, 10, 20, 20))
-    rep = EV.mot_metrics(hyp, gt)
+    rep = _mot(hyp, gt)
     assert rep.ids == 1
     assert rep.mota == pytest.approx(1.0 - 1 / 20)
 
@@ -154,7 +174,7 @@ def test_mostly_tracked_and_lost_thresholds():
     hyp = gt_track(1, range(1, 9), (10, 10, 20, 20))       # 80% -> MT
     hyp += gt_track(2, range(1, 2), (50, 50, 20, 20))      # 10% -> ML
     hyp += gt_track(3, range(1, 6), (5, 60, 20, 20))       # 50% -> neither
-    rep = EV.mot_metrics(hyp, gt)
+    rep = _mot(hyp, gt)
     assert rep.mt_count == 1 and rep.ml_count == 1 and rep.num_tracks == 3
     assert rep.mt == pytest.approx(1 / 3)
     assert rep.ml == pytest.approx(1 / 3)
@@ -165,7 +185,7 @@ def test_persistence_prefers_previous_match():
     gt = [(1, 1, 10, 10, 20, 20), (2, 1, 10, 10, 20, 20)]
     hyp = [(1, 7, 10, 10, 20, 20),
            (2, 7, 12, 10, 20, 20), (2, 8, 10, 10, 20, 20)]
-    rep = EV.mot_metrics(hyp, gt)
+    rep = _mot(hyp, gt)
     # hyp 8 overlaps better in frame 2, but 7 still gates -> keep 7, no switch
     assert rep.ids == 0
     assert rep.fp == 1
@@ -175,11 +195,11 @@ def test_spurious_hypothesis_increases_fp_never_mota():
     rng = np.random.default_rng(0)
     gt = gt_track(1, range(1, 11), (10, 10, 20, 20))
     hyp = gt_track(1, range(1, 11), (10, 10, 20, 20))
-    base = EV.mot_metrics(hyp, gt)
+    base = _mot(hyp, gt)
     for _ in range(10):
         f = int(rng.integers(1, 11))
         extra = (f, 50, 60 + rng.random() * 20, 60 + rng.random() * 20, 8, 8)
-        worse = EV.mot_metrics(hyp + [extra], gt)
+        worse = _mot(hyp + [extra], gt)
         assert worse.fp == base.fp + 1
         assert worse.mota < base.mota
 
@@ -187,10 +207,10 @@ def test_spurious_hypothesis_increases_fp_never_mota():
 def test_metrics_invariant_to_id_relabeling():
     rng = np.random.default_rng(1)
     gt, hyp = _random_tracks(rng, n_tracks=3, frames=15)
-    base = EV.mot_metrics(hyp, gt)
+    base = _mot(hyp, gt)
     remap = {tid: tid + 100 for tid in set(r[1] for r in hyp)}
     relabeled = [(f, remap[tid], *rest) for f, tid, *rest in hyp]
-    rep = EV.mot_metrics(relabeled, gt)
+    rep = _mot(relabeled, gt)
     assert rep.motp == pytest.approx(base.motp)
     assert rep.mota == pytest.approx(base.mota)
     assert (rep.fp, rep.fn, rep.ids) == (base.fp, base.fn, base.ids)
@@ -201,7 +221,7 @@ def test_negative_mota_possible():
     hyp = []
     for tid in range(2, 12):
         hyp += gt_track(tid, range(1, 6), (60, 60, 10, 10))
-    rep = EV.mot_metrics(hyp, gt)
+    rep = _mot(hyp, gt)
     assert rep.mota < 0
 
 
@@ -301,11 +321,86 @@ def test_matches_exhaustive_reference_on_small_cases():
         rng = np.random.default_rng(100 + seed)
         gt, hyp = _random_tracks(rng, n_tracks=int(rng.integers(2, 6)),
                                  frames=int(rng.integers(5, 21)))
-        rep = EV.mot_metrics(hyp, gt)
+        rep = _mot(hyp, gt)
         mota, fp, fn, ids, motp = exhaustive_clearmot(hyp, gt)
         assert (rep.fp, rep.fn, rep.ids) == (fp, fn, ids), seed
         assert rep.mota == pytest.approx(mota)
         assert rep.motp == pytest.approx(motp)
+
+
+def _churned_case(rng):
+    """_random_tracks with more id churn (a hypothesis takes another
+    track's id, or two rows of one frame share an id), frames that only
+    one of the two files holds, and now and then an empty result or gt."""
+    gt, hyp = _random_tracks(rng, n_tracks=int(rng.integers(1, 7)),
+                             frames=int(rng.integers(1, 25)))
+    ids = sorted({r[1] for r in hyp})
+    hyp = [(f, int(rng.choice(ids)) if rng.random() < 0.1 else tid, *box)
+           for f, tid, *box in hyp]
+    if hyp and rng.random() < 0.2:
+        hyp.append(hyp[int(rng.integers(len(hyp)))])
+    if rng.random() < 0.3:                      # exact copies pass gate 1.0
+        hyp += [r for r in gt if rng.random() < 0.3]
+    frames = sorted({r[0] for r in gt + hyp})
+    only_hyp = {f for f in frames if rng.random() < 0.15}
+    only_gt = {f for f in frames if rng.random() < 0.15} - only_hyp
+    gt = [r for r in gt if r[0] not in only_hyp]
+    hyp = [r for r in hyp if r[0] not in only_gt]
+    hyp += [(f + 30, *rest) for f, *rest in hyp[:int(rng.integers(0, 3))]]
+    kind = rng.random()
+    if kind < 0.05:
+        hyp = []
+    elif kind < 0.1:
+        gt = []
+    rng.shuffle(hyp)                            # file order is not frame order
+    return gt, [tuple(r) for r in hyp]
+
+
+@pytest.mark.parametrize("budget", [EV.FRAME_BUDGET, 40, 1])
+def test_mot_metrics_equals_the_per_frame_loop_bit_for_bit(monkeypatch, budget):
+    """Every MotReport field, motp_sum included, == the pre-batching loop's
+    on 600 seeded cases at gates 0.3, 0.5 and 1.0, whether the frames go to
+    iou_matrix all at once, a few at a time (budget 40) or one by one."""
+    monkeypatch.setattr(EV, "FRAME_BUDGET", budget)
+    rng = np.random.default_rng(2800)
+    seen = set()
+    for case in range(600):
+        gt, hyp = _churned_case(rng)
+        gate = (0.3, 0.5, 1.0)[case % 3]
+        got = _mot(hyp, gt, gate)
+        assert got == loop_mot_metrics(hyp, gt, gate), case
+        seen |= {("ids", got.ids > 0), ("fp", got.fp > 0), ("matches", got.num_matches > 0),
+                 ("empty", not gt or not hyp)}
+    assert seen == {(k, v) for k in ("ids", "fp", "matches", "empty") for v in (True, False)}
+
+
+def test_mot_metrics_peak_memory_is_at_most_the_per_frame_loops():
+    """2,000 frames of 30 objects: the batched scoring's tracemalloc peak
+    stays at or below the per-frame loop's on the same rows."""
+    rng = np.random.default_rng(7)
+    frames, objects = 2000, 30
+    f = np.repeat(np.arange(1, frames + 1), objects)
+    tid = np.tile(np.arange(1, objects + 1), frames)
+    xy = rng.uniform(0, 80, (frames * objects, 2))
+    gt = [(int(a), int(b), x, y, 12.0, 12.0, 1.0) for a, b, (x, y) in zip(f, tid, xy.tolist())]
+    jitter = rng.normal(0, 1.5, (frames * objects, 2)).tolist()
+    hyp = [(a, b, x + jx, y + jy, w, h, c) for (a, b, x, y, w, h, c), (jx, jy) in zip(gt, jitter)]
+    gt_cols, hyp_cols = mot_columns(gt), mot_columns(hyp)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    got, batched = peak(lambda: EV.mot_metrics(hyp_cols, gt_cols))
+    want, loop = peak(lambda: loop_mot_metrics(hyp, gt))
+    assert got == want
+    assert batched <= loop, (batched, loop)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +412,8 @@ def test_aggregate_pools_counts():
     hyp1 = gt_track(1, range(1, 9), (10, 10, 20, 20))
     gt2 = gt_track(1, range(1, 21), (30, 30, 20, 20))
     hyp2 = gt_track(4, range(1, 21), (30, 30, 20, 20))
-    r1 = EV.mot_metrics(hyp1, gt1)
-    r2 = EV.mot_metrics(hyp2, gt2)
+    r1 = _mot(hyp1, gt1)
+    r2 = _mot(hyp2, gt2)
     agg = EV.aggregate_reports([r1, r2])
     assert agg.num_gt == 30
     assert agg.fn == r1.fn + r2.fn
@@ -328,7 +423,7 @@ def test_aggregate_pools_counts():
 
 def test_report_table_and_csv_shapes():
     gt = gt_track(1, range(1, 11), (10, 10, 20, 20))
-    rep = EV.mot_metrics(gt, gt)
+    rep = _mot(gt, gt)
     text = EV.format_mot_table([("video_a", rep), ("ALL", rep)])
     lines = text.strip().splitlines()
     assert lines[0].split()[:4] == ["Video", "MOTA", "MOTP", "MT"]

@@ -13,6 +13,7 @@ MOT CSV readers what the per-line tracker.mot_rows gives.
 import functools
 import itertools
 import json
+import math
 import random
 import re
 import struct
@@ -264,10 +265,11 @@ def _gt_ints(video):
 def _mot_ints(path, frames):
     """The same classes as read_mot_csv reads them, or None."""
     try:
-        rows = TK.read_mot_csv(path)
+        cols = TK.read_mot_csv(path)
     except ParseError:
         return None
-    return [[int(r[10]) for r in rows if r[0] == f] for f in range(1, frames + 1)]
+    pairs = list(zip(cols.frame.tolist(), cols.cls.tolist()))
+    return [[c for g, c in pairs if g == f] for f in range(1, frames + 1)]
 
 
 def test_fuzz_gt_and_mot_csv_share_the_whole_number_rule(tmp_path):
@@ -466,7 +468,8 @@ def test_random_doubles_read_as_the_json_reader_reads_them(tmp_path):
 # read_mot_csv and load_video_dir read a MOT file in one numpy pass
 # (tracker.mot_table) and let the per-line tracker.mot_rows decide every
 # file that pass refuses; they must give what mot_rows alone gives: the same
-# rows with the same types, bit for bit, or the same ParseError text
+# values with the same types (read_mot_csv's as columns), bit for bit, or
+# the same ParseError text
 
 MOT_FILES = 2200
 MOT_TOKENS = ["1_0", " 1 ", "+.5", "1e0", "0x1p0", "", "١", "１", "٢٥",
@@ -543,10 +546,25 @@ MOT_MUTATIONS = ["none", "token", "ragged", "empty", "blank", "whitespace", "crl
                  "bom", "hash", "joined"]
 
 
-def _typed(rows):
-    """Rows as (type, value) pairs, floats by their bits: nan == nan, -0.0 != 0.0."""
-    return [tuple((type(v), v if type(v) is int else struct.pack("<d", v)) for v in row)
-            for row in rows]
+def _columns_of(rows):
+    """mot_rows' rows laid out as tracker.MotColumns, built here: frame, id
+    and class (1 where a row has no 11th column) as int64, the box, conf
+    and the columns after it as float64, NaN past a shorter row's end."""
+    assert all(type(r[i]) is int for r in rows for i in (0, 1, 10) if i < len(r))
+    width = max(map(len, rows), default=7)
+    values = np.array([list(r[2:]) + [math.nan] * (width - len(r)) for r in rows],
+                      dtype=np.float64).reshape(len(rows), width - 2)
+    return TK.MotColumns(np.array([r[0] for r in rows], dtype=np.int64),
+                         np.array([r[1] for r in rows], dtype=np.int64),
+                         values[:, :4], values[:, 4], values[:, 5:],
+                         np.array([r[10] if len(r) > 10 else 1 for r in rows],
+                                  dtype=np.int64))
+
+
+def _typed(cols):
+    """Each column's dtype, shape and bytes: floats by their bits, so
+    nan == nan and -0.0 != 0.0, and ints exact to 64 bits."""
+    return [(a.dtype, a.shape, a.tobytes()) for a in cols]
 
 
 def _outcome_of(read, path):
@@ -599,7 +617,7 @@ def test_mot_files_read_as_the_per_line_reader_reads_them(tmp_path):
         path.write_bytes(raw)
         fallback += TK.mot_table(path) is None
         got = _outcome_of(TK.read_mot_csv, path)
-        want = _outcome_of(lambda p: [r for _, r in TK.mot_rows(p)], path)
+        want = _outcome_of(lambda p: _columns_of([r for _, r in TK.mot_rows(p)]), path)
         assert (got == want if isinstance(got, str) or isinstance(want, str)
                 else _typed(got) == _typed(want)), (case, raw)
         assert _same_gt(_outcome_of(lambda _p: _gt_arrays(video), path),

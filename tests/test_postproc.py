@@ -93,6 +93,37 @@ def test_iou_matrix_degenerate_inputs_match_scalar():
         assert pp.iou_matrix(a, b).shape == (len(a), len(b))
 
 
+def test_batched_iou_matrix_is_the_per_slice_one_bit_for_bit():
+    """[..., N, 4] x [..., M, 4] -> [..., N, M]: every entry == the 2-D
+    call on its slice and == naive_iou, whatever the batch around it;
+    leading dimensions broadcast, and zero-size ones give empty results."""
+    rng = np.random.default_rng(28)
+    odd = np.array([[0.2, 0.2, 0.2, 0.6], [0.5, 0.0, 1.0, 0.5], [0.0, 0.0, 0.5, 0.5],
+                    [0.1, 0.2, 0.4, 0.7], [0.1, 0.2, 0.4, 0.7], [0.6, 0.6, 0.4, 0.4],
+                    [0.0, 0.0, 0.0, 0.0]])
+    for case in range(40):
+        lead = tuple(int(d) for d in rng.integers(1, 4, int(rng.integers(1, 3))))
+        n, m = (int(d) for d in rng.integers(0, 6, 2))
+        a = _random_boxes(rng, int(np.prod(lead)) * n).reshape(*lead, n, 4)
+        b = _random_boxes(rng, int(np.prod(lead)) * m).reshape(*lead, m, 4)
+        if case % 4 == 0 and n and m:       # degenerate, touching and equal boxes
+            a.reshape(-1, 4)[:len(odd)] = odd[:a.size // 4]
+            b.reshape(-1, 4)[:len(odd)] = odd[::-1][:b.size // 4]
+        got = pp.iou_matrix(a, b)
+        assert got.shape == (*lead, n, m)
+        for idx in np.ndindex(*lead):
+            want = pp.iou_matrix(a[idx], b[idx])
+            assert np.array_equal(got[idx], want), (case, idx)
+            for i in range(n):
+                for j in range(m):
+                    assert got[idx][i, j] == naive_iou(a[idx][i], b[idx][j]), (case, idx, i, j)
+    a, b = _random_boxes(rng, 3), _random_boxes(rng, 10).reshape(2, 5, 4)
+    got = pp.iou_matrix(a, b)           # [3, 4] against [2, 5, 4]: a broadcasts
+    assert got.shape == (2, 3, 5)
+    assert all(np.array_equal(got[k], pp.iou_matrix(a, b[k])) for k in range(2))
+    assert pp.iou_matrix(np.empty((0, 3, 4)), np.empty((0, 2, 4))).shape == (0, 3, 2)
+
+
 def test_decode_zero_deltas_returns_priors():
     priors = pp.make_priors()
     boxes = pp.decode(priors, np.zeros((len(priors), 4)))

@@ -165,10 +165,10 @@ def test_gt_whole_number_floats_load_in_both_mot_readers(tmp_path, row):
     behind read_mot_csv: both give the same ints."""
     video = _one_row_video(tmp_path, row)
     vid = synth.load_video_dir(video)
-    (mot,) = TK.read_mot_csv(video / "gt.csv")
-    assert mot[0] == 1 and type(mot[0]) is int and type(mot[1]) is int
-    assert type(mot[10]) is int
-    assert vid.classes[0].tolist() == [mot[10]] == [2]
+    mot = TK.read_mot_csv(video / "gt.csv")
+    assert mot.frame.tolist() == [1] and mot.frame.dtype == mot.id.dtype == np.int64
+    assert mot.cls.dtype == np.int64
+    assert vid.classes[0].tolist() == mot.cls.tolist() == [2]
 
 
 @pytest.mark.parametrize("row", ["1.5,1,1,2,3,4,1,-1,-1,-1,2", "1,1.5,1,2,3,4,1,-1,-1,-1,2",

@@ -562,18 +562,17 @@ def test_mot_csv_fractional_frame_or_id_is_parse_error(tmp_path):
 def test_mot_csv_whole_number_floats_load(tmp_path):
     p = tmp_path / "floats.csv"
     p.write_text("1.0,2.000,0,0,5,5,0.9\n")
-    (row,) = TK.read_mot_csv(p)
-    assert row[:2] == (1, 2)
-    assert type(row[0]) is int and type(row[1]) is int
+    cols = TK.read_mot_csv(p)
+    assert (cols.frame.tolist(), cols.id.tolist()) == ([1], [2])
+    assert cols.frame.dtype == cols.id.dtype == np.int64
 
 
 def test_mot_csv_class_column_is_stored_as_the_int_it_was_checked_as(tmp_path):
     p = tmp_path / "cls.csv"
     p.write_text("1,1,0,0,5,5,0.9,-1,-1,-1,3.0\n"
                  "2,1,0,0,5,5,0.9,-1,-1,-1,9223372036854775807\n")
-    rows = TK.read_mot_csv(p)
-    assert [r[10] for r in rows] == [3, 2**63 - 1]
-    assert all(type(r[10]) is int for r in rows)
+    cols = TK.read_mot_csv(p)
+    assert cols.cls.dtype == np.int64 and cols.cls.tolist() == [3, 2**63 - 1]
     assert [d.class_id for _f, dets in TK.ingest_detections(p) for d in dets] == [3, 2**63 - 1]
 
 
